@@ -25,11 +25,11 @@ import numpy as np
 
 from .params import ParamSet
 from .ring import Ring, Poly, PolyVec
+from .sampling import SEED_BYTES
 
 MAGIC = b"MLDS"
 VERSION = 0x01
 HEADER_BYTES = 6
-SEED_BYTES = 32
 PACK_BITS = 14
 
 

@@ -114,10 +114,17 @@ def validate_params(p: ParamSet) -> list[str]:
         errors.append(f"q={p.q} is not prime")
     elif (p.q - 1) % (2 * p.n) != 0:
         errors.append(f"q={p.q} is not congruent to 1 mod 2n={2 * p.n}")
+    elif p.n * (p.q - 1) ** 2 >= 2**53:  # float64 NTT exactness, see NttConstants
+        errors.append(
+            f"n*(q-1)^2 = {p.n * (p.q - 1) ** 2} is not below 2^53: "
+            "the float64 NTT would round its partial sums"
+        )
     if p.k < 1:
         errors.append(f"k={p.k} must be >= 1")
     if p.eta < 1:
         errors.append(f"eta={p.eta} must be >= 1")
+    elif p.eta % 8 != 0:
+        errors.append(f"eta={p.eta} is not a multiple of 8, as the byte-aligned binomial sampler needs")
     if p.redundancy not in (1, 4):
         errors.append(f"redundancy={p.redundancy} not in {{1, 4}}")
     elif p.n % (4 * p.redundancy) != 0:
@@ -131,10 +138,16 @@ class NttConstants:
 
     gamma is a primitive 2n-th root of unity (so gamma^n = -1), omega = gamma^2
     a primitive n-th root. ``forward`` and ``inverse`` are the full n x n
-    transform matrices:
+    transform matrices, reduced into [0, q) and stored as float64 so that a
+    transform is one BLAS matrix-vector product:
 
         forward[i, j] = gamma^j * omega^(i*j)
         inverse[j, i] = n^-1 * gamma^-j * omega^(-i*j)
+
+    A product of a table with a vector in [0, q)^n has integer partial sums
+    of at most n*(q-1)^2. ``validate_params`` keeps that below 2^53, where
+    float64 is exact, so the float sum equals the integer one before ``Ring``
+    reduces it mod q.
     """
 
     n: int
@@ -176,8 +189,8 @@ def _derive_cached(n: int, q: int) -> NttConstants:
     omega_inv_powers = np.array([pow(omega_inv, int(t), q) for t in j], dtype=np.int64)
 
     ij = np.outer(j, j) % n
-    forward = omega_powers[ij] * gamma_powers[None, :] % q
-    inverse = gamma_inv_powers[:, None] * omega_inv_powers[ij.T] % q * n_inv % q
+    forward = (omega_powers[ij] * gamma_powers[None, :] % q).astype(np.float64)
+    inverse = (gamma_inv_powers[:, None] * omega_inv_powers[ij.T] % q * n_inv % q).astype(np.float64)
     forward.setflags(write=False)
     inverse.setflags(write=False)
     gamma_powers.setflags(write=False)

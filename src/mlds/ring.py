@@ -10,8 +10,15 @@ The forward transform is the definitional negacyclic ("gamma-twisted") NTT
     evals[i] = sum_j gamma^j * coeffs[j] * omega^(i*j)  mod q
 
 realized as a single precomputed matrix product, with the exact inverse
-built the same way. ``schoolbook_mul`` is an independent O(n^2) oracle
-(plain convolution + x^n = -1 folding) for testing the NTT path.
+built the same way. The tables are float64 (see ``NttConstants``): a
+transform is one BLAS matrix-vector product, then the float reduction
+y - floor(y/q)*q, cast back to int64. It is exact. Tables and inputs lie in
+[0, q), so every partial sum is an integer of at most n*(q-1)^2, which
+``validate_params`` keeps below 2^53 (about 3.9e10 at n = 256, q = 12289);
+below 2^53 float64 holds integers exactly in any summation order, and y/q
+rounds to the correct side of every integer, so floor(y/q) is exact too.
+``schoolbook_mul`` is an independent O(n^2) oracle (plain convolution +
+x^n = -1 folding) for testing the NTT path.
 """
 
 from __future__ import annotations
@@ -161,15 +168,21 @@ class Ring:
 
     # -- transforms --------------------------------------------------------
 
+    def _apply_table(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """table @ x mod q in float64, exact for inputs in [0, q)."""
+        y = table @ x.astype(np.float64)
+        y -= np.floor(y / self.q) * self.q
+        return y.astype(np.int64)
+
     def ntt(self, p: Poly) -> NttPoly:
         if not isinstance(p, Poly):
             raise DomainError(f"ntt expects a coefficient-domain Poly, got {type(p).__name__}")
-        return NttPoly(self.constants.forward @ p.coeffs % self.q)
+        return NttPoly(self._apply_table(self.constants.forward, p.coeffs))
 
     def intt(self, p: NttPoly) -> Poly:
         if not isinstance(p, NttPoly):
             raise DomainError(f"intt expects an NTT-domain NttPoly, got {type(p).__name__}")
-        return Poly(self.constants.inverse @ p.evals % self.q)
+        return Poly(self._apply_table(self.constants.inverse, p.evals))
 
     def vec_ntt(self, v: PolyVec) -> PolyVec:
         return PolyVec(tuple(self.ntt(e) for e in v))

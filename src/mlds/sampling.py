@@ -12,6 +12,8 @@ change:
 * ``gen_se``     SHAKE-256(seed || byte(nonce)); coefficient t consumes bits
                  [2*eta*t, 2*eta*(t+1)) of the little-endian bitstream, the
                  first eta bits minus the second eta bits, stored mod q.
+                 The bits are counted as words of gcd(eta, 64) bits, so
+                 ``validate_params`` requires eta % 8 == 0.
 
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
@@ -20,6 +22,7 @@ data-dependent branching.
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -75,18 +78,18 @@ def gen_a(rho: bytes, ring: Ring) -> NttMatrix:
 def gen_se(seed: bytes, nonce: int, ring: Ring) -> Poly:
     """One centered-binomial psi_eta polynomial from (seed, nonce).
 
-    Centered values lie in [-eta, eta]; stored canonically mod q.
+    Centered values lie in [-eta, eta]; stored canonically mod q. Each
+    eta-bit half is the popcount of its gcd(eta, 64)-bit words.
     """
     _check_seed(seed)
     if not 0 <= nonce < 256:
         raise ValueError(f"nonce must be a single byte, got {nonce}")
     p = ring.params
-    nbytes = (2 * p.eta * p.n + 7) // 8
-    buf = hashlib.shake_256(seed + bytes([nonce])).digest(nbytes)
-    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
-    pairs = bits[: 2 * p.eta * p.n].reshape(p.n, 2 * p.eta).astype(np.int64)
-    c = pairs[:, : p.eta].sum(axis=1) - pairs[:, p.eta :].sum(axis=1)
-    return Poly(c % p.q)
+    word_bytes = math.gcd(p.eta, 64) // 8
+    buf = hashlib.shake_256(seed + bytes([nonce])).digest(2 * p.eta * p.n // 8)
+    words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
+    halves = np.bitwise_count(words).reshape(p.n, 2, -1).sum(axis=2, dtype=np.int64)
+    return Poly((halves[:, 0] - halves[:, 1]) % p.q)
 
 
 def gen_se_vec(seed: bytes, first_nonce: int, ring: Ring) -> PolyVec:

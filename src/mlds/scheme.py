@@ -53,7 +53,6 @@ class PublicKey:
 @dataclass(frozen=True, eq=False)
 class SecretKey:
     s: PolyVec
-    e: PolyVec | None = None  # cached keygen noise; not serialized
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +118,7 @@ def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, S
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s), transpose=True)), e)
-    return PublicKey(rho=rho, p_vec=p_vec), SecretKey(s=s, e=e)
+    return PublicKey(rho=rho, p_vec=p_vec), SecretKey(s=s)
 
 
 def _h_digest(mu: bytes, source: Poly, ring: Ring) -> bytes:

@@ -8,6 +8,7 @@ in z2/z3 verify by construction (see the companion test for the guarantees
 that do hold).
 """
 
+import hashlib
 import subprocess
 import sys
 import time
@@ -251,3 +252,18 @@ def test_criterion_9_kat_stability():
     second = subprocess.run(cmd, capture_output=True, check=True).stdout
     ok = first == second and len(first.splitlines()) == 16
     report(9, "kat stability", ok, "two independent runs byte-identical, 16 cases")
+
+
+#: SHA-256 of the stdout of  mlds kat --count 16 --seed 1f...1f --policy <policy>.
+KAT_SHA256 = {
+    "literal": "a2e0b57b729155def0c3c68ddc12b4b9199e0290fe71755c871852404c8d58e5",
+    "z2": "eb1bcb25c317abf89eca81d99d453311edec78d0247b6954e47e26021a28e929",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(KAT_SHA256))
+def test_criterion_9_kat_digest_pinned(policy):
+    cmd = [sys.executable, "-m", "mlds.cli", "kat", "--count", "16",
+           "--seed", "1f" * 32, "--policy", policy]
+    digest = hashlib.sha256(subprocess.run(cmd, capture_output=True, check=True).stdout).hexdigest()
+    report(9, f"kat digest, {policy} policy", digest == KAT_SHA256[policy], digest[:16])

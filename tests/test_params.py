@@ -70,6 +70,9 @@ def test_validate_reports_each_violation():
     assert any("redundancy" in e for e in validate_params(ParamSet(redundancy=3)))
     assert any("k=" in e for e in validate_params(ParamSet(k=0)))
     assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
+    assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
+    # prime and 2n | q-1, but 256 * 8380416^2 > 2^53 would round the float64 NTT
+    assert any("2^53" in e for e in validate_params(ParamSet(q=8380417)))
 
 
 def test_ntt_congruence_holds_for_n_512():

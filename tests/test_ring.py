@@ -44,6 +44,22 @@ def test_ntt_matches_definition(ring, rng):
         assert int(ring.ntt(p).evals[i]) == expected
 
 
+def test_float_transforms_match_integer_definition(ring, rng):
+    # Every partial sum of table @ x is at most n*(q-1)^2, below 2^53, so the
+    # float64 product is exact; compare against int64 arithmetic throughout.
+    assert ring.n * (ring.q - 1) ** 2 == 256 * 12288**2 < 2**53
+    c = ring.constants
+    forward, inverse = c.forward.astype(np.int64), c.inverse.astype(np.int64)
+    worst = np.full(ring.n, ring.q - 1, dtype=np.int64)
+    vectors = [rng.integers(0, ring.q, ring.n, dtype=np.int64) for _ in range(200)] + [worst]
+    for x in vectors:
+        assert np.array_equal(ring.ntt(ring.poly(x)).evals, forward @ x % ring.q)
+        assert np.array_equal(ring.intt(ring.ntt_poly(x)).coeffs, inverse @ x % ring.q)
+    for table, ints in ((c.forward, forward), (c.inverse, inverse)):
+        assert table.dtype == np.float64 and np.array_equal(table, ints)
+        assert ints.min() >= 0 and ints.max() < ring.q
+
+
 # -- multiplication -------------------------------------------------------------
 
 def test_pointwise_identity(ring, rng):

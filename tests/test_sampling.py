@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from mlds import gen_a, gen_se, hash_h, crh
+from mlds import ParamSet, gen_a, gen_se, get_ring, hash_h, crh
 from mlds.sampling import gen_se_vec
 
 import keccak_oracle
@@ -114,6 +115,26 @@ def test_gen_se_deterministic_and_nonce_separated(ring):
 def test_gen_se_regression_fixture(ring):
     assert gen_se(ZERO_SEED, 0, ring).coeffs[:8].tolist() == [2, 4, 2, 0, 12284, 0, 12288, 3]
     assert gen_se(ZERO_SEED, 1, ring).coeffs[:8].tolist() == [12287, 12288, 12285, 12284, 12287, 12288, 0, 2]
+
+
+def reference_gen_se(seed: bytes, nonce: int, ring) -> np.ndarray:
+    """Bit-by-bit psi_eta sampler: unpack the stream, sum each eta-bit half."""
+    p = ring.params
+    nbytes = (2 * p.eta * p.n + 7) // 8
+    buf = hashlib.shake_256(seed + bytes([nonce])).digest(nbytes)
+    bits = np.unpackbits(np.frombuffer(buf, dtype=np.uint8), bitorder="little")
+    pairs = bits[: 2 * p.eta * p.n].reshape(p.n, 2 * p.eta).astype(np.int64)
+    c = pairs[:, : p.eta].sum(axis=1) - pairs[:, p.eta :].sum(axis=1)
+    return c % p.q
+
+
+@pytest.mark.parametrize("eta", [8, 16, 24, 64])
+def test_gen_se_matches_bitwise_reference(eta):
+    ring = get_ring(ParamSet(eta=eta))
+    rng = np.random.default_rng(eta)
+    for _ in range(50):
+        seed, nonce = rng.bytes(32), int(rng.integers(256))
+        assert np.array_equal(gen_se(seed, nonce, ring).coeffs, reference_gen_se(seed, nonce, ring))
 
 
 def test_gen_se_rejects_bad_arguments(ring):
