@@ -215,7 +215,7 @@ def cmd_info(args) -> int:
     print(f"sizes (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
           f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "
           f"sig {sizes.sig_it:.1f} it / {sizes.sig_wire} wire")
-    print("h policies: literal (signer binds the secret path), z2 (recomputable)")
+    print("h policies: z2 (recomputable, default), literal (signer binds the secret path)")
     return EXIT_OK
 
 
@@ -234,26 +234,26 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--pk", required=True)
     sg.add_argument("--msg", required=True)
     sg.add_argument("--out-sig", required=True)
-    sg.add_argument("--policy", choices=sorted(POLICIES), default="literal")
+    sg.add_argument("--policy", choices=sorted(POLICIES), default="z2")
     sg.set_defaults(func=cmd_sign)
 
     vf = sub.add_parser("verify", help="verify a signature file")
     vf.add_argument("--pk", required=True)
     vf.add_argument("--msg", required=True)
     vf.add_argument("--sig", required=True)
-    vf.add_argument("--policy", choices=sorted(POLICIES), default="literal")
+    vf.add_argument("--policy", choices=sorted(POLICIES), default="z2")
     vf.set_defaults(func=cmd_verify)
 
     kat = sub.add_parser("kat", help="deterministic known-answer fixtures")
     kat.add_argument("--count", type=int, required=True)
     kat.add_argument("--seed", required=True, help="32-byte hex master seed")
-    kat.add_argument("--policy", choices=sorted(POLICIES), default="literal")
+    kat.add_argument("--policy", choices=sorted(POLICIES), default="z2")
     kat.add_argument("--out", help="write fixtures to a file instead of stdout")
     kat.set_defaults(func=cmd_kat)
 
     ms = sub.add_parser("measure", help="measure decode/h agreement rates")
     ms.add_argument("--trials", type=int, required=True)
-    ms.add_argument("--policy", choices=sorted(POLICIES), default="literal")
+    ms.add_argument("--policy", choices=sorted(POLICIES), default="z2")
     ms.add_argument("--seed", help="32-byte hex master seed (reproducible runs)")
     ms.set_defaults(func=cmd_measure)
 

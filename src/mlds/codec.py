@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamSet
-from .ring import Ring, Poly, PolyVec
+from .ring import Ring, Poly
 from .sampling import SEED_BYTES
 
 MAGIC = b"MLDS"
@@ -110,13 +110,18 @@ def _require_packable(p: ParamSet) -> None:
         )
 
 
+# Each group of four coefficients is one 56-bit little-endian integer, read
+# and written through a zero-padded 8-byte "<u8" lane.
+_LANE_SHIFTS = np.arange(4, dtype=np.uint64) * PACK_BITS
+_LANE_MASK = (1 << PACK_BITS) - 1
+
+
 def pack_poly(v: Poly, ring: Ring) -> bytes:
     """Pack coefficients little-endian, 14 bits each, 4 coefficients per 7 bytes."""
     _require_packable(ring.params)
-    c = v.coeffs.reshape(-1, 4)
-    group = c[:, 0] | c[:, 1] << 14 | c[:, 2] << 28 | c[:, 3] << 42
-    out = (group[:, None] >> (8 * np.arange(7))) & 0xFF
-    return out.astype(np.uint8).tobytes()
+    c = v.coeffs.astype(np.uint64).reshape(-1, 4)
+    groups = np.bitwise_or.reduce(c << _LANE_SHIFTS, axis=1).astype("<u8")
+    return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
 
 
 def unpack_poly(data: bytes, ring: Ring) -> Poly:
@@ -125,12 +130,10 @@ def unpack_poly(data: bytes, ring: Ring) -> Poly:
     expected = poly_bytes(p)
     if len(data) != expected:
         raise LengthError(f"packed polynomial must be {expected} bytes, got {len(data)}")
-    raw = np.frombuffer(data, dtype=np.uint8).astype(np.int64).reshape(-1, 7)
-    group = (raw << (8 * np.arange(7))).sum(axis=1)
-    coeffs = np.empty((len(group), 4), dtype=np.int64)
-    for t in range(4):
-        coeffs[:, t] = (group >> (14 * t)) & 0x3FFF
-    coeffs = coeffs.reshape(-1)
+    lanes = np.zeros((expected // 7, 8), dtype=np.uint8)
+    lanes[:, :7] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 7)
+    groups = lanes.view("<u8")
+    coeffs = ((groups >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int64).reshape(-1)
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
     return Poly(coeffs)
@@ -173,7 +176,7 @@ def serialize_pk(pk, ring: Ring) -> bytes:
 
 
 def parse_pk(data: bytes, ring: Ring):
-    from .scheme import PublicKey
+    from .scheme import public_key
 
     p = ring.params
     body = _split_header(data, p, "public key")
@@ -185,7 +188,7 @@ def parse_pk(data: bytes, ring: Ring):
     for i in range(p.k):
         off = SEED_BYTES + i * step
         elems.append(unpack_poly(body[off : off + step], ring))
-    return PublicKey(rho=rho, p_vec=PolyVec(tuple(elems)))
+    return public_key(rho, ring.vec(elems), ring)
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:
@@ -203,7 +206,7 @@ def parse_sk(data: bytes, ring: Ring):
         raise LengthError(f"secret key must be {sk_bytes(p)} bytes, got {len(data)}")
     step = poly_bytes(p)
     elems = [unpack_poly(body[i * step : (i + 1) * step], ring) for i in range(p.k)]
-    return SecretKey(s=PolyVec(tuple(elems)))
+    return SecretKey(s=ring.vec(elems))
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
@@ -227,4 +230,4 @@ def parse_sig(data: bytes, ring: Ring):
     z2 = unpack_poly(body[p.k * step : (p.k + 1) * step], ring)
     z3 = unpack_poly(body[(p.k + 1) * step : (p.k + 2) * step], ring)
     h = body[(p.k + 2) * step :]
-    return Signature(z1=PolyVec(tuple(z1)), z2=z2, z3=z3, h=h)
+    return Signature(z1=ring.vec(z1), z2=z2, z3=z3, h=h)

@@ -5,18 +5,23 @@ Coefficient-domain and NTT-domain values are distinct types (``Poly`` vs
 silently. Coefficients are stored canonically in [0, q); centered
 representatives exist only inside the norm helper and the codec.
 
+Module values are stacked: a ``PolyVec`` is one (k, n) int64 array tagged
+with its row domain, an ``NttMatrix`` one (k, k, n) array in NTT domain.
+Vector add/sub, ``matvec`` and ``inner_product`` are one broadcast
+expression and one ``% q`` each (sums of k products below q^2, exact in
+int64); transforms stay one ``ntt``/``intt`` call per row.
+
 The forward transform is the definitional negacyclic ("gamma-twisted") NTT
 
     evals[i] = sum_j gamma^j * coeffs[j] * omega^(i*j)  mod q
 
 realized as a single precomputed matrix product, with the exact inverse
 built the same way. The tables are float64 (see ``NttConstants``): a
-transform is one BLAS matrix-vector product, then the float reduction
-y - floor(y/q)*q, cast back to int64. It is exact. Tables and inputs lie in
-[0, q), so every partial sum is an integer of at most n*(q-1)^2, which
-``validate_params`` keeps below 2^53 (about 3.9e10 at n = 256, q = 12289);
-below 2^53 float64 holds integers exactly in any summation order, and y/q
-rounds to the correct side of every integer, so floor(y/q) is exact too.
+transform is one BLAS matrix-vector product, cast to int64 and reduced
+mod q. It is exact. Tables and inputs lie in [0, q), so every partial sum is
+an integer of at most n*(q-1)^2, which ``validate_params`` keeps below 2^53
+(about 3.9e10 at n = 256, q = 12289); below 2^53 float64 holds integers
+exactly in any summation order, so the cast loses nothing.
 ``schoolbook_mul`` is an independent O(n^2) oracle (plain convolution +
 x^n = -1 folding) for testing the NTT path.
 """
@@ -68,62 +73,45 @@ class NttPoly:
 
 @dataclass(frozen=True, eq=False)
 class PolyVec:
-    """Length-k vector over R_q; all entries share one domain."""
+    """Length-k vector over R_q: a (k, n) array whose rows are ``domain`` values.
 
-    elems: tuple
+    ``domain`` is ``Poly`` or ``NttPoly``; indexing yields a row of that type.
+    """
 
-    def __post_init__(self):
-        if not self.elems:
-            raise ValueError("empty module vector")
-        kinds = {type(e) for e in self.elems}
-        if kinds == {Poly}:
-            pass
-        elif kinds == {NttPoly}:
-            pass
-        else:
-            raise DomainError("module vector entries must be all-Poly or all-NttPoly")
-
-    @property
-    def domain(self) -> type:
-        return type(self.elems[0])
+    data: np.ndarray
+    domain: type
 
     def __len__(self) -> int:
-        return len(self.elems)
+        return len(self.data)
 
     def __iter__(self):
-        return iter(self.elems)
+        # indexing rows is several times cheaper than iterating the array
+        return map(self.__getitem__, range(len(self.data)))
 
     def __getitem__(self, i):
-        return self.elems[i]
+        return self.domain(self.data[i])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, PolyVec)
-            and len(self) == len(other)
-            and all(a == b for a, b in zip(self.elems, other.elems))
+            and self.domain is other.domain
+            and np.array_equal(self.data, other.data)
         )
 
 
 @dataclass(frozen=True, eq=False)
 class NttMatrix:
-    """k x k matrix over R_q, entries in NTT domain."""
+    """k x k matrix over R_q in NTT domain: one (k, k, n) int64 array."""
 
-    rows: tuple
+    data: np.ndarray
 
-    def __post_init__(self):
-        k = len(self.rows)
-        if k == 0 or any(len(r) != k for r in self.rows):
-            raise ValueError("matrix must be square and non-empty")
-        if any(not isinstance(e, NttPoly) for r in self.rows for e in r):
-            raise DomainError("matrix entries must be NttPoly")
+    def __getitem__(self, ij) -> NttPoly:
+        return NttPoly(self.data[ij])
 
-    @property
-    def k(self) -> int:
-        return len(self.rows)
 
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.rows[i][j]
+def _values(x) -> np.ndarray:
+    """The value array of a Poly or NttPoly."""
+    return x.coeffs if type(x) is Poly else x.evals
 
 
 class Ring:
@@ -161,18 +149,20 @@ class Ring:
         return Poly(_as_coeff_array(c, self.n, self.q))
 
     def vec(self, elems) -> PolyVec:
-        v = PolyVec(tuple(elems))
-        if len(v) != self.k:
-            raise ValueError(f"expected module rank {self.k}, got {len(v)}")
-        return v
+        """Stack k ring elements of one domain into a module vector."""
+        elems = tuple(elems)
+        if len(elems) != self.k:
+            raise ValueError(f"expected module rank {self.k}, got {len(elems)}")
+        domain = type(elems[0])
+        if domain not in (Poly, NttPoly) or any(type(e) is not domain for e in elems):
+            raise DomainError("module vector entries must be all-Poly or all-NttPoly")
+        return PolyVec(np.array([_values(e) for e in elems]), domain)
 
     # -- transforms --------------------------------------------------------
 
     def _apply_table(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """table @ x mod q in float64, exact for inputs in [0, q)."""
-        y = table @ x.astype(np.float64)
-        y -= np.floor(y / self.q) * self.q
-        return y.astype(np.int64)
+        """table @ x mod q via float64, exact for inputs in [0, q)."""
+        return (table @ x.astype(np.float64)).astype(np.int64) % self.q
 
     def ntt(self, p: Poly) -> NttPoly:
         if not isinstance(p, Poly):
@@ -185,34 +175,28 @@ class Ring:
         return Poly(self._apply_table(self.constants.inverse, p.evals))
 
     def vec_ntt(self, v: PolyVec) -> PolyVec:
-        return PolyVec(tuple(self.ntt(e) for e in v))
+        return PolyVec(np.array([self.ntt(p).evals for p in v]), NttPoly)
 
     def vec_intt(self, v: PolyVec) -> PolyVec:
-        return PolyVec(tuple(self.intt(e) for e in v))
+        return PolyVec(np.array([self.intt(p).coeffs for p in v]), Poly)
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 
     def add(self, a, b):
-        if isinstance(a, PolyVec) and isinstance(b, PolyVec):
-            if len(a) != len(b):
-                raise DomainError("vector length mismatch")
-            return PolyVec(tuple(self.add(x, y) for x, y in zip(a, b)))
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return Poly((a.coeffs + b.coeffs) % self.q)
-        if isinstance(a, NttPoly) and isinstance(b, NttPoly):
-            return NttPoly((a.evals + b.evals) % self.q)
-        raise DomainError(f"cannot add {type(a).__name__} and {type(b).__name__}")
+        return self._elementwise(np.add, a, b, "add")
 
     def sub(self, a, b):
-        if isinstance(a, PolyVec) and isinstance(b, PolyVec):
-            if len(a) != len(b):
-                raise DomainError("vector length mismatch")
-            return PolyVec(tuple(self.sub(x, y) for x, y in zip(a, b)))
-        if isinstance(a, Poly) and isinstance(b, Poly):
-            return Poly((a.coeffs - b.coeffs) % self.q)
-        if isinstance(a, NttPoly) and isinstance(b, NttPoly):
-            return NttPoly((a.evals - b.evals) % self.q)
-        raise DomainError(f"cannot subtract {type(b).__name__} from {type(a).__name__}")
+        return self._elementwise(np.subtract, a, b, "subtract")
+
+    def _elementwise(self, op, a, b, verb: str):
+        """op(a, b) mod q on two ring elements, or two vectors, of one domain."""
+        if type(a) is PolyVec and type(b) is PolyVec:
+            if a.domain is b.domain and len(a) == len(b):
+                return PolyVec(op(a.data, b.data) % self.q, a.domain)
+        elif type(a) is type(b) and type(a) in (Poly, NttPoly):
+            return type(a)(op(_values(a), _values(b)) % self.q)
+        raise DomainError(f"cannot {verb} {type(a).__name__} and {type(b).__name__}: "
+                          "domains or lengths differ")
 
     # -- multiplicative arithmetic ------------------------------------------
 
@@ -238,17 +222,10 @@ class Ring:
         """out_i = sum_j M_ij o v_j with M the matrix or its transpose."""
         if v.domain is not NttPoly:
             raise DomainError("matvec operates on NTT-domain vectors")
-        if mat.k != len(v):
+        if mat.data.shape[:2] != (len(v), len(v)):
             raise DomainError("matrix/vector rank mismatch")
-        k = mat.k
-        out = []
-        for i in range(k):
-            acc = np.zeros(self.n, dtype=np.int64)
-            for j in range(k):
-                entry = mat[j, i] if transpose else mat[i, j]
-                acc += entry.evals * v[j].evals % self.q
-            out.append(NttPoly(acc % self.q))
-        return PolyVec(tuple(out))
+        m = mat.data.swapaxes(0, 1) if transpose else mat.data
+        return PolyVec((m * v.data).sum(axis=1) % self.q, NttPoly)
 
     def inner_product(self, a: PolyVec, b: PolyVec) -> NttPoly:
         """sum_i a_i o b_i, one ring element in NTT domain."""
@@ -256,10 +233,7 @@ class Ring:
             raise DomainError("inner_product operates on NTT-domain vectors")
         if len(a) != len(b):
             raise DomainError("vector length mismatch")
-        acc = np.zeros(self.n, dtype=np.int64)
-        for x, y in zip(a, b):
-            acc += x.evals * y.evals % self.q
-        return NttPoly(acc % self.q)
+        return NttPoly((a.data * b.data).sum(axis=0) % self.q)
 
     # -- norms ---------------------------------------------------------------
 
@@ -272,11 +246,12 @@ class Ring:
 
     def infinity_norm(self, x) -> int:
         """max_i min(c_i, q - c_i) over all coefficients of a Poly or PolyVec."""
-        if isinstance(x, PolyVec):
-            return max(self.infinity_norm(e) for e in x)
-        if not isinstance(x, Poly):
+        if isinstance(x, Poly):
+            c = x.coeffs
+        elif isinstance(x, PolyVec) and x.domain is Poly:
+            c = x.data
+        else:
             raise DomainError("infinity norm is defined on coefficient-domain values")
-        c = x.coeffs
         return int(np.max(np.minimum(c, self.q - c)))
 
 

@@ -26,7 +26,7 @@ import math
 
 import numpy as np
 
-from .ring import Ring, Poly, NttPoly, PolyVec, NttMatrix
+from .ring import Ring, Poly, PolyVec, NttMatrix
 
 SEED_BYTES = 32
 
@@ -47,51 +47,57 @@ def crh(message: bytes) -> bytes:
     return hashlib.shake_256(message).digest(SEED_BYTES)
 
 
-def _uniform_poly(stream_seed: bytes, n: int, q: int, mask: int) -> np.ndarray:
-    # SHAKE output is prefix-stable, so re-squeezing a longer digest extends
-    # the same candidate stream. 2x oversampling covers the ~0.75 accept rate.
+def gen_a(rho: bytes, ring: Ring) -> NttMatrix:
+    """Expand rho into the public k x k matrix, uniform in NTT domain.
+
+    All k^2 streams are squeezed to 4n bytes (2x oversampling for the ~0.75
+    accept rate) and tested in one pass; each entry keeps its first n
+    accepted candidates. If an entry falls short, all streams are squeezed
+    again at twice the length; SHAKE output is prefix-stable, so that only
+    extends each candidate stream.
+    """
+    _check_seed(rho, "rho")
+    p = ring.params
+    k, n = p.k, p.n
+    mask = (1 << p.bits_per_coeff) - 1
+    seeds = [rho + bytes([i, j]) for i in range(k) for j in range(k)]
     need = 4 * n
     while True:
-        buf = hashlib.shake_128(stream_seed).digest(need)
-        cand = np.frombuffer(buf, dtype="<u2").astype(np.int64) & mask
-        accepted = cand[cand < q]
-        if len(accepted) >= n:
-            return accepted[:n].copy()
+        buf = b"".join(hashlib.shake_128(seed).digest(need) for seed in seeds)
+        cand = np.frombuffer(buf, dtype="<u2").reshape(k * k, -1).astype(np.int64) & mask
+        accepted = cand < p.q
+        # k^2 slices of one mask: cheaper here than a cumsum rank over all of it
+        rows = [c[a][:n] for c, a in zip(cand, accepted)]
+        if min(map(len, rows)) == n:
+            return NttMatrix(np.array(rows).reshape(k, k, n))
         need *= 2
 
 
-def gen_a(rho: bytes, ring: Ring) -> NttMatrix:
-    """Expand rho into the public k x k matrix, uniform in NTT domain."""
-    _check_seed(rho, "rho")
+def _binomial(seed: bytes, nonces: range, ring: Ring) -> np.ndarray:
+    """psi_eta polynomials mod q, one row per nonce, counted in one pass.
+
+    Each eta-bit half is the popcount of its gcd(eta, 64)-bit words.
+    """
+    _check_seed(seed)
+    if not 0 <= nonces[0] <= nonces[-1] < 256:
+        raise ValueError(f"nonces must be single bytes, got {nonces[0]}..{nonces[-1]}")
     p = ring.params
-    mask = (1 << p.bits_per_coeff) - 1
-    rows = []
-    for i in range(p.k):
-        row = []
-        for j in range(p.k):
-            coeffs = _uniform_poly(rho + bytes([i, j]), p.n, p.q, mask)
-            row.append(NttPoly(coeffs))
-        rows.append(tuple(row))
-    return NttMatrix(tuple(rows))
+    word_bytes = math.gcd(p.eta, 64) // 8
+    nbytes = 2 * p.eta * p.n // 8
+    buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(nbytes) for t in nonces)
+    words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
+    halves = np.bitwise_count(words).reshape(len(nonces), p.n, 2, -1).sum(axis=3, dtype=np.int64)
+    return (halves[..., 0] - halves[..., 1]) % p.q
 
 
 def gen_se(seed: bytes, nonce: int, ring: Ring) -> Poly:
     """One centered-binomial psi_eta polynomial from (seed, nonce).
 
-    Centered values lie in [-eta, eta]; stored canonically mod q. Each
-    eta-bit half is the popcount of its gcd(eta, 64)-bit words.
+    Centered values lie in [-eta, eta]; stored canonically mod q.
     """
-    _check_seed(seed)
-    if not 0 <= nonce < 256:
-        raise ValueError(f"nonce must be a single byte, got {nonce}")
-    p = ring.params
-    word_bytes = math.gcd(p.eta, 64) // 8
-    buf = hashlib.shake_256(seed + bytes([nonce])).digest(2 * p.eta * p.n // 8)
-    words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
-    halves = np.bitwise_count(words).reshape(p.n, 2, -1).sum(axis=2, dtype=np.int64)
-    return Poly((halves[:, 0] - halves[:, 1]) % p.q)
+    return Poly(_binomial(seed, range(nonce, nonce + 1), ring)[0])
 
 
 def gen_se_vec(seed: bytes, first_nonce: int, ring: Ring) -> PolyVec:
     """k consecutive binomial polynomials starting at ``first_nonce``."""
-    return PolyVec(tuple(gen_se(seed, first_nonce + i, ring) for i in range(ring.k)))
+    return PolyVec(_binomial(seed, range(first_nonce, first_nonce + ring.k), ring), Poly)

@@ -7,6 +7,9 @@ Key generation:
     s, e sampled with nonces 0..k-1 and k..2k-1
     P = intt(A_hat^T o ntt(s)) + e
 
+The public key carries A_hat, expanded once from rho by ``keygen`` or by
+``public_key`` (for ``codec.parse_pk``); signing reuses it.
+
 Signing draws e1 (nonces 0..k-1), e2 (k..2k-1), e3 (2k), e4 (2k+1) from the
 per-signature coin r and outputs
 
@@ -20,11 +23,16 @@ where X is either the signer-side value intt(<A_hat^T o ntt(s), ntt(e2)>)
 mu = crh(M), checks decode(z2 + z3 - <P, z1>) against the mu payload, and,
 when enabled, checks h against crh(mu || crh(decode-payload of z2)).
 
+z3 is computed as intt(<P_hat, A_hat^T o ntt(e1)>), reusing z1's product; in
+the commutative ring sum_i (sum_j A_ij P_j) e1_i = sum_j P_j (sum_i A_ij e1_i).
+
 Under the "z2" policy both checks pass deterministically for honest
-signatures. Under the "secret" policy the two h preimages are decodes of two
-noisy copies of a near-uniform ring element, so their agreement is an
-empirical quantity; ``measure_agreement`` reports it with a confidence
-interval instead of asserting a bound.
+signatures, so ``Z2_DERIVED`` is the default; the paper-literal "secret"
+policy (``SECRET_DERIVED``, the CLI's ``literal``) is asked for by name.
+Under the "secret" policy the two h preimages are decodes of two noisy
+copies of a near-uniform ring element, so their agreement is an empirical
+quantity; ``measure_agreement`` reports it with a confidence interval
+instead of asserting a bound.
 
 The coin r must never repeat for the same key; callers own that contract.
 """
@@ -34,20 +42,23 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .codec import bytes_to_bits, encode_bits, decode_bits, decode_payload
 from .params import ParamSet, DEFAULT_PARAMS
-from .ring import Ring, Poly, PolyVec, get_ring
+from .ring import Ring, Poly, PolyVec, NttMatrix, get_ring
 from .sampling import SEED_BYTES, hash_h, crh, gen_a, gen_se, gen_se_vec
 
 
 @dataclass(frozen=True, eq=False)
 class PublicKey:
+    """(rho, P) and A_hat = gen_a(rho); made by ``keygen`` or ``public_key``."""
+
     rho: bytes
     p_vec: PolyVec  # coefficient domain
+    a_hat: NttMatrix = field(repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +78,7 @@ class Signature:
 class VerifyPolicy:
     """h_source selects the signer's h preimage; check_h gates condition (2)."""
 
-    h_source: str = "secret"  # "secret" | "z2"
+    h_source: str = "z2"  # "z2" | "secret"
     check_h: bool = True
 
     def __post_init__(self):
@@ -118,7 +129,12 @@ def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, S
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s), transpose=True)), e)
-    return PublicKey(rho=rho, p_vec=p_vec), SecretKey(s=s)
+    return PublicKey(rho, p_vec, a_hat), SecretKey(s=s)
+
+
+def public_key(rho: bytes, p_vec: PolyVec, ring: Ring) -> PublicKey:
+    """The public key (rho, P), with A_hat expanded from rho."""
+    return PublicKey(rho, p_vec, gen_a(rho, ring))
 
 
 def _h_digest(mu: bytes, source: Poly, ring: Ring) -> bytes:
@@ -131,38 +147,38 @@ def sign(
     message: bytes,
     r: bytes,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = SECRET_DERIVED,
+    policy: VerifyPolicy = Z2_DERIVED,
 ) -> Signature:
     """Sign ``message`` with the per-signature coin ``r`` (never reuse r)."""
     ring = get_ring(params)
     mu = crh(message)
-    a_hat = gen_a(pk.rho, ring)
     e1, e2, e3, e4 = expand_signing_noise(r, ring)
 
     e1_hat = ring.vec_ntt(e1)
     e2_hat = ring.vec_ntt(e2)
     p_hat = ring.vec_ntt(pk.p_vec)
 
-    z1 = ring.add(ring.vec_intt(ring.matvec(a_hat, e1_hat, transpose=True)), e2)
+    ate1_hat = ring.matvec(pk.a_hat, e1_hat, transpose=True)
+    z1 = ring.add(ring.vec_intt(ate1_hat), e2)
     z2 = ring.add(ring.intt(ring.inner_product(p_hat, e2_hat)), e4)
-    ap_hat = ring.matvec(a_hat, p_hat)
     payload = encode_bits(mu_payload_bits(mu, params), ring)
-    z3 = ring.add(ring.add(ring.intt(ring.inner_product(ap_hat, e1_hat)), e3), payload)
+    z3 = ring.add(ring.add(ring.intt(ring.inner_product(p_hat, ate1_hat)), e3), payload)
 
     if policy.h_source == "z2":
         h_src = z2
     else:
-        ats_hat = ring.matvec(a_hat, ring.vec_ntt(sk.s), transpose=True)
+        ats_hat = ring.matvec(pk.a_hat, ring.vec_ntt(sk.s), transpose=True)
         h_src = ring.intt(ring.inner_product(ats_hat, e2_hat))
     return Signature(z1=z1, z2=z2, z3=z3, h=_h_digest(mu, h_src, ring))
 
 
 def _structurally_valid(sig: Signature, ring: Ring) -> bool:
     q, n, k = ring.q, ring.n, ring.k
-    polys = list(sig.z1) + [sig.z2, sig.z3]
-    if len(sig.z1) != k or sig.z1.domain is not Poly:
+    if sig.z1.domain is not Poly or sig.z1.data.shape != (k, n):
         return False
-    if any(p.coeffs.shape != (n,) or p.coeffs.min() < 0 or p.coeffs.max() >= q for p in polys):
+    if sig.z2.coeffs.shape != (n,) or sig.z3.coeffs.shape != (n,):
+        return False
+    if any(c.min() < 0 or c.max() >= q for c in (sig.z1.data, sig.z2.coeffs, sig.z3.coeffs)):
         return False
     return isinstance(sig.h, bytes) and len(sig.h) == SEED_BYTES
 
@@ -172,7 +188,7 @@ def verify(
     message: bytes,
     sig: Signature,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = SECRET_DERIVED,
+    policy: VerifyPolicy = Z2_DERIVED,
 ) -> VerifyResult:
     """Check conditions (1) mu branch and, per policy, (2) the h binding."""
     ring = get_ring(params)
@@ -234,7 +250,7 @@ class AgreementReport:
 def measure_agreement(
     trials: int,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = SECRET_DERIVED,
+    policy: VerifyPolicy = Z2_DERIVED,
     master_seed: bytes | None = None,
 ) -> AgreementReport:
     """Run fresh keygen/sign/verify cycles; count the two failure modes separately."""

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mlds import (
-    keygen, sign, Z2_DERIVED,
+    DEFAULT_PARAMS, get_ring, keygen, sign, Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
     HeaderError, LengthError, CoefficientRangeError, CodecError,
 )
-from mlds.codec import bytes_to_bits, bits_to_bytes, pk_bytes, sk_bytes, sig_bytes
+from mlds.codec import (
+    HEADER_BYTES, PACK_BITS, SEED_BYTES,
+    bytes_to_bits, bits_to_bytes, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
+)
 
 from conftest import random_poly
 
@@ -206,3 +210,64 @@ def test_parse_rejects_range_violation(ring, keypair_sig):
     blob[6:13] = b"\xff" * 7
     with pytest.raises(CoefficientRangeError):
         parse_sig(bytes(blob), ring)
+
+
+# -- parser fuzzing -------------------------------------------------------------------
+#
+# Whatever bytes arrive, the parsers either return or raise a CodecError
+# subclass; nothing else escapes.
+
+FUZZ_RING = get_ring(DEFAULT_PARAMS)
+_FUZZ_PK, _FUZZ_SK = keygen(bytes(range(32)))
+FUZZ_WIRES = {
+    "pk": (serialize_pk(_FUZZ_PK, FUZZ_RING), parse_pk),
+    "sk": (serialize_sk(_FUZZ_SK, FUZZ_RING), parse_sk),
+    "sig": (serialize_sig(sign(_FUZZ_SK, _FUZZ_PK, b"fuzz", bytes(32)), FUZZ_RING), parse_sig),
+    "poly": (pack_poly(_FUZZ_SK.s[0], FUZZ_RING), unpack_poly),
+}
+FUZZ_KINDS = st.sampled_from(sorted(FUZZ_WIRES))
+
+
+def _parse_or_codec_error(kind: str, data: bytes) -> None:
+    try:
+        FUZZ_WIRES[kind][1](data, FUZZ_RING)
+    except CodecError:
+        pass
+
+
+@given(kind=FUZZ_KINDS, data=st.binary(max_size=2 * 1830))
+def test_fuzz_random_bytes(kind, data):
+    _parse_or_codec_error(kind, data)
+
+
+@given(kind=FUZZ_KINDS, cut=st.integers(min_value=1), tail=st.binary(min_size=1, max_size=64))
+def test_fuzz_truncated_and_over_long(kind, cut, tail):
+    wire = FUZZ_WIRES[kind][0]
+    with pytest.raises(CodecError):
+        FUZZ_WIRES[kind][1](wire[: len(wire) - 1 - cut % len(wire)], FUZZ_RING)
+    with pytest.raises(CodecError):
+        FUZZ_WIRES[kind][1](wire + tail, FUZZ_RING)
+
+
+@given(kind=FUZZ_KINDS, edits=st.lists(st.tuples(st.integers(min_value=0), st.integers(0, 255)),
+                                       min_size=1, max_size=8))
+def test_fuzz_mutated_bytes(kind, edits):
+    wire = bytearray(FUZZ_WIRES[kind][0])
+    for index, value in edits:
+        wire[index % len(wire)] = value
+    _parse_or_codec_error(kind, bytes(wire))
+
+
+@given(kind=FUZZ_KINDS, slot=st.integers(min_value=0),
+       value=st.integers(DEFAULT_PARAMS.q, (1 << PACK_BITS) - 1))
+def test_fuzz_coefficient_out_of_range(kind, slot, value):
+    # overwrite one packed coefficient of the first polynomial with a value >= q
+    wire, parse = FUZZ_WIRES[kind]
+    start = {"pk": HEADER_BYTES + SEED_BYTES, "sk": HEADER_BYTES, "sig": HEADER_BYTES, "poly": 0}[kind]
+    step = poly_bytes(DEFAULT_PARAMS)
+    packed = int.from_bytes(wire[start : start + step], "little")
+    shift = PACK_BITS * (slot % DEFAULT_PARAMS.n)
+    packed ^= (((packed >> shift) & ((1 << PACK_BITS) - 1)) ^ value) << shift
+    bad = wire[:start] + packed.to_bytes(step, "little") + wire[start + step :]
+    with pytest.raises(CoefficientRangeError):
+        parse(bad, FUZZ_RING)

@@ -1,17 +1,23 @@
 import numpy as np
 import pytest
 
-from mlds import NttPoly, PolyVec, NttMatrix, DomainError
+from mlds import NttPoly, NttMatrix, DomainError
 
 from conftest import random_poly
 
 
+def ntt_matrix(rows):
+    return NttMatrix(np.array([[e.evals for e in row] for row in rows]))
+
+
 def random_ntt_matrix(ring, rng):
-    rows = tuple(
-        tuple(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k))
-        for _ in range(ring.k)
+    return ntt_matrix(
+        [[ring.ntt(random_poly(ring, rng)) for _ in range(ring.k)] for _ in range(ring.k)]
     )
-    return NttMatrix(rows)
+
+
+def random_ntt_vec(ring, rng):
+    return ring.vec(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k))
 
 
 # -- transforms ----------------------------------------------------------------
@@ -121,25 +127,24 @@ def test_vector_add(ring, rng):
 def test_matvec_identity(ring):
     one_hat = ring.ntt(ring.one())
     zero_hat = ring.ntt(ring.zero())
-    eye = NttMatrix(tuple(
-        tuple(one_hat if i == j else zero_hat for j in range(ring.k))
-        for i in range(ring.k)
-    ))
-    v = PolyVec(tuple(ring.ntt(ring.monomial(i + 1, 5 + i)) for i in range(ring.k)))
+    eye = ntt_matrix(
+        [[one_hat if i == j else zero_hat for j in range(ring.k)] for i in range(ring.k)]
+    )
+    v = ring.vec(ring.ntt(ring.monomial(i + 1, 5 + i)) for i in range(ring.k))
     assert ring.matvec(eye, v) == v
     assert ring.matvec(eye, v, transpose=True) == v
 
 
 def test_matvec_zero(ring, rng):
     mat = random_ntt_matrix(ring, rng)
-    z = PolyVec(tuple(ring.ntt(ring.zero()) for _ in range(ring.k)))
+    z = ring.vec(ring.ntt(ring.zero()) for _ in range(ring.k))
     assert ring.matvec(mat, z) == z
 
 
 def test_matvec_linear(ring, rng):
     mat = random_ntt_matrix(ring, rng)
-    u = PolyVec(tuple(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k)))
-    v = PolyVec(tuple(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k)))
+    u = random_ntt_vec(ring, rng)
+    v = random_ntt_vec(ring, rng)
     lhs = ring.matvec(mat, ring.add(u, v))
     rhs = ring.add(ring.matvec(mat, u), ring.matvec(mat, v))
     assert lhs == rhs
@@ -148,8 +153,8 @@ def test_matvec_linear(ring, rng):
 def test_matvec_matches_schoolbook(ring, rng):
     coeff_mat = [[random_poly(ring, rng) for _ in range(ring.k)] for _ in range(ring.k)]
     coeff_vec = [random_poly(ring, rng) for _ in range(ring.k)]
-    mat = NttMatrix(tuple(tuple(ring.ntt(e) for e in row) for row in coeff_mat))
-    vec = PolyVec(tuple(ring.ntt(e) for e in coeff_vec))
+    mat = ntt_matrix([[ring.ntt(e) for e in row] for row in coeff_mat])
+    vec = ring.vec(ring.ntt(e) for e in coeff_vec)
     for transpose in (False, True):
         fast = ring.vec_intt(ring.matvec(mat, vec, transpose=transpose))
         for i in range(ring.k):
@@ -161,25 +166,34 @@ def test_matvec_matches_schoolbook(ring, rng):
 
 
 def test_inner_product(ring, rng):
-    b = PolyVec(tuple(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k)))
-    slot0 = PolyVec(tuple(
+    b = random_ntt_vec(ring, rng)
+    slot0 = ring.vec(
         ring.ntt(ring.one()) if i == 0 else ring.ntt(ring.zero()) for i in range(ring.k)
-    ))
+    )
     assert ring.inner_product(slot0, b) == b[0]
-    zeros = PolyVec(tuple(ring.ntt(ring.zero()) for _ in range(ring.k)))
+    zeros = ring.vec(ring.ntt(ring.zero()) for _ in range(ring.k))
     assert ring.inner_product(b, zeros) == ring.ntt(ring.zero())
 
 
 def test_inner_product_matches_schoolbook(ring, rng):
     a_coeff = [random_poly(ring, rng) for _ in range(ring.k)]
     b_coeff = [random_poly(ring, rng) for _ in range(ring.k)]
-    a = PolyVec(tuple(ring.ntt(e) for e in a_coeff))
-    b = PolyVec(tuple(ring.ntt(e) for e in b_coeff))
+    a = ring.vec(ring.ntt(e) for e in a_coeff)
+    b = ring.vec(ring.ntt(e) for e in b_coeff)
     fast = ring.intt(ring.inner_product(a, b))
     slow = ring.zero()
     for x, y in zip(a_coeff, b_coeff):
         slow = ring.add(slow, ring.schoolbook_mul(x, y))
     assert fast == slow
+
+
+def test_z3_forms_agree(ring, rng):
+    # <A o P, e1> == <P, A^T o e1>: sign computes z3 by the right-hand form
+    for _ in range(20):
+        mat = random_ntt_matrix(ring, rng)
+        p_hat, e1_hat = random_ntt_vec(ring, rng), random_ntt_vec(ring, rng)
+        lhs = ring.inner_product(ring.matvec(mat, p_hat), e1_hat)
+        assert lhs == ring.inner_product(p_hat, ring.matvec(mat, e1_hat, transpose=True))
 
 
 # -- domain discipline -------------------------------------------------------------
@@ -198,7 +212,18 @@ def test_domain_mixing_rejected(ring, rng):
     with pytest.raises(DomainError):
         ring.intt(p)
     with pytest.raises(DomainError):
-        PolyVec((p, p_hat))
+        ring.vec((p, p_hat))
+    u, u_hat = ring.vec((p, p)), ring.vec((p_hat, p_hat))
+    with pytest.raises(DomainError):
+        ring.add(u, u_hat)
+    with pytest.raises(DomainError):
+        ring.add(u, p)
+    with pytest.raises(DomainError):
+        ring.vec_ntt(u_hat)
+    with pytest.raises(DomainError):
+        ring.matvec(random_ntt_matrix(ring, rng), u)
+    with pytest.raises(DomainError):
+        ring.inner_product(u, u_hat)
     with pytest.raises(DomainError):
         ring.infinity_norm(p_hat)
 

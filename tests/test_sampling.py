@@ -96,6 +96,49 @@ def test_gen_a_rejects_bad_seed(ring):
         gen_a(b"short", ring)
 
 
+def reference_gen_a(rho: bytes, ring) -> tuple[np.ndarray, int]:
+    """Entry-by-entry sampler, each stream re-squeezed at twice the length
+    until n candidates accept; also returns how many entries needed that."""
+    p = ring.params
+    mask = (1 << p.bits_per_coeff) - 1
+    out = np.empty((p.k, p.k, p.n), dtype=np.int64)
+    resqueezed = 0
+    for i in range(p.k):
+        for j in range(p.k):
+            need = 4 * p.n
+            while True:
+                buf = hashlib.shake_128(rho + bytes([i, j])).digest(need)
+                cand = np.frombuffer(buf, dtype="<u2").astype(np.int64) & mask
+                accepted = cand[cand < p.q]
+                if len(accepted) >= p.n:
+                    break
+                need *= 2
+            out[i, j] = accepted[: p.n]
+            resqueezed += need > 4 * p.n
+    return out, resqueezed
+
+
+def test_gen_a_matches_entrywise_reference(ring):
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        rho = rng.bytes(32)
+        assert np.array_equal(gen_a(rho, ring).data, reference_gen_a(rho, ring)[0])
+
+
+def test_gen_a_resqueezes_short_entries():
+    # q = 257 accepts about half of the 9-bit candidates, so about half of
+    # the entries have fewer than n of them in the first 4n bytes.
+    ring = get_ring(ParamSet(n=128, q=257))
+    rng = np.random.default_rng(12)
+    resqueezed = 0
+    for _ in range(50):
+        rho = rng.bytes(32)
+        expected, short = reference_gen_a(rho, ring)
+        resqueezed += short
+        assert np.array_equal(gen_a(rho, ring).data, expected)
+    assert 0 < resqueezed < 50 * ring.k**2
+
+
 # -- binomial noise -------------------------------------------------------------------
 
 def test_gen_se_centered_magnitude(ring):
@@ -135,6 +178,10 @@ def test_gen_se_matches_bitwise_reference(eta):
     for _ in range(50):
         seed, nonce = rng.bytes(32), int(rng.integers(256))
         assert np.array_equal(gen_se(seed, nonce, ring).coeffs, reference_gen_se(seed, nonce, ring))
+        first = min(nonce, 256 - ring.k)
+        batched = gen_se_vec(seed, first, ring)
+        for i in range(ring.k):
+            assert np.array_equal(batched[i].coeffs, reference_gen_se(seed, first + i, ring))
 
 
 def test_gen_se_rejects_bad_arguments(ring):
