@@ -145,6 +145,7 @@ def cmd_measure(args) -> int:
           f"rate {report.mu_rate:.6f} [95% CI {mu_lo:.6f}, {mu_hi:.6f}]")
     print(f"h failures:  {report.h_failures} "
           f"rate {report.h_rate:.6f} [95% CI {h_lo:.6f}, {h_hi:.6f}]")
+    print(f"max noise: {report.max_noise} (analytic bound 2*eta = {2 * DEFAULT_PARAMS.eta})")
     return EXIT_OK
 
 

@@ -56,43 +56,38 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
 
 
-def bits_to_bytes(bits: np.ndarray) -> bytes:
-    if len(bits) % 8 != 0:
-        raise CodecError("bit string length must be a multiple of 8")
-    return np.packbits(np.asarray(bits, dtype=np.uint8), bitorder="little").tobytes()
-
-
 # -- message encode / decode --------------------------------------------------
 
 def encode_bits(bits: np.ndarray, ring: Ring) -> Poly:
-    """Spread mu_bits payload bits into a ring element at amplitude floor(q/2)."""
+    """Spread mu_bits payload bits into a ring element at amplitude floor(q/2).
+
+    Leading axes of ``bits`` (..., mu_bits) carry over: one element per row.
+    """
     p = ring.params
     bits = np.asarray(bits, dtype=np.int64)
-    if bits.shape != (p.mu_bits,):
+    if bits.shape[-1:] != (p.mu_bits,):
         raise CodecError(f"payload must be exactly {p.mu_bits} bits, got {bits.shape}")
-    if np.any((bits != 0) & (bits != 1)):
+    if np.any(bits & ~1):  # nonzero exactly where an entry is neither 0 nor 1
         raise CodecError("payload entries must be 0 or 1")
-    coeffs = np.zeros(p.n, dtype=np.int64)
-    step = p.n // p.redundancy
-    for rep in range(p.redundancy):
-        coeffs[rep * step : rep * step + p.mu_bits] = bits * p.half_q
-    return Poly(coeffs)
+    # n = redundancy * mu_bits, so copy r of bit i is coefficient r * mu_bits + i
+    return Poly(np.concatenate([bits * p.half_q] * p.redundancy, axis=-1))
 
 
 def decode_bits(v: Poly, ring: Ring) -> np.ndarray:
-    """Threshold-decode a ring element back to mu_bits payload bits."""
+    """Threshold-decode a ring element (..., n) back to (..., mu_bits) payload bits."""
     p = ring.params
-    d = np.abs(v.coeffs - p.half_q)
-    dist = np.minimum(d, p.q - d)
+    # For coefficients in [0, q), |v - floor(q/2)| <= floor(q/2) <= q - |v - floor(q/2)|,
+    # so the plain distance is already the circular one.
+    dist = np.abs(v.coeffs - p.half_q)
     if p.redundancy == 1:
-        return (dist < p.quarter_q).astype(np.uint8)
-    total = dist.reshape(p.redundancy, p.mu_bits).sum(axis=0)
-    return (total <= p.q).astype(np.uint8)
+        return (dist < p.quarter_q).view(np.uint8)
+    total = dist.reshape(dist.shape[:-1] + (p.redundancy, p.mu_bits)).sum(axis=-2)
+    return (total <= p.q).view(np.uint8)
 
 
-def decode_payload(v: Poly, ring: Ring) -> bytes:
-    """Decoded payload packed into bytes (little-endian bits)."""
-    return bits_to_bytes(decode_bits(v, ring))
+def decode_payload(v: Poly, ring: Ring) -> np.ndarray:
+    """Decoded payload packed into bytes (little-endian bits): (..., mu_bits // 8) uint8."""
+    return np.packbits(decode_bits(v, ring), axis=-1, bitorder="little")
 
 
 # -- coefficient packing -------------------------------------------------------

@@ -90,7 +90,7 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 
-def _pick(cost: np.ndarray, m_vals: np.ndarray, b_vals: np.ndarray, kind: str,
+def _pick(cost: np.ndarray, m_vals: np.ndarray, b_vals: np.ndarray,
           best: tuple | None) -> tuple | None:
     """Merge a (m, b) cost block into the running (cost, b, m) lexicographic best."""
     finite = np.isfinite(cost)
@@ -120,7 +120,7 @@ def primal_cost(inst: LweInstance) -> AttackEstimate:
         rhs = (2 * b[None, :] - d - 1) * log_delta[None, :] + (m[:, None] / d) * log_q
         feasible = (log_sb[None, :] <= rhs) & (b[None, :] <= d)
         cost = np.where(feasible, CLASSICAL_EXP * b[None, :], np.inf)
-        best = _pick(cost, m, b, "primal", best)
+        best = _pick(cost, m, b, best)
     if best is None:
         raise EstimatorError("no (m, b) satisfies the primal embedding condition in bounds")
     _, b_opt, m_opt = best
@@ -143,7 +143,16 @@ def dual_repetitions_log2(inst: LweInstance, m: int, b: int) -> float:
 
 
 def dual_cost(inst: LweInstance) -> AttackEstimate:
-    """Cheapest dual distinguisher over the full (m, b) grid."""
+    """Cheapest dual distinguisher over the full (m, b) grid.
+
+    The distinguisher model needs noise that is not already close to uniform
+    mod q; an instance with sigma * sqrt(2 pi) >= q is outside it.
+    """
+    if inst.sigma * math.sqrt(2 * math.pi) >= inst.q:
+        raise EstimatorError(
+            f"dual model needs sigma*sqrt(2*pi) < q; sigma={inst.sigma:g}, q={inst.q} "
+            "gives noise statistically close to uniform mod q"
+        )
     b = _block_range(inst)
     log2_delta = _log_delta(b) / math.log(2)
     log2_q = math.log2(inst.q)
@@ -158,7 +167,7 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
         log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
         log2_rep = np.maximum(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b[None, :])
         cost = np.where(b[None, :] <= d, CLASSICAL_EXP * b[None, :] + log2_rep, np.inf)
-        best = _pick(cost, m, b, "dual", best)
+        best = _pick(cost, m, b, best)
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
     _, b_opt, m_opt = best

@@ -7,9 +7,19 @@ representatives exist only inside the norm helper and the codec.
 
 Module values are stacked: a ``PolyVec`` is one (k, n) int64 array tagged
 with its row domain, an ``NttMatrix`` one (k, k, n) array in NTT domain.
-Vector add/sub, ``matvec`` and ``inner_product`` are one broadcast
-expression and one ``% q`` each (sums of k products below q^2, exact in
-int64); transforms stay one ``ntt``/``intt`` call per row.
+Every value may also carry leading batch axes: ``Poly``/``NttPoly`` data of
+shape (..., n), ``PolyVec`` (..., k, n), ``NttMatrix`` (..., k, k, n), one
+entry per trial of a batch. The module axis of a vector is axis -2; its
+length and indexing refer to that axis. Vector add/sub, ``matvec`` and
+``inner_product`` act on the trailing axes and broadcast over the leading
+ones, as one expression and one ``% q`` each (sums of k products below q^2,
+exact in int64), so a key without batch axes combines with a batch of noise.
+
+Transforms stay one ``ntt``/``intt`` call per module row, each over the
+(..., n) stack of that row in every trial: ``x @ table.T`` is one BLAS
+matrix product for a stack and the same matrix-vector product for one
+polynomial. A cycle therefore transforms the same polynomial slots however
+many trials it carries; stacking across module rows is not done.
 
 The forward transform is the definitional negacyclic ("gamma-twisted") NTT
 
@@ -73,23 +83,24 @@ class NttPoly:
 
 @dataclass(frozen=True, eq=False)
 class PolyVec:
-    """Length-k vector over R_q: a (k, n) array whose rows are ``domain`` values.
+    """Length-k vector over R_q: a (..., k, n) array whose rows are ``domain`` values.
 
-    ``domain`` is ``Poly`` or ``NttPoly``; indexing yields a row of that type.
+    ``domain`` is ``Poly`` or ``NttPoly``; length and indexing refer to the
+    module axis -2, and row i is the (..., n) stack of that row.
     """
 
     data: np.ndarray
     domain: type
 
     def __len__(self) -> int:
-        return len(self.data)
+        return self.data.shape[-2]
 
     def __iter__(self):
         # indexing rows is several times cheaper than iterating the array
-        return map(self.__getitem__, range(len(self.data)))
+        return map(self.__getitem__, range(self.data.shape[-2]))
 
     def __getitem__(self, i):
-        return self.domain(self.data[i])
+        return self.domain(self.data[..., i, :])
 
     def __eq__(self, other) -> bool:
         return (
@@ -101,17 +112,31 @@ class PolyVec:
 
 @dataclass(frozen=True, eq=False)
 class NttMatrix:
-    """k x k matrix over R_q in NTT domain: one (k, k, n) int64 array."""
+    """k x k matrix over R_q in NTT domain: one (..., k, k, n) int64 array."""
 
     data: np.ndarray
 
     def __getitem__(self, ij) -> NttPoly:
-        return NttPoly(self.data[ij])
+        i, j = ij
+        return NttPoly(self.data[..., i, j, :])
 
 
 def _values(x) -> np.ndarray:
     """The value array of a Poly or NttPoly."""
     return x.coeffs if type(x) is Poly else x.evals
+
+
+def _stack_rows(rows) -> np.ndarray:
+    """(..., n) arrays stacked along a new module axis -2: (..., k, n).
+
+    ``np.array`` stacks them along axis 0 and the batch comes back as a view
+    with the module axis moved; this costs less than ``np.stack`` and keeps
+    each module row contiguous, the layout the per-row transforms read.
+    """
+    stacked = np.array(rows)
+    if stacked.ndim == 2:
+        return stacked
+    return stacked.swapaxes(0, 1) if stacked.ndim == 3 else np.moveaxis(stacked, 0, -2)
 
 
 class Ring:
@@ -156,13 +181,13 @@ class Ring:
         domain = type(elems[0])
         if domain not in (Poly, NttPoly) or any(type(e) is not domain for e in elems):
             raise DomainError("module vector entries must be all-Poly or all-NttPoly")
-        return PolyVec(np.array([_values(e) for e in elems]), domain)
+        return PolyVec(_stack_rows([_values(e) for e in elems]), domain)
 
     # -- transforms --------------------------------------------------------
 
     def _apply_table(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """table @ x mod q via float64, exact for inputs in [0, q)."""
-        return (table @ x.astype(np.float64)).astype(np.int64) % self.q
+        """table @ row mod q for each (..., n) row of x, via float64; exact on [0, q)."""
+        return (x.astype(np.float64) @ table.T).astype(np.int64) % self.q
 
     def ntt(self, p: Poly) -> NttPoly:
         if not isinstance(p, Poly):
@@ -175,10 +200,12 @@ class Ring:
         return Poly(self._apply_table(self.constants.inverse, p.evals))
 
     def vec_ntt(self, v: PolyVec) -> PolyVec:
-        return PolyVec(np.array([self.ntt(p).evals for p in v]), NttPoly)
+        """One ``ntt`` call per module row, over that row's (..., n) stack."""
+        return PolyVec(_stack_rows([self.ntt(p).evals for p in v]), NttPoly)
 
     def vec_intt(self, v: PolyVec) -> PolyVec:
-        return PolyVec(np.array([self.intt(p).coeffs for p in v]), Poly)
+        """One ``intt`` call per module row, over that row's (..., n) stack."""
+        return PolyVec(_stack_rows([self.intt(p).coeffs for p in v]), Poly)
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 
@@ -189,7 +216,10 @@ class Ring:
         return self._elementwise(np.subtract, a, b, "subtract")
 
     def _elementwise(self, op, a, b, verb: str):
-        """op(a, b) mod q on two ring elements, or two vectors, of one domain."""
+        """op(a, b) mod q on two ring elements, or two vectors, of one domain.
+
+        Leading batch axes broadcast.
+        """
         if type(a) is PolyVec and type(b) is PolyVec:
             if a.domain is b.domain and len(a) == len(b):
                 return PolyVec(op(a.data, b.data) % self.q, a.domain)
@@ -219,21 +249,21 @@ class Ring:
         return Poly((low - high) % self.q)
 
     def matvec(self, mat: NttMatrix, v: PolyVec, transpose: bool = False) -> PolyVec:
-        """out_i = sum_j M_ij o v_j with M the matrix or its transpose."""
+        """out_i = sum_j M_ij o v_j with M the matrix or its transpose; batch axes broadcast."""
         if v.domain is not NttPoly:
             raise DomainError("matvec operates on NTT-domain vectors")
-        if mat.data.shape[:2] != (len(v), len(v)):
+        if mat.data.shape[-3:-1] != (len(v), len(v)):
             raise DomainError("matrix/vector rank mismatch")
-        m = mat.data.swapaxes(0, 1) if transpose else mat.data
-        return PolyVec((m * v.data).sum(axis=1) % self.q, NttPoly)
+        m = mat.data.swapaxes(-3, -2) if transpose else mat.data
+        return PolyVec((m * v.data[..., None, :, :]).sum(axis=-2) % self.q, NttPoly)
 
     def inner_product(self, a: PolyVec, b: PolyVec) -> NttPoly:
-        """sum_i a_i o b_i, one ring element in NTT domain."""
+        """sum_i a_i o b_i, one ring element in NTT domain (per trial of a batch)."""
         if a.domain is not NttPoly or b.domain is not NttPoly:
             raise DomainError("inner_product operates on NTT-domain vectors")
         if len(a) != len(b):
             raise DomainError("vector length mismatch")
-        return NttPoly((a.data * b.data).sum(axis=0) % self.q)
+        return NttPoly((a.data * b.data).sum(axis=-2) % self.q)
 
     # -- norms ---------------------------------------------------------------
 
@@ -245,7 +275,7 @@ class Ring:
         return np.where(c > self.q // 2, c - self.q, c)
 
     def infinity_norm(self, x) -> int:
-        """max_i min(c_i, q - c_i) over all coefficients of a Poly or PolyVec."""
+        """max_i min(c_i, q - c_i) over all coefficients (and trials) of a Poly or PolyVec."""
         if isinstance(x, Poly):
             c = x.coeffs
         elif isinstance(x, PolyVec) and x.domain is Poly:

@@ -17,6 +17,11 @@ change:
 
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
+
+``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a sequence of
+seeds for a batch, whose outputs gain one leading axis. The SHAKE call per
+stream is the only per-item loop; rejection and bit counting run once over
+the whole batch.
 """
 
 from __future__ import annotations
@@ -36,6 +41,16 @@ def _check_seed(seed: bytes, label: str = "seed") -> None:
         raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes")
 
 
+def _seed_batch(seeds, label: str) -> tuple[list, bool]:
+    """(checked seeds, whether a single seed was given rather than a sequence)."""
+    if isinstance(seeds, (bytes, bytearray)):
+        _check_seed(seeds, label)
+        return [seeds], True
+    for seed in seeds:
+        _check_seed(seed, label)
+    return list(seeds), False
+
+
 def hash_h(data: bytes) -> tuple[bytes, bytes]:
     """Expand key material into (rho, xi), two 32-byte seeds."""
     digest = hashlib.shake_256(data).digest(2 * SEED_BYTES)
@@ -47,57 +62,68 @@ def crh(message: bytes) -> bytes:
     return hashlib.shake_256(message).digest(SEED_BYTES)
 
 
-def gen_a(rho: bytes, ring: Ring) -> NttMatrix:
+def gen_a(rho, ring: Ring) -> NttMatrix:
     """Expand rho into the public k x k matrix, uniform in NTT domain.
 
-    All k^2 streams are squeezed to 4n bytes (2x oversampling for the ~0.75
-    accept rate) and tested in one pass; each entry keeps its first n
-    accepted candidates. If an entry falls short, all streams are squeezed
-    again at twice the length; SHAKE output is prefix-stable, so that only
-    extends each candidate stream.
+    All k^2 streams of every seed are squeezed to 4n bytes (2x oversampling
+    for the ~0.75 accept rate) and tested in one pass; each entry keeps its
+    first n accepted candidates. If any entry falls short, all streams are
+    squeezed again at twice the length; SHAKE output is prefix-stable, so
+    that only extends each candidate stream.
     """
-    _check_seed(rho, "rho")
+    rhos, single = _seed_batch(rho, "rho")
     p = ring.params
     k, n = p.k, p.n
     mask = (1 << p.bits_per_coeff) - 1
-    seeds = [rho + bytes([i, j]) for i in range(k) for j in range(k)]
+    seeds = [r + bytes([i, j]) for r in rhos for i in range(k) for j in range(k)]
     need = 4 * n
     while True:
         buf = b"".join(hashlib.shake_128(seed).digest(need) for seed in seeds)
-        cand = np.frombuffer(buf, dtype="<u2").reshape(k * k, -1).astype(np.int64) & mask
-        accepted = cand < p.q
-        # k^2 slices of one mask: cheaper here than a cumsum rank over all of it
-        rows = [c[a][:n] for c, a in zip(cand, accepted)]
-        if min(map(len, rows)) == n:
-            return NttMatrix(np.array(rows).reshape(k, k, n))
+        cand = np.frombuffer(buf, dtype="<u2") & mask
+        # positions of accepted candidates, in stream order; stream t's run
+        # starts at bounds[t] (its first candidate is at t * need // 2)
+        pos = np.flatnonzero(cand < p.q)
+        bounds = np.searchsorted(pos, np.arange(len(seeds) + 1) * (need // 2))
+        first = bounds[:-1]
+        if (bounds[1:] - first).min() >= n:
+            rows = cand[pos[first[:, None] + np.arange(n)]].astype(np.int64)
+            data = rows.reshape(len(rhos), k, k, n)
+            return NttMatrix(data[0] if single else data)
         need *= 2
 
 
-def _binomial(seed: bytes, nonces: range, ring: Ring) -> np.ndarray:
-    """psi_eta polynomials mod q, one row per nonce, counted in one pass.
+def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
+    """psi_eta polynomials mod q, shape (seeds, nonces, n), counted in one pass.
 
-    Each eta-bit half is the popcount of its gcd(eta, 64)-bit words.
+    Each eta-bit half is the popcount of its gcd(eta, 64)-bit words: one
+    word whenever eta divides 64 (one <u2 word at eta = 16).
     """
-    _check_seed(seed)
     if not 0 <= nonces[0] <= nonces[-1] < 256:
         raise ValueError(f"nonces must be single bytes, got {nonces[0]}..{nonces[-1]}")
     p = ring.params
     word_bytes = math.gcd(p.eta, 64) // 8
     nbytes = 2 * p.eta * p.n // 8
-    buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(nbytes) for t in nonces)
+    buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(nbytes)
+                   for seed in seeds for t in nonces)
     words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
-    halves = np.bitwise_count(words).reshape(len(nonces), p.n, 2, -1).sum(axis=3, dtype=np.int64)
-    return (halves[..., 0] - halves[..., 1]) % p.q
+    counts = np.bitwise_count(words).reshape(len(seeds), len(nonces), p.n, 2, -1)
+    halves = counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int32)
+    # q < 2^31 (validate_params keeps n (q-1)^2 < 2^53), so int32 holds the residues
+    return ((halves[..., 0].astype(np.int32) - halves[..., 1]) % p.q).astype(np.int64)
 
 
-def gen_se(seed: bytes, nonce: int, ring: Ring) -> Poly:
-    """One centered-binomial psi_eta polynomial from (seed, nonce).
+def gen_se(seed, nonce: int, ring: Ring) -> Poly:
+    """One centered-binomial psi_eta polynomial from (seed, nonce), per seed.
 
     Centered values lie in [-eta, eta]; stored canonically mod q.
     """
-    return Poly(_binomial(seed, range(nonce, nonce + 1), ring)[0])
+    seeds, single = _seed_batch(seed, "seed")
+    c = _binomial(seeds, range(nonce, nonce + 1), ring)
+    return Poly(c[0, 0] if single else c[:, 0])
 
 
-def gen_se_vec(seed: bytes, first_nonce: int, ring: Ring) -> PolyVec:
-    """k consecutive binomial polynomials starting at ``first_nonce``."""
-    return PolyVec(_binomial(seed, range(first_nonce, first_nonce + ring.k), ring), Poly)
+def gen_se_vec(seed, first_nonce: int, ring: Ring) -> PolyVec:
+    """k consecutive binomial polynomials starting at ``first_nonce``, per seed."""
+    seeds, single = _seed_batch(seed, "seed")
+    c = _binomial(seeds, range(first_nonce, first_nonce + ring.k), ring)
+    return PolyVec(c[0] if single else c, Poly)

@@ -84,6 +84,12 @@ def test_criterion_3_mu_branch_completeness(z2_agreement_10k):
            f"{rep.trials} cycles, {rep.mu_failures} condition-(1) failures")
 
 
+def test_agreement_max_noise_within_analytic_bound(z2_agreement_10k):
+    # ||w - encode(mu)||_inf = ||e3 + e4||_inf <= 2 * eta, seen from public values
+    rep = z2_agreement_10k
+    assert 0 < rep.max_noise <= 2 * DEFAULT_PARAMS.eta
+
+
 def test_criterion_4_end_to_end_acceptance(z2_agreement_10k):
     rep = z2_agreement_10k
     all_accept = rep.mu_failures == 0 and rep.h_failures == 0

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+import mlds.cli
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
+from mlds.estimator import AttackEstimate
 
 SEED = "00" * 32
 SEED2 = "ab" * 32
@@ -197,6 +199,8 @@ def test_measure_z2(capsys):
     assert "mu failures: 0" in out
     assert "h failures:  0" in out
     assert "CI" in out
+    noise = re.search(r"max noise: (\d+) \(analytic bound 2\*eta = 32\)", out)
+    assert noise and int(noise.group(1)) <= 32
 
 
 def test_measure_rejects_zero_trials():
@@ -223,6 +227,17 @@ def test_estimate_explicit_instance(capsys):
     out = capsys.readouterr().out
     assert "primal" in out and "dual" in out
     assert "1024" in out
+
+
+def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):
+    # Such noise already defeats the primal embedding, so primal_cost is
+    # stubbed to let the dual model's own rejection reach the command line.
+    stub = AttackEstimate("primal", 1, 50, 14, 13)
+    monkeypatch.setattr(mlds.cli, "primal_cost", lambda inst: stub)
+    assert run_cli("estimate", "--n-lwe", "256", "--q", "2", "--eta", "1000000") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "sigma*sqrt(2*pi) < q" in captured.err
 
 
 def test_info_runs(capsys):

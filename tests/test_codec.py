@@ -10,7 +10,7 @@ from mlds import (
 )
 from mlds.codec import (
     HEADER_BYTES, PACK_BITS, SEED_BYTES,
-    bytes_to_bits, bits_to_bytes, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
+    bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
 
 from conftest import random_poly
@@ -25,10 +25,13 @@ def keypair_sig(ring):
 
 # -- bit helpers -------------------------------------------------------------------
 
-def test_bit_helpers_little_endian():
+def test_bit_helpers_little_endian(ring):
     assert bytes_to_bits(b"\x01")[:8].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
     assert bytes_to_bits(b"\x80")[:8].tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
-    assert bits_to_bytes(np.array([1, 0, 1, 0, 0, 0, 0, 0], dtype=np.uint8)) == b"\x05"
+    bits = np.zeros(ring.params.mu_bits, dtype=np.uint8)
+    bits[[0, 2]] = 1
+    payload = decode_payload(encode_bits(bits, ring), ring)
+    assert payload.tobytes() == b"\x05" + bytes(ring.params.mu_bits // 8 - 1)
 
 
 # -- encode / decode ------------------------------------------------------------------

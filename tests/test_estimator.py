@@ -110,6 +110,19 @@ def test_primal_infeasible_raises():
         primal_cost(inst)
 
 
+def test_dual_rejects_noise_close_to_uniform():
+    # sigma * sqrt(2 pi) >= q: the noise is statistically close to uniform mod
+    # q, where the distinguisher model does not apply. Before this check
+    # q = 2, eta = 10^6 reported hundreds of millions of bits.
+    with pytest.raises(EstimatorError, match="sigma"):
+        dual_cost(LweInstance.from_binomial(256, 2, 10**6))
+    edge = 12289 / math.sqrt(2 * math.pi)
+    with pytest.raises(EstimatorError):
+        dual_cost(LweInstance(n_lwe=256, q=12289, sigma=edge, max_samples=512))
+    inside = dual_cost(LweInstance(n_lwe=256, q=12289, sigma=0.99 * edge, max_samples=512))
+    assert inside.kind == "dual" and inside.classical_bits > 0
+
+
 def test_estimates_deterministic(reference_instance):
     assert primal_cost(reference_instance) == primal_cost(reference_instance)
     assert dual_cost(reference_instance) == dual_cost(reference_instance)

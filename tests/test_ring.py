@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlds import NttPoly, NttMatrix, DomainError
+from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError
 
 from conftest import random_poly
 
@@ -246,3 +246,80 @@ def test_infinity_norm_centered(ring):
     assert ring.infinity_norm(v) == 9
     centered = ring.centered(ring.monomial(0, ring.q - 2))
     assert centered[0] == -2
+
+
+# -- leading batch axes -------------------------------------------------------------
+
+def random_batch(ring, rng, *shape):
+    return rng.integers(0, ring.q, shape + (ring.n,), dtype=np.int64)
+
+
+def test_batched_transforms_match_rows(ring, rng):
+    x = random_batch(ring, rng, 5)
+    stacked_hat = ring.ntt(Poly(x))
+    stacked_back = ring.intt(NttPoly(x))
+    for t in range(5):
+        assert NttPoly(stacked_hat.evals[t]) == ring.ntt(Poly(x[t]))
+        assert Poly(stacked_back.coeffs[t]) == ring.intt(NttPoly(x[t]))
+
+
+def test_batched_module_ops_match_rows(ring, rng):
+    trials, k = 4, ring.k
+    mats = NttMatrix(random_batch(ring, rng, trials, k, k))
+    u = PolyVec(random_batch(ring, rng, trials, k), NttPoly)
+    v = PolyVec(random_batch(ring, rng, trials, k), NttPoly)
+    c = PolyVec(random_batch(ring, rng, trials, k), Poly)
+    assert len(u) == k and u[1].evals.shape == (trials, ring.n)
+    vec_hat, vec_back = ring.vec_ntt(c), ring.vec_intt(u)
+    for transpose in (False, True):
+        batched = ring.matvec(mats, u, transpose=transpose)
+        for t in range(trials):
+            row = ring.matvec(NttMatrix(mats.data[t]), PolyVec(u.data[t], NttPoly), transpose)
+            assert np.array_equal(batched.data[t], row.data)
+    inner = ring.inner_product(u, v)
+    total = ring.add(c, c)
+    for t in range(trials):
+        ut, vt, ct = (PolyVec(w.data[t], w.domain) for w in (u, v, c))
+        assert np.array_equal(inner.evals[t], ring.inner_product(ut, vt).evals)
+        assert np.array_equal(total.data[t], ring.add(ct, ct).data)
+        assert np.array_equal(vec_hat.data[t], ring.vec_ntt(ct).data)
+        assert np.array_equal(vec_back.data[t], ring.vec_intt(ut).data)
+        assert np.array_equal(ring.sub(u[0], v[0]).evals[t], ring.sub(ut[0], vt[0]).evals)
+
+
+def test_unbatched_values_broadcast_against_a_batch(ring, rng):
+    # a key without a trial axis combines with a batch of noise row by row
+    mat = random_ntt_matrix(ring, rng)
+    p_hat = random_ntt_vec(ring, rng)
+    e = PolyVec(random_batch(ring, rng, 3, ring.k), NttPoly)
+    batched = ring.matvec(mat, e, transpose=True)
+    inner = ring.inner_product(p_hat, e)
+    assert batched.data.shape == (3, ring.k, ring.n) and inner.evals.shape == (3, ring.n)
+    for t in range(3):
+        et = PolyVec(e.data[t], NttPoly)
+        assert np.array_equal(batched.data[t], ring.matvec(mat, et, transpose=True).data)
+        assert np.array_equal(inner.evals[t], ring.inner_product(p_hat, et).evals)
+
+
+def test_batched_domain_mixing_rejected(ring, rng):
+    x = random_batch(ring, rng, 3, ring.k)
+    c, c_hat = PolyVec(x, Poly), PolyVec(x, NttPoly)
+    with pytest.raises(DomainError):
+        ring.add(c, c_hat)
+    with pytest.raises(DomainError):
+        ring.ntt(c_hat[0])
+    with pytest.raises(DomainError):
+        ring.intt(c[0])
+    with pytest.raises(DomainError):
+        ring.vec_ntt(c_hat)
+    with pytest.raises(DomainError):
+        ring.vec_intt(c)
+    with pytest.raises(DomainError):
+        ring.matvec(random_ntt_matrix(ring, rng), c)
+    with pytest.raises(DomainError):
+        ring.inner_product(c_hat, c)
+    with pytest.raises(DomainError):
+        ring.vec((c[0], c_hat[1]))
+    # module rank is axis -2, not the trial axis
+    with pytest.raises(DomainError):
+        ring.matvec(NttMatrix(random_batch(ring, rng, 3, 3, 3)), c_hat)

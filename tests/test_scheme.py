@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from mlds import (
@@ -6,9 +7,10 @@ from mlds import (
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
     gen_a, crh,
 )
+from mlds import Poly, PolyVec, get_ring
 from mlds.scheme import (
-    Signature, expand_key_noise, expand_signing_noise, mu_payload_bits,
-    derive_case_seeds, wilson_interval,
+    AGREEMENT_CHUNK, Signature, expand_key_noise, expand_signing_noise, mu_payload_bits,
+    derive_case_seeds, wilson_interval, _keygen_steps, _sign_steps,
 )
 from mlds.sampling import hash_h
 from mlds.codec import encode_bits
@@ -166,6 +168,20 @@ def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
     assert not result.ok and result.reason == "parse"
 
 
+@pytest.mark.parametrize("part", ["z1", "z2", "z3"])
+@pytest.mark.parametrize("bad_value", [-1, DEFAULT_PARAMS.q])
+def test_in_memory_out_of_range_coefficient_rejects_as_parse(keypair, z2_sig, part, bad_value):
+    # built in memory, so no parser has range-checked it; verify still must
+    pk, _ = keypair
+    parts = {"z1": z2_sig.z1.data.copy(), "z2": z2_sig.z2.coeffs.copy(),
+             "z3": z2_sig.z3.coeffs.copy()}
+    parts[part][..., 7] = bad_value
+    broken = Signature(z1=PolyVec(parts["z1"], Poly), z2=Poly(parts["z2"]),
+                       z3=Poly(parts["z3"]), h=z2_sig.h)
+    result = verify(pk, MSG, broken, policy=Z2_DERIVED)
+    assert not result.ok and result.reason == "parse"
+
+
 def test_literal_policy_signature_against_z2_check(keypair):
     # the literal-policy h binds the secret-side decode, which essentially
     # never matches the z2-side decode; the mu branch still holds
@@ -211,6 +227,56 @@ def test_measure_agreement_deterministic_given_seed():
     a = measure_agreement(20, policy=SECRET_DERIVED, master_seed=b"\x07" * 32)
     b = measure_agreement(20, policy=SECRET_DERIVED, master_seed=b"\x07" * 32)
     assert (a.mu_failures, a.h_failures) == (b.mu_failures, b.h_failures)
+
+
+def reference_measure_agreement(trials, params, policy, master_seed):
+    """One keygen/sign/verify cycle at a time: (reasons per trial, max ||e3 + e4||_inf)."""
+    ring = get_ring(params)
+    reasons = []
+    max_noise = 0
+    for t in range(trials):
+        zeta, r, msg = derive_case_seeds(master_seed, t)
+        pk, sk = keygen(zeta, params)
+        sig = sign(sk, pk, msg, r, params, policy)
+        reasons.append(verify(pk, msg, sig, params, policy).reason)
+        _, _, e3, e4 = expand_signing_noise(r, ring)
+        max_noise = max(max_noise, ring.infinity_norm(ring.add(e3, e4)))
+    return reasons, max_noise
+
+
+@pytest.mark.parametrize("master_seed", [b"\x03" * 32, b"\x04" * 32, b"\x5a" * 32])
+@pytest.mark.parametrize("policy", [Z2_DERIVED, SECRET_DERIVED], ids=["z2", "literal"])
+def test_measure_agreement_matches_per_cycle_loop(policy, master_seed):
+    c = AGREEMENT_CHUNK
+    longest = 3 * c + 5
+    reasons, noise = reference_measure_agreement(longest, DEFAULT_PARAMS, policy, master_seed)
+    # cycle t depends only on (master_seed, t), so a shorter run is a prefix
+    for trials in (1, c - 1, c, c + 1, longest):
+        report = measure_agreement(trials, DEFAULT_PARAMS, policy, master_seed)
+        prefix = reasons[:trials]
+        assert (report.trials, report.mu_failures, report.h_failures) == (
+            trials, prefix.count("mu-mismatch"), prefix.count("h-mismatch"))
+    # the verifier's public ||w - encode(mu)||_inf is the signer's ||e3 + e4||_inf
+    assert report.max_noise == noise
+
+
+@pytest.mark.parametrize("policy", [Z2_DERIVED, SECRET_DERIVED], ids=["z2", "literal"])
+def test_batched_core_matches_single_calls(ring, policy):
+    cases = [derive_case_seeds(b"\x06" * 32, t) for t in range(AGREEMENT_CHUNK + 3)]
+    zetas, coins, msgs = zip(*cases)
+    pks, sks = _keygen_steps(zetas, ring)
+    sigs = _sign_steps(sks, pks, [crh(m) for m in msgs], coins, ring, policy)
+    for t, (zeta, coin, msg) in enumerate(cases):
+        pk, sk = keygen(zeta)
+        assert pks.rho[t] == pk.rho
+        assert np.array_equal(pks.p_vec.data[t], pk.p_vec.data)
+        assert np.array_equal(pks.a_hat.data[t], pk.a_hat.data)
+        assert np.array_equal(sks.s.data[t], sk.s.data)
+        sig = sign(sk, pk, msg, coin, policy=policy)
+        assert np.array_equal(sigs.z1.data[t], sig.z1.data)
+        assert np.array_equal(sigs.z2.coeffs[t], sig.z2.coeffs)
+        assert np.array_equal(sigs.z3.coeffs[t], sig.z3.coeffs)
+        assert sigs.h[t] == sig.h
 
 
 def test_derive_case_seeds_stable():
