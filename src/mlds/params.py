@@ -110,10 +110,10 @@ def validate_params(p: ParamSet) -> list[str]:
         errors.append(f"q={p.q} is not prime")
     elif (p.q - 1) % (2 * p.n) != 0:
         errors.append(f"q={p.q} is not congruent to 1 mod 2n={2 * p.n}")
-    elif p.n * (p.q - 1) ** 2 >= 2**53:  # float64 NTT exactness, see NttConstants
+    elif p.n * (p.q - 1) ** 3 >= 2**53:  # float64 NTT exactness, see NttConstants
         errors.append(
-            f"n*(q-1)^2 = {p.n * (p.q - 1) ** 2} is not below 2^53: "
-            "the float64 NTT would round its partial sums"
+            f"n*(q-1)^3 = {p.n * (p.q - 1) ** 3} is not below 2^53: "
+            "the two-stage float64 NTT would round its partial sums"
         )
     if p.k < 1:
         errors.append(f"k={p.k} must be >= 1")
@@ -133,16 +133,30 @@ class NttConstants:
     """Roots of unity and transform tables for the negacyclic NTT mod q.
 
     gamma is a primitive 2n-th root of unity (so gamma^n = -1), omega = gamma^2
-    a primitive n-th root. ``forward`` and ``inverse`` are the full n x n
-    transform matrices, reduced into [0, q) and stored as float64 so that a
-    transform is one BLAS matrix-vector product:
+    a primitive n-th root. The transforms
 
-        forward[i, j] = gamma^j * omega^(i*j)
-        inverse[j, i] = n^-1 * gamma^-j * omega^(-i*j)
+        forward:  evals[i] = sum_j gamma^j * omega^(i*j) * coeffs[j]
+        inverse:  coeffs[j] = n^-1 * gamma^-j * sum_i omega^(-i*j) * evals[i]
 
-    A product of a table with a vector in [0, q)^n has integer partial sums
-    of at most n*(q-1)^2. ``validate_params`` keeps that below 2^53, where
-    float64 is exact, so the float sum equals the integer one before ``Ring``
+    are computed in two stages over the split n = R1 * R2 (``split``). The
+    input index is j = R2*v1 + v2 and the output index i = u1 + R1*u2, so
+    omega^(i*j) = omega^(R2*u1*v1) * omega^(u1*v2) * omega^(R1*u2*v2) and
+
+        stage 1 (u1 x v1):       omega^(R2*u1*v1) * gamma^(R2*v1)
+        stage 2 (u1, v2 x u2):   omega^(u1*v2) * omega^(R1*u2*v2) * gamma^v2
+
+    for the forward transform; the inverse folds n^-1 * gamma^-u1 into stage 1
+    and gamma^(-R1*u2) into stage 2 instead. ``forward`` and ``inverse`` each
+    hold the stage-1 table (R1 x R1) followed by the stage-2 table
+    (R1 x R2 x R2), flattened into one float64 array of entries in [0, q);
+    ``stages`` gives the two as shaped views.
+
+    Exactness: stage 1 sums R1 products of an input below q and a table entry
+    below q, so each of its outputs is an integer below R1*(q-1)^2; stage 2
+    sums R2 products of those with a table entry below q, below n*(q-1)^3.
+    ``validate_params`` keeps n*(q-1)^3 below 2^53, where float64 holds every
+    partial sum exactly in any order, so no reduction is needed between the
+    stages and the float result equals the integer one before ``Ring``
     reduces it mod q.
     """
 
@@ -153,25 +167,14 @@ class NttConstants:
     gamma_inv: int
     omega_inv: int
     n_inv: int
+    split: tuple[int, int]
     forward: np.ndarray
     inverse: np.ndarray
 
-
-def _cache_line_aligned(table: np.ndarray) -> np.ndarray:
-    """Read-only float64 copy of ``table`` whose data starts on a 64-byte boundary.
-
-    The C allocator hands out large blocks 16 bytes into a page, where the
-    BLAS kernel's wide loads straddle cache lines: on a 2-vCPU Xeon host a
-    256 x 256 matrix-vector product took 10.2 us from such a table and
-    7.7 us from an aligned copy.
-    """
-    nbytes = table.size * 8
-    buf = np.empty(nbytes + 64, dtype=np.uint8)
-    start = -buf.ctypes.data % 64
-    out = buf[start : start + nbytes].view(np.float64).reshape(table.shape)
-    out[...] = table
-    out.setflags(write=False)
-    return out
+    def stages(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (R1, R1) stage-1 and (R1, R2, R2) stage-2 views of ``forward`` or ``inverse``."""
+        r1, r2 = self.split
+        return table[: r1 * r1].reshape(r1, r1), table[r1 * r1 :].reshape(r1, r2, r2)
 
 
 @lru_cache(maxsize=8)
@@ -190,23 +193,40 @@ def _derive_cached(n: int, q: int) -> NttConstants:
         raise ParamError(f"derived gamma={gamma} does not have order exactly {2 * n}")
 
     n_inv = pow(n, -1, q)
-    gamma_inv = pow(gamma, -1, q)
-    omega_inv = pow(omega, -1, q)
+    r1 = 1 << ((n.bit_length() - 1) // 2)  # 16 x 16 at n = 256, 8 x 16 at 128, 16 x 32 at 512
+    r2 = n // r1
 
-    j = np.arange(n)
-    gamma_powers = np.array([pow(gamma, int(t), q) for t in j], dtype=np.int64)
-    gamma_inv_powers = np.array([pow(gamma_inv, int(t), q) for t in j], dtype=np.int64)
-    omega_powers = np.array([pow(omega, int(t), q) for t in j], dtype=np.int64)
-    omega_inv_powers = np.array([pow(omega_inv, int(t), q) for t in j], dtype=np.int64)
+    # Every table entry is a power of gamma (omega = gamma^2, gamma^-e =
+    # gamma^(2n-e)), so each table is one gather from gamma's powers with the
+    # exponent reduced mod 2n; the largest temporary is R1 x R2 x R2. The
+    # powers double in length per step: the next block is this one * gamma^size.
+    gamma_powers = np.ones(1, dtype=np.int64)
+    while gamma_powers.size < 2 * n:
+        step = pow(gamma, gamma_powers.size, q)
+        gamma_powers = np.concatenate([gamma_powers, gamma_powers * step % q])
+    u1 = np.arange(r1).reshape(r1, 1)
+    v1 = np.arange(r1).reshape(1, r1)
+    v2 = np.arange(r2).reshape(1, r2, 1)
+    u2 = np.arange(r2).reshape(1, 1, r2)
+    twiddle = 2 * (u1[..., None] * v2 + r1 * u2 * v2)  # omega^(u1*v2) * omega^(R1*u2*v2)
+    forward = (
+        gamma_powers[(2 * r2 * u1 * v1 + r2 * v1) % (2 * n)],
+        gamma_powers[(twiddle + v2) % (2 * n)],
+    )
+    inverse = (
+        gamma_powers[(-2 * r2 * u1 * v1 - u1) % (2 * n)] * n_inv % q,
+        gamma_powers[(-twiddle - r1 * u2) % (2 * n)],
+    )
 
-    ij = np.outer(j, j) % n
-    forward = _cache_line_aligned(omega_powers[ij] * gamma_powers[None, :] % q)
-    inverse = _cache_line_aligned(gamma_inv_powers[:, None] * omega_inv_powers[ij.T] % q * n_inv % q)
+    def flat(tables) -> np.ndarray:
+        out = np.concatenate([t.ravel() for t in tables]).astype(np.float64)
+        out.setflags(write=False)
+        return out
 
     return NttConstants(
         n=n, q=q, gamma=gamma, omega=omega,
-        gamma_inv=gamma_inv, omega_inv=omega_inv, n_inv=n_inv,
-        forward=forward, inverse=inverse,
+        gamma_inv=pow(gamma, -1, q), omega_inv=pow(omega, -1, q), n_inv=n_inv,
+        split=(r1, r2), forward=flat(forward), inverse=flat(inverse),
     )
 
 

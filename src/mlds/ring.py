@@ -16,22 +16,24 @@ ones, as one expression and one ``% q`` each (sums of k products below q^2,
 exact in int64), so a key without batch axes combines with a batch of noise.
 
 Transforms stay one ``ntt``/``intt`` call per module row, each over the
-(..., n) stack of that row in every trial: ``x @ table.T`` is one BLAS
-matrix product for a stack and the same matrix-vector product for one
-polynomial. A cycle therefore transforms the same polynomial slots however
-many trials it carries; stacking across module rows is not done.
+(..., n) stack of that row in every trial. A cycle therefore transforms the
+same polynomial slots however many trials it carries; stacking across module
+rows is not done.
 
 The forward transform is the definitional negacyclic ("gamma-twisted") NTT
 
     evals[i] = sum_j gamma^j * coeffs[j] * omega^(i*j)  mod q
 
-realized as a single precomputed matrix product, with the exact inverse
-built the same way. The tables are float64 (see ``NttConstants``): a
-transform is one BLAS matrix-vector product, cast to int64 and reduced
-mod q. It is exact. Tables and inputs lie in [0, q), so every partial sum is
-an integer of at most n*(q-1)^2, which ``validate_params`` keeps below 2^53
-(about 3.9e10 at n = 256, q = 12289); below 2^53 float64 holds integers
-exactly in any summation order, so the cast loses nothing.
+with the exact inverse built the same way. Each is computed in two stages
+over the split n = R1 * R2 (16 x 16 at n = 256; see ``NttConstants``): a
+stack of B polynomials is viewed as (B, R1, R2); stage 1 is one float64
+matrix product over the R1 axis, stage 2 one batched product of R1 (B, R2)
+blocks with per-row (R2, R2) tables that carry the twiddles, and the result
+is cast to int64 and reduced mod q once. It is exact. Tables and inputs lie
+in [0, q), so stage 1 gives integers below R1*(q-1)^2 and stage 2 integers
+below n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about 4.7e14 at
+n = 256, q = 12289); below 2^53 float64 holds integers exactly in any
+summation order, so neither the stages nor the cast lose anything.
 ``schoolbook_mul`` is an independent O(n^2) oracle (plain convolution +
 x^n = -1 folding) for testing the NTT path.
 """
@@ -151,6 +153,8 @@ class Ring:
         self.q = params.q
         self.k = params.k
         self.constants = constants if constants is not None else derive_ntt_constants(params)
+        self._forward = self.constants.stages(self.constants.forward)
+        self._inverse = self.constants.stages(self.constants.inverse)
 
     # -- construction ------------------------------------------------------
 
@@ -185,19 +189,34 @@ class Ring:
 
     # -- transforms --------------------------------------------------------
 
-    def _apply_table(self, table: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """table @ row mod q for each (..., n) row of x, via float64; exact on [0, q)."""
-        return (x.astype(np.float64) @ table.T).astype(np.int64) % self.q
+    def _transform(self, stages: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
+        """Two-stage transform of each (..., n) row of x in [0, q); exact, see ``NttConstants``.
+
+        Stage 1 contracts the R1 axis of x viewed as (B, R1, R2), casting x
+        to float64 inside the product; stage 2 runs the R1 blocks of (B, R2)
+        through their (R2, R2) tables on a transposed view of stage 1's
+        output. The int64 cast writes stage 2's (R1, B, R2) as (B, R2, R1),
+        i.e. output index u1 + R1*u2. The in-place floor-division reduction
+        costs less than ``%`` on stacks of polynomials.
+        """
+        first, second = stages
+        r1, r2 = self.constants.split
+        y = first @ x.reshape(-1, r1, r2)
+        out = np.matmul(y.transpose(1, 0, 2), second).transpose(1, 2, 0).astype(np.int64, order="C")
+        quot = out // self.q
+        quot *= self.q
+        out -= quot
+        return out.reshape(x.shape)
 
     def ntt(self, p: Poly) -> NttPoly:
         if not isinstance(p, Poly):
             raise DomainError(f"ntt expects a coefficient-domain Poly, got {type(p).__name__}")
-        return NttPoly(self._apply_table(self.constants.forward, p.coeffs))
+        return NttPoly(self._transform(self._forward, p.coeffs))
 
     def intt(self, p: NttPoly) -> Poly:
         if not isinstance(p, NttPoly):
             raise DomainError(f"intt expects an NTT-domain NttPoly, got {type(p).__name__}")
-        return Poly(self._apply_table(self.constants.inverse, p.evals))
+        return Poly(self._transform(self._inverse, p.evals))
 
     def vec_ntt(self, v: PolyVec) -> PolyVec:
         """One ``ntt`` call per module row, over that row's (..., n) stack."""

@@ -328,9 +328,10 @@ class AgreementReport:
 
 
 #: Trials per batch of ``measure_agreement``, set by measured time and peak
-#: memory: a z2 cycle took 312 us at 8 and 262 us at 16, but 16 raised the
-#: benchmark's peak RSS by 1.9 MB against 1.1 MB at 8 (ROADMAP item 4).
-AGREEMENT_CHUNK = 8
+#: memory: with the two-stage transform a z2 cycle took 209 us at 8, 191 at
+#: 16 and 185 at 32, and at 16 the cold-keys benchmark's peak RSS stays about
+#: 0.8 MB below that of the dense-table transform at 8 (ROADMAP item 4).
+AGREEMENT_CHUNK = 16
 
 
 def measure_agreement(

@@ -24,6 +24,7 @@ from mlds import (
     serialize_sig, parse_sig,
     gen_a, gen_se, crh, CodecError,
 )
+from mlds.cli import main as cli_main
 from mlds.codec import encode_bits
 from mlds.scheme import expand_signing_noise, mu_payload_bits
 
@@ -273,3 +274,27 @@ def test_criterion_9_kat_digest_pinned(policy):
            "--seed", "1f" * 32, "--policy", policy]
     digest = hashlib.sha256(subprocess.run(cmd, capture_output=True, check=True).stdout).hexdigest()
     report(9, f"kat digest, {policy} policy", digest == KAT_SHA256[policy], digest[:16])
+
+
+#: SHA-256 of the wire bytes of record 0 of  mlds kat --count 1 --seed 1f...1f,
+#: one digest per field, so that a failure names the field that changed. The
+#: keys do not depend on the policy; the signature does.
+KAT_RECORD0_KEY_SHA256 = {
+    "pk": "e28dbd6cc5c3221f0abab690032d21a8e54777c7c707fc26e5e4e644b8629d42",
+    "sk": "e509d7a48675d97229c570b970259c8219134ff1e7066c6169912ed3564b066f",
+}
+KAT_RECORD0_SIG_SHA256 = {
+    "z2": "33be75c6de9a3359c194ade30cd18c908d0207b074bb9bf9d62c73582889ca56",
+    "literal": "58d638ea4c977349ff5f3b32c9d7f17c235efcbe4fa268cc5042677a7d8b12c9",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(KAT_RECORD0_SIG_SHA256))
+def test_criterion_9_kat_record0_fields_pinned(policy, capsys):
+    assert cli_main(["kat", "--count", "1", "--seed", "1f" * 32, "--policy", policy]) == 0
+    fields = dict(token.split("=", 1) for token in capsys.readouterr().out.split()[2:])
+    expected = {**KAT_RECORD0_KEY_SHA256, "sig": KAT_RECORD0_SIG_SHA256[policy]}
+    for field, digest in expected.items():
+        got = hashlib.sha256(bytes.fromhex(fields[field])).hexdigest()
+        assert got == digest, f"record 0 {field} changed under the {policy} policy: {got}"
+    assert fields["verdict"] == ("accept" if policy == "z2" else "reject")

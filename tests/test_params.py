@@ -55,8 +55,13 @@ def test_derivation_deterministic_and_idempotent(params):
     a = derive_ntt_constants(params)
     b = derive_ntt_constants(params)
     assert a.gamma == b.gamma and a.omega == b.omega
+    assert a.split == b.split == (16, 16)
     assert np.array_equal(a.forward, b.forward)
     assert np.array_equal(a.inverse, b.inverse)
+    for table in (a.forward, a.inverse):
+        first, second = a.stages(table)
+        assert first.shape == (16, 16) and second.shape == (16, 16, 16)
+        assert table.size == 16 * 16 + 16**3 and not table.flags.writeable
 
 
 def test_validate_default_is_clean(params):
@@ -71,8 +76,14 @@ def test_validate_reports_each_violation():
     assert any("k=" in e for e in validate_params(ParamSet(k=0)))
     assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
     assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
-    # prime and 2n | q-1, but 256 * 8380416^2 > 2^53 would round the float64 NTT
+    # prime and 2n | q-1, but 256 * 8380416^3 > 2^53 would round the float64 NTT
     assert any("2^53" in e for e in validate_params(ParamSet(q=8380417)))
+    # prime and 512 | 40960, but 256 * 40960^3 ~ 1.8e16 > 2^53 would round the
+    # two-stage NTT (its one-stage bound, 256 * 40960^2 ~ 4.3e11, would pass)
+    assert validate_params(ParamSet(q=40961)) == [
+        f"n*(q-1)^3 = {256 * 40960**3} is not below 2^53: "
+        "the two-stage float64 NTT would round its partial sums"
+    ]
 
 
 def test_ntt_congruence_holds_for_n_512():

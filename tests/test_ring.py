@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError
+from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError, ParamSet, get_ring
 
 from conftest import random_poly
 
@@ -50,20 +50,62 @@ def test_ntt_matches_definition(ring, rng):
         assert int(ring.ntt(p).evals[i]) == expected
 
 
+def definition_matrices(c):
+    """Dense int64 forward and inverse NTT matrices from c.gamma, c.omega and c.n_inv.
+
+    Built from the roots alone, sharing nothing with the transform tables:
+    forward[i, j] = gamma^j * omega^(i*j), inverse[j, i] = n^-1 * gamma^-j * omega^(-i*j).
+    """
+    n, q = c.n, c.q
+    gamma_inv, omega_inv = pow(c.gamma, -1, q), pow(c.omega, -1, q)
+
+    def powers(base):
+        out = [1]
+        for _ in range(n - 1):
+            out.append(out[-1] * base % q)
+        return np.array(out, dtype=np.int64)
+
+    ij = np.outer(np.arange(n), np.arange(n)) % n
+    forward = powers(c.omega)[ij] * powers(c.gamma)[None, :] % q
+    inverse = powers(omega_inv)[ij] * powers(gamma_inv)[:, None] % q * c.n_inv % q
+    return forward, inverse
+
+
 def test_float_transforms_match_integer_definition(ring, rng):
-    # Every partial sum of table @ x is at most n*(q-1)^2, below 2^53, so the
-    # float64 product is exact; compare against int64 arithmetic throughout.
-    assert ring.n * (ring.q - 1) ** 2 == 256 * 12288**2 < 2**53
-    c = ring.constants
-    forward, inverse = c.forward.astype(np.int64), c.inverse.astype(np.int64)
+    # Stage 1 sums R1 products below (q-1)^2 and stage 2 sums R2 products of
+    # those with a table entry below q: every partial sum is at most
+    # n*(q-1)^3 < 2^53, so the float64 transform is exact without a reduction
+    # between the stages. Compare with int64 arithmetic on the definition.
+    assert ring.n * (ring.q - 1) ** 3 == 256 * 12288**3 < 2**53
+    forward, inverse = definition_matrices(ring.constants)
     worst = np.full(ring.n, ring.q - 1, dtype=np.int64)
     vectors = [rng.integers(0, ring.q, ring.n, dtype=np.int64) for _ in range(200)] + [worst]
     for x in vectors:
         assert np.array_equal(ring.ntt(ring.poly(x)).evals, forward @ x % ring.q)
         assert np.array_equal(ring.intt(ring.ntt_poly(x)).coeffs, inverse @ x % ring.q)
-    for table, ints in ((c.forward, forward), (c.inverse, inverse)):
-        assert table.dtype == np.float64 and np.array_equal(table, ints)
-        assert ints.min() >= 0 and ints.max() < ring.q
+    c = ring.constants
+    assert c.forward.dtype == c.inverse.dtype == np.float64
+    for table in (c.forward, c.inverse):
+        assert table.min() >= 0 and table.max() < ring.q and np.array_equal(table, np.floor(table))
+
+
+@pytest.mark.parametrize("param_set", [ParamSet(), ParamSet(n=128, q=257), ParamSet(n=512)],
+                         ids=["16x16", "8x16", "16x32"])
+def test_stacked_transforms_match_integer_definition(param_set, rng):
+    # (B, n) and (B, k, n) stacks, including strided module rows, on the square
+    # split and both non-square ones; the all-(q-1) stack is the worst case.
+    ring = get_ring(param_set)
+    forward, inverse = definition_matrices(ring.constants)
+    stacks = [
+        rng.integers(0, ring.q, (5, ring.n), dtype=np.int64),
+        rng.integers(0, ring.q, (3, ring.k, ring.n), dtype=np.int64),
+        rng.integers(0, ring.q, (4, ring.k, ring.n), dtype=np.int64)[:, 1, :],
+        np.full((2, ring.k, ring.n), ring.q - 1, dtype=np.int64),
+    ]
+    for x in stacks:
+        assert np.array_equal(ring.ntt(Poly(x)).evals, x @ forward.T % ring.q)
+        assert np.array_equal(ring.intt(NttPoly(x)).coeffs, x @ inverse.T % ring.q)
+        assert ring.ntt(Poly(x)).evals.shape == x.shape
 
 
 # -- multiplication -------------------------------------------------------------
