@@ -16,9 +16,15 @@ log2(eps) = -2 pi^2 tau^2 / ln 2, tau = l sigma / q; the sieve provides
 2^(0.2075 b) vectors per call, so R = max(1, 1 / (2^(0.2075 b) eps^2))
 repetitions are needed and log2(R) is added to the cost.
 
-Both searches sweep the full (m, b) grid in steps of 1 with m in
-[1, max_samples] and b in [50, n + max_samples + 1], restricted to b <= d;
-ties are broken by smaller b, then smaller m. Reported bit counts are
+Both searches scan b upward from 50 in blocks of BLOCK_COLS columns, each
+with every m in [1, max_samples], keeping cells with b <= d; the minimum is
+taken in (cost, b, m) order, so ties go to the smaller b, then the smaller m.
+The scan stops before a block whose first column has fl(0.292 b) above the
+best cost. That is exact: every cell costs at least fl(0.292 b), since a
+primal cell costs exactly that, a dual cell fl(0.292 b) + log2(R) with
+log2(R) >= 0, and float rounding is monotone; so no later cell can beat or tie
+the best. The primal scan thus ends at the first block with a feasible cell,
+the dual scan about one block past its optimum. Reported bit counts are
 floored to integers. BKW-type and linearization attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
@@ -39,6 +45,7 @@ CLASSICAL_EXP = 0.292
 QUANTUM_EXP = 0.265
 SIEVE_VECTORS_EXP = 0.2075
 MIN_BLOCK = 50
+BLOCK_COLS = 64  # b columns per evaluated grid block
 
 
 class EstimatorError(ValueError):
@@ -82,10 +89,6 @@ def bkz_delta(b: int) -> float:
     return ((math.pi * b) ** (1.0 / b) * b / (2 * math.pi * math.e)) ** (1.0 / (2.0 * (b - 1.0)))
 
 
-def _block_range(inst: LweInstance) -> np.ndarray:
-    return np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
-
-
 def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
@@ -93,57 +96,66 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
 def _pick(cost: np.ndarray, m_vals: np.ndarray, b_vals: np.ndarray,
           best: tuple | None) -> tuple | None:
     """Merge a (m, b) cost block into the running (cost, b, m) lexicographic best."""
-    finite = np.isfinite(cost)
-    if not finite.any():
-        return best
-    lo = cost[finite].min()
-    if best is not None and lo > best[0]:
-        return best
-    rows, cols = np.nonzero(cost == lo)
-    order = np.lexsort((m_vals[rows], b_vals[cols]))  # smallest b, then smallest m
-    cand = (lo, int(b_vals[cols[order[0]]]), int(m_vals[rows[order[0]]]))
-    if best is None or cand < best:
-        return cand
+    rows = cost.argmin(axis=0)  # first minimum: smallest m for each b
+    per_b = cost[rows, np.arange(cost.shape[1])]
+    col = per_b.argmin()  # first minimum: smallest b
+    cand = (per_b[col], int(b_vals[col]), int(m_vals[rows[col]]))
+    return cand if np.isfinite(cand[0]) and (best is None or cand < best) else best
+
+
+def _search(inst: LweInstance, block_cost) -> tuple | None:
+    """(cost, b, m) minimum of ``block_cost(m, b)``, None if no cell is finite; see the module doc."""
+    m = np.arange(1, inst.max_samples + 1)
+    b_all = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
+    best = None
+    for lo in range(0, b_all.size, BLOCK_COLS):
+        b = b_all[lo:lo + BLOCK_COLS]
+        if best is not None and CLASSICAL_EXP * b[0] > best[0]:
+            break
+        # built b-major, so that _pick reduces over m along contiguous memory
+        best = _pick(block_cost(m[None, :], b[:, None]).T, m, b, best)
     return best
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:
-    """Cheapest uSVP embedding over the full (m, b) grid."""
-    b = _block_range(inst)
-    log_delta = _log_delta(b)
-    log_q = math.log(inst.q)
-    log_sb = math.log(inst.sigma) + 0.5 * np.log(b)
-    best = None
-    for m_lo in range(1, inst.max_samples + 1, 256):
-        m = np.arange(m_lo, min(m_lo + 256, inst.max_samples + 1))
-        d = (inst.n_lwe + m + 1)[:, None]
-        rhs = (2 * b[None, :] - d - 1) * log_delta[None, :] + (m[:, None] / d) * log_q
-        feasible = (log_sb[None, :] <= rhs) & (b[None, :] <= d)
-        cost = np.where(feasible, CLASSICAL_EXP * b[None, :], np.inf)
-        best = _pick(cost, m, b, best)
+    """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
+    def block_cost(m, b):
+        d = inst.n_lwe + m + 1.0
+        rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
+        rhs *= _log_delta(b)
+        rhs += (m / d) * math.log(inst.q)
+        feasible = rhs >= math.log(inst.sigma) + 0.5 * np.log(b)
+        feasible &= b <= d
+        cost = np.full(rhs.shape, np.inf)
+        np.copyto(cost, CLASSICAL_EXP * b, where=feasible)
+        return cost
+
+    best = _search(inst, block_cost)
     if best is None:
         raise EstimatorError("no (m, b) satisfies the primal embedding condition in bounds")
     _, b_opt, m_opt = best
-    return AttackEstimate(
-        kind="primal",
-        m=m_opt,
-        b=b_opt,
-        classical_bits=math.floor(CLASSICAL_EXP * b_opt),
-        quantum_bits=math.floor(QUANTUM_EXP * b_opt),
-    )
+    return AttackEstimate("primal", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt),
+                          math.floor(QUANTUM_EXP * b_opt))
 
 
-def dual_repetitions_log2(inst: LweInstance, m: int, b: int) -> float:
-    """log2 of the repetition count R for one (m, b) dual point."""
-    d = inst.n_lwe + m
-    log2_ell = d * math.log2(bkz_delta(b)) + (inst.n_lwe / d) * math.log2(inst.q)
-    tau = 2.0 ** (log2_ell + math.log2(inst.sigma / inst.q))
-    log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
-    return max(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b)
+def _dual_log2_rep(inst: LweInstance, m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """log2 of the repetition count R, elementwise over the broadcast m and b arrays."""
+    d = (inst.n_lwe + m).astype(np.float64)
+    log2_ell = d * (_log_delta(b) / math.log(2))
+    log2_ell += (inst.n_lwe / d) * math.log2(inst.q)
+    log2_ell += math.log2(inst.sigma / inst.q)
+    # tau = ell * sigma / q; clamp the exponent to dodge overflow at huge ell
+    tau = np.power(2.0, np.minimum(log2_ell, 30.0, out=log2_ell), out=log2_ell)
+    log2_rep = -2 * math.pi**2 * tau
+    log2_rep *= tau
+    log2_rep /= math.log(2)  # log2(eps)
+    log2_rep *= -2
+    log2_rep -= SIEVE_VECTORS_EXP * b
+    return np.maximum(0.0, log2_rep, out=log2_rep)
 
 
 def dual_cost(inst: LweInstance) -> AttackEstimate:
-    """Cheapest dual distinguisher over the full (m, b) grid.
+    """Cheapest dual distinguisher over the (m, b) grid.
 
     The distinguisher model needs noise that is not already close to uniform
     mod q; an instance with sigma * sqrt(2 pi) >= q is outside it.
@@ -153,32 +165,20 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             f"dual model needs sigma*sqrt(2*pi) < q; sigma={inst.sigma:g}, q={inst.q} "
             "gives noise statistically close to uniform mod q"
         )
-    b = _block_range(inst)
-    log2_delta = _log_delta(b) / math.log(2)
-    log2_q = math.log2(inst.q)
-    log2_sigma_over_q = math.log2(inst.sigma / inst.q)
-    best = None
-    for m_lo in range(1, inst.max_samples + 1, 256):
-        m = np.arange(m_lo, min(m_lo + 256, inst.max_samples + 1))
-        d = (inst.n_lwe + m)[:, None].astype(np.float64)
-        log2_ell = d * log2_delta[None, :] + (inst.n_lwe / d) * log2_q
-        # tau = ell * sigma / q; clamp the exponent to dodge overflow at huge ell
-        tau = 2.0 ** np.minimum(log2_ell + log2_sigma_over_q, 30.0)
-        log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
-        log2_rep = np.maximum(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b[None, :])
-        cost = np.where(b[None, :] <= d, CLASSICAL_EXP * b[None, :] + log2_rep, np.inf)
-        best = _pick(cost, m, b, best)
+
+    def block_cost(m, b):
+        cost = _dual_log2_rep(inst, m, b)
+        cost += CLASSICAL_EXP * b
+        cost[b > inst.n_lwe + m] = np.inf
+        return cost
+
+    best = _search(inst, block_cost)
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
     _, b_opt, m_opt = best
-    rep = dual_repetitions_log2(inst, m_opt, b_opt)
-    return AttackEstimate(
-        kind="dual",
-        m=m_opt,
-        b=b_opt,
-        classical_bits=math.floor(CLASSICAL_EXP * b_opt + rep),
-        quantum_bits=math.floor(QUANTUM_EXP * b_opt + rep),
-    )
+    rep = float(_dual_log2_rep(inst, np.array([m_opt]), np.array([b_opt]))[0])
+    return AttackEstimate("dual", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt + rep),
+                          math.floor(QUANTUM_EXP * b_opt + rep))
 
 
 @dataclass(frozen=True)
