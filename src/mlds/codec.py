@@ -64,13 +64,13 @@ def encode_bits(bits: np.ndarray, ring: Ring) -> Poly:
     Leading axes of ``bits`` (..., mu_bits) carry over: one element per row.
     """
     p = ring.params
-    bits = np.asarray(bits, dtype=np.int64)
+    bits = np.asarray(bits)
     if bits.shape[-1:] != (p.mu_bits,):
         raise CodecError(f"payload must be exactly {p.mu_bits} bits, got {bits.shape}")
-    if np.any(bits & ~1):  # nonzero exactly where an entry is neither 0 nor 1
+    if bits.min() < 0 or bits.max() > 1:  # checked before the int32 cast, which could wrap
         raise CodecError("payload entries must be 0 or 1")
     # n = redundancy * mu_bits, so copy r of bit i is coefficient r * mu_bits + i
-    return Poly(np.concatenate([bits * p.half_q] * p.redundancy, axis=-1))
+    return Poly(np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1))
 
 
 def decode_bits(v: Poly, ring: Ring) -> np.ndarray:
@@ -81,7 +81,7 @@ def decode_bits(v: Poly, ring: Ring) -> np.ndarray:
     dist = np.abs(v.coeffs - p.half_q)
     if p.redundancy == 1:
         return (dist < p.quarter_q).view(np.uint8)
-    total = dist.reshape(dist.shape[:-1] + (p.redundancy, p.mu_bits)).sum(axis=-2)
+    total = dist.reshape(dist.shape[:-1] + (p.redundancy, p.mu_bits)).sum(axis=-2, dtype=np.int32)
     return (total <= p.q).view(np.uint8)
 
 
@@ -128,7 +128,7 @@ def unpack_poly(data: bytes, ring: Ring) -> Poly:
     lanes = np.zeros((expected // 7, 8), dtype=np.uint8)
     lanes[:, :7] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 7)
     groups = lanes.view("<u8")
-    coeffs = ((groups >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int64).reshape(-1)
+    coeffs = ((groups >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32).reshape(-1)
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
     return Poly(coeffs)

@@ -60,7 +60,9 @@ class LweInstance:
     max_samples: int
 
     def __post_init__(self):
-        if self.n_lwe < 1 or self.q < 2 or self.sigma <= 0 or self.max_samples < 1:
+        # isfinite also rejects NaN, for which sigma <= 0 is False, and inf
+        if (self.n_lwe < 1 or self.q < 2 or not math.isfinite(self.sigma) or self.sigma <= 0
+                or self.max_samples < 1):
             raise EstimatorError(f"invalid LWE instance {self}")
 
     @classmethod

@@ -117,10 +117,17 @@ def validate_params(p: ParamSet) -> list[str]:
         )
     if p.k < 1:
         errors.append(f"k={p.k} must be >= 1")
+    elif p.k * (p.q - 1) ** 2 >= 2**31:  # int32 ring values, see mlds.ring
+        errors.append(
+            f"k*(q-1)^2 = {p.k * (p.q - 1) ** 2} is not below 2^31: "
+            "a module product's sum of k products would overflow int32"
+        )
     if p.eta < 1:
         errors.append(f"eta={p.eta} must be >= 1")
     elif p.eta % 8 != 0:
         errors.append(f"eta={p.eta} is not a multiple of 8, as the byte-aligned binomial sampler needs")
+    elif p.eta >= p.q:
+        errors.append(f"eta={p.eta} is not below q={p.q}, as the binomial sampler's one-step reduction needs")
     if p.redundancy not in (1, 4):
         errors.append(f"redundancy={p.redundancy} not in {{1, 4}}")
     elif p.n % (4 * p.redundancy) != 0:

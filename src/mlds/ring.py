@@ -5,15 +5,23 @@ Coefficient-domain and NTT-domain values are distinct types (``Poly`` vs
 silently. Coefficients are stored canonically in [0, q); centered
 representatives exist only inside the norm helper and the codec.
 
-Module values are stacked: a ``PolyVec`` is one (k, n) int64 array tagged
-with its row domain, an ``NttMatrix`` one (k, k, n) array in NTT domain.
-Every value may also carry leading batch axes: ``Poly``/``NttPoly`` data of
-shape (..., n), ``PolyVec`` (..., k, n), ``NttMatrix`` (..., k, k, n), one
-entry per trial of a batch. The module axis of a vector is axis -2; its
-length and indexing refer to that axis. Vector add/sub, ``matvec`` and
-``inner_product`` act on the trailing axes and broadcast over the leading
-ones, as one expression and one ``% q`` each (sums of k products below q^2,
-exact in int64), so a key without batch axes combines with a batch of noise.
+Every value array is int32: residues lie below q < 2^14. Module values are
+stacked: a ``PolyVec`` is one (k, n) int32 array tagged with its row domain,
+an ``NttMatrix`` one (k, k, n) array in NTT domain. Every value may also
+carry leading batch axes: ``Poly``/``NttPoly`` data of shape (..., n),
+``PolyVec`` (..., k, n), ``NttMatrix`` (..., k, k, n), one entry per trial of
+a batch. The module axis of a vector is axis -2; its length and indexing
+refer to that axis. Vector add/sub, ``matvec`` and ``inner_product`` act on
+the trailing axes and broadcast over the leading ones, so a key without batch
+axes combines with a batch of noise.
+
+Reductions. A sum or difference of two residues lies in (-q, 2q), so one
+conditional correction reduces it, written as one ``np.minimum`` over the
+uint32 view: min(d, d - q) after an add, min(d, d + q) after a sub; the
+wrong candidate wraps around to 2^32 - q or above and loses. Products need a
+true ``% q``: ``matvec`` and ``inner_product`` sum k products below (q-1)^2
+in int32 and reduce once, exact because ``validate_params`` keeps
+k*(q-1)^2 below 2^31 (3.0e8 at k = 2, q = 12289).
 
 Transforms stay one ``ntt``/``intt`` call per module row, each over the
 (..., n) stack of that row in every trial. A cycle therefore transforms the
@@ -29,13 +37,21 @@ over the split n = R1 * R2 (16 x 16 at n = 256; see ``NttConstants``): a
 stack of B polynomials is viewed as (B, R1, R2); stage 1 is one float64
 matrix product over the R1 axis, stage 2 one batched product of R1 (B, R2)
 blocks with per-row (R2, R2) tables that carry the twiddles, and the result
-is cast to int64 and reduced mod q once. It is exact. Tables and inputs lie
-in [0, q), so stage 1 gives integers below R1*(q-1)^2 and stage 2 integers
-below n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about 4.7e14 at
-n = 256, q = 12289); below 2^53 float64 holds integers exactly in any
-summation order, so neither the stages nor the cast lose anything.
-``schoolbook_mul`` is an independent O(n^2) oracle (plain convolution +
-x^n = -1 folding) for testing the NTT path.
+is reduced mod q once in float64 and cast to int32. It is exact. Tables and
+inputs lie in [0, q), so stage 1 gives integers below R1*(q-1)^2 and stage 2
+integers y below n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about
+4.7e14 at n = 256, q = 12289); below 2^53 float64 holds integers exactly in
+any summation order, so neither stage loses anything.
+
+The reduction y - floor(fl(y/q))*q is exact as well. Write y = a*q + r with
+0 <= r < q: the fractional part of y/q is a multiple of 1/q, so y/q lies in
+[a, a + 1 - 1/q]. A correctly rounded division errs by at most (y/q)*2^-53,
+which is below 1/(2q) for y < 2^52 (4.7e14 < 2^49 here) and below 1/q for
+any y < 2^53; either way fl(y/q) stays below a + 1, and it is at least
+fl(a) = a because rounding is monotone. So floor(fl(y/q)) = a, a*q and
+y - a*q are integers below 2^53, and the result r is exact in float64 and in
+the int32 cast. The cast must come after the reduction: y itself runs up to
+4.7e14, far beyond int32.
 """
 
 from __future__ import annotations
@@ -53,12 +69,13 @@ class DomainError(TypeError):
 
 
 def _as_coeff_array(values, n: int, q: int) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.shape != (n,):
         raise ValueError(f"expected {n} coefficients, got shape {arr.shape}")
+    # checked before the int32 cast, which would wrap 2^32 to 0
     if arr.min() < 0 or arr.max() >= q:
         raise ValueError(f"coefficients must lie in [0, {q})")
-    arr = arr.copy()
+    arr = arr.astype(np.int32)
     arr.setflags(write=False)
     return arr
 
@@ -114,7 +131,7 @@ class PolyVec:
 
 @dataclass(frozen=True, eq=False)
 class NttMatrix:
-    """k x k matrix over R_q in NTT domain: one (..., k, k, n) int64 array."""
+    """k x k matrix over R_q in NTT domain: one (..., k, k, n) int32 array."""
 
     data: np.ndarray
 
@@ -161,22 +178,6 @@ class Ring:
     def poly(self, values) -> Poly:
         return Poly(_as_coeff_array(values, self.n, self.q))
 
-    def ntt_poly(self, values) -> NttPoly:
-        return NttPoly(_as_coeff_array(values, self.n, self.q))
-
-    def zero(self) -> Poly:
-        return Poly(_as_coeff_array(np.zeros(self.n, dtype=np.int64), self.n, self.q))
-
-    def one(self) -> Poly:
-        c = np.zeros(self.n, dtype=np.int64)
-        c[0] = 1
-        return Poly(_as_coeff_array(c, self.n, self.q))
-
-    def monomial(self, degree: int, coeff: int = 1) -> Poly:
-        c = np.zeros(self.n, dtype=np.int64)
-        c[degree] = coeff % self.q
-        return Poly(_as_coeff_array(c, self.n, self.q))
-
     def vec(self, elems) -> PolyVec:
         """Stack k ring elements of one domain into a module vector."""
         elems = tuple(elems)
@@ -190,23 +191,26 @@ class Ring:
     # -- transforms --------------------------------------------------------
 
     def _transform(self, stages: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Two-stage transform of each (..., n) row of x in [0, q); exact, see ``NttConstants``.
+        """Two-stage transform of each (..., n) row of x in [0, q); exact, see the module docstring.
 
         Stage 1 contracts the R1 axis of x viewed as (B, R1, R2), casting x
         to float64 inside the product; stage 2 runs the R1 blocks of (B, R2)
         through their (R2, R2) tables on a transposed view of stage 1's
-        output. The int64 cast writes stage 2's (R1, B, R2) as (B, R2, R1),
-        i.e. output index u1 + R1*u2. The in-place floor-division reduction
-        costs less than ``%`` on stacks of polynomials.
+        output. Stage 2's (R1, B, R2) result y is reduced in float64 as
+        y - floor(y/q)*q, then the int32 cast writes it as (B, R2, R1), i.e.
+        output index u1 + R1*u2. For an integer y < 2^53, floor(fl(y/q)) is
+        exact: the fractional part of y/q is a multiple of 1/q, and the
+        rounding error of y/q is below 1/(2q) at every y this transform
+        makes (y < n*(q-1)^3 < 2^49 here; below 1/q for any y < 2^53).
         """
         first, second = stages
         r1, r2 = self.constants.split
-        y = first @ x.reshape(-1, r1, r2)
-        out = np.matmul(y.transpose(1, 0, 2), second).transpose(1, 2, 0).astype(np.int64, order="C")
-        quot = out // self.q
+        y = np.matmul((first @ x.reshape(-1, r1, r2)).transpose(1, 0, 2), second)
+        quot = y / self.q
+        np.floor(quot, out=quot)
         quot *= self.q
-        out -= quot
-        return out.reshape(x.shape)
+        y -= quot
+        return y.transpose(1, 2, 0).astype(np.int32, order="C").reshape(x.shape)
 
     def ntt(self, p: Poly) -> NttPoly:
         if not isinstance(p, Poly):
@@ -237,15 +241,27 @@ class Ring:
     def _elementwise(self, op, a, b, verb: str):
         """op(a, b) mod q on two ring elements, or two vectors, of one domain.
 
-        Leading batch axes broadcast.
+        Leading batch axes broadcast. The sum or difference of two residues
+        is reduced by one conditional correction (see the module docstring).
         """
         if type(a) is PolyVec and type(b) is PolyVec:
             if a.domain is b.domain and len(a) == len(b):
-                return PolyVec(op(a.data, b.data) % self.q, a.domain)
+                return PolyVec(self._reduce_once(op, a.data, b.data), a.domain)
         elif type(a) is type(b) and type(a) in (Poly, NttPoly):
-            return type(a)(op(_values(a), _values(b)) % self.q)
+            return type(a)(self._reduce_once(op, _values(a), _values(b)))
         raise DomainError(f"cannot {verb} {type(a).__name__} and {type(b).__name__}: "
                           "domains or lengths differ")
+
+    def _reduce_once(self, op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """op(x, y) for int32 residues x, y, brought back into [0, q) by one np.minimum."""
+        d = op(x, y)
+        if d.dtype != np.int32:  # a uint32 view of wider values would split each one
+            raise DomainError(f"ring values must be int32 arrays, got {d.dtype}")
+        u = d.view(np.uint32)
+        # min(d, d - q) after an add, min(d, d + q) after a sub: the wrong
+        # candidate wraps around to 2^32 - q or above
+        np.minimum(u, u - self.q if op is np.add else u + self.q, out=u)
+        return d
 
     # -- multiplicative arithmetic ------------------------------------------
 
@@ -254,19 +270,6 @@ class Ring:
             raise DomainError("pointwise_mul is defined on NTT-domain values only")
         return NttPoly(a.evals * b.evals % self.q)
 
-    def mul(self, a: Poly, b: Poly) -> Poly:
-        """Negacyclic product via NTT: intt(ntt(a) o ntt(b))."""
-        return self.intt(self.pointwise_mul(self.ntt(a), self.ntt(b)))
-
-    def schoolbook_mul(self, a: Poly, b: Poly) -> Poly:
-        """O(n^2) negacyclic oracle: c_t = sum_{i+j = t mod n} (-1)^[i+j >= n] a_i b_j."""
-        if not (isinstance(a, Poly) and isinstance(b, Poly)):
-            raise DomainError("schoolbook_mul is defined on coefficient-domain values only")
-        conv = np.convolve(a.coeffs, b.coeffs)  # length 2n-1, max < n*q^2 << 2^63
-        low = conv[: self.n]
-        high = np.concatenate([conv[self.n :], np.zeros(1, dtype=np.int64)])
-        return Poly((low - high) % self.q)
-
     def matvec(self, mat: NttMatrix, v: PolyVec, transpose: bool = False) -> PolyVec:
         """out_i = sum_j M_ij o v_j with M the matrix or its transpose; batch axes broadcast."""
         if v.domain is not NttPoly:
@@ -274,7 +277,7 @@ class Ring:
         if mat.data.shape[-3:-1] != (len(v), len(v)):
             raise DomainError("matrix/vector rank mismatch")
         m = mat.data.swapaxes(-3, -2) if transpose else mat.data
-        return PolyVec((m * v.data[..., None, :, :]).sum(axis=-2) % self.q, NttPoly)
+        return PolyVec((m * v.data[..., None, :, :]).sum(axis=-2, dtype=np.int32) % self.q, NttPoly)
 
     def inner_product(self, a: PolyVec, b: PolyVec) -> NttPoly:
         """sum_i a_i o b_i, one ring element in NTT domain (per trial of a batch)."""
@@ -282,16 +285,9 @@ class Ring:
             raise DomainError("inner_product operates on NTT-domain vectors")
         if len(a) != len(b):
             raise DomainError("vector length mismatch")
-        return NttPoly((a.data * b.data).sum(axis=-2) % self.q)
+        return NttPoly((a.data * b.data).sum(axis=-2, dtype=np.int32) % self.q)
 
     # -- norms ---------------------------------------------------------------
-
-    def centered(self, p: Poly) -> np.ndarray:
-        """Coefficients mapped to the centered range (-q/2, q/2]."""
-        if not isinstance(p, Poly):
-            raise DomainError("centered representatives exist in coefficient domain only")
-        c = p.coeffs
-        return np.where(c > self.q // 2, c - self.q, c)
 
     def infinity_norm(self, x) -> int:
         """max_i min(c_i, q - c_i) over all coefficients (and trials) of a Poly or PolyVec."""

@@ -86,7 +86,7 @@ def gen_a(rho, ring: Ring) -> NttMatrix:
         bounds = np.searchsorted(pos, np.arange(len(seeds) + 1) * (need // 2))
         first = bounds[:-1]
         if (bounds[1:] - first).min() >= n:
-            rows = cand[pos[first[:, None] + np.arange(n)]].astype(np.int64)
+            rows = cand[pos[first[:, None] + np.arange(n)]].astype(np.int32)
             data = rows.reshape(len(rhos), k, k, n)
             return NttMatrix(data[0] if single else data)
         need *= 2
@@ -108,8 +108,13 @@ def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
     words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
     counts = np.bitwise_count(words).reshape(len(seeds), len(nonces), p.n, 2, -1)
     halves = counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int32)
-    # q < 2^31 (validate_params keeps n (q-1)^2 < 2^53), so int32 holds the residues
-    return ((halves[..., 0].astype(np.int32) - halves[..., 1]) % p.q).astype(np.int64)
+    d = halves[..., 0].astype(np.int32) - halves[..., 1]
+    # d in [-eta, eta] with eta < q (validate_params), reduced as Ring.sub
+    # reduces: min(d, d + q) over the uint32 view is d + q for d < 0 (where
+    # d + q wraps around) and d otherwise
+    u = d.view(np.uint32)
+    np.minimum(u, u + p.q, out=u)
+    return d
 
 
 def gen_se(seed, nonce: int, ring: Ring) -> Poly:

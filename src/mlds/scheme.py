@@ -139,11 +139,12 @@ def expand_signing_noise(r, ring: Ring) -> tuple[PolyVec, PolyVec, Poly, Poly]:
 #
 # ``_keygen_steps``, ``_sign_steps`` and ``_verify_steps`` are the whole of
 # keygen, sign and verify. Their per-trial arguments (zeta; mu and r) are one
-# byte string, or a sequence of them for a batch of trials; ring values then
-# carry a leading trial axis (B, ...) and rho and h become tuples. Keys
-# without a trial axis broadcast against a batch. The per-trial hashing is
-# the only per-trial loop, and each step transforms the same polynomial
-# slots as one trial does: one ntt/intt call per slot, over a (B, n) stack.
+# byte string, or a sequence of them for a batch of trials; ring values (int32
+# arrays, see ``mlds.ring``) then carry a leading trial axis (B, ...) and rho
+# and h become tuples. Keys without a trial axis broadcast against a batch.
+# The per-trial hashing is the only per-trial loop, and each step transforms
+# the same polynomial slots as one trial does: one ntt/intt call per slot,
+# over a (B, n) stack.
 # ``keygen``, ``sign`` and ``verify`` run the steps on one trial without a
 # trial axis (with a trial axis of length one, a sign measured ~6% slower on
 # a 2-vCPU Xeon, from broadcasting and unwrapping); ``measure_agreement``
@@ -197,10 +198,10 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
 
 
 def _values_valid(sig: Signature, trials: tuple, ring: Ring) -> np.ndarray:
-    """Per trial: z1, z2, z3 are coefficient-domain int64 values in [0, q).
+    """Per trial: z1, z2, z3 are coefficient-domain int32 values in [0, q).
 
     A parsed signature has passed the range checks already; one built in
-    memory has not. A negative int64 read as uint64 is >= q, so one unsigned
+    memory has not. A negative int32 read as uint32 is >= q, so one unsigned
     maximum per trial checks both ends of the range for all three.
     """
     q, n, k = ring.q, ring.n, ring.k
@@ -209,10 +210,10 @@ def _values_valid(sig: Signature, trials: tuple, ring: Ring) -> np.ndarray:
         return invalid
     z1, z2, z3 = sig.z1.data, sig.z2.coeffs, sig.z3.coeffs
     if (z1.shape != trials + (k, n) or z2.shape != trials + (n,) or z3.shape != trials + (n,)
-            or not z1.dtype == z2.dtype == z3.dtype == np.int64):
+            or not z1.dtype == z2.dtype == z3.dtype == np.int32):
         return invalid
     values = np.concatenate((z1.reshape(trials + (k * n,)), z2, z3), axis=-1)
-    return values.view(np.uint64).max(axis=-1) < q
+    return values.view(np.uint32).max(axis=-1) < q
 
 
 def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring, policy: VerifyPolicy):
@@ -328,9 +329,12 @@ class AgreementReport:
 
 
 #: Trials per batch of ``measure_agreement``, set by measured time and peak
-#: memory: with the two-stage transform a z2 cycle took 209 us at 8, 191 at
-#: 16 and 185 at 32, and at 16 the cold-keys benchmark's peak RSS stays about
-#: 0.8 MB below that of the dense-table transform at 8 (ROADMAP item 4).
+#: memory. With int32 ring values a z2 cycle took 156-165 us at 8, 127-134
+#: at 16, 121-146 at 32 and 115-146 at 64 (min of 12 interleaved
+#: ``measure_agreement(64)`` calls, 3 processes, 2-vCPU Xeon). In 5 cold-keys
+#: benchmark pairs chunk 32 cut the z2 cycle from 215 to 193 ref_us, but its
+#: peak RSS read 0.46 MB above chunk 16's in every pair, and in one pair above
+#: that of the int64 values at 16 (40.88 against 40.62 MB), so 16 stays.
 AGREEMENT_CHUNK = 16
 
 

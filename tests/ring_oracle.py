@@ -1,0 +1,54 @@
+"""Ring helpers that only the tests use: constants, an NTT product and the
+O(n^2) schoolbook product it is checked against.
+
+``schoolbook_mul`` shares no arithmetic with the NTT path: a plain integer
+convolution folded by x^n = -1. It accumulates in int64, because the
+convolution's entries reach n*(q-1)^2 (3.9e10 at n = 256, q = 12289), far
+beyond the int32 the ring stores its values in.
+"""
+
+import numpy as np
+
+from mlds import DomainError, NttPoly, Poly
+
+
+def zero(ring) -> Poly:
+    return ring.poly(np.zeros(ring.n, dtype=np.int32))
+
+
+def one(ring) -> Poly:
+    return monomial(ring, 0)
+
+
+def monomial(ring, degree: int, coeff: int = 1) -> Poly:
+    c = np.zeros(ring.n, dtype=np.int32)
+    c[degree] = coeff % ring.q
+    return ring.poly(c)
+
+
+def ntt_poly(ring, values) -> NttPoly:
+    """An NTT-domain element with the given evaluations, range-checked like ``ring.poly``."""
+    return NttPoly(ring.poly(values).coeffs)
+
+
+def centered(ring, p: Poly) -> np.ndarray:
+    """Coefficients mapped to the centered range (-q/2, q/2]."""
+    if not isinstance(p, Poly):
+        raise DomainError("centered representatives exist in coefficient domain only")
+    c = p.coeffs
+    return np.where(c > ring.q // 2, c - ring.q, c)
+
+
+def mul(ring, a: Poly, b: Poly) -> Poly:
+    """Negacyclic product via NTT: intt(ntt(a) o ntt(b))."""
+    return ring.intt(ring.pointwise_mul(ring.ntt(a), ring.ntt(b)))
+
+
+def schoolbook_mul(ring, a: Poly, b: Poly) -> Poly:
+    """O(n^2) negacyclic oracle: c_t = sum_{i+j = t mod n} (-1)^[i+j >= n] a_i b_j."""
+    if not (isinstance(a, Poly) and isinstance(b, Poly)):
+        raise DomainError("schoolbook_mul is defined on coefficient-domain values only")
+    conv = np.convolve(a.coeffs.astype(np.int64), b.coeffs.astype(np.int64))  # length 2n-1
+    low = conv[: ring.n]
+    high = np.concatenate([conv[ring.n :], np.zeros(1, dtype=np.int64)])
+    return ring.poly((low - high) % ring.q)

@@ -14,6 +14,7 @@ from mlds.codec import (
 )
 
 from conftest import random_poly
+from ring_oracle import zero, monomial
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +39,7 @@ def test_bit_helpers_little_endian(ring):
 
 def test_encode_zero_bits(ring):
     bits = np.zeros(ring.params.mu_bits, dtype=np.uint8)
-    assert encode_bits(bits, ring) == ring.zero()
+    assert encode_bits(bits, ring) == zero(ring)
 
 
 def test_encode_single_bit_redundancy_1(ring):
@@ -99,7 +100,7 @@ def test_decode_noise_boundary(ring, rng):
 
 
 def test_decode_tie_rule(ring):
-    v = ring.monomial(0, 3072 + 6144)  # distance exactly floor(q/4)
+    v = monomial(ring, 0, 3072 + 6144)  # distance exactly floor(q/4)
     assert decode_bits(v, ring)[0] == 0
 
 
@@ -108,12 +109,15 @@ def test_encode_validates_payload(ring):
         encode_bits(np.zeros(255, dtype=np.uint8), ring)
     with pytest.raises(CodecError):
         encode_bits(np.full(256, 2, dtype=np.uint8), ring)
+    # checked before the int32 cast, which would wrap 2^32 + 1 to 1
+    with pytest.raises(CodecError):
+        encode_bits(np.full(256, 2**32 + 1, dtype=np.int64), ring)
 
 
 # -- packing ----------------------------------------------------------------------
 
 def test_pack_zero(ring):
-    assert pack_poly(ring.zero(), ring) == bytes(448)
+    assert pack_poly(zero(ring), ring) == bytes(448)
 
 
 def test_pack_roundtrip_random(ring, rng):

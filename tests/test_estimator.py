@@ -47,6 +47,12 @@ def test_instance_construction():
         LweInstance.from_binomial(512, 12289, 0)
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+def test_instance_rejects_non_finite_or_negative_sigma(sigma):
+    with pytest.raises(EstimatorError, match="invalid LWE instance"):
+        LweInstance(n_lwe=64, q=12289, sigma=sigma, max_samples=128)
+
+
 def test_primal_reproduces_reference_row(reference_instance):
     est = primal_cost(reference_instance)
     assert abs(est.b - 967) <= 2

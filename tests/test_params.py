@@ -76,13 +76,27 @@ def test_validate_reports_each_violation():
     assert any("k=" in e for e in validate_params(ParamSet(k=0)))
     assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
     assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
+    # psi_eta samples lie in [-eta, eta]; one conditional +q reduces them only when eta < q
+    assert validate_params(ParamSet(n=128, q=257, eta=264)) == [
+        "eta=264 is not below q=257, as the binomial sampler's one-step reduction needs"
+    ]
+    assert validate_params(ParamSet(n=128, q=257, eta=256)) == []
     # prime and 2n | q-1, but 256 * 8380416^3 > 2^53 would round the float64 NTT
     assert any("2^53" in e for e in validate_params(ParamSet(q=8380417)))
     # prime and 512 | 40960, but 256 * 40960^3 ~ 1.8e16 > 2^53 would round the
-    # two-stage NTT (its one-stage bound, 256 * 40960^2 ~ 4.3e11, would pass)
+    # two-stage NTT (its one-stage bound, 256 * 40960^2 ~ 4.3e11, would pass),
+    # and 2 * 40960^2 ~ 3.4e9 > 2^31 would overflow an int32 module product
     assert validate_params(ParamSet(q=40961)) == [
         f"n*(q-1)^3 = {256 * 40960**3} is not below 2^53: "
-        "the two-stage float64 NTT would round its partial sums"
+        "the two-stage float64 NTT would round its partial sums",
+        f"k*(q-1)^2 = {2 * 40960**2} is not below 2^31: "
+        "a module product's sum of k products would overflow int32",
+    ]
+    # the int32 bound alone: 14 * 12288^2 ~ 2.11e9 < 2^31 <= 15 * 12288^2 ~ 2.26e9
+    assert validate_params(ParamSet(k=14)) == []
+    assert validate_params(ParamSet(k=15)) == [
+        f"k*(q-1)^2 = {15 * 12288**2} is not below 2^31: "
+        "a module product's sum of k products would overflow int32"
     ]
 
 

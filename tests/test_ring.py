@@ -4,6 +4,7 @@ import pytest
 from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError, ParamSet, get_ring
 
 from conftest import random_poly
+from ring_oracle import zero, one, monomial, ntt_poly, centered, mul, schoolbook_mul
 
 
 def ntt_matrix(rows):
@@ -23,12 +24,12 @@ def random_ntt_vec(ring, rng):
 # -- transforms ----------------------------------------------------------------
 
 def test_ntt_of_zero_is_zero(ring):
-    assert not ring.ntt(ring.zero()).evals.any()
-    assert ring.intt(NttPoly(np.zeros(ring.n, dtype=np.int64))) == ring.zero()
+    assert not ring.ntt(zero(ring)).evals.any()
+    assert ring.intt(NttPoly(np.zeros(ring.n, dtype=np.int32))) == zero(ring)
 
 
 def test_ntt_of_constant_is_constant(ring):
-    c = ring.monomial(0, 77)
+    c = monomial(ring, 0, 77)
     assert (ring.ntt(c).evals == 77).all()
 
 
@@ -75,14 +76,18 @@ def test_float_transforms_match_integer_definition(ring, rng):
     # Stage 1 sums R1 products below (q-1)^2 and stage 2 sums R2 products of
     # those with a table entry below q: every partial sum is at most
     # n*(q-1)^3 < 2^53, so the float64 transform is exact without a reduction
-    # between the stages. Compare with int64 arithmetic on the definition.
+    # between the stages; the float reduction y - floor(y/q)*q is exact below
+    # 2^53 too, and only its result fits the int32 output. Compare with int64
+    # arithmetic on the definition.
     assert ring.n * (ring.q - 1) ** 3 == 256 * 12288**3 < 2**53
     forward, inverse = definition_matrices(ring.constants)
     worst = np.full(ring.n, ring.q - 1, dtype=np.int64)
     vectors = [rng.integers(0, ring.q, ring.n, dtype=np.int64) for _ in range(200)] + [worst]
     for x in vectors:
-        assert np.array_equal(ring.ntt(ring.poly(x)).evals, forward @ x % ring.q)
-        assert np.array_equal(ring.intt(ring.ntt_poly(x)).coeffs, inverse @ x % ring.q)
+        x_hat, x_back = ring.ntt(ring.poly(x)).evals, ring.intt(ntt_poly(ring, x)).coeffs
+        assert x_hat.dtype == x_back.dtype == np.int32
+        assert np.array_equal(x_hat, forward @ x % ring.q)
+        assert np.array_equal(x_back, inverse @ x % ring.q)
     c = ring.constants
     assert c.forward.dtype == c.inverse.dtype == np.float64
     for table in (c.forward, c.inverse):
@@ -102,7 +107,7 @@ def test_stacked_transforms_match_integer_definition(param_set, rng):
         rng.integers(0, ring.q, (4, ring.k, ring.n), dtype=np.int64)[:, 1, :],
         np.full((2, ring.k, ring.n), ring.q - 1, dtype=np.int64),
     ]
-    for x in stacks:
+    for x in (s.astype(np.int32) for s in stacks):
         assert np.array_equal(ring.ntt(Poly(x)).evals, x @ forward.T % ring.q)
         assert np.array_equal(ring.intt(NttPoly(x)).coeffs, x @ inverse.T % ring.q)
         assert ring.ntt(Poly(x)).evals.shape == x.shape
@@ -111,55 +116,73 @@ def test_stacked_transforms_match_integer_definition(param_set, rng):
 # -- multiplication -------------------------------------------------------------
 
 def test_pointwise_identity(ring, rng):
-    one_hat = ring.ntt(ring.one())
+    one_hat = ring.ntt(one(ring))
     a = ring.ntt(random_poly(ring, rng))
     assert ring.pointwise_mul(a, one_hat) == a
 
 
 def test_negacyclic_wraparound(ring):
     # x * x^(n-1) = x^n = -1
-    x = ring.monomial(1)
-    xn1 = ring.monomial(ring.n - 1)
-    prod = ring.mul(x, xn1)
-    assert prod == ring.monomial(0, ring.q - 1)
+    x = monomial(ring, 1)
+    xn1 = monomial(ring, ring.n - 1)
+    prod = mul(ring, x, xn1)
+    assert prod == monomial(ring, 0, ring.q - 1)
 
 
 def test_schoolbook_examples(ring, rng):
     a = random_poly(ring, rng)
-    assert ring.schoolbook_mul(a, ring.zero()) == ring.zero()
-    assert ring.schoolbook_mul(a, ring.one()) == a
-    half = ring.monomial(ring.n // 2)
-    assert ring.schoolbook_mul(half, half) == ring.monomial(0, ring.q - 1)
+    assert schoolbook_mul(ring, a, zero(ring)) == zero(ring)
+    assert schoolbook_mul(ring, a, one(ring)) == a
+    half = monomial(ring, ring.n // 2)
+    assert schoolbook_mul(ring, half, half) == monomial(ring, 0, ring.q - 1)
 
 
 def test_ntt_mul_matches_schoolbook(ring, rng):
     for _ in range(50):
         a, b = random_poly(ring, rng), random_poly(ring, rng)
-        assert ring.mul(a, b) == ring.schoolbook_mul(a, b)
+        assert mul(ring, a, b) == schoolbook_mul(ring, a, b)
 
 
 def test_ring_axioms(ring, rng):
     for _ in range(10):
         a, b, c = (random_poly(ring, rng) for _ in range(3))
-        assert ring.mul(a, b) == ring.mul(b, a)
-        assert ring.mul(ring.mul(a, b), c) == ring.mul(a, ring.mul(b, c))
-        assert ring.mul(a, ring.add(b, c)) == ring.add(ring.mul(a, b), ring.mul(a, c))
+        assert mul(ring, a, b) == mul(ring, b, a)
+        assert mul(ring, mul(ring, a, b), c) == mul(ring, a, mul(ring, b, c))
+        assert mul(ring, a, ring.add(b, c)) == ring.add(mul(ring, a, b), mul(ring, a, c))
 
 
 # -- additive arithmetic ---------------------------------------------------------
 
 def test_add_sub(ring, rng):
     a = random_poly(ring, rng)
-    assert ring.add(a, ring.zero()) == a
-    assert ring.sub(a, a) == ring.zero()
+    assert ring.add(a, zero(ring)) == a
+    assert ring.sub(a, a) == zero(ring)
     top = ring.poly(np.full(ring.n, ring.q - 1, dtype=np.int64))
     one_everywhere = ring.poly(np.ones(ring.n, dtype=np.int64))
-    assert ring.add(top, one_everywhere) == ring.zero()
+    assert ring.add(top, one_everywhere) == zero(ring)
+    # one conditional correction against int64 % q, over every sum and
+    # difference class: both wrap directions, 0 and q-1 on either side
+    edges = np.array([0, 1, ring.q // 2, ring.q - 2, ring.q - 1])
+    x, y = (v.ravel() for v in np.meshgrid(edges, edges))
+    b = random_poly(ring, rng)
+    pairs = [(a.coeffs, b.coeffs), (np.resize(x, ring.n), np.resize(y, ring.n))]
+    for u, v in pairs:
+        pu, pv = ring.poly(u), ring.poly(v)
+        wide_u, wide_v = u.astype(np.int64), v.astype(np.int64)
+        assert np.array_equal(ring.add(pu, pv).coeffs, (wide_u + wide_v) % ring.q)
+        assert np.array_equal(ring.sub(pu, pv).coeffs, (wide_u - wide_v) % ring.q)
+        assert ring.add(pu, pv).coeffs.dtype == ring.sub(pu, pv).coeffs.dtype == np.int32
+    # values built directly from int64 arrays are refused, not reduced wrongly
+    wide = Poly(a.coeffs.astype(np.int64))
+    with pytest.raises(DomainError):
+        ring.sub(wide, wide)
+    with pytest.raises(DomainError):
+        ring.add(PolyVec(np.stack([wide.coeffs] * ring.k), Poly), ring.vec([a] * ring.k))
 
 
 def test_vector_add(ring, rng):
     u = ring.vec([random_poly(ring, rng) for _ in range(ring.k)])
-    z = ring.vec([ring.zero() for _ in range(ring.k)])
+    z = ring.vec([zero(ring) for _ in range(ring.k)])
     assert ring.add(u, z) == u
     assert ring.sub(u, u) == z
 
@@ -167,19 +190,19 @@ def test_vector_add(ring, rng):
 # -- module operations ------------------------------------------------------------
 
 def test_matvec_identity(ring):
-    one_hat = ring.ntt(ring.one())
-    zero_hat = ring.ntt(ring.zero())
+    one_hat = ring.ntt(one(ring))
+    zero_hat = ring.ntt(zero(ring))
     eye = ntt_matrix(
         [[one_hat if i == j else zero_hat for j in range(ring.k)] for i in range(ring.k)]
     )
-    v = ring.vec(ring.ntt(ring.monomial(i + 1, 5 + i)) for i in range(ring.k))
+    v = ring.vec(ring.ntt(monomial(ring, i + 1, 5 + i)) for i in range(ring.k))
     assert ring.matvec(eye, v) == v
     assert ring.matvec(eye, v, transpose=True) == v
 
 
 def test_matvec_zero(ring, rng):
     mat = random_ntt_matrix(ring, rng)
-    z = ring.vec(ring.ntt(ring.zero()) for _ in range(ring.k))
+    z = ring.vec(ring.ntt(zero(ring)) for _ in range(ring.k))
     assert ring.matvec(mat, z) == z
 
 
@@ -200,21 +223,21 @@ def test_matvec_matches_schoolbook(ring, rng):
     for transpose in (False, True):
         fast = ring.vec_intt(ring.matvec(mat, vec, transpose=transpose))
         for i in range(ring.k):
-            acc = ring.zero()
+            acc = zero(ring)
             for j in range(ring.k):
                 entry = coeff_mat[j][i] if transpose else coeff_mat[i][j]
-                acc = ring.add(acc, ring.schoolbook_mul(entry, coeff_vec[j]))
+                acc = ring.add(acc, schoolbook_mul(ring, entry, coeff_vec[j]))
             assert fast[i] == acc
 
 
 def test_inner_product(ring, rng):
     b = random_ntt_vec(ring, rng)
     slot0 = ring.vec(
-        ring.ntt(ring.one()) if i == 0 else ring.ntt(ring.zero()) for i in range(ring.k)
+        ring.ntt(one(ring)) if i == 0 else ring.ntt(zero(ring)) for i in range(ring.k)
     )
     assert ring.inner_product(slot0, b) == b[0]
-    zeros = ring.vec(ring.ntt(ring.zero()) for _ in range(ring.k))
-    assert ring.inner_product(b, zeros) == ring.ntt(ring.zero())
+    zeros = ring.vec(ring.ntt(zero(ring)) for _ in range(ring.k))
+    assert ring.inner_product(b, zeros) == ring.ntt(zero(ring))
 
 
 def test_inner_product_matches_schoolbook(ring, rng):
@@ -223,10 +246,26 @@ def test_inner_product_matches_schoolbook(ring, rng):
     a = ring.vec(ring.ntt(e) for e in a_coeff)
     b = ring.vec(ring.ntt(e) for e in b_coeff)
     fast = ring.intt(ring.inner_product(a, b))
-    slow = ring.zero()
+    slow = zero(ring)
     for x, y in zip(a_coeff, b_coeff):
-        slow = ring.add(slow, ring.schoolbook_mul(x, y))
+        slow = ring.add(slow, schoolbook_mul(ring, x, y))
     assert fast == slow
+
+
+def test_module_products_at_the_int32_bound(ring):
+    # all entries q-1: each slot sums k = 2 products of (q-1)^2, the largest
+    # int32 accumulation validate_params allows; compare with int64 arithmetic
+    assert ring.k == 2 and ring.k * (ring.q - 1) ** 2 < 2**31
+    top = np.full((ring.k, ring.k, ring.n), ring.q - 1, dtype=np.int32)
+    mat, vec = NttMatrix(top), PolyVec(top[0], NttPoly)
+    expected = ring.k * (ring.q - 1) ** 2 % ring.q
+    for transpose in (False, True):
+        out = ring.matvec(mat, vec, transpose=transpose).data
+        assert out.dtype == np.int32
+        assert np.array_equal(out, (top.astype(np.int64) * top[0]).sum(axis=-2) % ring.q)
+        assert (out == expected).all()
+    inner = ring.inner_product(vec, vec).evals
+    assert inner.dtype == np.int32 and (inner == expected).all()
 
 
 def test_z3_forms_agree(ring, rng):
@@ -277,23 +316,28 @@ def test_poly_validation(ring):
         ring.poly(np.zeros(ring.n - 1, dtype=np.int64))
     with pytest.raises(ValueError):
         ring.poly(np.full(ring.n, -1, dtype=np.int64))
+    # range-checked before the int32 cast, which would wrap 2^32 to 0
+    with pytest.raises(ValueError):
+        ring.poly([2**32] + [0] * (ring.n - 1))
+    with pytest.raises(ValueError):
+        ring.poly(np.full(ring.n, 2**32 + 1, dtype=np.int64))
+    assert ring.poly([ring.q - 1] * ring.n).coeffs.dtype == np.int32
 
 
 def test_infinity_norm_centered(ring):
     p = ring.poly(np.array([0, 1, ring.q - 1, 6144, 6145] + [0] * (ring.n - 5), dtype=np.int64))
     # q - 6145 = 6144, so both middle values sit at the maximum distance
     assert ring.infinity_norm(p) == 6144
-    assert ring.infinity_norm(ring.monomial(3, ring.q - 16)) == 16
-    v = ring.vec([ring.monomial(0, 5), ring.monomial(1, ring.q - 9)])
+    assert ring.infinity_norm(monomial(ring, 3, ring.q - 16)) == 16
+    v = ring.vec([monomial(ring, 0, 5), monomial(ring, 1, ring.q - 9)])
     assert ring.infinity_norm(v) == 9
-    centered = ring.centered(ring.monomial(0, ring.q - 2))
-    assert centered[0] == -2
+    assert centered(ring, monomial(ring, 0, ring.q - 2))[0] == -2
 
 
 # -- leading batch axes -------------------------------------------------------------
 
 def random_batch(ring, rng, *shape):
-    return rng.integers(0, ring.q, shape + (ring.n,), dtype=np.int64)
+    return rng.integers(0, ring.q, shape + (ring.n,), dtype=np.int64).astype(np.int32)
 
 
 def test_batched_transforms_match_rows(ring, rng):

@@ -9,6 +9,7 @@ from mlds import ParamSet, gen_a, gen_se, get_ring, hash_h, crh
 from mlds.sampling import gen_se_vec
 
 import keccak_oracle
+from ring_oracle import centered
 
 ZERO_SEED = bytes(32)
 
@@ -201,7 +202,7 @@ def _centered_samples(ring, num_polys: int, seed: bytes) -> np.ndarray:
     assert num_polys <= 256  # one byte of nonce space per seed
     cs = []
     for nonce in range(num_polys):
-        cs.append(ring.centered(gen_se(seed, nonce, ring)))
+        cs.append(centered(ring, gen_se(seed, nonce, ring)))
     return np.concatenate(cs)
 
 

@@ -15,6 +15,8 @@ from mlds.scheme import (
 from mlds.sampling import hash_h
 from mlds.codec import encode_bits
 
+from ring_oracle import zero, schoolbook_mul
+
 
 ZETA = bytes(range(32))
 COIN = bytes.fromhex("aa" * 32)
@@ -108,7 +110,7 @@ def test_z2_decomposition_exact(ring, keypair, rng):
         lhs = ring.sub(sig.z2, signer_value)
         rhs = e4
         for ei, e2i in zip(e, e2):
-            rhs = ring.add(rhs, ring.schoolbook_mul(ei, e2i))
+            rhs = ring.add(rhs, schoolbook_mul(ring, ei, e2i))
         assert lhs == rhs
 
 
@@ -145,7 +147,7 @@ def test_message_flip_rejects_mu(keypair, z2_sig):
 
 def test_zeroed_z3_rejects(ring, keypair, z2_sig):
     pk, _ = keypair
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=ring.zero(), h=z2_sig.h)
+    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=zero(ring), h=z2_sig.h)
     assert not verify(pk, MSG, broken, policy=Z2_DERIVED).ok
 
 
@@ -175,11 +177,34 @@ def test_in_memory_out_of_range_coefficient_rejects_as_parse(keypair, z2_sig, pa
     pk, _ = keypair
     parts = {"z1": z2_sig.z1.data.copy(), "z2": z2_sig.z2.coeffs.copy(),
              "z3": z2_sig.z3.coeffs.copy()}
-    parts[part][..., 7] = bad_value
+    parts[part][..., 7] = bad_value  # -1 is a negative int32 entry
+    assert parts[part].dtype == np.int32
     broken = Signature(z1=PolyVec(parts["z1"], Poly), z2=Poly(parts["z2"]),
                        z3=Poly(parts["z3"]), h=z2_sig.h)
     result = verify(pk, MSG, broken, policy=Z2_DERIVED)
     assert not result.ok and result.reason == "parse"
+
+
+def test_in_memory_int64_signature_rejects_as_parse(keypair, z2_sig):
+    # the same in-range values, but not in the int32 the ring computes in
+    pk, _ = keypair
+    wide = Signature(z1=PolyVec(z2_sig.z1.data.astype(np.int64), Poly),
+                     z2=Poly(z2_sig.z2.coeffs.astype(np.int64)),
+                     z3=Poly(z2_sig.z3.coeffs.astype(np.int64)), h=z2_sig.h)
+    result = verify(pk, MSG, wide, policy=Z2_DERIVED)
+    assert not result.ok and result.reason == "parse"
+
+
+def test_every_ring_value_is_int32(ring, keypair, z2_sig):
+    pk, sk = keypair
+    parsed_pk = parse_pk(serialize_pk(pk, ring), ring)
+    parsed_sig = parse_sig(serialize_sig(z2_sig, ring), ring)
+    payload = encode_bits(mu_payload_bits(crh(MSG), DEFAULT_PARAMS), ring)
+    arrays = [pk.p_vec.data, pk.a_hat.data, sk.s.data, parsed_pk.p_vec.data, parsed_pk.a_hat.data,
+              payload.coeffs]
+    for sig in (z2_sig, parsed_sig):
+        arrays += [sig.z1.data, sig.z2.coeffs, sig.z3.coeffs]
+    assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
 
 
 def test_literal_policy_signature_against_z2_check(keypair):
