@@ -17,6 +17,11 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
     sk  = header || pack(s_0) || ... || pack(s_{k-1})
     sig = header || pack(z1_0) || ... || pack(z1_{k-1}) || pack(z2)
                  || pack(z3) || h(32)
+
+Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
+m * 448 bytes into an (n,) Poly for m = 1 and an (m, n) stack otherwise,
+with one length and one range check over all rows; a serializer packs its
+key or signature as one (k, n) or (k + 2, n) stack and refuses a batch.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .params import ParamSet
-from .ring import Ring, Poly
+from .ring import Ring, Poly, PolyVec
 from .sampling import SEED_BYTES
 
 MAGIC = b"MLDS"
@@ -105,33 +110,37 @@ def _require_packable(p: ParamSet) -> None:
         )
 
 
-# Each group of four coefficients is one 56-bit little-endian integer, read
-# and written through a zero-padded 8-byte "<u8" lane.
+# Each group of four coefficients is one 56-bit little-endian integer in a zero-padded
+# 8-byte "<u8" lane. Its 14-bit fields are disjoint: packing sums them, weighted.
 _LANE_SHIFTS = np.arange(4, dtype=np.uint64) * PACK_BITS
+_LANE_WEIGHTS = np.uint64(1) << _LANE_SHIFTS
 _LANE_MASK = (1 << PACK_BITS) - 1
 
 
 def pack_poly(v: Poly, ring: Ring) -> bytes:
-    """Pack coefficients little-endian, 14 bits each, 4 coefficients per 7 bytes."""
-    _require_packable(ring.params)
-    c = v.coeffs.astype(np.uint64).reshape(-1, 4)
-    groups = np.bitwise_or.reduce(c << _LANE_SHIFTS, axis=1).astype("<u8")
+    """Pack the (n,) rows of a (..., n) int32 stack in order, 14 bits each, 4 per 7 bytes."""
+    p = ring.params
+    _require_packable(p)
+    c = v.coeffs  # a negative int32 read as uint32 is >= q: one maximum checks [0, q)
+    if c.dtype != np.int32 or c.shape[-1:] != (p.n,) or not c.size or c.view(np.uint32).max() >= p.q:
+        raise CodecError(f"pack_poly takes int32 coefficients in [0, {p.q}) on an axis of {p.n}")
+    groups = (c.astype(np.uint64).reshape(-1, 4) @ _LANE_WEIGHTS).astype("<u8", copy=False)
     return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
 
 
 def unpack_poly(data: bytes, ring: Ring) -> Poly:
+    """Unpack m * poly_bytes bytes: an (n,) Poly for m = 1, an (m, n) stack otherwise."""
     p = ring.params
     _require_packable(p)
-    expected = poly_bytes(p)
-    if len(data) != expected:
-        raise LengthError(f"packed polynomial must be {expected} bytes, got {len(data)}")
-    lanes = np.zeros((expected // 7, 8), dtype=np.uint8)
+    step = poly_bytes(p)
+    if not data or len(data) % step:
+        raise LengthError(f"packed rows must be a positive multiple of {step} bytes, got {len(data)}")
+    lanes = np.zeros((len(data) // 7, 8), dtype=np.uint8)
     lanes[:, :7] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 7)
-    groups = lanes.view("<u8")
-    coeffs = ((groups >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32).reshape(-1)
+    coeffs = ((lanes.view("<u8") >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32)
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
-    return Poly(coeffs)
+    return Poly(coeffs.reshape((-1, p.n) if len(data) > step else (p.n,)))
 
 
 # -- key / signature formats ---------------------------------------------------
@@ -164,10 +173,17 @@ def sig_bytes(p: ParamSet) -> int:
     return HEADER_BYTES + (p.k + 2) * poly_bytes(p) + SEED_BYTES
 
 
+def _pack_one(kind: str, ring: Ring, vec: PolyVec, *polys: Poly) -> bytes:
+    """The k rows of vec, then polys, in one pack_poly call; a batch of values is refused."""
+    k, n = ring.k, ring.n
+    if vec.domain is not Poly or vec.data.shape != (k, n) or any(e.coeffs.shape != (n,) for e in polys):
+        raise CodecError(f"a {kind} is serialized as one coefficient-domain value, not a batch")
+    rows = np.concatenate((vec.data, *(e.coeffs[None] for e in polys)))
+    return pack_poly(Poly(rows), ring)
+
+
 def serialize_pk(pk, ring: Ring) -> bytes:
-    out = [_header(ring.params), pk.rho]
-    out.extend(pack_poly(e, ring) for e in pk.p_vec)
-    return b"".join(out)
+    return b"".join((_header(ring.params), pk.rho, _pack_one("public key", ring, pk.p_vec)))
 
 
 def parse_pk(data: bytes, ring: Ring):
@@ -177,19 +193,12 @@ def parse_pk(data: bytes, ring: Ring):
     body = _split_header(data, p, "public key")
     if len(data) != pk_bytes(p):
         raise LengthError(f"public key must be {pk_bytes(p)} bytes, got {len(data)}")
-    rho = body[:SEED_BYTES]
-    step = poly_bytes(p)
-    elems = []
-    for i in range(p.k):
-        off = SEED_BYTES + i * step
-        elems.append(unpack_poly(body[off : off + step], ring))
-    return public_key(rho, ring.vec(elems), ring)
+    rows = unpack_poly(body[SEED_BYTES:], ring).coeffs.reshape(p.k, p.n)
+    return public_key(body[:SEED_BYTES], PolyVec(rows, Poly), ring)
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:
-    out = [_header(ring.params)]
-    out.extend(pack_poly(e, ring) for e in sk.s)
-    return b"".join(out)
+    return _header(ring.params) + _pack_one("secret key", ring, sk.s)
 
 
 def parse_sk(data: bytes, ring: Ring):
@@ -199,18 +208,11 @@ def parse_sk(data: bytes, ring: Ring):
     body = _split_header(data, p, "secret key")
     if len(data) != sk_bytes(p):
         raise LengthError(f"secret key must be {sk_bytes(p)} bytes, got {len(data)}")
-    step = poly_bytes(p)
-    elems = [unpack_poly(body[i * step : (i + 1) * step], ring) for i in range(p.k)]
-    return SecretKey(s=ring.vec(elems))
+    return SecretKey(s=PolyVec(unpack_poly(body, ring).coeffs.reshape(p.k, p.n), Poly))
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
-    out = [_header(ring.params)]
-    out.extend(pack_poly(e, ring) for e in sig.z1)
-    out.append(pack_poly(sig.z2, ring))
-    out.append(pack_poly(sig.z3, ring))
-    out.append(sig.h)
-    return b"".join(out)
+    return b"".join((_header(ring.params), _pack_one("signature", ring, sig.z1, sig.z2, sig.z3), sig.h))
 
 
 def parse_sig(data: bytes, ring: Ring):
@@ -220,9 +222,6 @@ def parse_sig(data: bytes, ring: Ring):
     body = _split_header(data, p, "signature")
     if len(data) != sig_bytes(p):
         raise LengthError(f"signature must be {sig_bytes(p)} bytes, got {len(data)}")
-    step = poly_bytes(p)
-    z1 = [unpack_poly(body[i * step : (i + 1) * step], ring) for i in range(p.k)]
-    z2 = unpack_poly(body[p.k * step : (p.k + 1) * step], ring)
-    z3 = unpack_poly(body[(p.k + 1) * step : (p.k + 2) * step], ring)
-    h = body[(p.k + 2) * step :]
-    return Signature(z1=ring.vec(z1), z2=z2, z3=z3, h=h)
+    end = (p.k + 2) * poly_bytes(p)
+    rows = unpack_poly(body[:end], ring).coeffs
+    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]), body[end:])

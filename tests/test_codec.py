@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlds import (
-    DEFAULT_PARAMS, get_ring, keygen, sign, Z2_DERIVED,
+    DEFAULT_PARAMS, ParamSet, Poly, get_ring, keygen, sign, verify, Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
     HeaderError, LengthError, CoefficientRangeError, CodecError,
@@ -12,6 +12,8 @@ from mlds.codec import (
     HEADER_BYTES, PACK_BITS, SEED_BYTES,
     bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
+from mlds.sampling import crh
+from mlds.scheme import SecretKey, _keygen_steps, _sign_steps
 
 from conftest import random_poly
 from ring_oracle import zero, monomial
@@ -141,10 +143,46 @@ def test_unpack_rejects_out_of_range(ring):
 
 
 def test_unpack_rejects_bad_length(ring):
-    with pytest.raises(LengthError):
-        unpack_poly(bytes(447), ring)
-    with pytest.raises(LengthError):
-        unpack_poly(bytes(449), ring)
+    for size in (0, 447, 449, 2 * 448 + 1):
+        with pytest.raises(LengthError):
+            unpack_poly(bytes(size), ring)
+
+
+@given(m=st.integers(1, DEFAULT_PARAMS.k + 2), seed=st.integers(0, 2**32 - 1),
+       at=st.integers(min_value=0), edge=st.sampled_from([0, DEFAULT_PARAMS.q - 1]))
+def test_pack_unpack_stack_roundtrip(m, seed, at, edge):
+    n = DEFAULT_PARAMS.n
+    x = np.random.default_rng(seed).integers(0, DEFAULT_PARAMS.q, (m, n), dtype=np.int32)
+    x.flat[at % x.size] = edge
+    wire = pack_poly(Poly(x), FUZZ_RING)
+    assert len(wire) == m * poly_bytes(DEFAULT_PARAMS)
+    out = unpack_poly(wire, FUZZ_RING).coeffs
+    assert out.dtype == np.int32 and out.shape == ((n,) if m == 1 else (m, n))
+    assert np.array_equal(out.reshape(m, n), x)
+
+
+@given(m=st.integers(1, DEFAULT_PARAMS.k + 2), seed=st.integers(0, 2**32 - 1),
+       at=st.integers(min_value=0),
+       bad=st.one_of(st.integers(DEFAULT_PARAMS.q, 2**31 - 1), st.integers(-2**31, -1)))
+def test_pack_rejects_out_of_range_stack(m, seed, at, bad):
+    # a value >= 2^14 would otherwise spill into the neighbouring 14-bit field
+    x = np.random.default_rng(seed).integers(0, DEFAULT_PARAMS.q, (m, DEFAULT_PARAMS.n), dtype=np.int32)
+    x.flat[at % x.size] = bad
+    with pytest.raises(CodecError):
+        pack_poly(Poly(x), FUZZ_RING)
+
+
+@pytest.mark.parametrize("coeffs", [
+    np.ones((2, 256), dtype=np.int64),
+    np.ones(256, dtype=np.float64),
+    np.ones((2, 252), dtype=np.int32),
+    np.ones((256, 1), dtype=np.int32),
+    np.ones((0, 256), dtype=np.int32),
+    np.int32(1),
+], ids=["int64", "float64", "axis-252", "axis-1", "empty", "scalar"])
+def test_pack_rejects_bad_dtype_or_axis(coeffs, ring):
+    with pytest.raises(CodecError):
+        pack_poly(Poly(coeffs), ring)
 
 
 # -- file formats -------------------------------------------------------------------
@@ -217,6 +255,48 @@ def test_parse_rejects_range_violation(ring, keypair_sig):
     blob[6:13] = b"\xff" * 7
     with pytest.raises(CoefficientRangeError):
         parse_sig(bytes(blob), ring)
+
+
+def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair_sig):
+    # the one range check over all k + 2 rows reaches the last coefficient of z3
+    _, _, sig = keypair_sig
+    blob = bytearray(serialize_sig(sig, ring))
+    end = HEADER_BYTES + (params.k + 2) * poly_bytes(params)
+    # 16383 in the fourth 14-bit field of the last 7-byte group
+    group = int.from_bytes(blob[end - 7 : end], "little") | ((1 << PACK_BITS) - 1) << (3 * PACK_BITS)
+    blob[end - 7 : end] = group.to_bytes(7, "little")
+    assert parse_sig(serialize_sig(sig, ring), ring).z3.coeffs[-1] < params.q
+    with pytest.raises(CodecError):
+        parse_sig(bytes(blob), ring)
+
+
+@pytest.fixture(scope="module")
+def unserializable(ring, keypair_sig):
+    pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    sig = _sign_steps(sk, pk, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
+    ntt_sk = SecretKey(s=ring.vec_ntt(keypair_sig[1].s))
+    return {"pk": (serialize_pk, pk), "sk": (serialize_sk, sk), "sig": (serialize_sig, sig),
+            "ntt-sk": (serialize_sk, ntt_sk)}
+
+
+@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk"])
+def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
+    # a batch of two keys or signatures, and a key in the NTT domain
+    serialize, value = unserializable[kind]
+    with pytest.raises(CodecError):
+        serialize(value, ring)
+
+
+def test_rank_1_roundtrip():
+    # k = 1 keys unpack as one (n,) row and still parse to a (1, n) module vector
+    params = ParamSet(k=1, param_id=2)
+    ring1 = get_ring(params)
+    pk, sk = keygen(bytes(32), params)
+    pk2 = parse_pk(serialize_pk(pk, ring1), ring1)
+    assert pk2.p_vec.data.shape == (1, params.n) and pk2.p_vec == pk.p_vec
+    assert parse_sk(serialize_sk(sk, ring1), ring1).s == sk.s
+    sig = parse_sig(serialize_sig(sign(sk, pk, b"k1", bytes(32), params), ring1), ring1)
+    assert verify(pk2, b"k1", sig, params).ok
 
 
 # -- parser fuzzing -------------------------------------------------------------------
