@@ -98,7 +98,7 @@ def cmd_verify(args) -> int:
     pk = codec.parse_pk(_read_file(args.pk), ring)
     sig = codec.parse_sig(_read_file(args.sig), ring)
     message = _read_file(args.msg)
-    result = verify(pk, message, sig, DEFAULT_PARAMS, POLICIES[args.policy])
+    result = verify(pk, message, sig, DEFAULT_PARAMS)
     if result.ok:
         print("accept")
         return EXIT_OK
@@ -111,13 +111,12 @@ def cmd_kat(args) -> int:
         raise UsageError("--count must be >= 1")
     master = _parse_seed(args.seed)
     ring = get_ring(DEFAULT_PARAMS)
-    policy = POLICIES[args.policy]
     lines = []
     for i in range(args.count):
         zeta, r, msg = derive_case_seeds(master, i)
         pk, sk = keygen(zeta, DEFAULT_PARAMS)
-        sig = sign(sk, pk, msg, r, DEFAULT_PARAMS, policy)
-        verdict = "accept" if verify(pk, msg, sig, DEFAULT_PARAMS, policy).ok else "reject"
+        sig = sign(sk, pk, msg, r, DEFAULT_PARAMS, POLICIES[args.policy])
+        verdict = "accept" if verify(pk, msg, sig, DEFAULT_PARAMS).ok else "reject"
         lines.append(
             f"case {i}: zeta={zeta.hex()} r={r.hex()} msg={msg.hex()}"
             f" pk={codec.serialize_pk(pk, ring).hex()}"
@@ -194,7 +193,7 @@ def cmd_estimate(args) -> int:
     for inst in instances:
         for kind in ("primal", "dual"):
             a = inst[kind]
-            print(f"{p.n:>4} {p.q:>6} {p.k:>2} {p.eta:>3} | "
+            print(f"{p.n:>4} {inst['q']:>6} {p.k:>2} {args.eta:>3} | "
                   f"{sizes.pk_it:>6.1f} {sizes.sk_it:>6.1f} {sizes.sig_it:>6.1f} | "
                   f"{kind:>6} {inst['n_lwe']:>5} {a['m']:>5} {a['b']:>5} "
                   f"{a['classical_bits']:>9} {a['quantum_bits']:>8}")
@@ -216,7 +215,7 @@ def cmd_info(args) -> int:
     print(f"sizes (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
           f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "
           f"sig {sizes.sig_it:.1f} it / {sizes.sig_wire} wire")
-    print("h policies: z2 (recomputable, default), literal (signer binds the secret path)")
+    print("h policies (signing only): z2 (recomputable, default), literal (signer binds the secret path)")
     return EXIT_OK
 
 
@@ -242,7 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("--pk", required=True)
     vf.add_argument("--msg", required=True)
     vf.add_argument("--sig", required=True)
-    vf.add_argument("--policy", choices=sorted(POLICIES), default="z2")
     vf.set_defaults(func=cmd_verify)
 
     kat = sub.add_parser("kat", help="deterministic known-answer fixtures")

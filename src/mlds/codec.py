@@ -20,8 +20,8 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
 m * 448 bytes into an (n,) Poly for m = 1 and an (m, n) stack otherwise,
-with one length and one range check over all rows; a serializer packs its
-key or signature as one (k, n) or (k + 2, n) stack and refuses a batch.
+with one length and one range check over all rows. A serializer packs one
+(k, n) or (k + 2, n) stack and refuses a batch, or a rho or h not 32 B long.
 """
 
 from __future__ import annotations
@@ -182,8 +182,15 @@ def _pack_one(kind: str, ring: Ring, vec: PolyVec, *polys: Poly) -> bytes:
     return pack_poly(Poly(rows), ring)
 
 
+def _seed(value, what: str) -> bytes:
+    """A SEED_BYTES-long rho or h, refused otherwise: parse would refuse its wire."""
+    if len(value) != SEED_BYTES:
+        raise CodecError(f"{what} must be {SEED_BYTES} bytes")
+    return value
+
+
 def serialize_pk(pk, ring: Ring) -> bytes:
-    return b"".join((_header(ring.params), pk.rho, _pack_one("public key", ring, pk.p_vec)))
+    return b"".join((_header(ring.params), _seed(pk.rho, "rho"), _pack_one("public key", ring, pk.p_vec)))
 
 
 def parse_pk(data: bytes, ring: Ring):
@@ -212,7 +219,8 @@ def parse_sk(data: bytes, ring: Ring):
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
-    return b"".join((_header(ring.params), _pack_one("signature", ring, sig.z1, sig.z2, sig.z3), sig.h))
+    return b"".join((_header(ring.params), _pack_one("signature", ring, sig.z1, sig.z2, sig.z3),
+                     _seed(sig.h, "h")))
 
 
 def parse_sig(data: bytes, ring: Ring):

@@ -171,8 +171,6 @@ class NttConstants:
     q: int
     gamma: int
     omega: int
-    gamma_inv: int
-    omega_inv: int
     n_inv: int
     split: tuple[int, int]
     forward: np.ndarray
@@ -231,8 +229,7 @@ def _derive_cached(n: int, q: int) -> NttConstants:
         return out
 
     return NttConstants(
-        n=n, q=q, gamma=gamma, omega=omega,
-        gamma_inv=pow(gamma, -1, q), omega_inv=pow(omega, -1, q), n_inv=n_inv,
+        n=n, q=q, gamma=gamma, omega=omega, n_inv=n_inv,
         split=(r1, r2), forward=flat(forward), inverse=flat(inverse),
     )
 

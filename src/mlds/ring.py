@@ -61,7 +61,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ParamSet, NttConstants, derive_ntt_constants, validate_params, ParamError
+from .params import ParamSet, derive_ntt_constants, validate_params, ParamError
 
 
 class DomainError(TypeError):
@@ -161,7 +161,7 @@ def _stack_rows(rows) -> np.ndarray:
 class Ring:
     """Operation set for one parameter set; pure functions, safe to share."""
 
-    def __init__(self, params: ParamSet, constants: NttConstants | None = None):
+    def __init__(self, params: ParamSet):
         errors = validate_params(params)
         if errors:
             raise ParamError("; ".join(errors))
@@ -169,7 +169,7 @@ class Ring:
         self.n = params.n
         self.q = params.q
         self.k = params.k
-        self.constants = constants if constants is not None else derive_ntt_constants(params)
+        self.constants = derive_ntt_constants(params)
         self._forward = self.constants.stages(self.constants.forward)
         self._inverse = self.constants.stages(self.constants.inverse)
 
@@ -177,16 +177,6 @@ class Ring:
 
     def poly(self, values) -> Poly:
         return Poly(_as_coeff_array(values, self.n, self.q))
-
-    def vec(self, elems) -> PolyVec:
-        """Stack k ring elements of one domain into a module vector."""
-        elems = tuple(elems)
-        if len(elems) != self.k:
-            raise ValueError(f"expected module rank {self.k}, got {len(elems)}")
-        domain = type(elems[0])
-        if domain not in (Poly, NttPoly) or any(type(e) is not domain for e in elems):
-            raise DomainError("module vector entries must be all-Poly or all-NttPoly")
-        return PolyVec(_stack_rows([_values(e) for e in elems]), domain)
 
     # -- transforms --------------------------------------------------------
 
@@ -270,14 +260,13 @@ class Ring:
             raise DomainError("pointwise_mul is defined on NTT-domain values only")
         return NttPoly(a.evals * b.evals % self.q)
 
-    def matvec(self, mat: NttMatrix, v: PolyVec, transpose: bool = False) -> PolyVec:
-        """out_i = sum_j M_ij o v_j with M the matrix or its transpose; batch axes broadcast."""
+    def matvec(self, mat: NttMatrix, v: PolyVec) -> PolyVec:
+        """M^T o v: out_j = sum_i M_ij o v_i; batch axes broadcast."""
         if v.domain is not NttPoly:
             raise DomainError("matvec operates on NTT-domain vectors")
         if mat.data.shape[-3:-1] != (len(v), len(v)):
             raise DomainError("matrix/vector rank mismatch")
-        m = mat.data.swapaxes(-3, -2) if transpose else mat.data
-        return PolyVec((m * v.data[..., None, :, :]).sum(axis=-2, dtype=np.int32) % self.q, NttPoly)
+        return PolyVec((mat.data * v.data[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NttPoly)
 
     def inner_product(self, a: PolyVec, b: PolyVec) -> NttPoly:
         """sum_i a_i o b_i, one ring element in NTT domain (per trial of a batch)."""

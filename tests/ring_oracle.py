@@ -1,5 +1,6 @@
-"""Ring helpers that only the tests use: constants, an NTT product and the
-O(n^2) schoolbook product it is checked against.
+"""Ring helpers that only the tests use: constants, module vectors built from
+ring elements, an NTT product and the O(n^2) schoolbook product it is
+checked against.
 
 ``schoolbook_mul`` shares no arithmetic with the NTT path: a plain integer
 convolution folded by x^n = -1. It accumulates in int64, because the
@@ -9,7 +10,7 @@ beyond the int32 the ring stores its values in.
 
 import numpy as np
 
-from mlds import DomainError, NttPoly, Poly
+from mlds import DomainError, NttPoly, Poly, PolyVec
 
 
 def zero(ring) -> Poly:
@@ -24,6 +25,18 @@ def monomial(ring, degree: int, coeff: int = 1) -> Poly:
     c = np.zeros(ring.n, dtype=np.int32)
     c[degree] = coeff % ring.q
     return ring.poly(c)
+
+
+def vec(ring, elems) -> PolyVec:
+    """Stack k ring elements of one domain into a module vector."""
+    elems = tuple(elems)
+    if len(elems) != ring.k:
+        raise ValueError(f"expected module rank {ring.k}, got {len(elems)}")
+    domain = type(elems[0])
+    if domain not in (Poly, NttPoly) or any(type(e) is not domain for e in elems):
+        raise DomainError("module vector entries must be all-Poly or all-NttPoly")
+    rows = [e.coeffs if domain is Poly else e.evals for e in elems]
+    return PolyVec(np.stack(rows, axis=-2), domain)
 
 
 def ntt_poly(ring, values) -> NttPoly:

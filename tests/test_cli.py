@@ -49,8 +49,7 @@ def test_sign_verify_roundtrip_z2(tmp_path, keyfiles, rng):
     assert run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
                    "--out-sig", str(sig), "--policy", "z2") == EXIT_OK
     assert sig.stat().st_size == 1830
-    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig),
-                   "--policy", "z2") == EXIT_OK
+    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_OK
 
 
 def test_verify_rejects_wrong_message(tmp_path, keyfiles, rng, capsys):
@@ -62,8 +61,7 @@ def test_verify_rejects_wrong_message(tmp_path, keyfiles, rng, capsys):
             "--out-sig", str(sig), "--policy", "z2")
     other = tmp_path / "other.bin"
     other.write_bytes(b"different payload")
-    code = run_cli("verify", "--pk", str(pk), "--msg", str(other), "--sig", str(sig),
-                   "--policy", "z2")
+    code = run_cli("verify", "--pk", str(pk), "--msg", str(other), "--sig", str(sig))
     assert code == EXIT_REJECT
     assert "mu-mismatch" in capsys.readouterr().err
 
@@ -76,8 +74,7 @@ def test_verify_truncated_sig_is_usage_error(tmp_path, keyfiles, rng):
     run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
             "--out-sig", str(sig), "--policy", "z2")
     sig.write_bytes(sig.read_bytes()[:500])
-    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg),
-                   "--sig", str(sig), "--policy", "z2") == EXIT_USAGE
+    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_USAGE
 
 
 def test_verify_corrupt_magic_is_usage_error(tmp_path, keyfiles, rng):
@@ -90,8 +87,7 @@ def test_verify_corrupt_magic_is_usage_error(tmp_path, keyfiles, rng):
     blob = bytearray(sig.read_bytes())
     blob[0] ^= 0xFF
     sig.write_bytes(bytes(blob))
-    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg),
-                   "--sig", str(sig), "--policy", "z2") == EXIT_USAGE
+    assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_USAGE
 
 
 def test_literal_policy_roundtrip_reports_verdict(tmp_path, keyfiles, rng):
@@ -103,9 +99,17 @@ def test_literal_policy_roundtrip_reports_verdict(tmp_path, keyfiles, rng):
     sig = tmp_path / "msg.sig"
     run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
             "--out-sig", str(sig), "--policy", "literal")
-    code = run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig),
-                   "--policy", "literal")
+    code = run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig))
     assert code in (EXIT_OK, EXIT_REJECT)
+
+
+def test_verify_has_no_policy_option(tmp_path, keyfiles, capsys):
+    # verification is one rule; the policy is chosen when signing
+    pk, _ = keyfiles
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", "--pk", str(pk), "--msg", str(pk), "--sig", str(pk), "--policy", "z2")
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --policy z2" in capsys.readouterr().err
 
 
 def test_missing_file_is_io_error(tmp_path):
@@ -227,6 +231,13 @@ def test_estimate_explicit_instance(capsys):
     out = capsys.readouterr().out
     assert "primal" in out and "dual" in out
     assert "1024" in out
+
+
+def test_estimate_table_prints_the_instance_q_and_eta(capsys):
+    assert run_cli("estimate", "--n-lwe", "512", "--eta", "2", "--q", "7681") == EXIT_OK
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
+    assert [row[9] for row in rows] == ["primal", "dual"]
+    assert {(row[1], row[3]) for row in rows} == {("7681", "2")}
 
 
 def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):

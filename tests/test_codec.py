@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -275,13 +277,19 @@ def unserializable(ring, keypair_sig):
     pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
     sig = _sign_steps(sk, pk, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
     ntt_sk = SecretKey(s=ring.vec_ntt(keypair_sig[1].s))
+    one_pk, _, one_sig = keypair_sig
     return {"pk": (serialize_pk, pk), "sk": (serialize_sk, sk), "sig": (serialize_sig, sig),
-            "ntt-sk": (serialize_sk, ntt_sk)}
+            "ntt-sk": (serialize_sk, ntt_sk),
+            "rho-31": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(31))),
+            "rho-33": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(33))),
+            "h-31": (serialize_sig, dataclasses.replace(one_sig, h=bytes(31))),
+            "h-33": (serialize_sig, dataclasses.replace(one_sig, h=bytes(33)))}
 
 
-@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk"])
+@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk", "rho-31", "rho-33", "h-31", "h-33"])
 def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
-    # a batch of two keys or signatures, and a key in the NTT domain
+    # a batch of two keys or signatures, a key in the NTT domain, and a rho or
+    # h of the wrong length, whose wire parse_pk/parse_sig would refuse
     serialize, value = unserializable[kind]
     with pytest.raises(CodecError):
         serialize(value, ring)

@@ -4,7 +4,7 @@ import pytest
 from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError, ParamSet, get_ring
 
 from conftest import random_poly
-from ring_oracle import zero, one, monomial, ntt_poly, centered, mul, schoolbook_mul
+from ring_oracle import zero, one, monomial, ntt_poly, centered, mul, schoolbook_mul, vec
 
 
 def ntt_matrix(rows):
@@ -18,7 +18,7 @@ def random_ntt_matrix(ring, rng):
 
 
 def random_ntt_vec(ring, rng):
-    return ring.vec(ring.ntt(random_poly(ring, rng)) for _ in range(ring.k))
+    return vec(ring, [ring.ntt(random_poly(ring, rng)) for _ in range(ring.k)])
 
 
 # -- transforms ----------------------------------------------------------------
@@ -177,12 +177,12 @@ def test_add_sub(ring, rng):
     with pytest.raises(DomainError):
         ring.sub(wide, wide)
     with pytest.raises(DomainError):
-        ring.add(PolyVec(np.stack([wide.coeffs] * ring.k), Poly), ring.vec([a] * ring.k))
+        ring.add(PolyVec(np.stack([wide.coeffs] * ring.k), Poly), vec(ring, [a] * ring.k))
 
 
 def test_vector_add(ring, rng):
-    u = ring.vec([random_poly(ring, rng) for _ in range(ring.k)])
-    z = ring.vec([zero(ring) for _ in range(ring.k)])
+    u = vec(ring, [random_poly(ring, rng) for _ in range(ring.k)])
+    z = vec(ring, [zero(ring) for _ in range(ring.k)])
     assert ring.add(u, z) == u
     assert ring.sub(u, u) == z
 
@@ -195,14 +195,13 @@ def test_matvec_identity(ring):
     eye = ntt_matrix(
         [[one_hat if i == j else zero_hat for j in range(ring.k)] for i in range(ring.k)]
     )
-    v = ring.vec(ring.ntt(monomial(ring, i + 1, 5 + i)) for i in range(ring.k))
+    v = vec(ring, [ring.ntt(monomial(ring, i + 1, 5 + i)) for i in range(ring.k)])
     assert ring.matvec(eye, v) == v
-    assert ring.matvec(eye, v, transpose=True) == v
 
 
 def test_matvec_zero(ring, rng):
     mat = random_ntt_matrix(ring, rng)
-    z = ring.vec(ring.ntt(zero(ring)) for _ in range(ring.k))
+    z = vec(ring, [ring.ntt(zero(ring)) for _ in range(ring.k)])
     assert ring.matvec(mat, z) == z
 
 
@@ -219,9 +218,11 @@ def test_matvec_matches_schoolbook(ring, rng):
     coeff_mat = [[random_poly(ring, rng) for _ in range(ring.k)] for _ in range(ring.k)]
     coeff_vec = [random_poly(ring, rng) for _ in range(ring.k)]
     mat = ntt_matrix([[ring.ntt(e) for e in row] for row in coeff_mat])
-    vec = ring.vec(ring.ntt(e) for e in coeff_vec)
+    v = vec(ring, [ring.ntt(e) for e in coeff_vec])
+    # matvec(M, v) is M^T o v, so M with its module axes swapped gives M o v
     for transpose in (False, True):
-        fast = ring.vec_intt(ring.matvec(mat, vec, transpose=transpose))
+        m = mat if transpose else NttMatrix(mat.data.swapaxes(-3, -2))
+        fast = ring.vec_intt(ring.matvec(m, v))
         for i in range(ring.k):
             acc = zero(ring)
             for j in range(ring.k):
@@ -232,19 +233,19 @@ def test_matvec_matches_schoolbook(ring, rng):
 
 def test_inner_product(ring, rng):
     b = random_ntt_vec(ring, rng)
-    slot0 = ring.vec(
+    slot0 = vec(ring, [
         ring.ntt(one(ring)) if i == 0 else ring.ntt(zero(ring)) for i in range(ring.k)
-    )
+    ])
     assert ring.inner_product(slot0, b) == b[0]
-    zeros = ring.vec(ring.ntt(zero(ring)) for _ in range(ring.k))
+    zeros = vec(ring, [ring.ntt(zero(ring)) for _ in range(ring.k)])
     assert ring.inner_product(b, zeros) == ring.ntt(zero(ring))
 
 
 def test_inner_product_matches_schoolbook(ring, rng):
     a_coeff = [random_poly(ring, rng) for _ in range(ring.k)]
     b_coeff = [random_poly(ring, rng) for _ in range(ring.k)]
-    a = ring.vec(ring.ntt(e) for e in a_coeff)
-    b = ring.vec(ring.ntt(e) for e in b_coeff)
+    a = vec(ring, [ring.ntt(e) for e in a_coeff])
+    b = vec(ring, [ring.ntt(e) for e in b_coeff])
     fast = ring.intt(ring.inner_product(a, b))
     slow = zero(ring)
     for x, y in zip(a_coeff, b_coeff):
@@ -257,14 +258,14 @@ def test_module_products_at_the_int32_bound(ring):
     # int32 accumulation validate_params allows; compare with int64 arithmetic
     assert ring.k == 2 and ring.k * (ring.q - 1) ** 2 < 2**31
     top = np.full((ring.k, ring.k, ring.n), ring.q - 1, dtype=np.int32)
-    mat, vec = NttMatrix(top), PolyVec(top[0], NttPoly)
+    mat, v = NttMatrix(top), PolyVec(top[0], NttPoly)
     expected = ring.k * (ring.q - 1) ** 2 % ring.q
-    for transpose in (False, True):
-        out = ring.matvec(mat, vec, transpose=transpose).data
+    for m in (mat, NttMatrix(top.swapaxes(-3, -2))):
+        out = ring.matvec(m, v).data
         assert out.dtype == np.int32
         assert np.array_equal(out, (top.astype(np.int64) * top[0]).sum(axis=-2) % ring.q)
         assert (out == expected).all()
-    inner = ring.inner_product(vec, vec).evals
+    inner = ring.inner_product(v, v).evals
     assert inner.dtype == np.int32 and (inner == expected).all()
 
 
@@ -273,8 +274,8 @@ def test_z3_forms_agree(ring, rng):
     for _ in range(20):
         mat = random_ntt_matrix(ring, rng)
         p_hat, e1_hat = random_ntt_vec(ring, rng), random_ntt_vec(ring, rng)
-        lhs = ring.inner_product(ring.matvec(mat, p_hat), e1_hat)
-        assert lhs == ring.inner_product(p_hat, ring.matvec(mat, e1_hat, transpose=True))
+        lhs = ring.inner_product(ring.matvec(NttMatrix(mat.data.swapaxes(-3, -2)), p_hat), e1_hat)
+        assert lhs == ring.inner_product(p_hat, ring.matvec(mat, e1_hat))
 
 
 # -- domain discipline -------------------------------------------------------------
@@ -293,8 +294,8 @@ def test_domain_mixing_rejected(ring, rng):
     with pytest.raises(DomainError):
         ring.intt(p)
     with pytest.raises(DomainError):
-        ring.vec((p, p_hat))
-    u, u_hat = ring.vec((p, p)), ring.vec((p_hat, p_hat))
+        vec(ring, (p, p_hat))
+    u, u_hat = vec(ring, (p, p)), vec(ring, (p_hat, p_hat))
     with pytest.raises(DomainError):
         ring.add(u, u_hat)
     with pytest.raises(DomainError):
@@ -329,7 +330,7 @@ def test_infinity_norm_centered(ring):
     # q - 6145 = 6144, so both middle values sit at the maximum distance
     assert ring.infinity_norm(p) == 6144
     assert ring.infinity_norm(monomial(ring, 3, ring.q - 16)) == 16
-    v = ring.vec([monomial(ring, 0, 5), monomial(ring, 1, ring.q - 9)])
+    v = vec(ring, [monomial(ring, 0, 5), monomial(ring, 1, ring.q - 9)])
     assert ring.infinity_norm(v) == 9
     assert centered(ring, monomial(ring, 0, ring.q - 2))[0] == -2
 
@@ -357,10 +358,10 @@ def test_batched_module_ops_match_rows(ring, rng):
     c = PolyVec(random_batch(ring, rng, trials, k), Poly)
     assert len(u) == k and u[1].evals.shape == (trials, ring.n)
     vec_hat, vec_back = ring.vec_ntt(c), ring.vec_intt(u)
-    for transpose in (False, True):
-        batched = ring.matvec(mats, u, transpose=transpose)
+    for m in (mats, NttMatrix(mats.data.swapaxes(-3, -2))):
+        batched = ring.matvec(m, u)
         for t in range(trials):
-            row = ring.matvec(NttMatrix(mats.data[t]), PolyVec(u.data[t], NttPoly), transpose)
+            row = ring.matvec(NttMatrix(m.data[t]), PolyVec(u.data[t], NttPoly))
             assert np.array_equal(batched.data[t], row.data)
     inner = ring.inner_product(u, v)
     total = ring.add(c, c)
@@ -378,12 +379,12 @@ def test_unbatched_values_broadcast_against_a_batch(ring, rng):
     mat = random_ntt_matrix(ring, rng)
     p_hat = random_ntt_vec(ring, rng)
     e = PolyVec(random_batch(ring, rng, 3, ring.k), NttPoly)
-    batched = ring.matvec(mat, e, transpose=True)
+    batched = ring.matvec(mat, e)
     inner = ring.inner_product(p_hat, e)
     assert batched.data.shape == (3, ring.k, ring.n) and inner.evals.shape == (3, ring.n)
     for t in range(3):
         et = PolyVec(e.data[t], NttPoly)
-        assert np.array_equal(batched.data[t], ring.matvec(mat, et, transpose=True).data)
+        assert np.array_equal(batched.data[t], ring.matvec(mat, et).data)
         assert np.array_equal(inner.evals[t], ring.inner_product(p_hat, et).evals)
 
 
@@ -405,7 +406,7 @@ def test_batched_domain_mixing_rejected(ring, rng):
     with pytest.raises(DomainError):
         ring.inner_product(c_hat, c)
     with pytest.raises(DomainError):
-        ring.vec((c[0], c_hat[1]))
+        vec(ring, (c[0], c_hat[1]))
     # module rank is axis -2, not the trial axis
     with pytest.raises(DomainError):
         ring.matvec(NttMatrix(random_batch(ring, rng, 3, 3, 3)), c_hat)

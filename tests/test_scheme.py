@@ -51,7 +51,7 @@ def test_keygen_noise_recomputable(ring, keypair):
     # P - intt(A^T o ntt(s)) equals e, a psi_16 sample
     a_hat = gen_a(pk.rho, ring)
     recomputed = ring.sub(
-        pk.p_vec, ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s), transpose=True))
+        pk.p_vec, ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s)))
     )
     assert recomputed == e
     assert ring.infinity_norm(recomputed) <= DEFAULT_PARAMS.eta
@@ -105,7 +105,7 @@ def test_z2_decomposition_exact(ring, keypair, rng):
         sig = sign(sk, pk, MSG, coin, policy=Z2_DERIVED)
         _, e2, _, e4 = expand_signing_noise(coin, ring)
         signer_value = ring.intt(ring.inner_product(
-            ring.matvec(a_hat, ring.vec_ntt(sk.s), transpose=True), ring.vec_ntt(e2)
+            ring.matvec(a_hat, ring.vec_ntt(sk.s)), ring.vec_ntt(e2)
         ))
         lhs = ring.sub(sig.z2, signer_value)
         rhs = e4
@@ -157,10 +157,8 @@ def test_h_flip_rejects_h(keypair, z2_sig):
     h[5] ^= 0x10
     broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=bytes(h))
     result = verify(pk, MSG, broken, policy=Z2_DERIVED)
+    # verify decides mu before h, so an h-mismatch shows the mu branch passed
     assert not result.ok and result.reason == "h-mismatch"
-    # with the h check disabled the mu branch alone accepts
-    relaxed = VerifyPolicy(h_source="z2", check_h=False)
-    assert verify(pk, MSG, broken, policy=relaxed).ok
 
 
 def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
@@ -209,14 +207,32 @@ def test_every_ring_value_is_int32(ring, keypair, z2_sig):
 
 def test_literal_policy_signature_against_z2_check(keypair):
     # the literal-policy h binds the secret-side decode, which essentially
-    # never matches the z2-side decode; the mu branch still holds
+    # never matches the z2-side decode (for this signature it does not, see
+    # test_policies_differ_only_in_h); the mu branch still holds, and verify
+    # decides mu before h
     pk, sk = keypair
     lit = sign(sk, pk, MSG, COIN, policy=SECRET_DERIVED)
     result = verify(pk, MSG, lit, policy=SECRET_DERIVED)
-    if not result.ok:
-        assert result.reason == "h-mismatch"
-    relaxed = VerifyPolicy(h_source="secret", check_h=False)
-    assert verify(pk, MSG, lit, policy=relaxed).ok
+    assert not result.ok and result.reason == "h-mismatch"
+
+
+@pytest.mark.parametrize("signer", [Z2_DERIVED, SECRET_DERIVED], ids=["z2", "literal"])
+def test_verdict_does_not_depend_on_the_policy(keypair, signer):
+    # verification is one rule: a policy only picks the signer's h preimage
+    pk, sk = keypair
+    flipped = bytes([MSG[0] ^ 0x01]) + MSG[1:]
+    verdicts = set()
+    for coin in (COIN, bytes(32), b"\x5a" * 32, b"\xc3" * 32):
+        sig = sign(sk, pk, MSG, coin, policy=signer)
+        for msg in (MSG, flipped):
+            results = [verify(pk, msg, sig, policy=p) for p in (Z2_DERIVED, SECRET_DERIVED)]
+            results.append(verify(pk, msg, sig))
+            assert len({(r.ok, r.reason) for r in results}) == 1
+            verdicts.add((msg == MSG, results[0].reason))
+    if signer is Z2_DERIVED:
+        assert verdicts == {(True, None), (False, "mu-mismatch")}
+    else:
+        assert (True, "h-mismatch") in verdicts and (False, "mu-mismatch") in verdicts
 
 
 def test_unknown_policy_rejected():
