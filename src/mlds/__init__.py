@@ -32,8 +32,8 @@ from .scheme import (
     PublicKey,
     SecretKey,
     Signature,
-    VerifyPolicy,
     VerifyResult,
+    POLICIES,
     SECRET_DERIVED,
     Z2_DERIVED,
     keygen,
@@ -64,8 +64,8 @@ __all__ = [
     "encode_bits", "decode_bits", "pack_poly", "unpack_poly",
     "serialize_pk", "parse_pk", "serialize_sk", "parse_sk",
     "serialize_sig", "parse_sig",
-    "PublicKey", "SecretKey", "Signature", "VerifyPolicy", "VerifyResult",
-    "SECRET_DERIVED", "Z2_DERIVED",
+    "PublicKey", "SecretKey", "Signature", "VerifyResult",
+    "POLICIES", "SECRET_DERIVED", "Z2_DERIVED",
     "keygen", "sign", "verify", "measure_agreement", "AgreementReport",
     "LweInstance", "AttackEstimate", "EstimatorError", "SizeReport",
     "bkz_delta", "primal_cost", "dual_cost", "key_sizes",

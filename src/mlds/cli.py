@@ -21,7 +21,7 @@ from .estimator import LweInstance, key_sizes, primal_cost, dual_cost, Estimator
 from .params import DEFAULT_PARAMS, ParamError, derive_ntt_constants, validate_params
 from .ring import get_ring
 from .scheme import (
-    SECRET_DERIVED,
+    POLICIES,
     Z2_DERIVED,
     derive_case_seeds,
     keygen,
@@ -34,8 +34,6 @@ EXIT_OK = 0
 EXIT_REJECT = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-POLICIES = {"literal": SECRET_DERIVED, "z2": Z2_DERIVED}
 
 
 class UsageError(Exception):
@@ -87,7 +85,7 @@ def cmd_sign(args) -> int:
     pk = codec.parse_pk(_read_file(args.pk), ring)
     message = _read_file(args.msg)
     r = os.urandom(32)  # fresh per signature; never caller-supplied outside kat
-    sig = sign(sk, pk, message, r, DEFAULT_PARAMS, POLICIES[args.policy])
+    sig = sign(sk, pk, message, r, DEFAULT_PARAMS, args.policy)
     _write_atomic(args.out_sig, codec.serialize_sig(sig, ring))
     print(f"wrote {args.out_sig} ({codec.sig_bytes(DEFAULT_PARAMS)} B)")
     return EXIT_OK
@@ -115,7 +113,7 @@ def cmd_kat(args) -> int:
     for i in range(args.count):
         zeta, r, msg = derive_case_seeds(master, i)
         pk, sk = keygen(zeta, DEFAULT_PARAMS)
-        sig = sign(sk, pk, msg, r, DEFAULT_PARAMS, POLICIES[args.policy])
+        sig = sign(sk, pk, msg, r, DEFAULT_PARAMS, args.policy)
         verdict = "accept" if verify(pk, msg, sig, DEFAULT_PARAMS).ok else "reject"
         lines.append(
             f"case {i}: zeta={zeta.hex()} r={r.hex()} msg={msg.hex()}"
@@ -136,7 +134,7 @@ def cmd_measure(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be >= 1")
     master = _parse_seed(args.seed) if args.seed else None
-    report = measure_agreement(args.trials, DEFAULT_PARAMS, POLICIES[args.policy], master)
+    report = measure_agreement(args.trials, DEFAULT_PARAMS, args.policy, master)
     mu_lo, mu_hi = report.mu_interval
     h_lo, h_hi = report.h_interval
     print(f"trials: {report.trials} (policy: {args.policy})")
@@ -155,6 +153,7 @@ def _estimate_instance(n_lwe: int, q: int, eta: int, max_samples: int | None) ->
     return {
         "n_lwe": inst.n_lwe,
         "q": inst.q,
+        "eta": eta,
         "sigma": inst.sigma,
         "max_samples": inst.max_samples,
         "primal": {"m": primal.m, "b": primal.b,
@@ -193,7 +192,7 @@ def cmd_estimate(args) -> int:
     for inst in instances:
         for kind in ("primal", "dual"):
             a = inst[kind]
-            print(f"{p.n:>4} {inst['q']:>6} {p.k:>2} {args.eta:>3} | "
+            print(f"{p.n:>4} {inst['q']:>6} {p.k:>2} {inst['eta']:>3} | "
                   f"{sizes.pk_it:>6.1f} {sizes.sk_it:>6.1f} {sizes.sig_it:>6.1f} | "
                   f"{kind:>6} {inst['n_lwe']:>5} {a['m']:>5} {a['b']:>5} "
                   f"{a['classical_bits']:>9} {a['quantum_bits']:>8}")
@@ -234,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--pk", required=True)
     sg.add_argument("--msg", required=True)
     sg.add_argument("--out-sig", required=True)
-    sg.add_argument("--policy", choices=sorted(POLICIES), default="z2")
+    sg.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
     sg.set_defaults(func=cmd_sign)
 
     vf = sub.add_parser("verify", help="verify a signature file")
@@ -246,13 +245,13 @@ def build_parser() -> argparse.ArgumentParser:
     kat = sub.add_parser("kat", help="deterministic known-answer fixtures")
     kat.add_argument("--count", type=int, required=True)
     kat.add_argument("--seed", required=True, help="32-byte hex master seed")
-    kat.add_argument("--policy", choices=sorted(POLICIES), default="z2")
+    kat.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
     kat.add_argument("--out", help="write fixtures to a file instead of stdout")
     kat.set_defaults(func=cmd_kat)
 
     ms = sub.add_parser("measure", help="measure decode/h agreement rates")
     ms.add_argument("--trials", type=int, required=True)
-    ms.add_argument("--policy", choices=sorted(POLICIES), default="z2")
+    ms.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
     ms.add_argument("--seed", help="32-byte hex master seed (reproducible runs)")
     ms.set_defaults(func=cmd_measure)
 

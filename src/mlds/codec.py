@@ -19,9 +19,9 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
                  || pack(z3) || h(32)
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
-m * 448 bytes into an (n,) Poly for m = 1 and an (m, n) stack otherwise,
-with one length and one range check over all rows. A serializer packs one
-(k, n) or (k + 2, n) stack and refuses a batch, or a rho or h not 32 B long.
+m * 448 bytes into an (m, n) stack, also for m = 1, with one length and one
+range check over all rows. A serializer packs one (k, n) or (k + 2, n) stack
+and refuses a batch, or a rho or h not 32 B long.
 """
 
 from __future__ import annotations
@@ -129,7 +129,7 @@ def pack_poly(v: Poly, ring: Ring) -> bytes:
 
 
 def unpack_poly(data: bytes, ring: Ring) -> Poly:
-    """Unpack m * poly_bytes bytes: an (n,) Poly for m = 1, an (m, n) stack otherwise."""
+    """Unpack m * poly_bytes bytes into an (m, n) stack, m >= 1."""
     p = ring.params
     _require_packable(p)
     step = poly_bytes(p)
@@ -140,7 +140,7 @@ def unpack_poly(data: bytes, ring: Ring) -> Poly:
     coeffs = ((lanes.view("<u8") >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32)
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
-    return Poly(coeffs.reshape((-1, p.n) if len(data) > step else (p.n,)))
+    return Poly(coeffs.reshape(-1, p.n))
 
 
 # -- key / signature formats ---------------------------------------------------
@@ -200,7 +200,7 @@ def parse_pk(data: bytes, ring: Ring):
     body = _split_header(data, p, "public key")
     if len(data) != pk_bytes(p):
         raise LengthError(f"public key must be {pk_bytes(p)} bytes, got {len(data)}")
-    rows = unpack_poly(body[SEED_BYTES:], ring).coeffs.reshape(p.k, p.n)
+    rows = unpack_poly(body[SEED_BYTES:], ring).coeffs
     return public_key(body[:SEED_BYTES], PolyVec(rows, Poly), ring)
 
 
@@ -215,7 +215,7 @@ def parse_sk(data: bytes, ring: Ring):
     body = _split_header(data, p, "secret key")
     if len(data) != sk_bytes(p):
         raise LengthError(f"secret key must be {sk_bytes(p)} bytes, got {len(data)}")
-    return SecretKey(s=PolyVec(unpack_poly(body, ring).coeffs.reshape(p.k, p.n), Poly))
+    return SecretKey(s=PolyVec(unpack_poly(body, ring).coeffs, Poly))
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:

@@ -1,7 +1,9 @@
 """Parameter sets and derived NTT constants.
 
 Everything downstream (ring arithmetic, samplers, codec, scheme) consumes a
-single frozen ``ParamSet``. The default set "ML-SD-256x2" is
+single frozen ``ParamSet``, named "ML-SD-<n>x<k>" and checked once, by
+``derive_ntt_constants`` when a ``Ring`` is built. The default set
+"ML-SD-256x2" is
 
     n = 256, q = 12289, k = 2, eta = 16
 
@@ -29,8 +31,12 @@ class ParamSet:
     k: int = 2
     eta: int = 16
     redundancy: int = 1
-    name: str = "ML-SD-256x2"
     param_id: int = 0x01
+
+    @property
+    def name(self) -> str:
+        """ML-SD-<n>x<k>; "ML-SD-256x2" for the default set."""
+        return f"ML-SD-{self.n}x{self.k}"
 
     @property
     def bits_per_coeff(self) -> int:
@@ -184,11 +190,7 @@ class NttConstants:
 
 @lru_cache(maxsize=8)
 def _derive_cached(n: int, q: int) -> NttConstants:
-    if not _is_prime(q):
-        raise ParamError(f"q={q} is not prime")
-    if (q - 1) % (2 * n) != 0:
-        raise ParamError(f"negacyclic NTT needs 2n | q-1; got n={n}, q={q}")
-
+    """The tables for (n, q), which ``validate_params`` has passed."""
     # Fixed root-selection rule so every implementation lands on the same
     # tables: exponentiate the smallest generator of Z_q^*.
     g = _smallest_generator(q)
@@ -235,5 +237,13 @@ def _derive_cached(n: int, q: int) -> NttConstants:
 
 
 def derive_ntt_constants(p: ParamSet) -> NttConstants:
-    """Derive the NTT root/table set for ``p``. Deterministic and idempotent."""
+    """Derive the NTT root/table set for ``p``. Deterministic and idempotent.
+
+    This is the one place a ``ParamSet`` is checked: it raises ``ParamError``
+    with every error ``validate_params`` reports, so a ``Ring`` is never
+    built over an invalid set.
+    """
+    errors = validate_params(p)
+    if errors:
+        raise ParamError("; ".join(errors))
     return _derive_cached(p.n, p.q)

@@ -61,23 +61,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ParamSet, derive_ntt_constants, validate_params, ParamError
+from .params import ParamSet, derive_ntt_constants
 
 
 class DomainError(TypeError):
     """Coefficient-domain and NTT-domain values were mixed, or shapes disagree."""
-
-
-def _as_coeff_array(values, n: int, q: int) -> np.ndarray:
-    arr = np.asarray(values)
-    if arr.shape != (n,):
-        raise ValueError(f"expected {n} coefficients, got shape {arr.shape}")
-    # checked before the int32 cast, which would wrap 2^32 to 0
-    if arr.min() < 0 or arr.max() >= q:
-        raise ValueError(f"coefficients must lie in [0, {q})")
-    arr = arr.astype(np.int32)
-    arr.setflags(write=False)
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,9 +150,7 @@ class Ring:
     """Operation set for one parameter set; pure functions, safe to share."""
 
     def __init__(self, params: ParamSet):
-        errors = validate_params(params)
-        if errors:
-            raise ParamError("; ".join(errors))
+        """Raises ``ParamError`` for an invalid set (see ``derive_ntt_constants``)."""
         self.params = params
         self.n = params.n
         self.q = params.q
@@ -172,11 +158,6 @@ class Ring:
         self.constants = derive_ntt_constants(params)
         self._forward = self.constants.stages(self.constants.forward)
         self._inverse = self.constants.stages(self.constants.inverse)
-
-    # -- construction ------------------------------------------------------
-
-    def poly(self, values) -> Poly:
-        return Poly(_as_coeff_array(values, self.n, self.q))
 
     # -- transforms --------------------------------------------------------
 

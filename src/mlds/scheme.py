@@ -19,17 +19,17 @@ per-signature coin r and outputs
     h  = crh(mu || crh(decode-payload of X))
 
 where X is either the signer-side value intt(<A_hat^T o ntt(s), ntt(e2)>)
-("secret" h policy) or z2 itself ("z2" policy); the signer alone chooses. The
+("literal" h policy) or z2 itself ("z2" policy); the signer alone chooses. The
 verifier recomputes mu = crh(M) and always checks decode(z2 + z3 - <P, z1>)
 against the mu payload and h against crh(mu || crh(decode-payload of z2)).
 
 z3 is computed as intt(<P_hat, A_hat^T o ntt(e1)>), reusing z1's product; in
 the commutative ring sum_i (sum_j A_ij P_j) e1_i = sum_j P_j (sum_i A_ij e1_i).
 
-Under the "z2" policy both checks pass deterministically for honest
-signatures, so ``Z2_DERIVED`` is the default; the paper-literal "secret"
-policy (``SECRET_DERIVED``, the CLI's ``literal``) is asked for by name.
-Under the "secret" policy the signer's h preimage and the verifier's are
+A policy is one of the strings in ``POLICIES``. Under "z2" both checks pass
+deterministically for honest signatures, so ``Z2_DERIVED`` is the default;
+the paper-literal "literal" policy (``SECRET_DERIVED``) is asked for by name.
+Under "literal" the signer's h preimage and the verifier's are
 decodes of two noisy copies of a near-uniform ring element, so check (2)
 passes at an empirical rate; ``measure_agreement`` reports it with a
 confidence interval instead of asserting a bound.
@@ -55,7 +55,7 @@ import numpy as np
 from .codec import bytes_to_bits, encode_bits, decode_bits, decode_payload
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import Ring, Poly, PolyVec, NttMatrix, get_ring
-from .sampling import SEED_BYTES, hash_h, crh, gen_a, gen_se, gen_se_vec
+from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se, gen_se_vec
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,19 +80,10 @@ class Signature:
     h: bytes  # a tuple of digests for a batch
 
 
-@dataclass(frozen=True)
-class VerifyPolicy:
-    """h_source selects the signer's h preimage; verification does not read it."""
-
-    h_source: str = "z2"  # "z2" | "secret"
-
-    def __post_init__(self):
-        if self.h_source not in ("secret", "z2"):
-            raise ValueError(f"unknown h_source {self.h_source!r}")
-
-
-SECRET_DERIVED = VerifyPolicy(h_source="secret")
-Z2_DERIVED = VerifyPolicy(h_source="z2")
+#: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
+Z2_DERIVED = "z2"
+SECRET_DERIVED = "literal"
+POLICIES = (Z2_DERIVED, SECRET_DERIVED)
 
 
 @dataclass(frozen=True)
@@ -158,18 +149,17 @@ def _each(fn, items, *rows):
 
 
 def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
-    if isinstance(zeta, (bytes, bytearray)):
-        rho, xi = hash_h(zeta)
-    else:
-        rho, xi = zip(*map(hash_h, zeta))
+    zetas, single = _seed_batch(zeta, "zeta")
+    rho, xi = hash_h(zeta) if single else zip(*map(hash_h, zetas))
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s))), e)
     return PublicKey(rho, p_vec, a_hat), SecretKey(s=s)
 
 
-def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring,
-                policy: VerifyPolicy) -> Signature:
+def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:
+    if policy not in POLICIES:
+        raise ValueError(f"unknown h policy {policy!r}, expected one of {POLICIES}")
     e1, e2, e3, e4 = expand_signing_noise(r, ring)
 
     e1_hat = ring.vec_ntt(e1)
@@ -182,7 +172,7 @@ def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring,
     payload = encode_bits(mu_payload_bits(mu, ring.params), ring)
     z3 = ring.add(ring.add(ring.intt(ring.inner_product(p_hat, ate1_hat)), e3), payload)
 
-    if policy.h_source == "z2":
+    if policy == Z2_DERIVED:
         h_src = z2
     else:
         # the signer's own A_hat^T o ntt(s), never a value kept from keygen
@@ -205,7 +195,8 @@ def _values_valid(sig: Signature, trials: tuple, ring: Ring) -> np.ndarray:
     """
     q, n, k = ring.q, ring.n, ring.k
     invalid = np.zeros(trials, dtype=bool)
-    if sig.z1.domain is not Poly or type(sig.z2) is not Poly or type(sig.z3) is not Poly:
+    if (type(sig.z1) is not PolyVec or sig.z1.domain is not Poly
+            or type(sig.z2) is not Poly or type(sig.z3) is not Poly):
         return invalid
     z1, z2, z3 = sig.z1.data, sig.z2.coeffs, sig.z3.coeffs
     if (z1.shape != trials + (k, n) or z2.shape != trials + (n,) or z3.shape != trials + (n,)
@@ -244,7 +235,7 @@ def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
 
 
 def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
-    """Deterministic key pair from a 32-byte seed."""
+    """Deterministic key pair from a 32-byte seed; any other length raises ValueError."""
     return _keygen_steps(zeta, get_ring(params))
 
 
@@ -259,9 +250,12 @@ def sign(
     message: bytes,
     r: bytes,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = Z2_DERIVED,
+    policy: str = Z2_DERIVED,
 ) -> Signature:
-    """Sign ``message`` with the per-signature coin ``r`` (never reuse r)."""
+    """Sign ``message`` with the per-signature coin ``r`` (never reuse r).
+
+    ``policy`` is one of ``POLICIES``; any other value raises ValueError.
+    """
     return _sign_steps(sk, pk, crh(message), r, get_ring(params), policy)
 
 
@@ -270,7 +264,7 @@ def verify(
     message: bytes,
     sig: Signature,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = Z2_DERIVED,
+    policy: str = Z2_DERIVED,
 ) -> VerifyResult:
     """Check (1) the mu branch and (2) the h binding; ``policy`` does not change
     the verdict and can go with the benchmark revision (ROADMAP item 1).
@@ -346,7 +340,7 @@ AGREEMENT_CHUNK = 16
 def measure_agreement(
     trials: int,
     params: ParamSet = DEFAULT_PARAMS,
-    policy: VerifyPolicy = Z2_DERIVED,
+    policy: str = Z2_DERIVED,
     master_seed: bytes | None = None,
 ) -> AgreementReport:
     """Run fresh keygen/sign/verify cycles; count the two failure modes separately.

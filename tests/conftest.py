@@ -3,6 +3,8 @@ import pytest
 
 from mlds import DEFAULT_PARAMS, ParamSet, get_ring
 
+from ring_oracle import poly
+
 
 @pytest.fixture(scope="session")
 def params() -> ParamSet:
@@ -25,4 +27,4 @@ def rng() -> np.random.Generator:
 
 
 def random_poly(ring, rng):
-    return ring.poly(rng.integers(0, ring.q, ring.n, dtype=np.int64))
+    return poly(ring, rng.integers(0, ring.q, ring.n, dtype=np.int64))

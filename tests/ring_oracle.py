@@ -1,6 +1,6 @@
-"""Ring helpers that only the tests use: constants, module vectors built from
-ring elements, an NTT product and the O(n^2) schoolbook product it is
-checked against.
+"""Ring helpers that only the tests use: range-checked construction,
+constants, module vectors built from ring elements, an NTT product and the
+O(n^2) schoolbook product it is checked against.
 
 ``schoolbook_mul`` shares no arithmetic with the NTT path: a plain integer
 convolution folded by x^n = -1. It accumulates in int64, because the
@@ -13,8 +13,21 @@ import numpy as np
 from mlds import DomainError, NttPoly, Poly, PolyVec
 
 
+def poly(ring, values) -> Poly:
+    """A coefficient-domain element from n values in [0, q); ValueError otherwise."""
+    arr = np.asarray(values)
+    if arr.shape != (ring.n,):
+        raise ValueError(f"expected {ring.n} coefficients, got shape {arr.shape}")
+    # checked before the int32 cast, which would wrap 2^32 to 0
+    if arr.min() < 0 or arr.max() >= ring.q:
+        raise ValueError(f"coefficients must lie in [0, {ring.q})")
+    arr = arr.astype(np.int32)
+    arr.setflags(write=False)
+    return Poly(arr)
+
+
 def zero(ring) -> Poly:
-    return ring.poly(np.zeros(ring.n, dtype=np.int32))
+    return poly(ring, np.zeros(ring.n, dtype=np.int32))
 
 
 def one(ring) -> Poly:
@@ -24,7 +37,7 @@ def one(ring) -> Poly:
 def monomial(ring, degree: int, coeff: int = 1) -> Poly:
     c = np.zeros(ring.n, dtype=np.int32)
     c[degree] = coeff % ring.q
-    return ring.poly(c)
+    return poly(ring, c)
 
 
 def vec(ring, elems) -> PolyVec:
@@ -40,8 +53,8 @@ def vec(ring, elems) -> PolyVec:
 
 
 def ntt_poly(ring, values) -> NttPoly:
-    """An NTT-domain element with the given evaluations, range-checked like ``ring.poly``."""
-    return NttPoly(ring.poly(values).coeffs)
+    """An NTT-domain element with the given evaluations, range-checked like ``poly``."""
+    return NttPoly(poly(ring, values).coeffs)
 
 
 def centered(ring, p: Poly) -> np.ndarray:
@@ -64,4 +77,4 @@ def schoolbook_mul(ring, a: Poly, b: Poly) -> Poly:
     conv = np.convolve(a.coeffs.astype(np.int64), b.coeffs.astype(np.int64))  # length 2n-1
     low = conv[: ring.n]
     high = np.concatenate([conv[ring.n :], np.zeros(1, dtype=np.int64)])
-    return ring.poly((low - high) % ring.q)
+    return poly(ring, (low - high) % ring.q)

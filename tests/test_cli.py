@@ -240,6 +240,14 @@ def test_estimate_table_prints_the_instance_q_and_eta(capsys):
     assert {(row[1], row[3]) for row in rows} == {("7681", "2")}
 
 
+def test_estimate_json_records_each_instance_eta(capsys):
+    assert run_cli("estimate", "--n-lwe", "512", "--eta", "2", "--q", "7681", "--json") == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert [(inst["n_lwe"], inst["q"], inst["eta"]) for inst in payload["instances"]] == [(512, 7681, 2)]
+    # the params block stays the signature set whose sizes are reported
+    assert (payload["params"]["q"], payload["params"]["eta"]) == (12289, 16)
+
+
 def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):
     # Such noise already defeats the primal embedding, so primal_cost is
     # stubbed to let the dual model's own rejection reach the command line.

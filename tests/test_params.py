@@ -49,6 +49,22 @@ def test_derivation_rejects_bad_modulus():
         derive_ntt_constants(ParamSet(q=3329))  # prime but 512 does not divide 3328
 
 
+def test_derivation_raises_every_validation_error():
+    # a modulus the NTT could use, but eta breaks the sampler's invariant
+    with pytest.raises(ParamError, match="multiple of 8"):
+        derive_ntt_constants(ParamSet(eta=3))
+    bad = ParamSet(n=100, eta=3)
+    with pytest.raises(ParamError) as exc:
+        derive_ntt_constants(bad)
+    assert str(exc.value) == "; ".join(validate_params(bad))
+
+
+def test_name_follows_n_and_k():
+    assert ParamSet().name == "ML-SD-256x2"
+    assert ParamSet(k=1, param_id=2).name == "ML-SD-256x1"
+    assert ParamSet(n=512, k=3).name == "ML-SD-512x3"
+
+
 def test_derivation_deterministic_and_idempotent(params):
     a = derive_ntt_constants(params)
     b = derive_ntt_constants(params)

@@ -3,7 +3,7 @@ import pytest
 
 from mlds import (
     DEFAULT_PARAMS, keygen, sign, verify, measure_agreement,
-    SECRET_DERIVED, Z2_DERIVED, VerifyPolicy,
+    POLICIES, SECRET_DERIVED, Z2_DERIVED,
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
     gen_a, crh,
 )
@@ -41,6 +41,14 @@ def test_keygen_deterministic(ring, keypair):
     pk2, sk2 = keygen(ZETA)
     assert serialize_pk(pk, ring) == serialize_pk(pk2, ring)
     assert serialize_sk(sk, ring) == serialize_sk(sk2, ring)
+
+
+@pytest.mark.parametrize("zeta", [b"", bytes(31), bytes(33), "00" * 32])
+def test_keygen_rejects_a_seed_not_32_bytes(ring, zeta):
+    with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
+        keygen(zeta)
+    with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
+        _keygen_steps([ZETA, zeta], ring)
 
 
 def test_keygen_noise_recomputable(ring, keypair):
@@ -183,6 +191,16 @@ def test_in_memory_out_of_range_coefficient_rejects_as_parse(keypair, z2_sig, pa
     assert not result.ok and result.reason == "parse"
 
 
+@pytest.mark.parametrize("z1", ["poly", "ndarray"])
+def test_in_memory_z1_not_a_vector_rejects_as_parse(keypair, z2_sig, z1):
+    # a Poly or a bare array in place of z1 is malformed, not an attribute error
+    pk, _ = keypair
+    bad = z2_sig.z1[0] if z1 == "poly" else z2_sig.z1.data
+    broken = Signature(z1=bad, z2=z2_sig.z2, z3=z2_sig.z3, h=z2_sig.h)
+    result = verify(pk, MSG, broken)
+    assert not result.ok and result.reason == "parse"
+
+
 def test_in_memory_int64_signature_rejects_as_parse(keypair, z2_sig):
     # the same in-range values, but not in the int32 the ring computes in
     pk, _ = keypair
@@ -235,9 +253,17 @@ def test_verdict_does_not_depend_on_the_policy(keypair, signer):
         assert (True, "h-mismatch") in verdicts and (False, "mu-mismatch") in verdicts
 
 
-def test_unknown_policy_rejected():
-    with pytest.raises(ValueError):
-        VerifyPolicy(h_source="both")
+def test_policies_are_the_two_names():
+    assert POLICIES == (Z2_DERIVED, SECRET_DERIVED) == ("z2", "literal")
+
+
+def test_unknown_policy_rejected(keypair):
+    pk, sk = keypair
+    for policy in ("both", "secret", "Z2", None):
+        with pytest.raises(ValueError, match="unknown h policy"):
+            sign(sk, pk, MSG, COIN, policy=policy)
+        with pytest.raises(ValueError, match="unknown h policy"):
+            measure_agreement(1, policy=policy)
 
 
 # -- measurement harness ----------------------------------------------------------------
