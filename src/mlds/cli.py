@@ -203,13 +203,15 @@ def cmd_estimate(args) -> int:
 def cmd_info(args) -> int:
     p = DEFAULT_PARAMS
     problems = validate_params(p)
-    consts = derive_ntt_constants(p)
-    sizes = key_sizes(p)
     print(f"parameter set: {p.name} (id {p.param_id:#04x})")
     print(f"  n={p.n} q={p.q} k={p.k} eta={p.eta} redundancy={p.redundancy}")
     print(f"  bits/coeff={p.bits_per_coeff} mu_bits={p.mu_bits} "
           f"floor(q/2)={p.half_q} floor(q/4)={p.quarter_q}")
     print(f"  validation: {'ok' if not problems else '; '.join(problems)}")
+    if problems:
+        return EXIT_USAGE
+    consts = derive_ntt_constants(p)
+    sizes = key_sizes(p)
     print(f"ntt: gamma={consts.gamma} omega={consts.omega} n_inv={consts.n_inv}")
     print(f"sizes (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
           f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "

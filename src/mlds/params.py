@@ -59,6 +59,9 @@ class ParamSet:
 
 DEFAULT_PARAMS = ParamSet()
 
+#: Bytes of every seed and digest (rho, xi, r, mu = crh(M), h).
+SEED_BYTES = 32
+
 
 def _is_prime(x: int) -> bool:
     """Deterministic Miller-Rabin, exact for x < 3.3e24."""
@@ -133,11 +136,14 @@ def validate_params(p: ParamSet) -> list[str]:
     elif p.eta % 8 != 0:
         errors.append(f"eta={p.eta} is not a multiple of 8, as the byte-aligned binomial sampler needs")
     elif p.eta >= p.q:
-        errors.append(f"eta={p.eta} is not below q={p.q}, as the binomial sampler's one-step reduction needs")
+        errors.append(f"eta={p.eta} is not below q={p.q}, so psi_eta noise would not be small mod q")
     if p.redundancy not in (1, 4):
         errors.append(f"redundancy={p.redundancy} not in {{1, 4}}")
     elif p.n % (4 * p.redundancy) != 0:
         errors.append(f"redundancy={p.redundancy} does not divide n={p.n} cleanly")
+    elif p.mu_bits > 8 * SEED_BYTES:
+        errors.append(f"mu_bits = n/redundancy = {p.mu_bits} is more than the "
+                      f"{8 * SEED_BYTES} bits of the message digest")
     return errors
 
 

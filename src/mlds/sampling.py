@@ -12,43 +12,37 @@ change:
 * ``gen_se``     SHAKE-256(seed || byte(nonce)); coefficient t consumes bits
                  [2*eta*t, 2*eta*(t+1)) of the little-endian bitstream, the
                  first eta bits minus the second eta bits, stored mod q.
-                 The bits are counted as words of gcd(eta, 64) bits, so
-                 ``validate_params`` requires eta % 8 == 0.
 
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
 
 ``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a sequence of
 seeds for a batch, whose outputs gain one leading axis. The SHAKE call per
-stream is the only per-item loop; rejection and bit counting run once over
-the whole batch.
+stream is the only per-item loop.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
+from functools import lru_cache
 
 import numpy as np
 
+from .params import SEED_BYTES
 from .ring import Ring, Poly, PolyVec, NttMatrix
 
-SEED_BYTES = 32
-
-
-def _check_seed(seed: bytes, label: str = "seed") -> None:
-    if not isinstance(seed, (bytes, bytearray)) or len(seed) != SEED_BYTES:
-        raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes")
+SHAKE128_RATE = 168  # output bytes per Keccak permutation
 
 
 def _seed_batch(seeds, label: str) -> tuple[list, bool]:
     """(checked seeds, whether a single seed was given rather than a sequence)."""
-    if isinstance(seeds, (bytes, bytearray)):
-        _check_seed(seeds, label)
-        return [seeds], True
-    for seed in seeds:
-        _check_seed(seed, label)
-    return list(seeds), False
+    single = isinstance(seeds, (bytes, bytearray))
+    batch = [seeds] if single else list(seeds)
+    if not all(isinstance(s, (bytes, bytearray)) and len(s) == SEED_BYTES for s in batch):
+        raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes")
+    return batch, single
 
 
 def hash_h(data: bytes) -> tuple[bytes, bytes]:
@@ -62,66 +56,72 @@ def crh(message: bytes) -> bytes:
     return hashlib.shake_256(message).digest(SEED_BYTES)
 
 
+@lru_cache(maxsize=8)
+def _gen_a_bytes(n: int, q: int, bits: int) -> int:
+    """Fewest whole SHAKE-128 blocks, in bytes, leaving an entry short of n accepted
+    candidates with probability <= 2^-32, tried from the first whose mean reaches n.
+    For m candidates, r = 2^bits - q: sum_{i<n} C(m, i) q^i r^(m-i) / 2^(bits*m), exactly."""
+    reject, per_block = (1 << bits) - q, SHAKE128_RATE // 2
+    for m in itertools.count(per_block * -(-(n << bits) // (q * per_block)), per_block):
+        term = short = reject**m
+        for i in range(n - 1):  # term becomes C(m, i+1) q^(i+1) r^(m-i-1)
+            term = term * (m - i) * q // ((i + 1) * reject)
+            short += term
+        if short << 32 <= 1 << (bits * m):
+            return 2 * m
+
+
 def gen_a(rho, ring: Ring) -> NttMatrix:
     """Expand rho into the public k x k matrix, uniform in NTT domain.
 
-    All k^2 streams of every seed are squeezed to 4n bytes (2x oversampling
-    for the ~0.75 accept rate) and tested in one pass; each entry keeps its
-    first n accepted candidates. If any entry falls short, all streams are
-    squeezed again at twice the length; SHAKE output is prefix-stable, so
-    that only extends each candidate stream.
+    All k^2 streams of every seed are squeezed to ``_gen_a_bytes`` (five
+    blocks, 840 bytes, at the default set) and tested in one pass; each entry
+    keeps the candidates ranked 1..n among its accepted ones. If any entry
+    falls short, all streams are squeezed again at twice the length; SHAKE
+    output is prefix-stable, so that only extends each stream.
     """
     rhos, single = _seed_batch(rho, "rho")
-    p = ring.params
-    k, n = p.k, p.n
-    mask = (1 << p.bits_per_coeff) - 1
+    p, k, n = ring.params, ring.k, ring.n
     seeds = [r + bytes([i, j]) for r in rhos for i in range(k) for j in range(k)]
-    need = 4 * n
+    need = _gen_a_bytes(n, p.q, p.bits_per_coeff)
     while True:
         buf = b"".join(hashlib.shake_128(seed).digest(need) for seed in seeds)
-        cand = np.frombuffer(buf, dtype="<u2") & mask
-        # positions of accepted candidates, in stream order; stream t's run
-        # starts at bounds[t] (its first candidate is at t * need // 2)
-        pos = np.flatnonzero(cand < p.q)
-        bounds = np.searchsorted(pos, np.arange(len(seeds) + 1) * (need // 2))
-        first = bounds[:-1]
-        if (bounds[1:] - first).min() >= n:
-            rows = cand[pos[first[:, None] + np.arange(n)]].astype(np.int32)
-            data = rows.reshape(len(rhos), k, k, n)
+        cand = np.frombuffer(buf, dtype="<u2").reshape(len(seeds), -1) & ((1 << p.bits_per_coeff) - 1)
+        accept = cand < p.q
+        rank = accept.view(np.uint8).cumsum(axis=1, dtype=np.min_scalar_type(need // 2))
+        if rank[:, -1].min() >= n:
+            accept &= rank <= n
+            data = np.compress(accept.ravel(), cand).astype(np.int32).reshape(len(rhos), k, k, n)
             return NttMatrix(data[0] if single else data)
         need *= 2
+
+
+@lru_cache(maxsize=8)
+def _binomial_tables(eta: int, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ones over a coefficient's second eta bits, as its words; d + eta -> d mod q)."""
+    flip = np.frombuffer(bytes(eta // 8) + b"\xff" * (eta // 8), dtype=f"<u{math.gcd(2 * eta, 64) // 8}")
+    return flip, (np.arange(-eta, eta + 1) % q).astype(np.int32)
 
 
 def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
     """psi_eta polynomials mod q, shape (seeds, nonces, n), counted in one pass.
 
-    Each eta-bit half is the popcount of its gcd(eta, 64)-bit words: one
-    word whenever eta divides 64 (one <u2 word at eta = 16).
+    A coefficient's 2*eta bits are its gcd(2*eta, 64)-bit words (eta % 8 == 0).
+    With its second eta bits flipped their popcount is d + eta in [0, 2*eta],
+    for d = first half's count - second half's; one lookup gives d mod q. A
+    nonce outside 0..255 raises ValueError (from ``bytes``).
     """
-    if not 0 <= nonces[0] <= nonces[-1] < 256:
-        raise ValueError(f"nonces must be single bytes, got {nonces[0]}..{nonces[-1]}")
     p = ring.params
-    word_bytes = math.gcd(p.eta, 64) // 8
-    nbytes = 2 * p.eta * p.n // 8
-    buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(nbytes)
+    flip, lookup = _binomial_tables(p.eta, p.q)
+    buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(p.eta * p.n // 4)
                    for seed in seeds for t in nonces)
-    words = np.frombuffer(buf, dtype=f"<u{word_bytes}")
-    counts = np.bitwise_count(words).reshape(len(seeds), len(nonces), p.n, 2, -1)
-    halves = counts[..., 0] if counts.shape[-1] == 1 else counts.sum(axis=-1, dtype=np.int32)
-    d = halves[..., 0].astype(np.int32) - halves[..., 1]
-    # d in [-eta, eta] with eta < q (validate_params), reduced as Ring.sub
-    # reduces: min(d, d + q) over the uint32 view is d + q for d < 0 (where
-    # d + q wraps around) and d otherwise
-    u = d.view(np.uint32)
-    np.minimum(u, u + p.q, out=u)
-    return d
+    counts = np.bitwise_count(np.frombuffer(buf, dtype=flip.dtype).reshape(-1, flip.size) ^ flip)
+    total = counts[:, 0] if flip.size == 1 else counts.sum(axis=1)
+    return np.take(lookup, total).reshape(len(seeds), len(nonces), p.n)
 
 
 def gen_se(seed, nonce: int, ring: Ring) -> Poly:
-    """One centered-binomial psi_eta polynomial from (seed, nonce), per seed.
-
-    Centered values lie in [-eta, eta]; stored canonically mod q.
-    """
+    """One psi_eta polynomial (values in [-eta, eta], stored mod q) per seed."""
     seeds, single = _seed_batch(seed, "seed")
     c = _binomial(seeds, range(nonce, nonce + 1), ring)
     return Poly(c[0, 0] if single else c[:, 0])

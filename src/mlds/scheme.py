@@ -39,8 +39,10 @@ The coin r must never repeat for the same key; callers own that contract.
 One array core computes all three operations, for one trial or for a batch
 of trials stacked along a leading axis (see "the array core" below).
 ``measure_agreement`` runs its cycles through it in chunks of
-``AGREEMENT_CHUNK`` trials: the 19 transform calls of a z2 cycle then each
-cover a whole chunk, which is what makes the agreement harness fast.
+``AGREEMENT_CHUNK`` = 64 trials: the 19 transform calls of a z2 cycle then
+each cover a whole chunk, and a 64-cycle call is one batched keygen, sign
+and verify, which is what makes the agreement harness fast. The time and
+peak memory of chunks of 16, 32 and 64 are recorded at ``AGREEMENT_CHUNK``.
 """
 
 from __future__ import annotations
@@ -160,17 +162,20 @@ def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
 def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:
     if policy not in POLICIES:
         raise ValueError(f"unknown h policy {policy!r}, expected one of {POLICIES}")
+    # On a chunk of trials every array is (B, ...), so each is dropped after
+    # its last use: that keeps the literal policy's transforms from stacking
+    # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials).
     e1, e2, e3, e4 = expand_signing_noise(r, ring)
-
-    e1_hat = ring.vec_ntt(e1)
+    ate1_hat = ring.matvec(pk.a_hat, ring.vec_ntt(e1))
+    del e1
     e2_hat = ring.vec_ntt(e2)
     p_hat = ring.vec_ntt(pk.p_vec)
 
-    ate1_hat = ring.matvec(pk.a_hat, e1_hat)
     z1 = ring.add(ring.vec_intt(ate1_hat), e2)
     z2 = ring.add(ring.intt(ring.inner_product(p_hat, e2_hat)), e4)
     payload = encode_bits(mu_payload_bits(mu, ring.params), ring)
     z3 = ring.add(ring.add(ring.intt(ring.inner_product(p_hat, ate1_hat)), e3), payload)
+    del e2, e3, e4, payload, p_hat, ate1_hat
 
     if policy == Z2_DERIVED:
         h_src = z2
@@ -328,13 +333,15 @@ class AgreementReport:
 
 
 #: Trials per batch of ``measure_agreement``, set by measured time and peak
-#: memory. With int32 ring values a z2 cycle took 156-165 us at 8, 127-134
-#: at 16, 121-146 at 32 and 115-146 at 64 (min of 12 interleaved
-#: ``measure_agreement(64)`` calls, 3 processes, 2-vCPU Xeon). In 5 cold-keys
-#: benchmark pairs chunk 32 cut the z2 cycle from 215 to 193 ref_us, but its
-#: peak RSS read 0.46 MB above chunk 16's in every pair, and in one pair above
-#: that of the int64 values at 16 (40.88 against 40.62 MB), so 16 stays.
-AGREEMENT_CHUNK = 16
+#: memory; at 64 a 64-cycle call is one batched keygen, sign and verify.
+#: Cold-keys benchmark runs (10 s, 3 seeds, 2-vCPU Xeon, whole-block
+#: ``gen_a`` and one-lookup binomial sampler) read the z2 cycle at 205-215
+#: ref_us with peak RSS 39.5-39.6 MB at chunk 16, 188-196 and 40.0-40.1 MB
+#: at 32, and 174-187 and 40.9-41.3 MB at 64; dropping ``_sign_steps``'
+#: arrays after their last use then brought 64 to 40.5 MB. In-process (min
+#: of 12 interleaved ``measure_agreement(64)`` calls, 3 processes) chunk 16
+#: took 12-20% longer per cycle than 32 and 64, which tied.
+AGREEMENT_CHUNK = 64
 
 
 def measure_agreement(

@@ -5,7 +5,9 @@ lines and timings. Criterion 5 is marked as a strict expected failure: the
 decoder deliberately tolerates any coefficient perturbation below floor(q/4),
 and the h binding covers only the decoded image of z2, so low-order bit flips
 in z2/z3 verify by construction (see the companion test for the guarantees
-that do hold).
+that do hold). Next to it, rejection of a key-only forgery is a strict
+expected failure too: both verification conditions are public and linear in
+the signature, so the public key alone yields signatures that verify.
 """
 
 import hashlib
@@ -28,7 +30,7 @@ from mlds.cli import main as cli_main
 from mlds.codec import encode_bits
 from mlds.scheme import expand_signing_noise, mu_payload_bits
 
-from conftest import random_poly
+from conftest import forge_key_only, random_poly
 from ring_oracle import centered, mul, schoolbook_mul
 
 
@@ -193,6 +195,24 @@ def test_criterion_5_companion_actual_guarantees(ring):
                 and np.array_equal(decode_bits(bad.z2, ring), z2_image)
             )
             assert accepted == harmless
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a key-only forgery verifies: conditions (1) and (2) are public and linear "
+    "in (z1, z2, z3), and neither involves a short vector or a value only the signer "
+    "can compute (README, 'Forgery, honestly')",
+)
+def test_verify_rejects_a_key_only_forgery(ring):
+    rng = np.random.default_rng(0xF0F0)
+    accepted = 0
+    for t in range(20):
+        pk, _ = keygen(bytes([t]) * 32)
+        msg = rng.bytes(24)
+        wire = serialize_sig(forge_key_only(pk, msg, ring, rng), ring)
+        accepted += verify(pk, msg, parse_sig(wire, ring)).ok
+    report(5, "key-only forgery rejection", accepted == 0, f"{accepted}/20 forgeries accepted")
 
 
 def test_criterion_6_reference_sizes():

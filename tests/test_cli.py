@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import mlds.cli
+from mlds import ParamSet
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
 from mlds.estimator import AttackEstimate
 
@@ -265,3 +266,12 @@ def test_info_runs(capsys):
     assert "ML-SD-256x2" in out
     assert "gamma=3400" in out
     assert "n_inv=12241" in out
+    assert "validation: ok" in out
+
+
+def test_info_reports_an_invalid_set(monkeypatch, capsys):
+    monkeypatch.setattr(mlds.cli, "DEFAULT_PARAMS", ParamSet(eta=3))
+    assert run_cli("info") == EXIT_USAGE
+    out = capsys.readouterr().out
+    assert "  validation: eta=3 is not a multiple of 8" in out
+    assert "ntt:" not in out and "sizes" not in out

@@ -90,9 +90,9 @@ def test_validate_reports_each_violation():
     assert any("k=" in e for e in validate_params(ParamSet(k=0)))
     assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
     assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
-    # psi_eta samples lie in [-eta, eta]; one conditional +q reduces them only when eta < q
+    # psi_eta samples lie in [-eta, eta], which is small mod q only when eta < q
     assert validate_params(ParamSet(n=128, q=257, eta=264)) == [
-        "eta=264 is not below q=257, as the binomial sampler's one-step reduction needs"
+        "eta=264 is not below q=257, so psi_eta noise would not be small mod q"
     ]
     assert validate_params(ParamSet(n=128, q=257, eta=256)) == []
     # prime and 2n | q-1, but 256 * 8380416^3 > 2^53 would round the float64 NTT
@@ -115,8 +115,19 @@ def test_validate_reports_each_violation():
 
 
 def test_ntt_congruence_holds_for_n_512():
-    # 12288 = 12 * 1024, so the stricter 2n | q-1 condition still holds at n=512
-    assert validate_params(ParamSet(n=512)) == []
+    # 12288 = 12 * 1024, so the stricter 2n | q-1 condition still holds at n=512;
+    # redundancy 4 keeps its n/4 = 128 payload bits within the 256-bit digest
+    assert validate_params(ParamSet(n=512, redundancy=4)) == []
+
+
+def test_payload_must_fit_the_message_digest():
+    # one payload bit per coefficient at n = 512 asks for 512 bits of a 256-bit mu
+    assert validate_params(ParamSet(n=512, k=1)) == [
+        "mu_bits = n/redundancy = 512 is more than the 256 bits of the message digest"
+    ]
+    assert validate_params(ParamSet(n=1024, redundancy=4)) == []
+    with pytest.raises(ParamError, match="message digest"):
+        derive_ntt_constants(ParamSet(n=512))
 
 
 def test_codec_thresholds_exact(params):

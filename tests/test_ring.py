@@ -94,7 +94,8 @@ def test_float_transforms_match_integer_definition(ring, rng):
         assert table.min() >= 0 and table.max() < ring.q and np.array_equal(table, np.floor(table))
 
 
-@pytest.mark.parametrize("param_set", [ParamSet(), ParamSet(n=128, q=257), ParamSet(n=512)],
+@pytest.mark.parametrize("param_set", [ParamSet(), ParamSet(n=128, q=257),
+                                       ParamSet(n=512, redundancy=4)],
                          ids=["16x16", "8x16", "16x32"])
 def test_stacked_transforms_match_integer_definition(param_set, rng):
     # (B, n) and (B, k, n) stacks, including strided module rows, on the square

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlds import ParamSet, gen_a, gen_se, get_ring, hash_h, crh
+from mlds import ParamSet, gen_a, gen_se, get_ring, hash_h, crh, sampling
 from mlds.sampling import gen_se_vec
 
 import keccak_oracle
@@ -97,16 +97,17 @@ def test_gen_a_rejects_bad_seed(ring):
         gen_a(b"short", ring)
 
 
-def reference_gen_a(rho: bytes, ring) -> tuple[np.ndarray, int]:
-    """Entry-by-entry sampler, each stream re-squeezed at twice the length
-    until n candidates accept; also returns how many entries needed that."""
+def reference_gen_a(rho: bytes, ring, first: int = 1024) -> tuple[np.ndarray, int]:
+    """Entry-by-entry sampler, each stream squeezed to ``first`` bytes and then
+    at twice the length until n candidates accept; also returns how many
+    entries needed more than ``first`` bytes."""
     p = ring.params
     mask = (1 << p.bits_per_coeff) - 1
     out = np.empty((p.k, p.k, p.n), dtype=np.int64)
     resqueezed = 0
     for i in range(p.k):
         for j in range(p.k):
-            need = 4 * p.n
+            need = first
             while True:
                 buf = hashlib.shake_128(rho + bytes([i, j])).digest(need)
                 cand = np.frombuffer(buf, dtype="<u2").astype(np.int64) & mask
@@ -115,7 +116,7 @@ def reference_gen_a(rho: bytes, ring) -> tuple[np.ndarray, int]:
                     break
                 need *= 2
             out[i, j] = accepted[: p.n]
-            resqueezed += need > 4 * p.n
+            resqueezed += need > first
     return out, resqueezed
 
 
@@ -126,15 +127,30 @@ def test_gen_a_matches_entrywise_reference(ring):
         assert np.array_equal(gen_a(rho, ring).data, reference_gen_a(rho, ring)[0])
 
 
-def test_gen_a_resqueezes_short_entries():
-    # q = 257 accepts about half of the 9-bit candidates, so about half of
-    # the entries have fewer than n of them in the first 4n bytes.
+@pytest.mark.parametrize("param_set, blocks", [
+    (ParamSet(), 5), (ParamSet(n=128, q=257), 5), (ParamSet(n=512, redundancy=4), 10)])
+def test_gen_a_squeezes_the_fewest_blocks_for_a_2_to_minus_32_shortfall(param_set, blocks):
+    p = param_set
+    accept = p.q / 2**p.bits_per_coeff
+    assert sampling._gen_a_bytes(p.n, p.q, p.bits_per_coeff) == blocks * sampling.SHAKE128_RATE
+
+    def short(b):  # P(fewer than n of the 84 b candidates accept)
+        return stats.binom.cdf(p.n - 1, b * sampling.SHAKE128_RATE // 2, accept)
+
+    assert short(blocks) <= 2.0**-32 < short(blocks - 1)
+
+
+def test_gen_a_resqueezes_short_entries(monkeypatch):
+    # q = 257 accepts about half of the 9-bit candidates, so with 3 blocks
+    # (252 candidates) about half of the entries have fewer than n = 128 of
+    # them; gen_a squeezes every stream again to reach the reference output.
     ring = get_ring(ParamSet(n=128, q=257))
+    monkeypatch.setattr(sampling, "_gen_a_bytes", lambda n, q, bits: 3 * sampling.SHAKE128_RATE)
     rng = np.random.default_rng(12)
     resqueezed = 0
     for _ in range(50):
         rho = rng.bytes(32)
-        expected, short = reference_gen_a(rho, ring)
+        expected, short = reference_gen_a(rho, ring, first=3 * sampling.SHAKE128_RATE)
         resqueezed += short
         assert np.array_equal(gen_a(rho, ring).data, expected)
     assert 0 < resqueezed < 50 * ring.k**2
@@ -172,7 +188,7 @@ def reference_gen_se(seed: bytes, nonce: int, ring) -> np.ndarray:
     return c % p.q
 
 
-@pytest.mark.parametrize("eta", [8, 16, 24, 64])
+@pytest.mark.parametrize("eta", [8, 16, 24, 32, 64])
 def test_gen_se_matches_bitwise_reference(eta):
     ring = get_ring(ParamSet(eta=eta))
     rng = np.random.default_rng(eta)

@@ -7,7 +7,7 @@ from mlds import (
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
     gen_a, crh,
 )
-from mlds import Poly, PolyVec, get_ring
+from mlds import ParamSet, Poly, PolyVec, get_ring
 from mlds.scheme import (
     AGREEMENT_CHUNK, Signature, expand_key_noise, expand_signing_noise, mu_payload_bits,
     derive_case_seeds, wilson_interval, _keygen_steps, _sign_steps,
@@ -133,6 +133,18 @@ def test_honest_verify_accepts(keypair, z2_sig):
     result = verify(pk, MSG, z2_sig, policy=Z2_DERIVED)
     assert result.ok and result.reason is None
     assert bool(result)
+
+
+def test_n_512_redundancy_4_signs_and_verifies():
+    # 512 coefficients carry the 128-bit payload four times over
+    params = ParamSet(n=512, redundancy=4)
+    pk, sk = keygen(ZETA, params)
+    for policy in POLICIES:
+        sig = sign(sk, pk, MSG, COIN, params, policy)
+        assert sig.z2.coeffs.shape == (512,)
+        assert verify(pk, MSG, sig, params).reason in (None, "h-mismatch")
+        assert verify(pk, MSG + b"!", sig, params).reason == "mu-mismatch"
+    assert verify(pk, MSG, sign(sk, pk, MSG, COIN, params), params).ok
 
 
 def test_verify_after_serialization_roundtrip(ring, keypair, z2_sig):
