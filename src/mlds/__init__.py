@@ -17,6 +17,9 @@ from .codec import (
     HeaderError,
     LengthError,
     CoefficientRangeError,
+    PublicKey,
+    SecretKey,
+    Signature,
     encode_bits,
     decode_bits,
     pack_poly,
@@ -29,9 +32,6 @@ from .codec import (
     parse_sig,
 )
 from .scheme import (
-    PublicKey,
-    SecretKey,
-    Signature,
     VerifyResult,
     POLICIES,
     SECRET_DERIVED,
@@ -47,7 +47,6 @@ from .estimator import (
     AttackEstimate,
     EstimatorError,
     SizeReport,
-    bkz_delta,
     primal_cost,
     dual_cost,
     key_sizes,
@@ -68,5 +67,5 @@ __all__ = [
     "POLICIES", "SECRET_DERIVED", "Z2_DERIVED",
     "keygen", "sign", "verify", "measure_agreement", "AgreementReport",
     "LweInstance", "AttackEstimate", "EstimatorError", "SizeReport",
-    "bkz_delta", "primal_cost", "dual_cost", "key_sizes",
+    "primal_cost", "dual_cost", "key_sizes",
 ]

@@ -85,7 +85,7 @@ def cmd_sign(args) -> int:
     pk = codec.parse_pk(_read_file(args.pk), ring)
     message = _read_file(args.msg)
     r = os.urandom(32)  # fresh per signature; never caller-supplied outside kat
-    sig = sign(sk, pk, message, r, DEFAULT_PARAMS, args.policy)
+    sig = sign(sk, pk, message, r, DEFAULT_PARAMS)
     _write_atomic(args.out_sig, codec.serialize_sig(sig, ring))
     print(f"wrote {args.out_sig} ({codec.sig_bytes(DEFAULT_PARAMS)} B)")
     return EXIT_OK
@@ -188,14 +188,14 @@ def cmd_estimate(args) -> int:
         sys.stdout.write("\n")
         return EXIT_OK
     print(f"{'n':>4} {'q':>6} {'k':>2} {'eta':>3} | {'pk':>6} {'sk':>6} {'sig':>6} | "
-          f"{'attack':>6} {'n_lwe':>5} {'m':>5} {'b':>5} {'classical':>9} {'quantum':>8}")
+          f"{'attack':>6} {'n_lwe':>5} {'m':>5} {'b':>5} | key recovery (LWE) bits: classical quantum")
     for inst in instances:
         for kind in ("primal", "dual"):
             a = inst[kind]
             print(f"{p.n:>4} {inst['q']:>6} {p.k:>2} {inst['eta']:>3} | "
                   f"{sizes.pk_it:>6.1f} {sizes.sk_it:>6.1f} {sizes.sig_it:>6.1f} | "
-                  f"{kind:>6} {inst['n_lwe']:>5} {a['m']:>5} {a['b']:>5} "
-                  f"{a['classical_bits']:>9} {a['quantum_bits']:>8}")
+                  f"{kind:>6} {inst['n_lwe']:>5} {a['m']:>5} {a['b']:>5} | "
+                  f"{'':>25}{a['classical_bits']:>9} {a['quantum_bits']:>7}")
     print(f"wire sizes: pk={sizes.pk_wire} B sk={sizes.sk_wire} B sig={sizes.sig_wire} B")
     return EXIT_OK
 
@@ -235,7 +235,6 @@ def build_parser() -> argparse.ArgumentParser:
     sg.add_argument("--pk", required=True)
     sg.add_argument("--msg", required=True)
     sg.add_argument("--out-sig", required=True)
-    sg.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
     sg.set_defaults(func=cmd_sign)
 
     vf = sub.add_parser("verify", help="verify a signature file")
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms.add_argument("--seed", help="32-byte hex master seed (reproducible runs)")
     ms.set_defaults(func=cmd_measure)
 
-    est = sub.add_parser("estimate", help="core-SVP attack costs and sizes")
+    est = sub.add_parser("estimate", help="core-SVP key-recovery (LWE) attack costs and sizes")
     est.add_argument("--n-lwe", type=int, default=None,
                      help="LWE secret dimension (default: both n*k and n*k^2)")
     est.add_argument("--q", type=int, default=DEFAULT_PARAMS.q)

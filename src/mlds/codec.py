@@ -18,19 +18,27 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
     sig = header || pack(z1_0) || ... || pack(z1_{k-1}) || pack(z2)
                  || pack(z3) || h(32)
 
+``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
+layouts. ``signature_well_formed`` is the one rule for a well-formed
+signature: ``serialize_sig`` refuses, and verification rejects as "parse",
+what it rejects. The key serializers check rho, P and s the same way.
+
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
 m * 448 bytes into an (m, n) stack, also for m = 1, with one length and one
 range check over all rows. A serializer packs one (k, n) or (k + 2, n) stack
-and refuses a batch, or a rho or h not 32 B long.
+and refuses a batch.
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .params import ParamSet
-from .ring import Ring, Poly, PolyVec
-from .sampling import SEED_BYTES
+from .ring import Ring, Poly, PolyVec, NttMatrix
+from .sampling import SEED_BYTES, gen_a
 
 MAGIC = b"MLDS"
 VERSION = 0x01
@@ -52,6 +60,66 @@ class LengthError(CodecError):
 
 class CoefficientRangeError(CodecError):
     """A packed coefficient is >= q."""
+
+
+# -- keys and signatures ---------------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class PublicKey:
+    """(rho, P) and A_hat = gen_a(rho); made by ``scheme.keygen`` or ``parse_pk``."""
+
+    rho: bytes  # a tuple of seeds for a batch
+    p_vec: PolyVec  # coefficient domain
+    a_hat: NttMatrix = field(repr=False)
+
+
+@dataclass(frozen=True, eq=False)
+class SecretKey:
+    s: PolyVec
+
+
+@dataclass(frozen=True, eq=False)
+class Signature:
+    z1: PolyVec
+    z2: Poly
+    z3: Poly
+    h: bytes  # a tuple of digests for a batch
+
+
+def _coeffs(value, cls: type, shape: tuple) -> np.ndarray | None:
+    """The array of a coefficient-domain ``cls`` (Poly or PolyVec) value if it is int32 of ``shape``."""
+    if type(value) is not cls or getattr(value, "domain", Poly) is not Poly:
+        return None
+    c = value.coeffs if cls is Poly else value.data
+    return c if c.shape == shape and c.dtype == np.int32 else None
+
+
+def _is_seed(value) -> bool:
+    return isinstance(value, bytes) and len(value) == SEED_BYTES
+
+
+def signature_well_formed(sig, ring: Ring, trials: tuple = ()) -> tuple[np.ndarray, np.ndarray | None]:
+    """(verdict of shape ``trials``, the (*trials, (k + 2) * n) values of z1, z2, z3 or None).
+
+    z1 is a coefficient-domain ``PolyVec`` of shape (*trials, k, n), z2 and z3
+    are ``Poly`` of shape (*trials, n), all int32 in [0, q), and h is 32
+    ``bytes``, a tuple of one per trial for a batch. The values are None when
+    the structure is wrong for every trial.
+    """
+    k, n = ring.k, ring.n
+    if not isinstance(sig, Signature):
+        return np.zeros(trials, dtype=bool), None
+    z1 = _coeffs(sig.z1, PolyVec, trials + (k, n))
+    z2 = _coeffs(sig.z2, Poly, trials + (n,))
+    z3 = _coeffs(sig.z3, Poly, trials + (n,))
+    hs = sig.h if trials else (sig.h,)
+    if z1 is None or z2 is None or z3 is None or type(hs) is not tuple or len(hs) != math.prod(trials):
+        return np.zeros(trials, dtype=bool), None
+    values = np.concatenate((z1.reshape(trials + (k * n,)), z2, z3), axis=-1)
+    # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
+    in_range = values.view(np.uint32).max(axis=-1) < ring.q
+    h_ok = [_is_seed(h) for h in hs]
+    return (in_range if all(h_ok) else in_range & np.reshape(h_ok, trials)), values
 
 
 # -- bit helpers -------------------------------------------------------------
@@ -117,15 +185,20 @@ _LANE_WEIGHTS = np.uint64(1) << _LANE_SHIFTS
 _LANE_MASK = (1 << PACK_BITS) - 1
 
 
+def _pack_rows(c: np.ndarray, p: ParamSet) -> bytes:
+    """Pack an int32 stack whose values are known to lie in [0, q)."""
+    _require_packable(p)
+    groups = (c.astype(np.uint64).reshape(-1, 4) @ _LANE_WEIGHTS).astype("<u8", copy=False)
+    return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
+
+
 def pack_poly(v: Poly, ring: Ring) -> bytes:
     """Pack the (n,) rows of a (..., n) int32 stack in order, 14 bits each, 4 per 7 bytes."""
     p = ring.params
-    _require_packable(p)
     c = v.coeffs  # a negative int32 read as uint32 is >= q: one maximum checks [0, q)
     if c.dtype != np.int32 or c.shape[-1:] != (p.n,) or not c.size or c.view(np.uint32).max() >= p.q:
         raise CodecError(f"pack_poly takes int32 coefficients in [0, {p.q}) on an axis of {p.n}")
-    groups = (c.astype(np.uint64).reshape(-1, 4) @ _LANE_WEIGHTS).astype("<u8", copy=False)
-    return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
+    return _pack_rows(c, p)
 
 
 def unpack_poly(data: bytes, ring: Ring) -> Poly:
@@ -173,44 +246,29 @@ def sig_bytes(p: ParamSet) -> int:
     return HEADER_BYTES + (p.k + 2) * poly_bytes(p) + SEED_BYTES
 
 
-def _pack_one(kind: str, ring: Ring, vec: PolyVec, *polys: Poly) -> bytes:
-    """The k rows of vec, then polys, in one pack_poly call; a batch of values is refused."""
-    k, n = ring.k, ring.n
-    if vec.domain is not Poly or vec.data.shape != (k, n) or any(e.coeffs.shape != (n,) for e in polys):
-        raise CodecError(f"a {kind} is serialized as one coefficient-domain value, not a batch")
-    rows = np.concatenate((vec.data, *(e.coeffs[None] for e in polys)))
-    return pack_poly(Poly(rows), ring)
-
-
-def _seed(value, what: str) -> bytes:
-    """A SEED_BYTES-long rho or h, refused otherwise: parse would refuse its wire."""
-    if len(value) != SEED_BYTES:
-        raise CodecError(f"{what} must be {SEED_BYTES} bytes")
-    return value
-
-
 def serialize_pk(pk, ring: Ring) -> bytes:
-    return b"".join((_header(ring.params), _seed(pk.rho, "rho"), _pack_one("public key", ring, pk.p_vec)))
+    if not (isinstance(pk, PublicKey) and _is_seed(pk.rho)
+            and _coeffs(pk.p_vec, PolyVec, (ring.k, ring.n)) is not None):
+        raise CodecError("a public key is one 32-byte rho and one coefficient-domain (k, n) int32 P")
+    return b"".join((_header(ring.params), pk.rho, pack_poly(Poly(pk.p_vec.data), ring)))
 
 
-def parse_pk(data: bytes, ring: Ring):
-    from .scheme import public_key
-
+def parse_pk(data: bytes, ring: Ring) -> PublicKey:
     p = ring.params
     body = _split_header(data, p, "public key")
     if len(data) != pk_bytes(p):
         raise LengthError(f"public key must be {pk_bytes(p)} bytes, got {len(data)}")
-    rows = unpack_poly(body[SEED_BYTES:], ring).coeffs
-    return public_key(body[:SEED_BYTES], PolyVec(rows, Poly), ring)
+    rho = body[:SEED_BYTES]
+    return PublicKey(rho, PolyVec(unpack_poly(body[SEED_BYTES:], ring).coeffs, Poly), gen_a(rho, ring))
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:
-    return _header(ring.params) + _pack_one("secret key", ring, sk.s)
+    if not (isinstance(sk, SecretKey) and _coeffs(sk.s, PolyVec, (ring.k, ring.n)) is not None):
+        raise CodecError("a secret key is one coefficient-domain (k, n) int32 s")
+    return _header(ring.params) + pack_poly(Poly(sk.s.data), ring)
 
 
-def parse_sk(data: bytes, ring: Ring):
-    from .scheme import SecretKey
-
+def parse_sk(data: bytes, ring: Ring) -> SecretKey:
     p = ring.params
     body = _split_header(data, p, "secret key")
     if len(data) != sk_bytes(p):
@@ -219,13 +277,13 @@ def parse_sk(data: bytes, ring: Ring):
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
-    return b"".join((_header(ring.params), _pack_one("signature", ring, sig.z1, sig.z2, sig.z3),
-                     _seed(sig.h, "h")))
+    well_formed, rows = signature_well_formed(sig, ring)
+    if not well_formed:
+        raise CodecError("a signature is one value that signature_well_formed accepts")
+    return b"".join((_header(ring.params), _pack_rows(rows, ring.params), sig.h))
 
 
-def parse_sig(data: bytes, ring: Ring):
-    from .scheme import Signature
-
+def parse_sig(data: bytes, ring: Ring) -> Signature:
     p = ring.params
     body = _split_header(data, p, "signature")
     if len(data) != sig_bytes(p):

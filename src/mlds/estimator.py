@@ -84,14 +84,8 @@ class AttackEstimate:
     quantum_bits: int
 
 
-def bkz_delta(b: int) -> float:
-    """Root-Hermite factor of BKZ with block size b; model invalid below 50."""
-    if b < MIN_BLOCK:
-        raise EstimatorError(f"delta(b) model requires b >= {MIN_BLOCK}, got {b}")
-    return ((math.pi * b) ** (1.0 / b) * b / (2 * math.pi * math.e)) ** (1.0 / (2.0 * (b - 1.0)))
-
-
 def _log_delta(b: np.ndarray) -> np.ndarray:
+    """ln delta(b), elementwise; the model holds for b >= MIN_BLOCK, where every search starts."""
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 

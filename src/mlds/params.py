@@ -119,7 +119,7 @@ def validate_params(p: ParamSet) -> list[str]:
         errors.append(f"q={p.q} is not prime")
     elif (p.q - 1) % (2 * p.n) != 0:
         errors.append(f"q={p.q} is not congruent to 1 mod 2n={2 * p.n}")
-    elif p.n * (p.q - 1) ** 3 >= 2**53:  # float64 NTT exactness, see NttConstants
+    elif p.n * (p.q - 1) ** 3 >= 2**53:  # float64 NTT exactness, see mlds.ring
         errors.append(
             f"n*(q-1)^3 = {p.n * (p.q - 1) ** 3} is not below 2^53: "
             "the two-stage float64 NTT would round its partial sums"
@@ -135,8 +135,9 @@ def validate_params(p: ParamSet) -> list[str]:
         errors.append(f"eta={p.eta} must be >= 1")
     elif p.eta % 8 != 0:
         errors.append(f"eta={p.eta} is not a multiple of 8, as the byte-aligned binomial sampler needs")
-    elif p.eta >= p.q:
-        errors.append(f"eta={p.eta} is not below q={p.q}, so psi_eta noise would not be small mod q")
+    elif 2 * p.eta >= p.quarter_q:
+        errors.append(f"2*eta = {2 * p.eta} is not below floor(q/4) = {p.quarter_q}, so the decode "
+                      "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit")
     if p.redundancy not in (1, 4):
         errors.append(f"redundancy={p.redundancy} not in {{1, 4}}")
     elif p.n % (4 * p.redundancy) != 0:
@@ -168,15 +169,8 @@ class NttConstants:
     and gamma^(-R1*u2) into stage 2 instead. ``forward`` and ``inverse`` each
     hold the stage-1 table (R1 x R1) followed by the stage-2 table
     (R1 x R2 x R2), flattened into one float64 array of entries in [0, q);
-    ``stages`` gives the two as shaped views.
-
-    Exactness: stage 1 sums R1 products of an input below q and a table entry
-    below q, so each of its outputs is an integer below R1*(q-1)^2; stage 2
-    sums R2 products of those with a table entry below q, below n*(q-1)^3.
-    ``validate_params`` keeps n*(q-1)^3 below 2^53, where float64 holds every
-    partial sum exactly in any order, so no reduction is needed between the
-    stages and the float result equals the integer one before ``Ring``
-    reduces it mod q.
+    ``stages`` gives the two as shaped views. Why float64 computes both
+    stages exactly is argued once, in the ``mlds.ring`` module docstring.
     """
 
     n: int

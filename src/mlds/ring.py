@@ -169,10 +169,7 @@ class Ring:
         through their (R2, R2) tables on a transposed view of stage 1's
         output. Stage 2's (R1, B, R2) result y is reduced in float64 as
         y - floor(y/q)*q, then the int32 cast writes it as (B, R2, R1), i.e.
-        output index u1 + R1*u2. For an integer y < 2^53, floor(fl(y/q)) is
-        exact: the fractional part of y/q is a multiple of 1/q, and the
-        rounding error of y/q is below 1/(2q) at every y this transform
-        makes (y < n*(q-1)^3 < 2^49 here; below 1/q for any y < 2^53).
+        output index u1 + R1*u2.
         """
         first, second = stages
         r1, r2 = self.constants.split

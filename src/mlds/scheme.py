@@ -8,7 +8,7 @@ Key generation:
     P = intt(A_hat^T o ntt(s)) + e
 
 The public key carries A_hat, expanded once from rho by ``keygen`` or by
-``public_key`` (for ``codec.parse_pk``); signing reuses it.
+``codec.parse_pk``; signing reuses it.
 
 Signing draws e1 (nonces 0..k-1), e2 (k..2k-1), e3 (2k), e4 (2k+1) from the
 per-signature coin r and outputs
@@ -50,36 +50,15 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import bytes_to_bits, encode_bits, decode_bits, decode_payload
+from .codec import (PublicKey, SecretKey, Signature, bytes_to_bits, encode_bits, decode_bits,
+                    decode_payload, signature_well_formed)
 from .params import ParamSet, DEFAULT_PARAMS
-from .ring import Ring, Poly, PolyVec, NttMatrix, get_ring
+from .ring import Ring, Poly, PolyVec, get_ring
 from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se, gen_se_vec
-
-
-@dataclass(frozen=True, eq=False)
-class PublicKey:
-    """(rho, P) and A_hat = gen_a(rho); made by ``keygen`` or ``public_key``."""
-
-    rho: bytes  # a tuple of seeds for a batch
-    p_vec: PolyVec  # coefficient domain
-    a_hat: NttMatrix = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class SecretKey:
-    s: PolyVec
-
-
-@dataclass(frozen=True, eq=False)
-class Signature:
-    z1: PolyVec
-    z2: Poly
-    z3: Poly
-    h: bytes  # a tuple of digests for a batch
 
 
 #: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
@@ -191,35 +170,15 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
     return crh(mu + crh(payload))
 
 
-def _values_valid(sig: Signature, trials: tuple, ring: Ring) -> np.ndarray:
-    """Per trial: z1, z2, z3 are coefficient-domain int32 values in [0, q).
-
-    A parsed signature has passed the range checks already; one built in
-    memory has not. A negative int32 read as uint32 is >= q, so one unsigned
-    maximum per trial checks both ends of the range for all three.
-    """
-    q, n, k = ring.q, ring.n, ring.k
-    invalid = np.zeros(trials, dtype=bool)
-    if (type(sig.z1) is not PolyVec or sig.z1.domain is not Poly
-            or type(sig.z2) is not Poly or type(sig.z3) is not Poly):
-        return invalid
-    z1, z2, z3 = sig.z1.data, sig.z2.coeffs, sig.z3.coeffs
-    if (z1.shape != trials + (k, n) or z2.shape != trials + (n,) or z3.shape != trials + (n,)
-            or not z1.dtype == z2.dtype == z3.dtype == np.int32):
-        return invalid
-    values = np.concatenate((z1.reshape(trials + (k * n,)), z2, z3), axis=-1)
-    return values.view(np.uint32).max(axis=-1) < q
-
-
 def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
     """(reason, w) for one trial, or (reasons per trial, w) for a batch.
 
-    A reason is None on accept. Each trial is decided in order: structure,
-    the mu decode of w = z2 + z3 - intt(<P_hat, z1_hat>), then h recomputed
-    from z2. w is None when no trial is structurally valid.
+    A reason is None on accept. Each trial is decided in order: the codec's
+    ``signature_well_formed``, the mu decode of w = z2 + z3 - intt(<P_hat, z1_hat>),
+    then h recomputed from z2. w is None when no trial is well formed.
     """
     trials = () if isinstance(mu, (bytes, bytearray)) else (len(mu),)
-    valid = _values_valid(sig, trials, ring)
+    valid, _ = signature_well_formed(sig, ring, trials)
     if not valid.any():
         return _each(lambda _: "parse", mu), None
     p_hat = ring.vec_ntt(pk.p_vec)
@@ -228,7 +187,7 @@ def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
     mu_ok = (decode_bits(w, ring) == mu_payload_bits(mu, ring.params)).all(axis=-1)
 
     def decide(mu_t, h_t, valid_t, mu_ok_t, payload_t):
-        if not (valid_t and isinstance(h_t, bytes) and len(h_t) == SEED_BYTES):
+        if not valid_t:
             return "parse"
         if not mu_ok_t:
             return "mu-mismatch"
@@ -242,11 +201,6 @@ def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
 def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
     """Deterministic key pair from a 32-byte seed; any other length raises ValueError."""
     return _keygen_steps(zeta, get_ring(params))
-
-
-def public_key(rho: bytes, p_vec: PolyVec, ring: Ring) -> PublicKey:
-    """The public key (rho, P), with A_hat expanded from rho."""
-    return PublicKey(rho, p_vec, gen_a(rho, ring))
 
 
 def sign(

@@ -48,7 +48,7 @@ def test_sign_verify_roundtrip_z2(tmp_path, keyfiles, rng):
     msg.write_bytes(rng.bytes(1024))
     sig = tmp_path / "msg.sig"
     assert run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
-                   "--out-sig", str(sig), "--policy", "z2") == EXIT_OK
+                   "--out-sig", str(sig)) == EXIT_OK
     assert sig.stat().st_size == 1830
     assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_OK
 
@@ -59,7 +59,7 @@ def test_verify_rejects_wrong_message(tmp_path, keyfiles, rng, capsys):
     msg.write_bytes(rng.bytes(100))
     sig = tmp_path / "msg.sig"
     run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
-            "--out-sig", str(sig), "--policy", "z2")
+            "--out-sig", str(sig))
     other = tmp_path / "other.bin"
     other.write_bytes(b"different payload")
     code = run_cli("verify", "--pk", str(pk), "--msg", str(other), "--sig", str(sig))
@@ -73,7 +73,7 @@ def test_verify_truncated_sig_is_usage_error(tmp_path, keyfiles, rng):
     msg.write_bytes(rng.bytes(64))
     sig = tmp_path / "msg.sig"
     run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
-            "--out-sig", str(sig), "--policy", "z2")
+            "--out-sig", str(sig))
     sig.write_bytes(sig.read_bytes()[:500])
     assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_USAGE
 
@@ -84,24 +84,22 @@ def test_verify_corrupt_magic_is_usage_error(tmp_path, keyfiles, rng):
     msg.write_bytes(rng.bytes(64))
     sig = tmp_path / "msg.sig"
     run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
-            "--out-sig", str(sig), "--policy", "z2")
+            "--out-sig", str(sig))
     blob = bytearray(sig.read_bytes())
     blob[0] ^= 0xFF
     sig.write_bytes(bytes(blob))
     assert run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig)) == EXIT_USAGE
 
 
-def test_literal_policy_roundtrip_reports_verdict(tmp_path, keyfiles, rng):
-    # the literal h binds the signer's secret path; the verifier's check may
-    # reject -- either exit code is legitimate, never a crash
+def test_sign_has_no_policy_option(tmp_path, keyfiles, capsys):
+    # the verifier rejects nearly every literal signature, so mlds sign makes z2 ones only
     pk, sk = keyfiles
-    msg = tmp_path / "msg.bin"
-    msg.write_bytes(rng.bytes(64))
-    sig = tmp_path / "msg.sig"
-    run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(msg),
-            "--out-sig", str(sig), "--policy", "literal")
-    code = run_cli("verify", "--pk", str(pk), "--msg", str(msg), "--sig", str(sig))
-    assert code in (EXIT_OK, EXIT_REJECT)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("sign", "--sk", str(sk), "--pk", str(pk), "--msg", str(pk),
+                "--out-sig", str(tmp_path / "msg.sig"), "--policy", "literal")
+    assert exc.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --policy literal" in capsys.readouterr().err
+    assert not (tmp_path / "msg.sig").exists()
 
 
 def test_verify_has_no_policy_option(tmp_path, keyfiles, capsys):

@@ -5,17 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mlds import (
-    DEFAULT_PARAMS, ParamSet, Poly, get_ring, keygen, sign, verify, Z2_DERIVED,
+    DEFAULT_PARAMS, NttPoly, ParamSet, Poly, PolyVec, get_ring, keygen, sign, verify, Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
     HeaderError, LengthError, CoefficientRangeError, CodecError,
 )
 from mlds.codec import (
-    HEADER_BYTES, PACK_BITS, SEED_BYTES,
+    HEADER_BYTES, PACK_BITS, SEED_BYTES, SecretKey,
     bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
 from mlds.sampling import crh
-from mlds.scheme import SecretKey, _keygen_steps, _sign_steps
+from mlds.scheme import _keygen_steps, _sign_steps, _verify_steps
 
 from conftest import random_poly
 from ring_oracle import poly, zero, monomial
@@ -285,16 +285,77 @@ def unserializable(ring, keypair_sig):
             "rho-31": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(31))),
             "rho-33": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(33))),
             "h-31": (serialize_sig, dataclasses.replace(one_sig, h=bytes(31))),
-            "h-33": (serialize_sig, dataclasses.replace(one_sig, h=bytes(33)))}
+            "h-33": (serialize_sig, dataclasses.replace(one_sig, h=bytes(33))),
+            "rho-str": (serialize_pk, dataclasses.replace(one_pk, rho="r" * 32)),
+            "rho-bytearray": (serialize_pk, dataclasses.replace(one_pk, rho=bytearray(32))),
+            "p-poly": (serialize_pk, dataclasses.replace(one_pk, p_vec=one_pk.p_vec[0])),
+            "p-int64": (serialize_pk, dataclasses.replace(
+                one_pk, p_vec=PolyVec(one_pk.p_vec.data.astype(np.int64), Poly))),
+            "s-ndarray": (serialize_sk, SecretKey(s=keypair_sig[1].s.data)),
+            "sk-as-pk": (serialize_pk, keypair_sig[1]),
+            "pk-as-sk": (serialize_sk, one_pk)}
 
 
-@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk", "rho-31", "rho-33", "h-31", "h-33"])
+@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk", "rho-31", "rho-33", "h-31", "h-33",
+                                  "rho-str", "rho-bytearray", "p-poly", "p-int64", "s-ndarray",
+                                  "sk-as-pk", "pk-as-sk"])
 def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
-    # a batch of two keys or signatures, a key in the NTT domain, and a rho or
-    # h of the wrong length, whose wire parse_pk/parse_sig would refuse
+    # a batch of two keys or signatures, a key in the NTT domain, a rho or h
+    # of the wrong length, whose wire parse_pk/parse_sig would refuse, and
+    # values of the wrong type
     serialize, value = unserializable[kind]
     with pytest.raises(CodecError):
         serialize(value, ring)
+
+
+def _malformed(sig, kind, ring):
+    z1, z2, z3 = sig.z1.data, sig.z2.coeffs, sig.z3.coeffs
+    out_of_range = z2.copy()
+    out_of_range[7] = ring.q
+    fields = {
+        "z1-poly": {"z1": sig.z1[0]},
+        "z1-ndarray": {"z1": z1},
+        "z1-ntt": {"z1": PolyVec(z1, NttPoly)},
+        "z1-int64": {"z1": PolyVec(z1.astype(np.int64), Poly)},
+        "z2-ntt": {"z2": ring.ntt(sig.z2)},
+        "z2-out-of-range": {"z2": Poly(out_of_range)},
+        "z3-short": {"z3": Poly(z3[:-1])},
+        "h-str": {"h": "h" * SEED_BYTES},
+        "h-bytearray": {"h": bytearray(sig.h)},
+        "h-short": {"h": sig.h[:-1]},
+    }[kind]
+    return dataclasses.replace(sig, **fields)
+
+
+MALFORMED = ["z1-poly", "z1-ndarray", "z1-ntt", "z1-int64", "z2-ntt", "z2-out-of-range",
+             "z3-short", "h-str", "h-bytearray", "h-short"]
+
+
+@pytest.mark.parametrize("kind", MALFORMED)
+def test_malformed_signature_is_refused_by_serialize_and_verify(kind, ring, keypair_sig):
+    # one rule decides both: verify rejects as "parse" what serialize_sig refuses
+    pk, _, sig = keypair_sig
+    bad = _malformed(sig, kind, ring)
+    assert verify(pk, b"codec test message", sig).ok
+    assert verify(pk, b"codec test message", bad).reason == "parse"
+    with pytest.raises(CodecError):
+        serialize_sig(bad, ring)
+
+
+@pytest.mark.parametrize("kind", ["z2-out-of-range", "h-bytearray", "h-short"])
+def test_malformed_trial_of_a_batch_is_rejected_alone(kind, ring):
+    # range and h are decided per trial; the other trial of the batch is verified
+    mus = [crh(b"a"), crh(b"b")]
+    pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    sig = _sign_steps(sk, pk, mus, [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
+    z2, h = sig.z2.coeffs.copy(), list(sig.h)
+    if kind == "z2-out-of-range":
+        z2[1, 7] = ring.q
+    else:
+        h[1] = bytearray(h[1]) if kind == "h-bytearray" else h[1][:-1]
+    assert _verify_steps(pk, mus, sig, ring)[0] == (None, None)
+    mixed = dataclasses.replace(sig, z2=Poly(z2), h=tuple(h))
+    assert _verify_steps(pk, mus, mixed, ring)[0] == (None, "parse")
 
 
 def test_rank_1_roundtrip():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 import mlds.estimator
 from mlds import (
     DEFAULT_PARAMS, ParamSet,
-    LweInstance, EstimatorError, bkz_delta, primal_cost, dual_cost, key_sizes,
+    LweInstance, EstimatorError, primal_cost, dual_cost, key_sizes,
 )
 from mlds.estimator import (
     CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, AttackEstimate, _dual_log2_rep,
@@ -20,21 +20,45 @@ def reference_instance():
     return LweInstance.from_binomial(n_lwe=1024, q=12289, eta=16, max_samples=2048)
 
 
+def bkz_delta(b: int) -> float:
+    """Scalar oracle for the root-Hermite factor delta(b) of BKZ; the model holds for b >= 50."""
+    if b < MIN_BLOCK:
+        raise EstimatorError(f"delta(b) model requires b >= {MIN_BLOCK}, got {b}")
+    return ((math.pi * b) ** (1.0 / b) * b / (2 * math.pi * math.e)) ** (1.0 / (2.0 * (b - 1.0)))
+
+
 def test_bkz_delta_monotone_decreasing():
     values = [bkz_delta(b) for b in range(50, 1001)]
     assert all(a > b for a, b in zip(values, values[1:]))
+    # _log_delta is the search's vector form of the same closed form
+    log_delta = _log_delta(np.arange(50, 1001))
+    assert np.all(np.diff(log_delta) < 0)
+    assert np.allclose(log_delta, np.log(values), rtol=1e-12, atol=0)
 
 
 def test_bkz_delta_known_value():
     # direct evaluation of the closed form at b=380
     assert abs(bkz_delta(380) - 1.00413) < 2e-4
+    assert abs(math.exp(_log_delta(np.array([380]))[0]) - 1.00413) < 2e-4
 
 
-def test_bkz_delta_rejects_small_blocks():
+def test_bkz_delta_rejects_small_blocks(monkeypatch):
     with pytest.raises(EstimatorError):
         bkz_delta(10)
     with pytest.raises(EstimatorError):
         bkz_delta(49)
+    # the searches never evaluate delta(b) below the model's range
+    smallest = []
+
+    def logged(b):
+        smallest.append(int(np.min(b)))
+        return _log_delta(b)
+
+    monkeypatch.setattr(mlds.estimator, "_log_delta", logged)
+    inst = LweInstance.from_binomial(n_lwe=128, q=12289, eta=16)
+    primal_cost(inst)
+    dual_cost(inst)
+    assert smallest and min(smallest) == MIN_BLOCK
 
 
 def test_instance_construction():

@@ -1,0 +1,51 @@
+"""The package's modules form one import order, with no cycle.
+
+``import mlds.codec`` cannot show a cycle, because ``mlds/__init__`` loads
+every module first; so the imports are read from the source, including the
+ones inside functions.
+"""
+
+import ast
+from pathlib import Path
+
+import mlds
+
+LAYERS = ("params", "ring", "sampling", "codec", "scheme", "estimator", "cli")
+SRC = Path(mlds.__file__).resolve().parent
+
+
+def imported_modules(tree: ast.AST):
+    """(line, module name) for every mlds module a parsed file imports, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module is None:  # from . import codec
+                yield from ((node.lineno, alias.name) for alias in node.names)
+            elif node.level == 1:
+                yield node.lineno, node.module.split(".")[0]
+            elif node.level == 0 and (node.module or "").startswith("mlds."):
+                yield node.lineno, node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("mlds."):
+                    yield node.lineno, alias.name.split(".")[1]
+
+
+def test_every_module_has_a_layer():
+    assert {path.stem for path in SRC.glob("*.py")} == set(LAYERS) | {"__init__"}
+
+
+def test_imports_point_to_earlier_layers_only():
+    backward = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        rank = LAYERS.index(path.stem)
+        for line, target in imported_modules(ast.parse(path.read_text(), str(path))):
+            if target not in LAYERS[:rank]:
+                backward.append(f"{path.name}:{line} imports {target}")
+    assert backward == []
+
+
+def test_the_check_sees_imports_inside_functions():
+    source = "def parse():\n    from .scheme import Signature\n"
+    assert list(imported_modules(ast.parse(source))) == [(2, "scheme")]

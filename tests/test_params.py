@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mlds import ParamSet, ParamError, derive_ntt_constants, validate_params
+from mlds import ParamSet, ParamError, derive_ntt_constants, measure_agreement, validate_params
 from mlds.params import _smallest_generator
 
 
@@ -90,11 +90,16 @@ def test_validate_reports_each_violation():
     assert any("k=" in e for e in validate_params(ParamSet(k=0)))
     assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
     assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
-    # psi_eta samples lie in [-eta, eta], which is small mod q only when eta < q
-    assert validate_params(ParamSet(n=128, q=257, eta=264)) == [
-        "eta=264 is not below q=257, so psi_eta noise would not be small mod q"
+    # the decode noise ||e3 + e4||_inf <= 2*eta must stay below floor(q/4) = 64 at q = 257
+    assert validate_params(ParamSet(n=128, q=257, eta=256)) == [
+        "2*eta = 512 is not below floor(q/4) = 64, so the decode "
+        "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit"
     ]
-    assert validate_params(ParamSet(n=128, q=257, eta=256)) == []
+    assert validate_params(ParamSet(n=128, q=257, eta=32)) == [
+        "2*eta = 64 is not below floor(q/4) = 64, so the decode "
+        "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit"
+    ]
+    assert validate_params(ParamSet(n=128, q=257, eta=24)) == []
     # prime and 2n | q-1, but 256 * 8380416^3 > 2^53 would round the float64 NTT
     assert any("2^53" in e for e in validate_params(ParamSet(q=8380417)))
     # prime and 512 | 40960, but 256 * 40960^3 ~ 1.8e16 > 2^53 would round the
@@ -112,6 +117,16 @@ def test_validate_reports_each_violation():
         f"k*(q-1)^2 = {15 * 12288**2} is not below 2^31: "
         "a module product's sum of k products would overflow int32"
     ]
+
+
+@pytest.mark.parametrize("redundancy", [1, 4])
+def test_largest_admitted_eta_decodes_every_honest_signature(redundancy):
+    # eta = 24 is the largest multiple of 8 with 2*eta < floor(257/4) = 64
+    params = ParamSet(n=128, q=257, eta=24, redundancy=redundancy)
+    assert validate_params(params) == []
+    report = measure_agreement(256, params, "z2", bytes(32))
+    assert report.mu_failures == 0 and report.h_failures == 0
+    assert report.max_noise <= 2 * params.eta < params.quarter_q
 
 
 def test_ntt_congruence_holds_for_n_512():
