@@ -210,6 +210,8 @@ def cmd_info(args) -> int:
     print(f"  validation: {'ok' if not problems else '; '.join(problems)}")
     if problems:
         return EXIT_USAGE
+    print(f"  decode margin: ||e3+e4||_inf <= 2*eta = {2 * p.eta} < floor(q/4) = {p.quarter_q} "
+          f"(largest admissible eta: {p.max_eta})")
     consts = derive_ntt_constants(p)
     sizes = key_sizes(p)
     print(f"ntt: gamma={consts.gamma} omega={consts.omega} n_inv={consts.n_inv}")

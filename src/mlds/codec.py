@@ -21,7 +21,8 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
 layouts. ``signature_well_formed`` is the one rule for a well-formed
 signature: ``serialize_sig`` refuses, and verification rejects as "parse",
-what it rejects. The key serializers check rho, P and s the same way.
+what it rejects. A ``PublicKey`` checks rho and P when it is built, and
+``serialize_sk`` checks s the same way.
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
 m * 448 bytes into an (m, n) stack, also for m = 1, with one length and one
@@ -66,11 +67,28 @@ class CoefficientRangeError(CodecError):
 
 @dataclass(frozen=True, eq=False)
 class PublicKey:
-    """(rho, P) and A_hat = gen_a(rho); made by ``scheme.keygen`` or ``parse_pk``."""
+    """(rho, P) and A_hat = gen_a(rho) under ``params``; made by ``scheme.keygen`` or ``parse_pk``.
+
+    Built only well formed: rho is 32 ``bytes``, a tuple of one per trial for
+    a batch, and P a coefficient-domain ``PolyVec`` of shape (*trials, k, n),
+    int32 in [0, q). Anything else, ``dataclasses.replace`` included, raises
+    ``CodecError``, so verification never meets a malformed key.
+    """
 
     rho: bytes  # a tuple of seeds for a batch
     p_vec: PolyVec  # coefficient domain
     a_hat: NttMatrix = field(repr=False)
+    params: ParamSet = field(repr=False)
+
+    def __post_init__(self):
+        p, batch = self.params, type(self.rho) is tuple
+        seeds = self.rho if batch else (self.rho,)
+        values = _coeffs(self.p_vec, PolyVec, ((len(seeds),) if batch else ()) + (p.k, p.n))
+        # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
+        if not (seeds and all(map(_is_seed, seeds)) and values is not None
+                and values.view(np.uint32).max() < p.q):
+            raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch) and a "
+                             "coefficient-domain (*trials, k, n) int32 P in [0, q)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -247,10 +265,10 @@ def sig_bytes(p: ParamSet) -> int:
 
 
 def serialize_pk(pk, ring: Ring) -> bytes:
-    if not (isinstance(pk, PublicKey) and _is_seed(pk.rho)
-            and _coeffs(pk.p_vec, PolyVec, (ring.k, ring.n)) is not None):
-        raise CodecError("a public key is one 32-byte rho and one coefficient-domain (k, n) int32 P")
-    return b"".join((_header(ring.params), pk.rho, pack_poly(Poly(pk.p_vec.data), ring)))
+    # a PublicKey is well formed once built; a batch carries a tuple of seeds
+    if not (isinstance(pk, PublicKey) and pk.params == ring.params and type(pk.rho) is bytes):
+        raise CodecError("serialize_pk takes one public key of this parameter set, not a batch")
+    return b"".join((_header(ring.params), pk.rho, _pack_rows(pk.p_vec.data, ring.params)))
 
 
 def parse_pk(data: bytes, ring: Ring) -> PublicKey:
@@ -259,7 +277,8 @@ def parse_pk(data: bytes, ring: Ring) -> PublicKey:
     if len(data) != pk_bytes(p):
         raise LengthError(f"public key must be {pk_bytes(p)} bytes, got {len(data)}")
     rho = body[:SEED_BYTES]
-    return PublicKey(rho, PolyVec(unpack_poly(body[SEED_BYTES:], ring).coeffs, Poly), gen_a(rho, ring))
+    p_vec = PolyVec(unpack_poly(body[SEED_BYTES:], ring).coeffs, Poly)
+    return PublicKey(rho, p_vec, gen_a(rho, ring), p)
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:

@@ -16,16 +16,44 @@ log2(eps) = -2 pi^2 tau^2 / ln 2, tau = l sigma / q; the sieve provides
 2^(0.2075 b) vectors per call, so R = max(1, 1 / (2^(0.2075 b) eps^2))
 repetitions are needed and log2(R) is added to the cost.
 
-Both searches scan b upward from 50 in blocks of BLOCK_COLS columns, each
-with every m in [1, max_samples], keeping cells with b <= d; the minimum is
-taken in (cost, b, m) order, so ties go to the smaller b, then the smaller m.
-The scan stops before a block whose first column has fl(0.292 b) above the
-best cost. That is exact: every cell costs at least fl(0.292 b), since a
-primal cell costs exactly that, a dual cell fl(0.292 b) + log2(R) with
-log2(R) >= 0, and float rounding is monotone; so no later cell can beat or tie
-the best. The primal scan thus ends at the first block with a feasible cell,
-the dual scan about one block past its optimum. Reported bit counts are
-floored to integers. BKW-type and linearization attacks are out of scope.
+Both attacks share one exact search over b in [50, n + max_samples + 1]
+and m in [1, max_samples], over cells with b <= d; the minimum is taken in
+(cost, b, m) order, so ties go to the smaller b, then the smaller m.
+
+For fixed b a cell depends on m only through d = n' + m (n' = n + 1 for the
+primal attack, n for the dual), by a term d ln delta(b) weighed against a term
+(n'/d) ln q:
+
+* primal: the margin rhs - (ln sigma + 1/2 ln b) equals a constant
+  - d ln delta(b) - (n'/d) ln q, concave in d;
+* dual: log2 ell = d log2 delta(b) + (n'/d) log2 q + const is convex in d,
+  and the cost is non-decreasing in it (tau = 2^log2 ell, its clamp at 2^30,
+  tau^2 and the max(0, .) are all monotone).
+
+So over real d a row is best at d* = sqrt(n' ln q / ln delta(b)), and over
+the integers at floor(d*) or ceil(d*), clipped to the row's admissible m,
+[max(1, b - n'), max_samples]. A row left empty by b <= d clips to
+max_samples, where its cells stay infinite. The search evaluates the cells
+floor(d*) and floor(d*) + 1 of every b as one (2, #b) screen block, twice:
+exactly, and with a slack of SCREEN_SLACK = 1e-6, added to the primal rhs and
+taken off the dual cost relatively. Float error is far below that: about
+1e-12, absolute on the primal rhs and relative on the dual cost, which is at
+least 0.292 * 50; and an error in d* that moves floor(d*) keeps in the pair
+the integer nearest to d*, which is then the row's optimum. So a row's slack
+value is at most the float cost of each of its cells, and a row whose slack
+value lies above the exact screen's best, an attained cell cost, can neither
+beat nor tie the optimum: it is skipped.
+
+The rows left, one to a few, are evaluated whole, over every m, in ascending
+b, and the answer comes from them alone, so ties still go to the smaller b,
+then the smaller m. A flat row, where the dual max(0, .) or the tau clamp
+holds the cost over several m, thus reports its smallest m, not the screen's.
+That scan stops before a block whose first row has fl(0.292 b) above the
+best: every cell costs at least fl(0.292 b), since a primal cell costs
+exactly that, a dual cell fl(0.292 b) + log2(R) with log2(R) >= 0, and float
+rounding is monotone. Every block the search computes, the two screens
+included, goes through ``_pick``. Reported bit counts are floored to
+integers. BKW-type and linearization attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
 a full lattice estimator.
@@ -45,7 +73,8 @@ CLASSICAL_EXP = 0.292
 QUANTUM_EXP = 0.265
 SIEVE_VECTORS_EXP = 0.2075
 MIN_BLOCK = 50
-BLOCK_COLS = 64  # b columns per evaluated grid block
+BLOCK_COLS = 64  # b rows per evaluated whole-row block
+SCREEN_SLACK = 1e-6  # see the module doc
 
 
 class EstimatorError(ValueError):
@@ -89,44 +118,64 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 
-def _pick(cost: np.ndarray, m_vals: np.ndarray, b_vals: np.ndarray,
-          best: tuple | None) -> tuple | None:
-    """Merge a (m, b) cost block into the running (cost, b, m) lexicographic best."""
-    rows = cost.argmin(axis=0)  # first minimum: smallest m for each b
-    per_b = cost[rows, np.arange(cost.shape[1])]
+def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
+          best: tuple | None) -> tuple[tuple | None, np.ndarray]:
+    """Merge a cost block into the running (cost, b, m) lexicographic best.
+
+    ``cost`` holds one column per entry of ``b``; ``m`` broadcasts against it,
+    one m per cell. Returns the new best and the per-column minima.
+    """
+    per_b = cost.min(axis=0)
     col = per_b.argmin()  # first minimum: smallest b
-    cand = (per_b[col], int(b_vals[col]), int(m_vals[rows[col]]))
-    return cand if np.isfinite(cand[0]) and (best is None or cand < best) else best
+    row = cost[:, col].argmin()  # first minimum: smallest m
+    cand = (per_b[col], int(b[col]), int(np.broadcast_to(m, cost.shape)[row, col]))
+    return (cand if np.isfinite(cand[0]) and (best is None or cand < best) else best), per_b
 
 
-def _search(inst: LweInstance, block_cost) -> tuple | None:
-    """(cost, b, m) minimum of ``block_cost(m, b)``, None if no cell is finite; see the module doc."""
+def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
+    """(cost, b, m) minimum of ``block_cost(m, b)``, None if no cell is finite; see the module doc.
+
+    A cell's lattice dimension is d = n_lwe + offset + m, and b <= d.
+    """
+    b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
+    if not b.size:
+        return None
+    n = inst.n_lwe + offset
+    # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n
+    m_star = np.sqrt(n * math.log(inst.q) / _log_delta(b)) - n
+    m = np.floor(m_star) + np.arange(2.0)[:, None]  # the (2, #b) screen: floor and floor + 1
+    np.clip(m, np.maximum(1, b - n), inst.max_samples, out=m)  # an empty row clips to max_samples
+    best, _ = _pick(block_cost(m, b), m, b, None)
+    _, bound = _pick(block_cost(m, b, SCREEN_SLACK), m, b, None)
+    # a row whose slack value lies above an attained cost can neither beat nor tie the optimum
+    rows = b[np.isfinite(bound) & (bound <= (best[0] if best else np.inf))]
+
     m = np.arange(1, inst.max_samples + 1)
-    b_all = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
     best = None
-    for lo in range(0, b_all.size, BLOCK_COLS):
-        b = b_all[lo:lo + BLOCK_COLS]
+    for lo in range(0, rows.size, BLOCK_COLS):
+        b = rows[lo:lo + BLOCK_COLS]
         if best is not None and CLASSICAL_EXP * b[0] > best[0]:
             break
         # built b-major, so that _pick reduces over m along contiguous memory
-        best = _pick(block_cost(m[None, :], b[:, None]).T, m, b, best)
+        best, _ = _pick(block_cost(m[None, :], b[:, None]).T, m[:, None], b, best)
     return best
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
-    def block_cost(m, b):
+    def block_cost(m, b, slack=0.0):
         d = inst.n_lwe + m + 1.0
         rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
         rhs *= _log_delta(b)
         rhs += (m / d) * math.log(inst.q)
+        rhs += slack
         feasible = rhs >= math.log(inst.sigma) + 0.5 * np.log(b)
         feasible &= b <= d
         cost = np.full(rhs.shape, np.inf)
         np.copyto(cost, CLASSICAL_EXP * b, where=feasible)
         return cost
 
-    best = _search(inst, block_cost)
+    best = _search(inst, block_cost, 1)
     if best is None:
         raise EstimatorError("no (m, b) satisfies the primal embedding condition in bounds")
     _, b_opt, m_opt = best
@@ -162,13 +211,14 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             "gives noise statistically close to uniform mod q"
         )
 
-    def block_cost(m, b):
+    def block_cost(m, b, slack=0.0):
         cost = _dual_log2_rep(inst, m, b)
         cost += CLASSICAL_EXP * b
+        cost *= 1.0 - slack
         cost[b > inst.n_lwe + m] = np.inf
         return cost
 
-    best = _search(inst, block_cost)
+    best = _search(inst, block_cost, 0)
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
     _, b_opt, m_opt = best

@@ -56,6 +56,12 @@ class ParamSet:
     def quarter_q(self) -> int:
         return self.q // 4
 
+    @property
+    def max_eta(self) -> int:
+        """Largest eta that ``validate_params`` admits at this q: a multiple of 8 with
+        2*eta < floor(q/4), so the decode noise ||e3 + e4||_inf <= 2*eta cannot flip a bit."""
+        return (self.quarter_q - 1) // 2 // 8 * 8
+
 
 DEFAULT_PARAMS = ParamSet()
 
@@ -135,7 +141,7 @@ def validate_params(p: ParamSet) -> list[str]:
         errors.append(f"eta={p.eta} must be >= 1")
     elif p.eta % 8 != 0:
         errors.append(f"eta={p.eta} is not a multiple of 8, as the byte-aligned binomial sampler needs")
-    elif 2 * p.eta >= p.quarter_q:
+    elif p.eta > p.max_eta:
         errors.append(f"2*eta = {2 * p.eta} is not below floor(q/4) = {p.quarter_q}, so the decode "
                       "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit")
     if p.redundancy not in (1, 4):

@@ -135,7 +135,7 @@ def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s))), e)
-    return PublicKey(rho, p_vec, a_hat), SecretKey(s=s)
+    return PublicKey(rho, p_vec, a_hat, ring.params), SecretKey(s=s)
 
 
 def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import mlds.cli
-from mlds import ParamSet
+from mlds import ParamSet, validate_params
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
 from mlds.estimator import AttackEstimate
 
@@ -265,6 +265,16 @@ def test_info_runs(capsys):
     assert "gamma=3400" in out
     assert "n_inv=12241" in out
     assert "validation: ok" in out
+
+
+def test_info_prints_the_decode_margin(capsys):
+    assert run_cli("info") == EXIT_OK
+    line = next(x for x in capsys.readouterr().out.splitlines() if "decode margin" in x)
+    assert "2*eta = 32 < floor(q/4) = 3072" in line
+    assert line.endswith("(largest admissible eta: 1528)")
+    # the same rule as validate_params: 1528 validates, the next multiple of 8 does not
+    assert not validate_params(ParamSet(eta=1528))
+    assert any("floor(q/4) = 3072" in e for e in validate_params(ParamSet(eta=1536)))
 
 
 def test_info_reports_an_invalid_set(monkeypatch, capsys):

@@ -280,20 +280,21 @@ def unserializable(ring, keypair_sig):
     sig = _sign_steps(sk, pk, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
     ntt_sk = SecretKey(s=ring.vec_ntt(keypair_sig[1].s))
     one_pk, _, one_sig = keypair_sig
-    return {"pk": (serialize_pk, pk), "sk": (serialize_sk, sk), "sig": (serialize_sig, sig),
-            "ntt-sk": (serialize_sk, ntt_sk),
-            "rho-31": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(31))),
-            "rho-33": (serialize_pk, dataclasses.replace(one_pk, rho=bytes(33))),
-            "h-31": (serialize_sig, dataclasses.replace(one_sig, h=bytes(31))),
-            "h-33": (serialize_sig, dataclasses.replace(one_sig, h=bytes(33))),
-            "rho-str": (serialize_pk, dataclasses.replace(one_pk, rho="r" * 32)),
-            "rho-bytearray": (serialize_pk, dataclasses.replace(one_pk, rho=bytearray(32))),
-            "p-poly": (serialize_pk, dataclasses.replace(one_pk, p_vec=one_pk.p_vec[0])),
-            "p-int64": (serialize_pk, dataclasses.replace(
+    # a malformed PublicKey is refused when it is built, so those cases build inside the check
+    return {"pk": (serialize_pk, lambda: pk), "sk": (serialize_sk, lambda: sk),
+            "sig": (serialize_sig, lambda: sig), "ntt-sk": (serialize_sk, lambda: ntt_sk),
+            "rho-31": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(31))),
+            "rho-33": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(33))),
+            "h-31": (serialize_sig, lambda: dataclasses.replace(one_sig, h=bytes(31))),
+            "h-33": (serialize_sig, lambda: dataclasses.replace(one_sig, h=bytes(33))),
+            "rho-str": (serialize_pk, lambda: dataclasses.replace(one_pk, rho="r" * 32)),
+            "rho-bytearray": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytearray(32))),
+            "p-poly": (serialize_pk, lambda: dataclasses.replace(one_pk, p_vec=one_pk.p_vec[0])),
+            "p-int64": (serialize_pk, lambda: dataclasses.replace(
                 one_pk, p_vec=PolyVec(one_pk.p_vec.data.astype(np.int64), Poly))),
-            "s-ndarray": (serialize_sk, SecretKey(s=keypair_sig[1].s.data)),
-            "sk-as-pk": (serialize_pk, keypair_sig[1]),
-            "pk-as-sk": (serialize_sk, one_pk)}
+            "s-ndarray": (serialize_sk, lambda: SecretKey(s=keypair_sig[1].s.data)),
+            "sk-as-pk": (serialize_pk, lambda: keypair_sig[1]),
+            "pk-as-sk": (serialize_sk, lambda: one_pk)}
 
 
 @pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk", "rho-31", "rho-33", "h-31", "h-33",
@@ -303,9 +304,43 @@ def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
     # a batch of two keys or signatures, a key in the NTT domain, a rho or h
     # of the wrong length, whose wire parse_pk/parse_sig would refuse, and
     # values of the wrong type
-    serialize, value = unserializable[kind]
+    serialize, build = unserializable[kind]
     with pytest.raises(CodecError):
-        serialize(value, ring)
+        serialize(build(), ring)
+
+
+@pytest.mark.parametrize("kind", ["p-ntt", "p-plus-20000", "p-int64", "p-negative", "p-batch-of-one",
+                                  "rho-tuple-for-one", "rho-tuple-short", "rho-empty-tuple"])
+def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
+    # the first three once reached verify: an NTT-domain P raised DomainError there,
+    # P + 20000 was rejected as "mu-mismatch" and an int64 P verified a signature
+    pk = keypair_sig[0]
+    p = pk.p_vec.data
+    batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    fields = {
+        "p-ntt": {"p_vec": PolyVec(p, NttPoly)},
+        "p-plus-20000": {"p_vec": PolyVec(p + 20000, Poly)},
+        "p-int64": {"p_vec": PolyVec(p.astype(np.int64), Poly)},
+        "p-negative": {"p_vec": PolyVec(p - ring.q, Poly)},
+        "p-batch-of-one": {"p_vec": PolyVec(p[None], Poly)},
+        "rho-tuple-for-one": {"rho": (pk.rho,)},
+        "rho-tuple-short": {"rho": batch.rho[:1], "p_vec": batch.p_vec},
+        "rho-empty-tuple": {"rho": (), "p_vec": PolyVec(np.zeros((0, ring.k, ring.n), np.int32), Poly)},
+    }[kind]
+    assert p.dtype == np.int32 and (p + 20000).dtype == np.int32
+    with pytest.raises(CodecError, match="public key"):
+        dataclasses.replace(pk, **fields)
+
+
+def test_batched_and_parsed_public_keys_build(ring, keypair_sig):
+    pk = keypair_sig[0]
+    batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    assert type(batch.rho) is tuple and batch.p_vec.data.shape == (2, ring.k, ring.n)
+    assert dataclasses.replace(batch).p_vec is batch.p_vec
+    assert parse_pk(serialize_pk(pk, ring), ring).p_vec == pk.p_vec
+    other = ParamSet(n=512, redundancy=4)
+    with pytest.raises(CodecError, match="parameter set"):
+        serialize_pk(pk, get_ring(other))
 
 
 def _malformed(sig, kind, ring):

@@ -157,26 +157,41 @@ def test_dual_repetitions_monotone_in_b(reference_instance):
 
 # -- the grid search against an exhaustive sweep -----------------------------------
 
+def _m_chunks(inst: LweInstance):
+    """Every m in [1, max_samples], in chunks of 256."""
+    for m_lo in range(1, inst.max_samples + 1, 256):
+        yield np.arange(m_lo, min(m_lo + 256, inst.max_samples + 1))
+
+
+def reference_costs(inst: LweInstance, kind: str, m: np.ndarray) -> np.ndarray:
+    """The cost of every (m, b) cell for the given m: one row per m, one column per b."""
+    b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
+    log_delta = _log_delta(b)
+    if kind == "primal":
+        d = (inst.n_lwe + m + 1)[:, None]
+        rhs = (2 * b[None, :] - d - 1) * log_delta[None, :] + (m[:, None] / d) * math.log(inst.q)
+        log_sb = math.log(inst.sigma) + 0.5 * np.log(b)
+        feasible = (log_sb[None, :] <= rhs) & (b[None, :] <= d)
+        return np.where(feasible, CLASSICAL_EXP * b[None, :], np.inf)
+    d = (inst.n_lwe + m)[:, None].astype(np.float64)
+    log2_ell = d * (log_delta / math.log(2))[None, :] + (inst.n_lwe / d) * math.log2(inst.q)
+    tau = 2.0 ** np.minimum(log2_ell + math.log2(inst.sigma / inst.q), 30.0)
+    log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
+    log2_rep = np.maximum(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b[None, :])
+    return np.where(b[None, :] <= d, CLASSICAL_EXP * b[None, :] + log2_rep, np.inf)
+
+
+def reference_row_minima(inst: LweInstance, kind: str) -> np.ndarray:
+    """The minimum cost of each b row over every m, by a full sweep."""
+    return np.min([reference_costs(inst, kind, m).min(axis=0) for m in _m_chunks(inst)], axis=0)
+
+
 def reference_search(inst: LweInstance, kind: str) -> AttackEstimate:
     """Sweep every (m, b) cell in chunks of 256 m; lexicographic (cost, b, m) minimum."""
     b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
-    log_delta = _log_delta(b)
     best = None
-    for m_lo in range(1, inst.max_samples + 1, 256):
-        m = np.arange(m_lo, min(m_lo + 256, inst.max_samples + 1))
-        if kind == "primal":
-            d = (inst.n_lwe + m + 1)[:, None]
-            rhs = (2 * b[None, :] - d - 1) * log_delta[None, :] + (m[:, None] / d) * math.log(inst.q)
-            log_sb = math.log(inst.sigma) + 0.5 * np.log(b)
-            feasible = (log_sb[None, :] <= rhs) & (b[None, :] <= d)
-            cost = np.where(feasible, CLASSICAL_EXP * b[None, :], np.inf)
-        else:
-            d = (inst.n_lwe + m)[:, None].astype(np.float64)
-            log2_ell = d * (log_delta / math.log(2))[None, :] + (inst.n_lwe / d) * math.log2(inst.q)
-            tau = 2.0 ** np.minimum(log2_ell + math.log2(inst.sigma / inst.q), 30.0)
-            log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
-            log2_rep = np.maximum(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b[None, :])
-            cost = np.where(b[None, :] <= d, CLASSICAL_EXP * b[None, :] + log2_rep, np.inf)
+    for m in _m_chunks(inst):
+        cost = reference_costs(inst, kind, m)
         finite = np.isfinite(cost)
         if finite.any():
             lo = cost[finite].min()
@@ -207,9 +222,17 @@ def _assert_matches_reference(inst: LweInstance) -> None:
 @settings(max_examples=200, deadline=None)
 @given(n_lwe=st.integers(1, 300), max_samples=st.integers(1, 600),
        q=st.sampled_from([257, 3329, 12289, 65537]), sigma=st.floats(0.3, 60))
-# the dual optimum is at b = 114, the first column of the second block, where 0.292 b is
-# within one bit of the first block's best cost: a stop rule looser by a bit misses it
+# a dual optimum at b = 114 whose 0.292 b is within one bit of b = 50..113's best cost
 @example(n_lwe=89, max_samples=239, q=12289, sigma=36.5)
+# the tau clamp binds on every screen cell of 357 dual rows, so their flat rows are bounded
+# by the clamped cost
+@example(n_lwe=280, max_samples=300, q=2**61 - 1, sigma=0.15 * (2**61 - 1))
+# the dual optimum is the b = 108 row's ceil(d*) cell: a screen of floor(d*) alone skips that row
+@example(n_lwe=23, max_samples=167, q=257, sigma=19.32)
+# the dual optimum's row is flat (R = 1) from m = 452 to the screen's clipped m = 461
+@example(n_lwe=254, max_samples=461, q=65537, sigma=39.2)
+# both optima lie on the last row that b <= d leaves non-empty; the dual's next row is empty
+@example(n_lwe=97, max_samples=38, q=12289, sigma=3.4355)
 def test_search_matches_full_grid(n_lwe, max_samples, q, sigma):
     _assert_matches_reference(LweInstance(n_lwe=n_lwe, q=q, sigma=sigma, max_samples=max_samples))
 
@@ -223,26 +246,77 @@ def test_empty_block_range_raises_estimator_error():
     _assert_matches_reference(empty)
 
 
-@pytest.mark.parametrize("attack", [primal_cost, dual_cost])
-def test_search_stops_early_and_counts_every_block(reference_instance, attack, monkeypatch):
+def _traced_search(attack, inst: LweInstance, monkeypatch):
+    """The estimate and the (m per cell, b) of every block the search hands to ``_pick``."""
     blocks = []
     pick = mlds.estimator._pick
 
-    def counted(cost, m_vals, b_vals, best):
-        blocks.append((cost.shape, b_vals.copy()))
-        return pick(cost, m_vals, b_vals, best)
+    def traced(cost, m, b, best):
+        blocks.append((np.broadcast_to(m, cost.shape).copy(), b.copy()))
+        return pick(cost, m, b, best)
 
-    monkeypatch.setattr(mlds.estimator, "_pick", counted)
-    est = attack(reference_instance)
-    cells = sum(shape[0] * shape[1] for shape, _ in blocks)
-    full = 2048 * (1024 + 2048 + 2 - MIN_BLOCK)
-    assert cells <= 2048 * 1024 < full
-    # every block carries all m, and the evaluated b columns run gap-free from 50
-    assert all(shape == (2048, b_vals.size) for shape, b_vals in blocks)
-    columns = np.concatenate([b_vals for _, b_vals in blocks])
-    assert np.array_equal(columns, np.arange(MIN_BLOCK, MIN_BLOCK + columns.size))
-    assert est.b in columns
-    assert columns[-1] < est.b + 2 * mlds.estimator.BLOCK_COLS
+    monkeypatch.setattr(mlds.estimator, "_pick", traced)
+    return attack(inst), blocks
+
+
+@pytest.mark.parametrize("attack, kind", [(primal_cost, "primal"), (dual_cost, "dual")],
+                         ids=["primal_cost", "dual_cost"])
+def test_search_screens_every_row_and_skips_only_dominated_ones(reference_instance, attack, kind,
+                                                                monkeypatch):
+    inst = reference_instance
+    est, blocks = _traced_search(attack, inst, monkeypatch)
+    every_b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
+    every_m = np.arange(1, inst.max_samples + 1)[:, None]
+    screens, whole = [], []
+    for m, b in blocks:
+        if m.shape == (2, every_b.size):  # the screen: two cells per b, in every row's range
+            assert np.array_equal(b, every_b)
+            assert m.min() >= 1 and m.max() <= inst.max_samples and np.all(m[0] <= m[1])
+            screens.append(m)
+        else:  # whole rows: every m of each of its b
+            assert np.array_equal(m, np.broadcast_to(every_m, (inst.max_samples, b.size)))
+            whole.append(b)
+    assert len(screens) == 2 and np.array_equal(screens[0], screens[1])
+    rows = np.concatenate(whole)
+    assert 1 <= rows.size <= 4 and np.all(np.diff(rows) > 0) and est.b in rows
+    cells = sum(m.size for m, _ in blocks)
+    assert cells == 2 * screens[0].size + inst.max_samples * rows.size
+    assert 50 * cells < inst.max_samples * every_b.size
+    # every row the search skipped has its full-sweep minimum strictly above the optimum
+    minima = reference_row_minima(inst, kind)
+    optimum = minima.min()
+    assert minima[every_b == est.b][0] == optimum
+    assert np.all(minima[~np.isin(every_b, rows)] > optimum)
+    if kind == "primal":  # no feasible cell below b_opt
+        assert np.all(np.isinf(minima[every_b < est.b]))
+
+
+@pytest.mark.parametrize("inst, m_b", [
+    # R = 1 from m = 452 up to the screen's cell, the clipped m = 461
+    (LweInstance(n_lwe=254, q=65537, sigma=39.2, max_samples=461), (452, 293)),
+    # the tau clamp holds every cell at its cap, so each row is flat over all of its m
+    (LweInstance(n_lwe=60, q=2**61 - 1, sigma=(2**61 - 1) / 4, max_samples=10), (1, 50)),
+], ids=["r-is-1", "tau-clamp"])
+def test_flat_dual_row_reports_its_smallest_m(inst, m_b, monkeypatch):
+    est, blocks = _traced_search(dual_cost, inst, monkeypatch)
+    assert (est.m, est.b) == m_b
+    ref = reference_search(inst, "dual")
+    assert (ref.m, ref.b) == m_b  # bits differ when the clamp binds: the oracle does not clamp
+    screen_m, screen_b = blocks[0]
+    assert screen_m[:, screen_b == est.b].min() > est.m
+
+
+@pytest.mark.parametrize("n_lwe, primal, dual", [
+    (2048, (1995, 2121, 619, 562), (1998, 2107, 615, 558)),
+    (3072, (2865, 3315, 967, 878), (2892, 3293, 961, 872)),
+])
+def test_large_instances_keep_the_full_scan_estimates(n_lwe, primal, dual):
+    # (m, b, classical, quantum) recorded from the b-block scan that evaluated every
+    # column up to its stop; the full-grid oracle is too slow at this size
+    inst = LweInstance.from_binomial(n_lwe, 12289, 16)
+    for attack, want in ((primal_cost, primal), (dual_cost, dual)):
+        est = attack(inst)
+        assert (est.m, est.b, est.classical_bits, est.quantum_bits) == want
 
 
 def test_primal_infeasible_raises():
