@@ -34,15 +34,16 @@ So over real d a row is best at d* = sqrt(n' ln q / ln delta(b)), and over
 the integers at floor(d*) or ceil(d*), clipped to the row's admissible m,
 [max(1, b - n'), max_samples]. A row left empty by b <= d clips to
 max_samples, where its cells stay infinite. The search evaluates the cells
-floor(d*) and floor(d*) + 1 of every b as one (2, #b) screen block, twice:
-exactly, and with a slack of SCREEN_SLACK = 1e-6, added to the primal rhs and
-taken off the dual cost relatively. Float error is far below that: about
-1e-12, absolute on the primal rhs and relative on the dual cost, which is at
-least 0.292 * 50; and an error in d* that moves floor(d*) keeps in the pair
-the integer nearest to d*, which is then the row's optimum. So a row's slack
-value is at most the float cost of each of its cells, and a row whose slack
-value lies above the exact screen's best, an attained cell cost, can neither
-beat nor tie the optimum: it is skipped.
+floor(d*) and floor(d*) + 1 of every b as one (2, #b) screen block, once. The
+same intermediate arrays give each cell's cost and its slack bound, with
+SCREEN_SLACK = 1e-6: the primal compares rhs + SCREEN_SLACK with the same
+lhs, and the dual multiplies the same cost by 1 - SCREEN_SLACK. Float error
+is far below that slack: about 1e-12, absolute on the primal rhs and relative
+on the dual cost, which is at least 0.292 * 50; and an error in d* that moves
+floor(d*) keeps in the pair the integer nearest to d*, which is then the
+row's optimum. So a row's slack bound is at most the float cost of each of
+its cells, and a row whose slack bound lies above the screen's best, an
+attained cell cost, can neither beat nor tie the optimum: it is skipped.
 
 The rows left, one to a few, are evaluated whole, over every m, in ascending
 b, and the answer comes from them alone, so ties still go to the smaller b,
@@ -51,9 +52,21 @@ holds the cost over several m, thus reports its smallest m, not the screen's.
 That scan stops before a block whose first row has fl(0.292 b) above the
 best: every cell costs at least fl(0.292 b), since a primal cell costs
 exactly that, a dual cell fl(0.292 b) + log2(R) with log2(R) >= 0, and float
-rounding is monotone. Every block the search computes, the two screens
-included, goes through ``_pick``. Reported bit counts are floored to
-integers. BKW-type and linearization attacks are out of scope.
+rounding is monotone. Every cost block the search computes, the screen
+included, goes through ``_pick`` once.
+
+ln delta(b) depends on b alone, so the screen, the whole rows and the dual's
+reported repetition count read it from one module-level table over
+b >= MIN_BLOCK, filled by the same ``_log_delta`` expression, bit for bit.
+The table grows when a search needs a larger b, by a longer copy that keeps
+every entry; it is never written in place, so a reader needs no lock.
+
+The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite. A
+clamped cell costs at most its model cost, so an optimum whose tau is below
+the clamp is the model's optimum; one whose tau sits at the clamp would be
+priced by the clamp, so ``dual_cost`` rejects it with EstimatorError.
+Reported bit counts are floored to integers. BKW-type and linearization
+attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
 a full lattice estimator.
@@ -75,6 +88,7 @@ SIEVE_VECTORS_EXP = 0.2075
 MIN_BLOCK = 50
 BLOCK_COLS = 64  # b rows per evaluated whole-row block
 SCREEN_SLACK = 1e-6  # see the module doc
+TAU_CLAMP_LOG2 = 30.0  # log2 tau is clamped here in the grid; see dual_cost
 
 
 class EstimatorError(ValueError):
@@ -118,6 +132,22 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 
+# ln delta(MIN_BLOCK + i), filled by _log_delta; replaced by a longer copy, never written
+_LOG_DELTA = np.empty(0)
+
+
+def _log_delta_table(b_max: int) -> np.ndarray:
+    """ln delta(b) for b = MIN_BLOCK, ..., b_max, read from the shared table."""
+    global _LOG_DELTA
+    table = _LOG_DELTA
+    if table.size < b_max - MIN_BLOCK + 1:
+        tail = _log_delta(np.arange(MIN_BLOCK + table.size, b_max + 1))
+        table = np.concatenate((table, tail))
+        table.flags.writeable = False
+        _LOG_DELTA = table
+    return table[:max(0, b_max - MIN_BLOCK + 1)]
+
+
 def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
           best: tuple | None) -> tuple[tuple | None, np.ndarray]:
     """Merge a cost block into the running (cost, b, m) lexicographic best.
@@ -133,47 +163,57 @@ def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
 
 
 def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
-    """(cost, b, m) minimum of ``block_cost(m, b)``, None if no cell is finite; see the module doc.
+    """(cost, b, m) minimum over every cell, None if no cell is finite; see the module doc.
 
-    A cell's lattice dimension is d = n_lwe + offset + m, and b <= d.
+    ``block_cost(m, b, log_delta)`` returns the cost of each cell of the broadcast block
+    and its slack bound; ``log_delta`` is ln delta(b), shaped like ``b``. A cell's lattice
+    dimension is d = n_lwe + offset + m, and b <= d.
     """
-    b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
-    if not b.size:
+    log_delta = _log_delta_table(inst.n_lwe + inst.max_samples + 1)
+    if not log_delta.size:
         return None
+    # float64 b: exact, and no int-to-float cast in each expression over it
+    b = np.arange(float(MIN_BLOCK), MIN_BLOCK + log_delta.size)
     n = inst.n_lwe + offset
     # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n
-    m_star = np.sqrt(n * math.log(inst.q) / _log_delta(b)) - n
+    m_star = n * math.log(inst.q) / log_delta
+    np.sqrt(m_star, out=m_star)
+    m_star -= n
     m = np.floor(m_star) + np.arange(2.0)[:, None]  # the (2, #b) screen: floor and floor + 1
-    np.clip(m, np.maximum(1, b - n), inst.max_samples, out=m)  # an empty row clips to max_samples
-    best, _ = _pick(block_cost(m, b), m, b, None)
-    _, bound = _pick(block_cost(m, b, SCREEN_SLACK), m, b, None)
-    # a row whose slack value lies above an attained cost can neither beat nor tie the optimum
-    rows = b[np.isfinite(bound) & (bound <= (best[0] if best else np.inf))]
+    # clip to the row's [max(1, b - n), max_samples]; an empty row clips to max_samples
+    np.maximum(m, np.maximum(1.0, b - n), out=m)
+    np.minimum(m, inst.max_samples, out=m)
+    cost, bound = block_cost(m, b, log_delta)
+    best, _ = _pick(cost, m, b, None)
+    bound = bound.min(axis=0)
+    # a row whose slack bound lies above an attained cost can neither beat nor tie the optimum
+    keep = np.isfinite(bound) & (bound <= (best[0] if best else np.inf))
+    rows, log_delta = b[keep], log_delta[keep]
 
-    m = np.arange(1, inst.max_samples + 1)
+    m = np.arange(1.0, inst.max_samples + 1)
     best = None
     for lo in range(0, rows.size, BLOCK_COLS):
         b = rows[lo:lo + BLOCK_COLS]
         if best is not None and CLASSICAL_EXP * b[0] > best[0]:
             break
         # built b-major, so that _pick reduces over m along contiguous memory
-        best, _ = _pick(block_cost(m[None, :], b[:, None]).T, m[:, None], b, best)
+        cost, _ = block_cost(m[None, :], b[:, None], log_delta[lo:lo + BLOCK_COLS, None])
+        best, _ = _pick(cost.T, m[:, None], b, best)
     return best
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
-    def block_cost(m, b, slack=0.0):
+    def block_cost(m, b, log_delta):
         d = inst.n_lwe + m + 1.0
         rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
-        rhs *= _log_delta(b)
+        rhs *= log_delta
         rhs += (m / d) * math.log(inst.q)
-        rhs += slack
-        feasible = rhs >= math.log(inst.sigma) + 0.5 * np.log(b)
-        feasible &= b <= d
-        cost = np.full(rhs.shape, np.inf)
-        np.copyto(cost, CLASSICAL_EXP * b, where=feasible)
-        return cost
+        lhs = math.log(inst.sigma) + 0.5 * np.log(b)
+        price, in_range = CLASSICAL_EXP * b, b <= d
+        cost = np.where((rhs >= lhs) & in_range, price, np.inf)
+        rhs += SCREEN_SLACK  # the slack bound: the same test against a looser rhs
+        return cost, np.where((rhs >= lhs) & in_range, price, np.inf)
 
     best = _search(inst, block_cost, 1)
     if best is None:
@@ -183,14 +223,21 @@ def primal_cost(inst: LweInstance) -> AttackEstimate:
                           math.floor(QUANTUM_EXP * b_opt))
 
 
-def _dual_log2_rep(inst: LweInstance, m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """log2 of the repetition count R, elementwise over the broadcast m and b arrays."""
-    d = (inst.n_lwe + m).astype(np.float64)
-    log2_ell = d * (_log_delta(b) / math.log(2))
-    log2_ell += (inst.n_lwe / d) * math.log2(inst.q)
-    log2_ell += math.log2(inst.sigma / inst.q)
-    # tau = ell * sigma / q; clamp the exponent to dodge overflow at huge ell
-    tau = np.power(2.0, np.minimum(log2_ell, 30.0, out=log2_ell), out=log2_ell)
+def _dual_log2_tau(inst: LweInstance, m: np.ndarray, log_delta: np.ndarray) -> np.ndarray:
+    """log2 tau = log2(ell sigma / q), unclamped, elementwise over the broadcast arrays."""
+    d = inst.n_lwe + m
+    log2_tau = d * (log_delta / math.log(2))
+    log2_tau += (inst.n_lwe / d) * math.log2(inst.q)
+    log2_tau += math.log2(inst.sigma / inst.q)
+    return log2_tau
+
+
+def _dual_log2_rep(inst: LweInstance, m: np.ndarray, b: np.ndarray,
+                   log_delta: np.ndarray) -> np.ndarray:
+    """log2 of the repetition count R, elementwise over the broadcast m, b, ln delta(b) arrays."""
+    log2_tau = _dual_log2_tau(inst, m, log_delta)
+    # clamp the exponent to dodge overflow at huge ell; dual_cost rejects a clamped optimum
+    tau = np.exp2(np.minimum(log2_tau, TAU_CLAMP_LOG2, out=log2_tau), out=log2_tau)
     log2_rep = -2 * math.pi**2 * tau
     log2_rep *= tau
     log2_rep /= math.log(2)  # log2(eps)
@@ -203,7 +250,9 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest dual distinguisher over the (m, b) grid.
 
     The distinguisher model needs noise that is not already close to uniform
-    mod q; an instance with sigma * sqrt(2 pi) >= q is outside it.
+    mod q; an instance with sigma * sqrt(2 pi) >= q is outside it. An optimum
+    whose tau sits at the 2^30 clamp is priced by the clamp, not the model, so
+    it is rejected too.
     """
     if inst.sigma * math.sqrt(2 * math.pi) >= inst.q:
         raise EstimatorError(
@@ -211,18 +260,23 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             "gives noise statistically close to uniform mod q"
         )
 
-    def block_cost(m, b, slack=0.0):
-        cost = _dual_log2_rep(inst, m, b)
+    def block_cost(m, b, log_delta):
+        cost = _dual_log2_rep(inst, m, b, log_delta)
         cost += CLASSICAL_EXP * b
-        cost *= 1.0 - slack
         cost[b > inst.n_lwe + m] = np.inf
-        return cost
+        return cost, cost * (1.0 - SCREEN_SLACK)
 
     best = _search(inst, block_cost, 0)
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
     _, b_opt, m_opt = best
-    rep = float(_dual_log2_rep(inst, np.array([m_opt]), np.array([b_opt]))[0])
+    m, b, log_delta = np.array([m_opt]), np.array([b_opt]), _log_delta_table(b_opt)[-1:]
+    if _dual_log2_tau(inst, m, log_delta)[0] >= TAU_CLAMP_LOG2:
+        raise EstimatorError(
+            f"dual optimum (m={m_opt}, b={b_opt}) has log2 tau at the clamp {TAU_CLAMP_LOG2:g}: "
+            "its cost is the clamp's, not the model's"
+        )
+    rep = float(_dual_log2_rep(inst, m, b, log_delta)[0])
     return AttackEstimate("dual", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt + rep),
                           math.floor(QUANTUM_EXP * b_opt + rep))
 

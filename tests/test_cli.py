@@ -258,6 +258,19 @@ def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):
     assert captured.err.startswith("error: ") and "sigma*sqrt(2*pi) < q" in captured.err
 
 
+def test_estimate_rejects_dual_optimum_at_tau_clamp(capsys, monkeypatch):
+    # sigma = sqrt(eta / 2) = q / 4: every dual cell has tau at the 2^30 clamp, so the
+    # optimum's cost would be the clamp's; primal_cost is stubbed as above
+    q = 2**61 - 1
+    stub = AttackEstimate("primal", 1, 50, 14, 13)
+    monkeypatch.setattr(mlds.cli, "primal_cost", lambda inst: stub)
+    assert run_cli("estimate", "--n-lwe", "60", "--q", str(q), "--eta", str(q * q // 8),
+                   "--max-samples", "10") == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: dual optimum (m=1, b=50)") and "clamp" in captured.err
+
+
 def test_info_runs(capsys):
     assert run_cli("info") == EXIT_OK
     out = capsys.readouterr().out

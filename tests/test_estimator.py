@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -10,8 +11,8 @@ from mlds import (
     LweInstance, EstimatorError, primal_cost, dual_cost, key_sizes,
 )
 from mlds.estimator import (
-    CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, AttackEstimate, _dual_log2_rep,
-    _log_delta,
+    CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, TAU_CLAMP_LOG2, AttackEstimate,
+    _dual_log2_rep, _log_delta, _log_delta_table,
 )
 
 
@@ -42,23 +43,54 @@ def test_bkz_delta_known_value():
     assert abs(math.exp(_log_delta(np.array([380]))[0]) - 1.00413) < 2e-4
 
 
+def test_log_delta_table_is_bit_identical_and_never_rewritten(monkeypatch):
+    monkeypatch.setattr(mlds.estimator, "_LOG_DELTA", np.empty(0))
+    small = _log_delta_table(300)
+    assert small.size == 300 - MIN_BLOCK + 1 and not small.flags.writeable
+    assert np.array_equal(small, _log_delta(np.arange(MIN_BLOCK, 301)))
+    before = mlds.estimator._LOG_DELTA
+    grown = _log_delta_table(5000)
+    assert mlds.estimator._LOG_DELTA is not before  # replaced, not written in place
+    assert np.array_equal(before, _log_delta(np.arange(MIN_BLOCK, 301)))
+    assert np.array_equal(grown[:small.size], small)  # growth keeps every existing entry
+    assert np.array_equal(grown, _log_delta(np.arange(MIN_BLOCK, 5001)))
+    for lo, hi in ((MIN_BLOCK, 64), (123, 4321), (999, 5000)):  # fresh ranges
+        assert np.array_equal(grown[lo - MIN_BLOCK:hi - MIN_BLOCK + 1],
+                              _log_delta(np.arange(lo, hi + 1)))
+    assert _log_delta_table(1000) is not grown and mlds.estimator._LOG_DELTA.size == grown.size
+    oracle = np.log([bkz_delta(b) for b in range(MIN_BLOCK, 5001)])
+    np.testing.assert_allclose(grown, oracle, rtol=1e-12, atol=0)
+
+
 def test_bkz_delta_rejects_small_blocks(monkeypatch):
     with pytest.raises(EstimatorError):
         bkz_delta(10)
     with pytest.raises(EstimatorError):
         bkz_delta(49)
-    # the searches never evaluate delta(b) below the model's range
-    smallest = []
+    # the searches read ln delta(b) only from the table, which is filled from b = MIN_BLOCK
+    # up and grows only through _log_delta; start it empty so that every fill is seen
+    smallest, reads = [], []
 
     def logged(b):
         smallest.append(int(np.min(b)))
         return _log_delta(b)
 
+    def read(b_max):
+        reads.append(b_max)
+        return table(b_max)
+
+    table = mlds.estimator._log_delta_table
+    monkeypatch.setattr(mlds.estimator, "_LOG_DELTA", np.empty(0))
     monkeypatch.setattr(mlds.estimator, "_log_delta", logged)
+    monkeypatch.setattr(mlds.estimator, "_log_delta_table", read)
     inst = LweInstance.from_binomial(n_lwe=128, q=12289, eta=16)
     primal_cost(inst)
     dual_cost(inst)
     assert smallest and min(smallest) == MIN_BLOCK
+    assert reads and min(reads) >= MIN_BLOCK
+    # what a read returns starts at MIN_BLOCK: entry i is ln delta(MIN_BLOCK + i)
+    assert table(MIN_BLOCK - 1).size == 0
+    assert table(MIN_BLOCK)[0] == _log_delta(np.array([MIN_BLOCK]))[0]
 
 
 def test_instance_construction():
@@ -132,18 +164,23 @@ def test_primal_block_strictly_grows_with_sigma():
     assert big.b > small.b
 
 
-def dual_repetitions_log2(inst: LweInstance, m: int, b: int) -> float:
-    """Scalar oracle for log2 of the dual repetition count R at one (m, b) cell, via bkz_delta."""
+def dual_log2_tau(inst: LweInstance, m: int, b: int) -> float:
+    """Scalar oracle for log2 tau = log2(ell sigma / q) at one (m, b) cell, via bkz_delta."""
     d = inst.n_lwe + m
     log2_ell = d * math.log2(bkz_delta(b)) + (inst.n_lwe / d) * math.log2(inst.q)
-    tau = 2.0 ** (log2_ell + math.log2(inst.sigma / inst.q))
+    return log2_ell + math.log2(inst.sigma / inst.q)
+
+
+def dual_repetitions_log2(inst: LweInstance, m: int, b: int) -> float:
+    """Scalar oracle for log2 of the dual repetition count R at one (m, b) cell, unclamped."""
+    tau = 2.0 ** dual_log2_tau(inst, m, b)
     log2_eps = -2 * math.pi**2 * tau * tau / math.log(2)
     return max(0.0, -2 * log2_eps - SIEVE_VECTORS_EXP * b)
 
 
 def test_dual_repetitions_monotone_in_b(reference_instance):
     b = np.arange(50, 1200, 10)
-    reps = _dual_log2_rep(reference_instance, np.full(b.shape, 1100), b)
+    reps = _dual_log2_rep(reference_instance, np.full(b.shape, 1100), b, _log_delta(b))
     oracle = np.array([dual_repetitions_log2(reference_instance, 1100, int(x)) for x in b])
     # the grid clamps tau at 2^30, which binds only where R is astronomical (b = 50 here)
     cap = 4 * math.pi**2 * 2.0**60 / math.log(2) - SIEVE_VECTORS_EXP * b
@@ -202,6 +239,8 @@ def reference_search(inst: LweInstance, kind: str) -> AttackEstimate:
     if best is None:
         raise EstimatorError(f"no finite {kind} cell")
     _, b_opt, m_opt = best
+    if kind == "dual" and dual_log2_tau(inst, m_opt, b_opt) >= TAU_CLAMP_LOG2:
+        raise EstimatorError("the dual optimum's tau is at the clamp")
     rep = dual_repetitions_log2(inst, m_opt, b_opt) if kind == "dual" else 0.0
     return AttackEstimate(kind, m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt + rep),
                           math.floor(QUANTUM_EXP * b_opt + rep))
@@ -247,7 +286,7 @@ def test_empty_block_range_raises_estimator_error():
 
 
 def _traced_search(attack, inst: LweInstance, monkeypatch):
-    """The estimate and the (m per cell, b) of every block the search hands to ``_pick``."""
+    """The outcome (see ``_outcome``) and the (m per cell, b) of every block handed to ``_pick``."""
     blocks = []
     pick = mlds.estimator._pick
 
@@ -256,7 +295,7 @@ def _traced_search(attack, inst: LweInstance, monkeypatch):
         return pick(cost, m, b, best)
 
     monkeypatch.setattr(mlds.estimator, "_pick", traced)
-    return attack(inst), blocks
+    return _outcome(attack, inst), blocks
 
 
 @pytest.mark.parametrize("attack, kind", [(primal_cost, "primal"), (dual_cost, "dual")],
@@ -276,11 +315,11 @@ def test_search_screens_every_row_and_skips_only_dominated_ones(reference_instan
         else:  # whole rows: every m of each of its b
             assert np.array_equal(m, np.broadcast_to(every_m, (inst.max_samples, b.size)))
             whole.append(b)
-    assert len(screens) == 2 and np.array_equal(screens[0], screens[1])
+    assert len(screens) == 1  # one evaluation gives both the costs and the slack bounds
     rows = np.concatenate(whole)
     assert 1 <= rows.size <= 4 and np.all(np.diff(rows) > 0) and est.b in rows
     cells = sum(m.size for m, _ in blocks)
-    assert cells == 2 * screens[0].size + inst.max_samples * rows.size
+    assert cells == screens[0].size + inst.max_samples * rows.size
     assert 50 * cells < inst.max_samples * every_b.size
     # every row the search skipped has its full-sweep minimum strictly above the optimum
     minima = reference_row_minima(inst, kind)
@@ -294,16 +333,31 @@ def test_search_screens_every_row_and_skips_only_dominated_ones(reference_instan
 @pytest.mark.parametrize("inst, m_b", [
     # R = 1 from m = 452 up to the screen's cell, the clipped m = 461
     (LweInstance(n_lwe=254, q=65537, sigma=39.2, max_samples=461), (452, 293)),
-    # the tau clamp holds every cell at its cap, so each row is flat over all of its m
-    (LweInstance(n_lwe=60, q=2**61 - 1, sigma=(2**61 - 1) / 4, max_samples=10), (1, 50)),
+    # the tau clamp holds every cell at its cap, so each row is flat over all of its m; the
+    # optimum's cost would be the clamp's, 4 pi^2 2^60 / ln 2 bits, so dual_cost refuses it
+    (LweInstance(n_lwe=60, q=2**61 - 1, sigma=(2**61 - 1) / 4, max_samples=10), None),
 ], ids=["r-is-1", "tau-clamp"])
 def test_flat_dual_row_reports_its_smallest_m(inst, m_b, monkeypatch):
+    search, found = mlds.estimator._search, []
+
+    def traced(*args):
+        found.append(search(*args))  # (cost, b, m)
+        return found[-1]
+
+    monkeypatch.setattr(mlds.estimator, "_search", traced)
     est, blocks = _traced_search(dual_cost, inst, monkeypatch)
-    assert (est.m, est.b) == m_b
-    ref = reference_search(inst, "dual")
-    assert (ref.m, ref.b) == m_b  # bits differ when the clamp binds: the oracle does not clamp
+    _, b, m = found[0]
     screen_m, screen_b = blocks[0]
-    assert screen_m[:, screen_b == est.b].min() > est.m
+    assert screen_m[:, screen_b == b].min() > m  # the search reports the flat row's smallest m
+    if m_b is None:
+        assert (m, b) == (1, 50) and est is EstimatorError
+        with pytest.raises(EstimatorError, match="clamp"):
+            dual_cost(inst)
+        with pytest.raises(EstimatorError, match="clamp"):
+            reference_search(inst, "dual")
+    else:
+        assert (m, b) == (est.m, est.b) == m_b
+        assert reference_search(inst, "dual") == est
 
 
 @pytest.mark.parametrize("n_lwe, primal, dual", [
@@ -317,6 +371,28 @@ def test_large_instances_keep_the_full_scan_estimates(n_lwe, primal, dual):
     for attack, want in ((primal_cost, primal), (dual_cost, dual)):
         est = attack(inst)
         assert (est.m, est.b, est.classical_bits, est.quantum_bits) == want
+
+
+def test_estimates_digest_pinned():
+    # like the KAT digests: any change to a reported estimate, or to which of 200 seeded
+    # random instances (n_lwe <= 1536, q up to 2^31 - 1) are rejected, changes this hash
+    rng = np.random.default_rng(14)
+    outcomes = []
+    for _ in range(200):
+        n_lwe = int(rng.integers(1, 1537))
+        q = int(rng.choice((257, 3329, 7681, 12289, 65537, 8380417, 2**31 - 1)))
+        sigma = float(np.exp(rng.uniform(math.log(0.3), math.log(3000))))
+        max_samples = 2 * n_lwe if rng.random() < 0.5 else int(rng.integers(1, 2 * n_lwe + 1))
+        inst = LweInstance(n_lwe=n_lwe, q=q, sigma=sigma, max_samples=max_samples)
+        for attack in (primal_cost, dual_cost):
+            try:
+                est = attack(inst)
+                outcomes.append((est.kind, est.m, est.b, est.classical_bits, est.quantum_bits))
+            except EstimatorError as exc:
+                outcomes.append(type(exc).__name__)
+    assert sum(isinstance(o, tuple) for o in outcomes) == 286
+    digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
+    assert digest == "8604fa6b49ef65504544595b1a22a4c17dc70b738fb92ef02f99e2e9885db860"
 
 
 def test_primal_infeasible_raises():
