@@ -18,7 +18,7 @@ import tempfile
 from . import codec
 from .codec import CodecError
 from .estimator import LweInstance, key_sizes, primal_cost, dual_cost, EstimatorError
-from .params import DEFAULT_PARAMS, ParamError, derive_ntt_constants, validate_params
+from .params import DEFAULT_PARAMS, ParamError, derive_ntt_constants
 from .ring import get_ring
 from .scheme import (
     POLICIES,
@@ -187,37 +187,36 @@ def cmd_estimate(args) -> int:
         json.dump(payload, sys.stdout, indent=2)
         sys.stdout.write("\n")
         return EXIT_OK
-    print(f"{'n':>4} {'q':>6} {'k':>2} {'eta':>3} | {'pk':>6} {'sk':>6} {'sig':>6} | "
-          f"{'attack':>6} {'n_lwe':>5} {'m':>5} {'b':>5} | key recovery (LWE) bits: classical quantum")
+    print(_sizes_line(p))
+    print(f"{'attack':>6} {'n_lwe':>5} {'q':>6} {'eta':>3} {'m':>5} {'b':>5} | "
+          "key recovery (LWE) bits: classical quantum")
     for inst in instances:
         for kind in ("primal", "dual"):
             a = inst[kind]
-            print(f"{p.n:>4} {inst['q']:>6} {p.k:>2} {inst['eta']:>3} | "
-                  f"{sizes.pk_it:>6.1f} {sizes.sk_it:>6.1f} {sizes.sig_it:>6.1f} | "
-                  f"{kind:>6} {inst['n_lwe']:>5} {a['m']:>5} {a['b']:>5} | "
-                  f"{'':>25}{a['classical_bits']:>9} {a['quantum_bits']:>7}")
-    print(f"wire sizes: pk={sizes.pk_wire} B sk={sizes.sk_wire} B sig={sizes.sig_wire} B")
+            print(f"{kind:>6} {inst['n_lwe']:>5} {inst['q']:>6} {inst['eta']:>3} "
+                  f"{a['m']:>5} {a['b']:>5} | {'':>25}{a['classical_bits']:>9} {a['quantum_bits']:>7}")
     return EXIT_OK
+
+
+def _sizes_line(p) -> str:
+    """The key and signature sizes of parameter set ``p``, on one line that names it."""
+    sizes = key_sizes(p)
+    return (f"sizes of {p.name} at q = {p.q} (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
+            f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "
+            f"sig {sizes.sig_it:.1f} it / {sizes.sig_wire} wire")
 
 
 def cmd_info(args) -> int:
     p = DEFAULT_PARAMS
-    problems = validate_params(p)
     print(f"parameter set: {p.name} (id {p.param_id:#04x})")
     print(f"  n={p.n} q={p.q} k={p.k} eta={p.eta} redundancy={p.redundancy}")
     print(f"  bits/coeff={p.bits_per_coeff} mu_bits={p.mu_bits} "
           f"floor(q/2)={p.half_q} floor(q/4)={p.quarter_q}")
-    print(f"  validation: {'ok' if not problems else '; '.join(problems)}")
-    if problems:
-        return EXIT_USAGE
     print(f"  decode margin: ||e3+e4||_inf <= 2*eta = {2 * p.eta} < floor(q/4) = {p.quarter_q} "
           f"(largest admissible eta: {p.max_eta})")
     consts = derive_ntt_constants(p)
-    sizes = key_sizes(p)
     print(f"ntt: gamma={consts.gamma} omega={consts.omega} n_inv={consts.n_inv}")
-    print(f"sizes (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
-          f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "
-          f"sig {sizes.sig_it:.1f} it / {sizes.sig_wire} wire")
+    print(_sizes_line(p))
     print("h policies (signing only): z2 (recomputable, default), literal (signer binds the secret path)")
     return EXIT_OK
 

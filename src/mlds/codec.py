@@ -19,10 +19,10 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
                  || pack(z3) || h(32)
 
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
-layouts. ``signature_well_formed`` is the one rule for a well-formed
-signature: ``serialize_sig`` refuses, and verification rejects as "parse",
-what it rejects. A ``PublicKey`` checks rho and P when it is built, and
-``serialize_sk`` checks s the same way.
+layouts. Each carries its ``ParamSet`` and is checked once, when it is
+built: a malformed value raises ``CodecError`` and never exists, so the
+serializers refuse only a batch or a value of another set, and verification
+never meets a malformed signature. The parsers take any bytes-like wire.
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
 m * 448 bytes into an (m, n) stack, also for m = 1, with one length and one
@@ -32,7 +32,6 @@ and refuses a batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,44 +63,59 @@ class CoefficientRangeError(CodecError):
 
 
 # -- keys and signatures ---------------------------------------------------------
+#
+# In the shapes below, trials is () for one value and (B,) for a batch of B,
+# whose rho or h is then a tuple of B.
 
 @dataclass(frozen=True, eq=False)
 class PublicKey:
-    """(rho, P) and A_hat = gen_a(rho) under ``params``; made by ``scheme.keygen`` or ``parse_pk``.
-
-    Built only well formed: rho is 32 ``bytes``, a tuple of one per trial for
-    a batch, and P a coefficient-domain ``PolyVec`` of shape (*trials, k, n),
-    int32 in [0, q). Anything else, ``dataclasses.replace`` included, raises
-    ``CodecError``, so verification never meets a malformed key.
-    """
+    """(rho, P) and A_hat = gen_a(rho) under ``params``; made by ``scheme.keygen`` or ``parse_pk``."""
 
     rho: bytes  # a tuple of seeds for a batch
-    p_vec: PolyVec  # coefficient domain
+    p_vec: PolyVec  # (*trials, k, n)
     a_hat: NttMatrix = field(repr=False)
     params: ParamSet = field(repr=False)
 
     def __post_init__(self):
-        p, batch = self.params, type(self.rho) is tuple
-        seeds = self.rho if batch else (self.rho,)
-        values = _coeffs(self.p_vec, PolyVec, ((len(seeds),) if batch else ()) + (p.k, p.n))
-        # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
-        if not (seeds and all(map(_is_seed, seeds)) and values is not None
-                and values.view(np.uint32).max() < p.q):
+        p, trials = self.params, _trials(self.rho)
+        if not (isinstance(p, ParamSet) and trials is not None
+                and _in_range(p, _coeffs(self.p_vec, PolyVec, trials + (p.k, p.n)))):
             raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch) and a "
                              "coefficient-domain (*trials, k, n) int32 P in [0, q)")
 
 
 @dataclass(frozen=True, eq=False)
 class SecretKey:
-    s: PolyVec
+    """s under ``params``; made by ``scheme.keygen`` or ``parse_sk``."""
+
+    s: PolyVec  # (*trials, k, n)
+    params: ParamSet = field(repr=False)
+
+    def __post_init__(self):
+        p = self.params
+        trials = self.s.data.shape[-3:-2] if type(self.s) is PolyVec else ()
+        if not (isinstance(p, ParamSet) and _in_range(p, _coeffs(self.s, PolyVec, trials + (p.k, p.n)))):
+            raise CodecError("a secret key is a coefficient-domain (*trials, k, n) int32 s in [0, q)")
 
 
 @dataclass(frozen=True, eq=False)
 class Signature:
-    z1: PolyVec
-    z2: Poly
-    z3: Poly
+    """(z1, z2, z3, h) under ``params``; made by ``scheme.sign`` or ``parse_sig``."""
+
+    z1: PolyVec  # (*trials, k, n)
+    z2: Poly  # (*trials, n)
+    z3: Poly  # (*trials, n)
     h: bytes  # a tuple of digests for a batch
+    params: ParamSet = field(repr=False)
+
+    def __post_init__(self):
+        p, trials = self.params, _trials(self.h)
+        if not (isinstance(p, ParamSet) and trials is not None
+                and _in_range(p, _coeffs(self.z1, PolyVec, trials + (p.k, p.n)),
+                              _coeffs(self.z2, Poly, trials + (p.n,)),
+                              _coeffs(self.z3, Poly, trials + (p.n,)))):
+            raise CodecError("a signature is a 32-byte h (a tuple of them for a batch) and coefficient-"
+                             "domain (*trials, k, n) z1, (*trials, n) z2 and z3, int32 in [0, q)")
 
 
 def _coeffs(value, cls: type, shape: tuple) -> np.ndarray | None:
@@ -112,32 +126,21 @@ def _coeffs(value, cls: type, shape: tuple) -> np.ndarray | None:
     return c if c.shape == shape and c.dtype == np.int32 else None
 
 
-def _is_seed(value) -> bool:
-    return isinstance(value, bytes) and len(value) == SEED_BYTES
-
-
-def signature_well_formed(sig, ring: Ring, trials: tuple = ()) -> tuple[np.ndarray, np.ndarray | None]:
-    """(verdict of shape ``trials``, the (*trials, (k + 2) * n) values of z1, z2, z3 or None).
-
-    z1 is a coefficient-domain ``PolyVec`` of shape (*trials, k, n), z2 and z3
-    are ``Poly`` of shape (*trials, n), all int32 in [0, q), and h is 32
-    ``bytes``, a tuple of one per trial for a batch. The values are None when
-    the structure is wrong for every trial.
-    """
-    k, n = ring.k, ring.n
-    if not isinstance(sig, Signature):
-        return np.zeros(trials, dtype=bool), None
-    z1 = _coeffs(sig.z1, PolyVec, trials + (k, n))
-    z2 = _coeffs(sig.z2, Poly, trials + (n,))
-    z3 = _coeffs(sig.z3, Poly, trials + (n,))
-    hs = sig.h if trials else (sig.h,)
-    if z1 is None or z2 is None or z3 is None or type(hs) is not tuple or len(hs) != math.prod(trials):
-        return np.zeros(trials, dtype=bool), None
-    values = np.concatenate((z1.reshape(trials + (k * n,)), z2, z3), axis=-1)
+def _in_range(p: ParamSet, *values) -> bool:
+    """Whether every array is there (not None) and their entries, at least one, lie in [0, q)."""
+    if any(c is None for c in values):
+        return False
+    c = np.concatenate([c.ravel() for c in values])  # one maximum costs less than one per array
     # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
-    in_range = values.view(np.uint32).max(axis=-1) < ring.q
-    h_ok = [_is_seed(h) for h in hs]
-    return (in_range if all(h_ok) else in_range & np.reshape(h_ok, trials)), values
+    return c.size > 0 and c.view(np.uint32).max() < p.q
+
+
+def _trials(seeds) -> tuple | None:
+    """() for one 32-byte seed or digest, (B,) for a tuple of B >= 1 of them, None for anything else."""
+    batch = seeds if type(seeds) is tuple else (seeds,)
+    if not (batch and all(isinstance(s, bytes) and len(s) == SEED_BYTES for s in batch)):
+        return None
+    return (len(batch),) if batch is seeds else ()
 
 
 # -- bit helpers -------------------------------------------------------------
@@ -240,7 +243,12 @@ def _header(p: ParamSet) -> bytes:
     return MAGIC + bytes([VERSION, p.param_id])
 
 
-def _split_header(data: bytes, p: ParamSet, kind: str) -> bytes:
+def _body(data, p: ParamSet, kind: str, size: int) -> bytes:
+    """The bytes after the header of a ``size``-byte wire value; ``data`` is any bytes-like object."""
+    try:
+        data = bytes(memoryview(data))
+    except TypeError:
+        raise CodecError(f"a {kind} is a bytes-like object, not {type(data).__name__}") from None
     if len(data) < HEADER_BYTES:
         raise LengthError(f"{kind} shorter than the {HEADER_BYTES}-byte header")
     if data[:4] != MAGIC:
@@ -249,6 +257,8 @@ def _split_header(data: bytes, p: ParamSet, kind: str) -> bytes:
         raise HeaderError(f"unsupported version {data[4]:#04x}")
     if data[5] != p.param_id:
         raise HeaderError(f"parameter id {data[5]:#04x} does not match {p.param_id:#04x}")
+    if len(data) != size:
+        raise LengthError(f"{kind} must be {size} bytes, got {len(data)}")
     return data[HEADER_BYTES:]
 
 
@@ -265,7 +275,6 @@ def sig_bytes(p: ParamSet) -> int:
 
 
 def serialize_pk(pk, ring: Ring) -> bytes:
-    # a PublicKey is well formed once built; a batch carries a tuple of seeds
     if not (isinstance(pk, PublicKey) and pk.params == ring.params and type(pk.rho) is bytes):
         raise CodecError("serialize_pk takes one public key of this parameter set, not a batch")
     return b"".join((_header(ring.params), pk.rho, _pack_rows(pk.p_vec.data, ring.params)))
@@ -273,40 +282,34 @@ def serialize_pk(pk, ring: Ring) -> bytes:
 
 def parse_pk(data: bytes, ring: Ring) -> PublicKey:
     p = ring.params
-    body = _split_header(data, p, "public key")
-    if len(data) != pk_bytes(p):
-        raise LengthError(f"public key must be {pk_bytes(p)} bytes, got {len(data)}")
+    body = _body(data, p, "public key", pk_bytes(p))
     rho = body[:SEED_BYTES]
     p_vec = PolyVec(unpack_poly(body[SEED_BYTES:], ring).coeffs, Poly)
     return PublicKey(rho, p_vec, gen_a(rho, ring), p)
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:
-    if not (isinstance(sk, SecretKey) and _coeffs(sk.s, PolyVec, (ring.k, ring.n)) is not None):
-        raise CodecError("a secret key is one coefficient-domain (k, n) int32 s")
-    return _header(ring.params) + pack_poly(Poly(sk.s.data), ring)
+    if not (isinstance(sk, SecretKey) and sk.params == ring.params and sk.s.data.ndim == 2):
+        raise CodecError("serialize_sk takes one secret key of this parameter set, not a batch")
+    return _header(ring.params) + _pack_rows(sk.s.data, ring.params)
 
 
 def parse_sk(data: bytes, ring: Ring) -> SecretKey:
     p = ring.params
-    body = _split_header(data, p, "secret key")
-    if len(data) != sk_bytes(p):
-        raise LengthError(f"secret key must be {sk_bytes(p)} bytes, got {len(data)}")
-    return SecretKey(s=PolyVec(unpack_poly(body, ring).coeffs, Poly))
+    body = _body(data, p, "secret key", sk_bytes(p))
+    return SecretKey(PolyVec(unpack_poly(body, ring).coeffs, Poly), p)
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
-    well_formed, rows = signature_well_formed(sig, ring)
-    if not well_formed:
-        raise CodecError("a signature is one value that signature_well_formed accepts")
+    if not (isinstance(sig, Signature) and sig.params == ring.params and type(sig.h) is bytes):
+        raise CodecError("serialize_sig takes one signature of this parameter set, not a batch")
+    rows = np.concatenate((sig.z1.data.ravel(), sig.z2.coeffs, sig.z3.coeffs))
     return b"".join((_header(ring.params), _pack_rows(rows, ring.params), sig.h))
 
 
 def parse_sig(data: bytes, ring: Ring) -> Signature:
     p = ring.params
-    body = _split_header(data, p, "signature")
-    if len(data) != sig_bytes(p):
-        raise LengthError(f"signature must be {sig_bytes(p)} bytes, got {len(data)}")
+    body = _body(data, p, "signature", sig_bytes(p))
     end = (p.k + 2) * poly_bytes(p)
     rows = unpack_poly(body[:end], ring).coeffs
-    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]), body[end:])
+    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]), body[end:], p)

@@ -296,8 +296,6 @@ class SizeReport:
 
 def key_sizes(p: ParamSet) -> SizeReport:
     """Byte sizes for keys and signatures under parameter set ``p``."""
-    if p.k < 1 or p.n < 1 or p.q < 2:
-        raise EstimatorError(f"degenerate parameter set n={p.n}, k={p.k}, q={p.q}")
     log_q = math.log2(p.q)
     element = p.n * log_q / 8
     return SizeReport(

@@ -1,9 +1,10 @@
 """Parameter sets and derived NTT constants.
 
 Everything downstream (ring arithmetic, samplers, codec, scheme) consumes a
-single frozen ``ParamSet``, named "ML-SD-<n>x<k>" and checked once, by
-``derive_ntt_constants`` when a ``Ring`` is built. The default set
-"ML-SD-256x2" is
+single frozen ``ParamSet``, named "ML-SD-<n>x<k>" and checked once, when it
+is built: an invalid set raises ``ParamError`` with every invariant
+``validate_params`` reports, so none exists to reach a ``Ring``. The default
+set "ML-SD-256x2" is
 
     n = 256, q = 12289, k = 2, eta = 16
 
@@ -26,6 +27,8 @@ class ParamError(ValueError):
 
 @dataclass(frozen=True)
 class ParamSet:
+    """A parameter set; an invalid one raises ``ParamError`` when built, by ``dataclasses.replace`` too."""
+
     n: int = 256
     q: int = 12289
     k: int = 2
@@ -62,8 +65,11 @@ class ParamSet:
         2*eta < floor(q/4), so the decode noise ||e3 + e4||_inf <= 2*eta cannot flip a bit."""
         return (self.quarter_q - 1) // 2 // 8 * 8
 
+    def __post_init__(self):
+        errors = validate_params(self)
+        if errors:
+            raise ParamError("; ".join(errors))
 
-DEFAULT_PARAMS = ParamSet()
 
 #: Bytes of every seed and digest (rho, xi, r, mu = crh(M), h).
 SEED_BYTES = 32
@@ -154,6 +160,9 @@ def validate_params(p: ParamSet) -> list[str]:
     return errors
 
 
+DEFAULT_PARAMS = ParamSet()
+
+
 @dataclass(frozen=True, eq=False)
 class NttConstants:
     """Roots of unity and transform tables for the negacyclic NTT mod q.
@@ -195,15 +204,17 @@ class NttConstants:
 
 
 @lru_cache(maxsize=8)
-def _derive_cached(n: int, q: int) -> NttConstants:
-    """The tables for (n, q), which ``validate_params`` has passed."""
+def derive_ntt_constants(p: ParamSet) -> NttConstants:
+    """Derive the NTT root/table set for ``p``. Deterministic and idempotent.
+
+    A ``ParamSet`` makes q a prime = 1 mod 2n, so gamma has order exactly 2n.
+    """
+    n, q = p.n, p.q
     # Fixed root-selection rule so every implementation lands on the same
     # tables: exponentiate the smallest generator of Z_q^*.
     g = _smallest_generator(q)
     gamma = pow(g, (q - 1) // (2 * n), q)
     omega = gamma * gamma % q
-    if pow(gamma, n, q) != q - 1 or pow(gamma, 2 * n, q) != 1:
-        raise ParamError(f"derived gamma={gamma} does not have order exactly {2 * n}")
 
     n_inv = pow(n, -1, q)
     r1 = 1 << ((n.bit_length() - 1) // 2)  # 16 x 16 at n = 256, 8 x 16 at 128, 16 x 32 at 512
@@ -240,16 +251,3 @@ def _derive_cached(n: int, q: int) -> NttConstants:
         n=n, q=q, gamma=gamma, omega=omega, n_inv=n_inv,
         split=(r1, r2), forward=flat(forward), inverse=flat(inverse),
     )
-
-
-def derive_ntt_constants(p: ParamSet) -> NttConstants:
-    """Derive the NTT root/table set for ``p``. Deterministic and idempotent.
-
-    This is the one place a ``ParamSet`` is checked: it raises ``ParamError``
-    with every error ``validate_params`` reports, so a ``Ring`` is never
-    built over an invalid set.
-    """
-    errors = validate_params(p)
-    if errors:
-        raise ParamError("; ".join(errors))
-    return _derive_cached(p.n, p.q)

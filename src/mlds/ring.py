@@ -150,7 +150,6 @@ class Ring:
     """Operation set for one parameter set; pure functions, safe to share."""
 
     def __init__(self, params: ParamSet):
-        """Raises ``ParamError`` for an invalid set (see ``derive_ntt_constants``)."""
         self.params = params
         self.n = params.n
         self.q = params.q

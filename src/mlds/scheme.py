@@ -55,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codec import (PublicKey, SecretKey, Signature, bytes_to_bits, encode_bits, decode_bits,
-                    decode_payload, signature_well_formed)
+                    decode_payload)
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import Ring, Poly, PolyVec, get_ring
 from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se, gen_se_vec
@@ -135,12 +135,14 @@ def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s))), e)
-    return PublicKey(rho, p_vec, a_hat, ring.params), SecretKey(s=s)
+    return PublicKey(rho, p_vec, a_hat, ring.params), SecretKey(s, ring.params)
 
 
 def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:
     if policy not in POLICIES:
         raise ValueError(f"unknown h policy {policy!r}, expected one of {POLICIES}")
+    if not sk.params == pk.params == ring.params:
+        raise ValueError(f"sk and pk must both belong to the parameter set signed under, {ring.params}")
     # On a chunk of trials every array is (B, ...), so each is dropped after
     # its last use: that keeps the literal policy's transforms from stacking
     # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials).
@@ -162,7 +164,7 @@ def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) ->
         # the signer's own A_hat^T o ntt(s), never a value kept from keygen
         ats_hat = ring.matvec(pk.a_hat, ring.vec_ntt(sk.s))
         h_src = ring.intt(ring.inner_product(ats_hat, e2_hat))
-    return Signature(z1=z1, z2=z2, z3=z3, h=_each(_h_digest, mu, decode_payload(h_src, ring)))
+    return Signature(z1, z2, z3, _each(_h_digest, mu, decode_payload(h_src, ring)), ring.params)
 
 
 def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
@@ -173,29 +175,22 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
 def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
     """(reason, w) for one trial, or (reasons per trial, w) for a batch.
 
-    A reason is None on accept. Each trial is decided in order: the codec's
-    ``signature_well_formed``, the mu decode of w = z2 + z3 - intt(<P_hat, z1_hat>),
-    then h recomputed from z2. w is None when no trial is well formed.
+    A reason is None on accept. Each trial is decided in order: the mu decode
+    of w = z2 + z3 - intt(<P_hat, z1_hat>), then h recomputed from z2.
     """
-    trials = () if isinstance(mu, (bytes, bytearray)) else (len(mu),)
-    valid, _ = signature_well_formed(sig, ring, trials)
-    if not valid.any():
-        return _each(lambda _: "parse", mu), None
     p_hat = ring.vec_ntt(pk.p_vec)
     z1_hat = ring.vec_ntt(sig.z1)
     w = ring.sub(ring.add(sig.z2, sig.z3), ring.intt(ring.inner_product(p_hat, z1_hat)))
     mu_ok = (decode_bits(w, ring) == mu_payload_bits(mu, ring.params)).all(axis=-1)
 
-    def decide(mu_t, h_t, valid_t, mu_ok_t, payload_t):
-        if not valid_t:
-            return "parse"
+    def decide(mu_t, h_t, mu_ok_t, payload_t):
         if not mu_ok_t:
             return "mu-mismatch"
         if h_t != _h_digest(mu_t, payload_t):
             return "h-mismatch"
         return None
 
-    return _each(decide, mu, sig.h, valid, mu_ok, decode_payload(sig.z2, ring)), w
+    return _each(decide, mu, sig.h, mu_ok, decode_payload(sig.z2, ring)), w
 
 
 def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
@@ -213,7 +208,8 @@ def sign(
 ) -> Signature:
     """Sign ``message`` with the per-signature coin ``r`` (never reuse r).
 
-    ``policy`` is one of ``POLICIES``; any other value raises ValueError.
+    ``policy`` is one of ``POLICIES``, and ``sk`` and ``pk`` belong to
+    ``params``; anything else raises ValueError.
     """
     return _sign_steps(sk, pk, crh(message), r, get_ring(params), policy)
 
@@ -227,7 +223,13 @@ def verify(
 ) -> VerifyResult:
     """Check (1) the mu branch and (2) the h binding; ``policy`` does not change
     the verdict and can go with the benchmark revision (ROADMAP item 1).
+
+    The reason is "parse" unless ``sig`` is one ``Signature`` under one key,
+    with ``sig.params == pk.params == params``.
     """
+    if not (isinstance(sig, Signature) and type(sig.h) is bytes and type(pk.rho) is bytes
+            and sig.params == pk.params == params):
+        return VerifyResult(False, "parse")
     reason, _ = _verify_steps(pk, crh(message), sig, get_ring(params))
     return ACCEPT if reason is None else VerifyResult(False, reason)
 

@@ -46,4 +46,4 @@ def forge_key_only(pk, message: bytes, ring, rng) -> Signature:
     p_z1 = ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(z1)))
     z3 = ring.sub(ring.add(encode_bits(mu_payload_bits(mu, ring.params), ring), p_z1), z2)
     h = crh(mu + crh(decode_payload(z2, ring).tobytes()))
-    return Signature(z1=z1, z2=z2, z3=z3, h=h)
+    return Signature(z1=z1, z2=z2, z3=z3, h=h, params=ring.params)

@@ -11,9 +11,11 @@ the signature, so the public key alone yields signatures that verify.
 """
 
 import hashlib
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +29,7 @@ from mlds import (
     gen_a, gen_se, crh, CodecError,
 )
 from mlds.cli import main as cli_main
-from mlds.codec import encode_bits
+from mlds.codec import encode_bits, pk_bytes, sig_bytes, sk_bytes
 from mlds.scheme import expand_signing_noise, mu_payload_bits
 
 from conftest import forge_key_only, random_poly
@@ -224,6 +226,20 @@ def test_criterion_6_reference_sizes():
     )
     report(6, "reference table sizes", ok,
            f"pk {sizes.pk_it:.2f} B, sk {sizes.sk_it:.2f} B, sig {sizes.sig_it:.2f} B")
+
+
+def test_readme_sizes_match_the_code():
+    # the README's wire-format table and its information-theoretic sizes line
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    wire = dict(re.findall(r"^\| (public key|secret key|signature) \|.*\| (\d+) B \|$", readme, re.M))
+    p = DEFAULT_PARAMS
+    assert wire == {"public key": str(pk_bytes(p)), "secret key": str(sk_bytes(p)),
+                    "signature": str(sig_bytes(p))} == {"public key": "934", "secret key": "902",
+                                                         "signature": "1830"}
+    line = re.search(r"Information-theoretic sizes [^:]*: pk (\S+) B, sk (\S+) B, sig (\S+) B\.",
+                     readme.replace("\n", " "))
+    sizes = key_sizes(p)
+    assert line and line.groups() == tuple(f"{x:.1f}" for x in (sizes.pk_it, sizes.sk_it, sizes.sig_it))
 
 
 def test_criterion_7_reference_attack_costs():

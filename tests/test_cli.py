@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -7,7 +8,7 @@ import sys
 import pytest
 
 import mlds.cli
-from mlds import ParamSet, validate_params
+from mlds import ParamError, ParamSet, validate_params
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
 from mlds.estimator import AttackEstimate
 
@@ -234,9 +235,19 @@ def test_estimate_explicit_instance(capsys):
 
 def test_estimate_table_prints_the_instance_q_and_eta(capsys):
     assert run_cli("estimate", "--n-lwe", "512", "--eta", "2", "--q", "7681") == EXIT_OK
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:-1]]
-    assert [row[9] for row in rows] == ["primal", "dual"]
-    assert {(row[1], row[3]) for row in rows} == {("7681", "2")}
+    header, *rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert header[:4] == ["attack", "n_lwe", "q", "eta"]
+    assert [row[0] for row in rows] == ["primal", "dual"]
+    assert {(row[1], row[2], row[3]) for row in rows} == {("512", "7681", "2")}
+
+
+def test_estimate_prints_the_signature_set_sizes_once_under_its_name(capsys):
+    # the sizes are the shipped set's at its own q, not the instance's q = 7681
+    assert run_cli("estimate", "--n-lwe", "512", "--eta", "8", "--q", "7681") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == ("sizes of ML-SD-256x2 at q = 12289 (bytes): pk 901.4 it / 934 wire, "
+                        "sk 869.4 it / 902 wire, sig 1770.9 it / 1830 wire")
+    assert len(lines) == 4 and not any("901.4" in line or "1830" in line for line in lines[1:])
 
 
 def test_estimate_json_records_each_instance_eta(capsys):
@@ -277,7 +288,8 @@ def test_info_runs(capsys):
     assert "ML-SD-256x2" in out
     assert "gamma=3400" in out
     assert "n_inv=12241" in out
-    assert "validation: ok" in out
+    assert ("sizes of ML-SD-256x2 at q = 12289 (bytes): pk 901.4 it / 934 wire, "
+            "sk 869.4 it / 902 wire, sig 1770.9 it / 1830 wire") in out.splitlines()
 
 
 def test_info_prints_the_decode_margin(capsys):
@@ -285,14 +297,14 @@ def test_info_prints_the_decode_margin(capsys):
     line = next(x for x in capsys.readouterr().out.splitlines() if "decode margin" in x)
     assert "2*eta = 32 < floor(q/4) = 3072" in line
     assert line.endswith("(largest admissible eta: 1528)")
-    # the same rule as validate_params: 1528 validates, the next multiple of 8 does not
+    # the same rule as validate_params: 1528 validates, the next multiple of 8 cannot be built
     assert not validate_params(ParamSet(eta=1528))
-    assert any("floor(q/4) = 3072" in e for e in validate_params(ParamSet(eta=1536)))
+    with pytest.raises(ParamError, match=r"floor\(q/4\) = 3072"):
+        ParamSet(eta=1536)
 
 
-def test_info_reports_an_invalid_set(monkeypatch, capsys):
-    monkeypatch.setattr(mlds.cli, "DEFAULT_PARAMS", ParamSet(eta=3))
-    assert run_cli("info") == EXIT_USAGE
-    out = capsys.readouterr().out
-    assert "  validation: eta=3 is not a multiple of 8" in out
-    assert "ntt:" not in out and "sizes" not in out
+def test_info_reports_an_invalid_set():
+    # an invalid set cannot be built, so `mlds info` never meets one: the
+    # ParamError names each violation, as its removed validation line did
+    with pytest.raises(ParamError, match="^eta=3 is not a multiple of 8"):
+        dataclasses.replace(mlds.cli.DEFAULT_PARAMS, eta=3)

@@ -2,16 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from mlds import (
     DEFAULT_PARAMS, NttPoly, ParamSet, Poly, PolyVec, get_ring, keygen, sign, verify, Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
-    HeaderError, LengthError, CoefficientRangeError, CodecError,
+    HeaderError, LengthError, CoefficientRangeError, CodecError, ParamError, validate_params,
 )
 from mlds.codec import (
-    HEADER_BYTES, PACK_BITS, SEED_BYTES, SecretKey,
+    HEADER_BYTES, PACK_BITS, SEED_BYTES, PublicKey, SecretKey, Signature,
     bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
 from mlds.sampling import crh
@@ -278,11 +278,11 @@ def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair
 def unserializable(ring, keypair_sig):
     pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
     sig = _sign_steps(sk, pk, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
-    ntt_sk = SecretKey(s=ring.vec_ntt(keypair_sig[1].s))
-    one_pk, _, one_sig = keypair_sig
-    # a malformed PublicKey is refused when it is built, so those cases build inside the check
+    one_pk, one_sk, one_sig = keypair_sig
+    # a malformed key or signature is refused when it is built, so those cases build inside the check
     return {"pk": (serialize_pk, lambda: pk), "sk": (serialize_sk, lambda: sk),
-            "sig": (serialize_sig, lambda: sig), "ntt-sk": (serialize_sk, lambda: ntt_sk),
+            "sig": (serialize_sig, lambda: sig),
+            "ntt-sk": (serialize_sk, lambda: SecretKey(ring.vec_ntt(one_sk.s), ring.params)),
             "rho-31": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(31))),
             "rho-33": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(33))),
             "h-31": (serialize_sig, lambda: dataclasses.replace(one_sig, h=bytes(31))),
@@ -292,8 +292,8 @@ def unserializable(ring, keypair_sig):
             "p-poly": (serialize_pk, lambda: dataclasses.replace(one_pk, p_vec=one_pk.p_vec[0])),
             "p-int64": (serialize_pk, lambda: dataclasses.replace(
                 one_pk, p_vec=PolyVec(one_pk.p_vec.data.astype(np.int64), Poly))),
-            "s-ndarray": (serialize_sk, lambda: SecretKey(s=keypair_sig[1].s.data)),
-            "sk-as-pk": (serialize_pk, lambda: keypair_sig[1]),
+            "s-ndarray": (serialize_sk, lambda: SecretKey(one_sk.s.data, ring.params)),
+            "sk-as-pk": (serialize_pk, lambda: one_sk),
             "pk-as-sk": (serialize_sk, lambda: one_pk)}
 
 
@@ -368,18 +368,17 @@ MALFORMED = ["z1-poly", "z1-ndarray", "z1-ntt", "z1-int64", "z2-ntt", "z2-out-of
 
 @pytest.mark.parametrize("kind", MALFORMED)
 def test_malformed_signature_is_refused_by_serialize_and_verify(kind, ring, keypair_sig):
-    # one rule decides both: verify rejects as "parse" what serialize_sig refuses
+    # one rule decides both: building refuses the value, so neither
+    # serialize_sig nor verify can meet it
     pk, _, sig = keypair_sig
-    bad = _malformed(sig, kind, ring)
     assert verify(pk, b"codec test message", sig).ok
-    assert verify(pk, b"codec test message", bad).reason == "parse"
-    with pytest.raises(CodecError):
-        serialize_sig(bad, ring)
+    with pytest.raises(CodecError, match="signature"):
+        _malformed(sig, kind, ring)
 
 
 @pytest.mark.parametrize("kind", ["z2-out-of-range", "h-bytearray", "h-short"])
-def test_malformed_trial_of_a_batch_is_rejected_alone(kind, ring):
-    # range and h are decided per trial; the other trial of the batch is verified
+def test_batch_with_one_malformed_trial_cannot_be_built(kind, ring):
+    # range and h are checked for every trial when the batch is built
     mus = [crh(b"a"), crh(b"b")]
     pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
     sig = _sign_steps(sk, pk, mus, [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
@@ -389,8 +388,56 @@ def test_malformed_trial_of_a_batch_is_rejected_alone(kind, ring):
     else:
         h[1] = bytearray(h[1]) if kind == "h-bytearray" else h[1][:-1]
     assert _verify_steps(pk, mus, sig, ring)[0] == (None, None)
-    mixed = dataclasses.replace(sig, z2=Poly(z2), h=tuple(h))
-    assert _verify_steps(pk, mus, mixed, ring)[0] == (None, "parse")
+    with pytest.raises(CodecError, match="signature"):
+        dataclasses.replace(sig, z2=Poly(z2), h=tuple(h))
+
+
+@pytest.mark.parametrize("kind", ["s-ntt", "s-int64", "s-q", "s-negative", "s-short-axis",
+                                  "s-empty-batch", "s-two-batch-axes", "params-none"])
+def test_malformed_secret_key_is_refused_when_built(kind, ring, keypair_sig):
+    sk = keypair_sig[1]
+    s = sk.s.data
+    fields = {
+        "s-ntt": {"s": PolyVec(s, NttPoly)},
+        "s-int64": {"s": PolyVec(s.astype(np.int64), Poly)},
+        "s-q": {"s": PolyVec(np.full_like(s, ring.q), Poly)},
+        "s-negative": {"s": PolyVec(s - ring.q, Poly)},
+        "s-short-axis": {"s": PolyVec(s[:, :-1], Poly)},
+        "s-empty-batch": {"s": PolyVec(s[None][:0], Poly)},
+        "s-two-batch-axes": {"s": PolyVec(s[None, None], Poly)},
+        "params-none": {"params": None},
+    }[kind]
+    with pytest.raises(CodecError, match="secret key"):
+        dataclasses.replace(sk, **fields)
+
+
+def test_values_of_another_set_are_not_serialized(ring, keypair_sig):
+    pk, sk, sig = keypair_sig
+    other = get_ring(ParamSet(redundancy=4))  # same sizes and shapes, another set
+    for serialize, value in ((serialize_pk, pk), (serialize_sk, sk), (serialize_sig, sig)):
+        with pytest.raises(CodecError, match="of this parameter set"):
+            serialize(value, other)
+
+
+@pytest.mark.parametrize("wire_type", [bytes, bytearray, memoryview])
+def test_parsers_take_any_bytes_like_wire(wire_type, ring, keypair_sig):
+    pk, sk, sig = keypair_sig
+    wires = [serialize_pk(pk, ring), serialize_sk(sk, ring), serialize_sig(sig, ring)]
+    pk2, sk2, sig2 = (parse(wire_type(wire), ring)
+                      for parse, wire in zip((parse_pk, parse_sk, parse_sig), wires))
+    assert pk2.rho == pk.rho and pk2.p_vec == pk.p_vec and np.array_equal(pk2.a_hat.data, pk.a_hat.data)
+    assert sk2.s == sk.s
+    assert (sig2.z1, sig2.z2, sig2.z3, sig2.h) == (sig.z1, sig.z2, sig.z3, sig.h)
+    assert [type(pk2.rho), type(sig2.h)] == [bytes, bytes]
+    assert verify(pk2, b"codec test message", sig2).ok
+    assert sign(sk2, pk2, b"codec test message", bytes(32)).h == sig.h
+
+
+@pytest.mark.parametrize("wire", ["MLDS", 7, None, [1, 2]], ids=["str", "int", "none", "list"])
+def test_parsers_refuse_a_wire_that_is_not_bytes_like(wire, ring):
+    for parse in (parse_pk, parse_sk, parse_sig):
+        with pytest.raises(CodecError, match="bytes-like"):
+            parse(wire, ring)
 
 
 def test_rank_1_roundtrip():
@@ -464,3 +511,118 @@ def test_fuzz_coefficient_out_of_range(kind, slot, value):
     bad = wire[:start] + packed.to_bytes(step, "little") + wire[start + step :]
     with pytest.raises(CoefficientRangeError):
         parse(bad, FUZZ_RING)
+
+
+# -- one rule: a value is checked once, when it is built ------------------------------
+#
+# A valid ParamSet, PublicKey, SecretKey or Signature with one field changed
+# either builds and round-trips through serialize and parse to equal values,
+# or raises ParamError or CodecError. Nothing else escapes.
+
+_ONE_SIG = sign(_FUZZ_SK, _FUZZ_PK, b"one rule", bytes(32))
+_TWO_PK, _TWO_SK = _keygen_steps([bytes(32), bytes(range(32))], FUZZ_RING)
+_TWO_SIG = _sign_steps(_TWO_SK, _TWO_PK, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)],
+                       FUZZ_RING, Z2_DERIVED)
+RING_FIELDS = {PublicKey: ("p_vec",), SecretKey: ("s",), Signature: ("z1", "z2", "z3")}
+SEED_FIELD = {PublicKey: "rho", Signature: "h"}
+CODEC = {PublicKey: (serialize_pk, parse_pk), SecretKey: (serialize_sk, parse_sk),
+         Signature: (serialize_sig, parse_sig)}
+PARAM_VALUES = {"n": [128, 200, 512, 1024], "q": [257, 7681, 12288, 13313, 40961],
+                "k": [0, 1, 3, 15], "eta": [0, 3, 8, 24, 1536], "redundancy": [2, 4],
+                "param_id": [2]}
+
+
+def _array_mutant(x: np.ndarray, how: str, axis: int, at: int, q: int) -> np.ndarray:
+    if how in ("int64", "int16"):
+        return x.astype(how)
+    if how == "longer":
+        return np.concatenate((x, np.take(x, [0], axis=axis)), axis=axis)
+    if how == "shorter":
+        return np.delete(x, -1, axis=axis)
+    x = x.copy()
+    x.flat[at % x.size] = q if how == "q" else -1
+    return x
+
+
+def _mutate(value, field: str, how: str, axis: int, at: int):
+    """``value`` with ``field`` changed by ``how``; raises what building the mutant raises."""
+    old = getattr(value, field)
+    if field in ("rho", "h"):
+        one = old[0] if type(old) is tuple else old
+        new = {"31": one[:31], "33": one + b"\0", "bytearray": bytearray(one), "str": one.hex()[:32],
+               "1-tuple": (one,), "count": (old + (one,)) if type(old) is tuple else (one, one)}[how]
+        if type(old) is tuple and how in ("31", "33", "bytearray", "str"):
+            new = (new,) + old[1:]
+    elif field == "params":
+        new = {"redundancy-4": ParamSet(redundancy=4), "rank-1": ParamSet(k=1, param_id=2)}[how]
+    elif how == "ntt":
+        new = PolyVec(old.data, NttPoly) if type(old) is PolyVec else NttPoly(old.coeffs)
+    else:
+        data = old.data if type(old) is PolyVec else old.coeffs
+        data = _array_mutant(data, how, axis % data.ndim, at, value.params.q)
+        new = PolyVec(data, Poly) if type(old) is PolyVec else Poly(data)
+    return dataclasses.replace(value, **{field: new})
+
+
+@st.composite
+def _mutants(draw):
+    value = draw(st.sampled_from([_FUZZ_PK, _FUZZ_SK, _ONE_SIG, _TWO_PK, _TWO_SK, _TWO_SIG]))
+    cls = type(value)
+    fields = list(RING_FIELDS[cls]) + ["params"] + ([SEED_FIELD[cls]] if cls in SEED_FIELD else [])
+    field = draw(st.sampled_from(fields))
+    if field in ("rho", "h"):
+        how = draw(st.sampled_from(["31", "33", "bytearray", "str", "1-tuple", "count"]))
+    elif field == "params":
+        how = draw(st.sampled_from(["redundancy-4", "rank-1"]))
+    else:
+        how = draw(st.sampled_from(["int64", "int16", "longer", "shorter", "ntt", "q", "-1"]))
+    return value, field, how, draw(st.integers(0, 2)), draw(st.integers(0, 2**20))
+
+
+def _round_trip(value) -> None:
+    ring = get_ring(value.params)
+    serialize, parse = CODEC[type(value)]
+    back = parse(serialize(value, ring), ring)
+    assert back.params == value.params
+    seed = (SEED_FIELD[type(value)],) if type(value) in SEED_FIELD else ()
+    for field in RING_FIELDS[type(value)] + seed:
+        assert getattr(back, field) == getattr(value, field)
+
+
+def _is_batch(value) -> bool:
+    if type(value) is SecretKey:
+        return value.s.data.ndim == 3
+    return type(getattr(value, SEED_FIELD[type(value)])) is tuple
+
+
+@settings(max_examples=150, deadline=None)
+@given(mutant=_mutants())
+def test_a_mutated_key_or_signature_round_trips_or_raises_codec_error(mutant):
+    value, field, how, axis, at = mutant
+    try:
+        built = _mutate(value, field, how, axis, at)
+    except CodecError:
+        return
+    if _is_batch(built):  # a batch is well formed, but has no wire format
+        with pytest.raises(CodecError, match="not a batch"):
+            _round_trip(built)
+    else:
+        _round_trip(built)
+
+
+@settings(max_examples=60, deadline=None)
+@given(field=st.sampled_from(sorted(PARAM_VALUES)), data=st.data())
+def test_a_mutated_param_set_round_trips_or_raises_param_error(field, data):
+    value = data.draw(st.sampled_from(PARAM_VALUES[field]))
+    try:
+        params = dataclasses.replace(DEFAULT_PARAMS, **{field: value})
+    except ParamError:
+        return
+    assert validate_params(params) == []
+    pk, sk = keygen(bytes(32), params)
+    if params.bits_per_coeff != PACK_BITS:  # the wire format packs 14-bit coefficients only
+        with pytest.raises(CodecError, match="14-bit"):
+            _round_trip(pk)
+    else:
+        _round_trip(pk)
+        _round_trip(sk)

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import mlds.estimator
 from mlds import (
-    DEFAULT_PARAMS, ParamSet,
+    DEFAULT_PARAMS, ParamError, ParamSet,
     LweInstance, EstimatorError, primal_cost, dual_cost, key_sizes,
 )
 from mlds.estimator import (
@@ -441,5 +441,6 @@ def test_key_sizes_formula():
 
 
 def test_key_sizes_degenerate():
-    with pytest.raises(EstimatorError):
+    # a degenerate set cannot be built, so key_sizes never meets one
+    with pytest.raises(ParamError, match="k=0 must be >= 1"):
         key_sizes(ParamSet(k=0))

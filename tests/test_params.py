@@ -1,8 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mlds import ParamSet, ParamError, derive_ntt_constants, measure_agreement, validate_params
 from mlds.params import _smallest_generator
+
+
+def violations(**fields) -> list[str]:
+    """The invariants ParamSet(**fields) violates, from the ParamError it raises; [] if it builds."""
+    try:
+        ParamSet(**fields)
+    except ParamError as exc:
+        return str(exc).split("; ")
+    return []
 
 
 def brute_force_order(x: int, q: int) -> int:
@@ -43,26 +54,31 @@ def test_n_inv_matches_extended_euclid(params):
 
 
 def test_derivation_rejects_bad_modulus():
-    with pytest.raises(ParamError):
-        derive_ntt_constants(ParamSet(q=12))  # not prime
-    with pytest.raises(ParamError):
-        derive_ntt_constants(ParamSet(q=3329))  # prime but 512 does not divide 3328
+    # no set exists that the derivation could not serve: building it raises
+    with pytest.raises(ParamError, match="not prime"):
+        ParamSet(q=12)
+    with pytest.raises(ParamError, match="not congruent to 1 mod 2n=512"):
+        ParamSet(q=3329)  # prime but 512 does not divide 3328
 
 
-def test_derivation_raises_every_validation_error():
+def test_building_raises_every_validation_error():
     # a modulus the NTT could use, but eta breaks the sampler's invariant
     with pytest.raises(ParamError, match="multiple of 8"):
-        derive_ntt_constants(ParamSet(eta=3))
-    bad = ParamSet(n=100, eta=3)
+        ParamSet(eta=3)
     with pytest.raises(ParamError) as exc:
-        derive_ntt_constants(bad)
-    assert str(exc.value) == "; ".join(validate_params(bad))
+        ParamSet(n=100, eta=3)
+    assert str(exc.value) == ("n=100 is not a power of two >= 2; q=12289 is not congruent to 1 "
+                              "mod 2n=200; eta=3 is not a multiple of 8, as the byte-aligned "
+                              "binomial sampler needs")
+    # dataclasses.replace builds through the same check
+    with pytest.raises(ParamError, match="k=0 must be >= 1"):
+        dataclasses.replace(ParamSet(), k=0)
 
 
 def test_name_follows_n_and_k():
     assert ParamSet().name == "ML-SD-256x2"
     assert ParamSet(k=1, param_id=2).name == "ML-SD-256x1"
-    assert ParamSet(n=512, k=3).name == "ML-SD-512x3"
+    assert ParamSet(n=512, k=3, redundancy=4).name == "ML-SD-512x3"
 
 
 def test_derivation_deterministic_and_idempotent(params):
@@ -83,37 +99,37 @@ def test_validate_default_is_clean(params):
 
 
 def test_validate_reports_each_violation():
-    assert any("power of two" in e for e in validate_params(ParamSet(n=100)))
-    assert any("not prime" in e for e in validate_params(ParamSet(q=12)))
-    assert any("mod 2n" in e for e in validate_params(ParamSet(n=4096)))  # 8192 does not divide 12288
-    assert any("redundancy" in e for e in validate_params(ParamSet(redundancy=3)))
-    assert any("k=" in e for e in validate_params(ParamSet(k=0)))
-    assert any("eta" in e for e in validate_params(ParamSet(eta=0)))
-    assert any("multiple of 8" in e for e in validate_params(ParamSet(eta=3)))
+    assert any("power of two" in e for e in violations(n=100))
+    assert any("not prime" in e for e in violations(q=12))
+    assert any("mod 2n" in e for e in violations(n=4096))  # 8192 does not divide 12288
+    assert any("redundancy" in e for e in violations(redundancy=3))
+    assert any("k=" in e for e in violations(k=0))
+    assert any("eta" in e for e in violations(eta=0))
+    assert any("multiple of 8" in e for e in violations(eta=3))
     # the decode noise ||e3 + e4||_inf <= 2*eta must stay below floor(q/4) = 64 at q = 257
-    assert validate_params(ParamSet(n=128, q=257, eta=256)) == [
+    assert violations(n=128, q=257, eta=256) == [
         "2*eta = 512 is not below floor(q/4) = 64, so the decode "
         "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit"
     ]
-    assert validate_params(ParamSet(n=128, q=257, eta=32)) == [
+    assert violations(n=128, q=257, eta=32) == [
         "2*eta = 64 is not below floor(q/4) = 64, so the decode "
         "noise ||e3 + e4||_inf <= 2*eta of an honest signature could flip a bit"
     ]
-    assert validate_params(ParamSet(n=128, q=257, eta=24)) == []
+    assert violations(n=128, q=257, eta=24) == []
     # prime and 2n | q-1, but 256 * 8380416^3 > 2^53 would round the float64 NTT
-    assert any("2^53" in e for e in validate_params(ParamSet(q=8380417)))
+    assert any("2^53" in e for e in violations(q=8380417))
     # prime and 512 | 40960, but 256 * 40960^3 ~ 1.8e16 > 2^53 would round the
     # two-stage NTT (its one-stage bound, 256 * 40960^2 ~ 4.3e11, would pass),
     # and 2 * 40960^2 ~ 3.4e9 > 2^31 would overflow an int32 module product
-    assert validate_params(ParamSet(q=40961)) == [
+    assert violations(q=40961) == [
         f"n*(q-1)^3 = {256 * 40960**3} is not below 2^53: "
         "the two-stage float64 NTT would round its partial sums",
         f"k*(q-1)^2 = {2 * 40960**2} is not below 2^31: "
         "a module product's sum of k products would overflow int32",
     ]
     # the int32 bound alone: 14 * 12288^2 ~ 2.11e9 < 2^31 <= 15 * 12288^2 ~ 2.26e9
-    assert validate_params(ParamSet(k=14)) == []
-    assert validate_params(ParamSet(k=15)) == [
+    assert violations(k=14) == []
+    assert violations(k=15) == [
         f"k*(q-1)^2 = {15 * 12288**2} is not below 2^31: "
         "a module product's sum of k products would overflow int32"
     ]
@@ -137,12 +153,12 @@ def test_ntt_congruence_holds_for_n_512():
 
 def test_payload_must_fit_the_message_digest():
     # one payload bit per coefficient at n = 512 asks for 512 bits of a 256-bit mu
-    assert validate_params(ParamSet(n=512, k=1)) == [
+    assert violations(n=512, k=1) == [
         "mu_bits = n/redundancy = 512 is more than the 256 bits of the message digest"
     ]
     assert validate_params(ParamSet(n=1024, redundancy=4)) == []
     with pytest.raises(ParamError, match="message digest"):
-        derive_ntt_constants(ParamSet(n=512))
+        ParamSet(n=512)
 
 
 def test_codec_thresholds_exact(params):

@@ -5,7 +5,7 @@ from mlds import (
     DEFAULT_PARAMS, keygen, sign, verify, measure_agreement,
     POLICIES, SECRET_DERIVED, Z2_DERIVED,
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
-    gen_a, crh,
+    gen_a, crh, CodecError,
 )
 from mlds import ParamSet, Poly, PolyVec, get_ring
 from mlds.scheme import (
@@ -147,6 +147,52 @@ def test_n_512_redundancy_4_signs_and_verifies():
     assert verify(pk, MSG, sign(sk, pk, MSG, COIN, params), params).ok
 
 
+# -- values of one parameter set only ---------------------------------------------------
+#
+# Keys and signatures carry their ParamSet: sign refuses keys of another set
+# than the one it signs under, and verify rejects as "parse" a signature or
+# key of another set.
+
+RANK_1 = ParamSet(k=1, param_id=2)
+REDUNDANCY_4 = ParamSet(redundancy=4)
+
+
+def test_sign_refuses_rank_1_keys_under_the_default_set():
+    pk, sk = keygen(ZETA, RANK_1)
+    with pytest.raises(ValueError, match="parameter set"):
+        sign(sk, pk, MSG, COIN)
+    assert verify(pk, MSG, sign(sk, pk, MSG, COIN, RANK_1), RANK_1).ok
+
+
+def test_sign_refuses_redundancy_4_keys_when_params_is_omitted():
+    # the sets differ only in redundancy, so every array has the default shapes
+    pk, sk = keygen(ZETA, REDUNDANCY_4)
+    with pytest.raises(ValueError, match="parameter set"):
+        sign(sk, pk, MSG, COIN)
+    sig = sign(sk, pk, MSG, COIN, REDUNDANCY_4)
+    assert sig.params == REDUNDANCY_4 and verify(pk, MSG, sig, REDUNDANCY_4).ok
+    assert verify(pk, MSG, sig).reason == "parse"
+
+
+def test_sign_refuses_a_key_pair_of_two_sets(keypair):
+    pk, sk = keypair
+    pk_r4, sk_r4 = keygen(ZETA, REDUNDANCY_4)
+    for pair in ((sk, pk_r4), (sk_r4, pk)):
+        for params in (DEFAULT_PARAMS, REDUNDANCY_4):
+            with pytest.raises(ValueError, match="parameter set"):
+                sign(*pair, MSG, COIN, params)
+
+
+def test_verify_rejects_a_signature_of_another_rank_as_parse(keypair, z2_sig):
+    pk, _ = keypair
+    pk_1, sk_1 = keygen(ZETA, RANK_1)
+    sig_1 = sign(sk_1, pk_1, MSG, COIN, RANK_1)
+    for args in ((pk_1, MSG, z2_sig), (pk_1, MSG, z2_sig, RANK_1), (pk, MSG, sig_1),
+                 (pk, MSG, sig_1, RANK_1), (pk_1, MSG, sig_1)):
+        assert verify(*args).reason == "parse"
+    assert verify(pk, MSG, z2_sig).ok and verify(pk_1, MSG, sig_1, RANK_1).ok
+
+
 def test_verify_after_serialization_roundtrip(ring, keypair, z2_sig):
     pk, sk = keypair
     pk2 = parse_pk(serialize_pk(pk, ring), ring)
@@ -167,60 +213,61 @@ def test_message_flip_rejects_mu(keypair, z2_sig):
 
 def test_zeroed_z3_rejects(ring, keypair, z2_sig):
     pk, _ = keypair
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=zero(ring), h=z2_sig.h)
+    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=zero(ring), h=z2_sig.h, params=ring.params)
     assert not verify(pk, MSG, broken, policy=Z2_DERIVED).ok
 
 
-def test_h_flip_rejects_h(keypair, z2_sig):
+def test_h_flip_rejects_h(ring, keypair, z2_sig):
     pk, _ = keypair
     h = bytearray(z2_sig.h)
     h[5] ^= 0x10
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=bytes(h))
+    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=bytes(h), params=ring.params)
     result = verify(pk, MSG, broken, policy=Z2_DERIVED)
     # verify decides mu before h, so an h-mismatch shows the mu branch passed
     assert not result.ok and result.reason == "h-mismatch"
 
 
 def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
+    # a short h cannot be built; a well-formed batch, or one value that is not
+    # a Signature, reaches verify and is rejected as "parse"
     pk, _ = keypair
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=b"short")
-    result = verify(pk, MSG, broken, policy=Z2_DERIVED)
-    assert not result.ok and result.reason == "parse"
+    with pytest.raises(CodecError, match="signature"):
+        Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=b"short", params=ring.params)
+    batch = Signature(PolyVec(z2_sig.z1.data[None], Poly), Poly(z2_sig.z2.coeffs[None]),
+                      Poly(z2_sig.z3.coeffs[None]), (z2_sig.h,), ring.params)
+    for sig in (batch, serialize_sig(z2_sig, ring), None):
+        result = verify(pk, MSG, sig, policy=Z2_DERIVED)
+        assert not result.ok and result.reason == "parse"
 
 
 @pytest.mark.parametrize("part", ["z1", "z2", "z3"])
 @pytest.mark.parametrize("bad_value", [-1, DEFAULT_PARAMS.q])
-def test_in_memory_out_of_range_coefficient_rejects_as_parse(keypair, z2_sig, part, bad_value):
-    # built in memory, so no parser has range-checked it; verify still must
-    pk, _ = keypair
+def test_in_memory_out_of_range_coefficient_rejects_as_parse(ring, z2_sig, part, bad_value):
+    # built in memory, so no parser has range-checked it: building refuses it,
+    # so verify never meets it
     parts = {"z1": z2_sig.z1.data.copy(), "z2": z2_sig.z2.coeffs.copy(),
              "z3": z2_sig.z3.coeffs.copy()}
     parts[part][..., 7] = bad_value  # -1 is a negative int32 entry
     assert parts[part].dtype == np.int32
-    broken = Signature(z1=PolyVec(parts["z1"], Poly), z2=Poly(parts["z2"]),
-                       z3=Poly(parts["z3"]), h=z2_sig.h)
-    result = verify(pk, MSG, broken, policy=Z2_DERIVED)
-    assert not result.ok and result.reason == "parse"
+    with pytest.raises(CodecError, match="signature"):
+        Signature(z1=PolyVec(parts["z1"], Poly), z2=Poly(parts["z2"]),
+                  z3=Poly(parts["z3"]), h=z2_sig.h, params=ring.params)
 
 
 @pytest.mark.parametrize("z1", ["poly", "ndarray"])
-def test_in_memory_z1_not_a_vector_rejects_as_parse(keypair, z2_sig, z1):
-    # a Poly or a bare array in place of z1 is malformed, not an attribute error
-    pk, _ = keypair
+def test_in_memory_z1_not_a_vector_rejects_as_parse(ring, z2_sig, z1):
+    # a Poly or a bare array in place of z1 is malformed, refused when built
     bad = z2_sig.z1[0] if z1 == "poly" else z2_sig.z1.data
-    broken = Signature(z1=bad, z2=z2_sig.z2, z3=z2_sig.z3, h=z2_sig.h)
-    result = verify(pk, MSG, broken)
-    assert not result.ok and result.reason == "parse"
+    with pytest.raises(CodecError, match="signature"):
+        Signature(z1=bad, z2=z2_sig.z2, z3=z2_sig.z3, h=z2_sig.h, params=ring.params)
 
 
-def test_in_memory_int64_signature_rejects_as_parse(keypair, z2_sig):
+def test_in_memory_int64_signature_rejects_as_parse(ring, z2_sig):
     # the same in-range values, but not in the int32 the ring computes in
-    pk, _ = keypair
-    wide = Signature(z1=PolyVec(z2_sig.z1.data.astype(np.int64), Poly),
-                     z2=Poly(z2_sig.z2.coeffs.astype(np.int64)),
-                     z3=Poly(z2_sig.z3.coeffs.astype(np.int64)), h=z2_sig.h)
-    result = verify(pk, MSG, wide, policy=Z2_DERIVED)
-    assert not result.ok and result.reason == "parse"
+    with pytest.raises(CodecError, match="signature"):
+        Signature(z1=PolyVec(z2_sig.z1.data.astype(np.int64), Poly),
+                  z2=Poly(z2_sig.z2.coeffs.astype(np.int64)),
+                  z3=Poly(z2_sig.z3.coeffs.astype(np.int64)), h=z2_sig.h, params=ring.params)
 
 
 def test_every_ring_value_is_int32(ring, keypair, z2_sig):
