@@ -55,11 +55,12 @@ exactly that, a dual cell fl(0.292 b) + log2(R) with log2(R) >= 0, and float
 rounding is monotone. Every cost block the search computes, the screen
 included, goes through ``_pick`` once.
 
-ln delta(b) depends on b alone, so the screen, the whole rows and the dual's
-reported repetition count read it from one module-level table over
-b >= MIN_BLOCK, filled by the same ``_log_delta`` expression, bit for bit.
-The table grows when a search needs a larger b, by a longer copy that keeps
-every entry; it is never written in place, so a reader needs no lock.
+ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen, the
+whole rows and the dual's reported repetition count read them from two
+module-level tables over b >= MIN_BLOCK, filled by the same ``_log_delta``
+and ``_half_log`` expressions, bit for bit. A table grows when a search
+needs a larger b, by a longer copy that keeps every entry; it is never
+written in place, so a reader needs no lock.
 
 The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite. A
 clamped cell costs at most its model cost, so an optimum whose tau is below
@@ -132,20 +133,30 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 
-# ln delta(MIN_BLOCK + i), filled by _log_delta; replaced by a longer copy, never written
+# ln delta(MIN_BLOCK + i) and 0.5 ln(MIN_BLOCK + i), filled by _log_delta and
+# _half_log; each is replaced by a longer copy, never written
 _LOG_DELTA = np.empty(0)
+_HALF_LOG_B = np.empty(0)
+
+
+def _half_log(b: np.ndarray) -> np.ndarray:
+    """0.5 ln b, elementwise: the primal's ln sqrt(b)."""
+    return 0.5 * np.log(b)
+
+
+def _table(name: str, fill, b_max: int) -> np.ndarray:
+    """fill(b) for b = MIN_BLOCK, ..., b_max, read from the shared table ``name``."""
+    table = globals()[name]
+    if table.size < b_max - MIN_BLOCK + 1:
+        table = np.concatenate((table, fill(np.arange(MIN_BLOCK + table.size, b_max + 1))))
+        table.flags.writeable = False
+        globals()[name] = table
+    return table[:max(0, b_max - MIN_BLOCK + 1)]
 
 
 def _log_delta_table(b_max: int) -> np.ndarray:
     """ln delta(b) for b = MIN_BLOCK, ..., b_max, read from the shared table."""
-    global _LOG_DELTA
-    table = _LOG_DELTA
-    if table.size < b_max - MIN_BLOCK + 1:
-        tail = _log_delta(np.arange(MIN_BLOCK + table.size, b_max + 1))
-        table = np.concatenate((table, tail))
-        table.flags.writeable = False
-        _LOG_DELTA = table
-    return table[:max(0, b_max - MIN_BLOCK + 1)]
+    return _table("_LOG_DELTA", _log_delta, b_max)
 
 
 def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
@@ -165,11 +176,13 @@ def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
 def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     """(cost, b, m) minimum over every cell, None if no cell is finite; see the module doc.
 
-    ``block_cost(m, b, log_delta)`` returns the cost of each cell of the broadcast block
-    and its slack bound; ``log_delta`` is ln delta(b), shaped like ``b``. A cell's lattice
-    dimension is d = n_lwe + offset + m, and b <= d.
+    ``block_cost(m, b, log_delta, half_log_b)`` returns the cost of each cell of the
+    broadcast block and its slack bound; ``log_delta`` is ln delta(b) and ``half_log_b``
+    0.5 ln b, both shaped like ``b``. A cell's lattice dimension is d = n_lwe + offset + m,
+    and b <= d.
     """
-    log_delta = _log_delta_table(inst.n_lwe + inst.max_samples + 1)
+    b_max = inst.n_lwe + inst.max_samples + 1
+    log_delta, half_log_b = _log_delta_table(b_max), _table("_HALF_LOG_B", _half_log, b_max)
     if not log_delta.size:
         return None
     # float64 b: exact, and no int-to-float cast in each expression over it
@@ -183,12 +196,12 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     # clip to the row's [max(1, b - n), max_samples]; an empty row clips to max_samples
     np.maximum(m, np.maximum(1.0, b - n), out=m)
     np.minimum(m, inst.max_samples, out=m)
-    cost, bound = block_cost(m, b, log_delta)
+    cost, bound = block_cost(m, b, log_delta, half_log_b)
     best, _ = _pick(cost, m, b, None)
     bound = bound.min(axis=0)
     # a row whose slack bound lies above an attained cost can neither beat nor tie the optimum
-    keep = np.isfinite(bound) & (bound <= (best[0] if best else np.inf))
-    rows, log_delta = b[keep], log_delta[keep]
+    keep = np.flatnonzero(np.isfinite(bound) & (bound <= (best[0] if best else np.inf)))
+    rows, log_delta, half_log_b = b[keep], log_delta[keep], half_log_b[keep]
 
     m = np.arange(1.0, inst.max_samples + 1)
     best = None
@@ -197,19 +210,20 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
         if best is not None and CLASSICAL_EXP * b[0] > best[0]:
             break
         # built b-major, so that _pick reduces over m along contiguous memory
-        cost, _ = block_cost(m[None, :], b[:, None], log_delta[lo:lo + BLOCK_COLS, None])
+        cols = slice(lo, lo + BLOCK_COLS)
+        cost, _ = block_cost(m[None, :], b[:, None], log_delta[cols, None], half_log_b[cols, None])
         best, _ = _pick(cost.T, m[:, None], b, best)
     return best
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
-    def block_cost(m, b, log_delta):
+    def block_cost(m, b, log_delta, half_log_b):
         d = inst.n_lwe + m + 1.0
         rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
         rhs *= log_delta
         rhs += (m / d) * math.log(inst.q)
-        lhs = math.log(inst.sigma) + 0.5 * np.log(b)
+        lhs = math.log(inst.sigma) + half_log_b
         price, in_range = CLASSICAL_EXP * b, b <= d
         cost = np.where((rhs >= lhs) & in_range, price, np.inf)
         rhs += SCREEN_SLACK  # the slack bound: the same test against a looser rhs
@@ -260,7 +274,7 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             "gives noise statistically close to uniform mod q"
         )
 
-    def block_cost(m, b, log_delta):
+    def block_cost(m, b, log_delta, _):
         cost = _dual_log2_rep(inst, m, b, log_delta)
         cost += CLASSICAL_EXP * b
         cost[b > inst.n_lwe + m] = np.inf

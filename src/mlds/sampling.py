@@ -11,14 +11,18 @@ change:
                  NTT-domain by definition.
 * ``gen_se``     SHAKE-256(seed || byte(nonce)); coefficient t consumes bits
                  [2*eta*t, 2*eta*(t+1)) of the little-endian bitstream, the
-                 first eta bits minus the second eta bits, stored mod q.
+                 first eta bits minus the second eta bits, stored mod q. It
+                 takes one nonce, or a range of consecutive nonces drawn in
+                 one pass with one stream per nonce, so the layout is the
+                 same either way.
 
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
 
 ``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a sequence of
 seeds for a batch, whose outputs gain one leading axis. The SHAKE call per
-stream is the only per-item loop.
+stream is the only per-item loop. ``gen_se_vec`` is ``gen_se`` over k
+consecutive nonces.
 """
 
 from __future__ import annotations
@@ -116,19 +120,21 @@ def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
     buf = b"".join(hashlib.shake_256(seed + bytes([t])).digest(p.eta * p.n // 4)
                    for seed in seeds for t in nonces)
     counts = np.bitwise_count(np.frombuffer(buf, dtype=flip.dtype).reshape(-1, flip.size) ^ flip)
+    del buf  # the bytes and the XOR temporary are freed before the lookup allocates
     total = counts[:, 0] if flip.size == 1 else counts.sum(axis=1)
-    return np.take(lookup, total).reshape(len(seeds), len(nonces), p.n)
+    return lookup.take(total).reshape(len(seeds), len(nonces), p.n)
 
 
-def gen_se(seed, nonce: int, ring: Ring) -> Poly:
-    """One psi_eta polynomial (values in [-eta, eta], stored mod q) per seed."""
+def gen_se(seed, nonce, ring: Ring) -> Poly | PolyVec:
+    """psi_eta noise (values in [-eta, eta], stored mod q) per seed: a ``Poly`` for an
+    int nonce, a ``PolyVec`` with one row per nonce for a range of nonces."""
     seeds, single = _seed_batch(seed, "seed")
-    c = _binomial(seeds, range(nonce, nonce + 1), ring)
-    return Poly(c[0, 0] if single else c[:, 0])
+    rows = isinstance(nonce, range)
+    c = _binomial(seeds, nonce if rows else range(nonce, nonce + 1), ring)
+    c = c[0] if single else c
+    return PolyVec(c, Poly) if rows else Poly(c[..., 0, :])
 
 
 def gen_se_vec(seed, first_nonce: int, ring: Ring) -> PolyVec:
     """k consecutive binomial polynomials starting at ``first_nonce``, per seed."""
-    seeds, single = _seed_batch(seed, "seed")
-    c = _binomial(seeds, range(first_nonce, first_nonce + ring.k), ring)
-    return PolyVec(c[0] if single else c, Poly)
+    return gen_se(seed, range(first_nonce, first_nonce + ring.k), ring)

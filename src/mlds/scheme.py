@@ -4,14 +4,14 @@ All three operations are deterministic functions of their seed arguments.
 Key generation:
 
     (rho, xi) = hash_h(zeta);  A_hat = gen_a(rho)
-    s, e sampled with nonces 0..k-1 and k..2k-1
+    s, e sampled with nonces 0..k-1 and k..2k-1, in one gen_se call
     P = intt(A_hat^T o ntt(s)) + e
 
 The public key carries A_hat, expanded once from rho by ``keygen`` or by
 ``codec.parse_pk``; signing reuses it.
 
 Signing draws e1 (nonces 0..k-1), e2 (k..2k-1), e3 (2k), e4 (2k+1) from the
-per-signature coin r and outputs
+per-signature coin r, in one gen_se call, and outputs
 
     z1 = intt(A_hat^T o ntt(e1)) + e2
     z2 = intt(<P_hat, ntt(e2)>) + e4
@@ -58,7 +58,7 @@ from .codec import (PublicKey, SecretKey, Signature, bytes_to_bits, encode_bits,
                     decode_payload)
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import Ring, Poly, PolyVec, get_ring
-from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se, gen_se_vec
+from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se
 
 
 #: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
@@ -92,18 +92,21 @@ def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
 
 
 def expand_key_noise(xi, ring: Ring) -> tuple[PolyVec, PolyVec]:
-    """(s, e) from the keygen seed(s); nonces 0..k-1 and k..2k-1."""
-    return gen_se_vec(xi, 0, ring), gen_se_vec(xi, ring.k, ring)
+    """(s, e) from the keygen seed(s): one draw over nonces 0..2k-1, split in half.
+
+    s is a copy, so that the secret key does not keep e's half of the draw alive.
+    """
+    se = gen_se(xi, range(2 * ring.k), ring).data
+    return PolyVec(se[..., :ring.k, :].copy(), Poly), PolyVec(se[..., ring.k:, :], Poly)
 
 
 def expand_signing_noise(r, ring: Ring) -> tuple[PolyVec, PolyVec, Poly, Poly]:
-    """(e1, e2, e3, e4) from the signing coin(s); nonces 0..k-1, k..2k-1, 2k, 2k+1."""
+    """(e1, e2, e3, e4) from the signing coin(s): views of one draw over nonces
+    0..2k+1, split as 0..k-1, k..2k-1, 2k and 2k+1."""
     k = ring.k
-    e1 = gen_se_vec(r, 0, ring)
-    e2 = gen_se_vec(r, k, ring)
-    e3 = gen_se(r, 2 * k, ring)
-    e4 = gen_se(r, 2 * k + 1, ring)
-    return e1, e2, e3, e4
+    e = gen_se(r, range(2 * k + 2), ring).data
+    return (PolyVec(e[..., :k, :], Poly), PolyVec(e[..., k:2 * k, :], Poly),
+            Poly(e[..., 2 * k, :]), Poly(e[..., 2 * k + 1, :]))
 
 
 # -- the array core ----------------------------------------------------------------
@@ -145,10 +148,10 @@ def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) ->
         raise ValueError(f"sk and pk must both belong to the parameter set signed under, {ring.params}")
     # On a chunk of trials every array is (B, ...), so each is dropped after
     # its last use: that keeps the literal policy's transforms from stacking
-    # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials).
+    # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials). e1..e4
+    # are views of one noise draw, which is freed once the last of them goes.
     e1, e2, e3, e4 = expand_signing_noise(r, ring)
     ate1_hat = ring.matvec(pk.a_hat, ring.vec_ntt(e1))
-    del e1
     e2_hat = ring.vec_ntt(e2)
     p_hat = ring.vec_ntt(pk.p_vec)
 
@@ -156,7 +159,7 @@ def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) ->
     z2 = ring.add(ring.intt(ring.inner_product(p_hat, e2_hat)), e4)
     payload = encode_bits(mu_payload_bits(mu, ring.params), ring)
     z3 = ring.add(ring.add(ring.intt(ring.inner_product(p_hat, ate1_hat)), e3), payload)
-    del e2, e3, e4, payload, p_hat, ate1_hat
+    del e1, e2, e3, e4, payload, p_hat, ate1_hat
 
     if policy == Z2_DERIVED:
         h_src = z2

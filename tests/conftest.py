@@ -1,11 +1,25 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import mlds
 from mlds import DEFAULT_PARAMS, ParamSet, PolyVec, Poly, Signature, crh, get_ring
 from mlds.codec import decode_payload, encode_bits
 from mlds.scheme import mu_payload_bits
 
 from ring_oracle import poly
+
+
+@pytest.fixture(scope="session", autouse=True)
+def child_pythonpath():
+    """The CLI tests run ``python -m mlds.cli`` in a child process: point it at the
+    package this session imports (from ``src``, by the pytest ``pythonpath`` setting)."""
+    src = str(Path(mlds.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -7,7 +7,9 @@ and the h binding covers only the decoded image of z2, so low-order bit flips
 in z2/z3 verify by construction (see the companion test for the guarantees
 that do hold). Next to it, rejection of a key-only forgery is a strict
 expected failure too: both verification conditions are public and linear in
-the signature, so the public key alone yields signatures that verify.
+the signature, so the public key alone yields signatures that verify. So is
+"z2 signing reads the secret key": the default signer never reads s, and a
+zero-s key signs byte for byte like the real one.
 """
 
 import hashlib
@@ -26,10 +28,10 @@ from mlds import (
     LweInstance, primal_cost, dual_cost, key_sizes,
     keygen, sign, verify, measure_agreement, Z2_DERIVED, SECRET_DERIVED,
     serialize_sig, parse_sig,
-    gen_a, gen_se, crh, CodecError,
+    gen_a, gen_se, crh, CodecError, Poly, PolyVec,
 )
 from mlds.cli import main as cli_main
-from mlds.codec import encode_bits, pk_bytes, sig_bytes, sk_bytes
+from mlds.codec import SecretKey, encode_bits, pk_bytes, sig_bytes, sk_bytes
 from mlds.scheme import expand_signing_noise, mu_payload_bits
 
 from conftest import forge_key_only, random_poly
@@ -215,6 +217,26 @@ def test_verify_rejects_a_key_only_forgery(ring):
         wire = serialize_sig(forge_key_only(pk, msg, ring, rng), ring)
         accepted += verify(pk, msg, parse_sig(wire, ring)).ok
     report(5, "key-only forgery rejection", accepted == 0, f"{accepted}/20 forgeries accepted")
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="the default z2 signer never reads sk.s: a z2 signature is a public function "
+    "of (pk, message, r), so a zero-s key signs byte for byte like the real one "
+    "(README, 'Forgery, honestly')",
+)
+def test_z2_signing_reads_the_secret_key(ring):
+    rng = np.random.default_rng(0x5EC)
+    identical = 0
+    for t in range(20):
+        pk, sk = keygen(bytes([0x40 + t]) * 32)
+        zero_sk = SecretKey(PolyVec(np.zeros_like(sk.s.data), Poly), sk.params)
+        msg, r = rng.bytes(24), rng.bytes(32)
+        real = serialize_sig(sign(sk, pk, msg, r), ring)
+        identical += serialize_sig(sign(zero_sk, pk, msg, r), ring) == real
+    report(5, "z2 signing reads the secret key", identical == 0,
+           f"{identical}/20 zero-key signatures equal the real key's")
 
 
 def test_criterion_6_reference_sizes():

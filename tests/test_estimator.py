@@ -12,7 +12,7 @@ from mlds import (
 )
 from mlds.estimator import (
     CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, TAU_CLAMP_LOG2, AttackEstimate,
-    _dual_log2_rep, _log_delta, _log_delta_table,
+    _dual_log2_rep, _half_log, _log_delta, _log_delta_table, _table,
 )
 
 
@@ -60,6 +60,17 @@ def test_log_delta_table_is_bit_identical_and_never_rewritten(monkeypatch):
     assert _log_delta_table(1000) is not grown and mlds.estimator._LOG_DELTA.size == grown.size
     oracle = np.log([bkz_delta(b) for b in range(MIN_BLOCK, 5001)])
     np.testing.assert_allclose(grown, oracle, rtol=1e-12, atol=0)
+
+
+def test_half_log_b_table_is_bit_identical_to_the_primal_expression(monkeypatch):
+    # the primal reads 0.5 ln b from its own table, grown like the ln delta table
+    monkeypatch.setattr(mlds.estimator, "_HALF_LOG_B", np.empty(0))
+    small = _table("_HALF_LOG_B", _half_log, 300)
+    assert not small.flags.writeable
+    before = mlds.estimator._HALF_LOG_B
+    grown = _table("_HALF_LOG_B", _half_log, 5000)
+    assert mlds.estimator._HALF_LOG_B is not before and np.array_equal(grown[:small.size], small)
+    assert np.array_equal(grown, 0.5 * np.log(np.arange(float(MIN_BLOCK), 5001.0)))
 
 
 def test_bkz_delta_rejects_small_blocks(monkeypatch):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlds import ParamSet, gen_a, gen_se, get_ring, hash_h, crh, sampling
+from mlds import ParamSet, Poly, PolyVec, gen_a, gen_se, get_ring, hash_h, crh, sampling
 from mlds.sampling import gen_se_vec
 
 import keccak_oracle
@@ -212,6 +212,26 @@ def test_gen_se_vec_uses_consecutive_nonces(ring):
     v = gen_se_vec(ZERO_SEED, 2, ring)
     assert v[0] == gen_se(ZERO_SEED, 2, ring)
     assert v[1] == gen_se(ZERO_SEED, 3, ring)
+
+
+@pytest.mark.parametrize("eta", [8, 16, 24, 32, 64])
+def test_gen_se_over_a_nonce_range_equals_one_call_per_nonce(eta):
+    ring = get_ring(ParamSet(eta=eta))
+    rng = np.random.default_rng(100 + eta)
+    seeds = [rng.bytes(32) for _ in range(3)]
+    for first, stop in ((0, 6), (17, 18), (250, 256)):
+        nonces = range(first, stop)
+        one = gen_se(seeds[0], nonces, ring)
+        batch = gen_se(seeds, nonces, ring)
+        assert type(one) is PolyVec and one.domain is Poly
+        assert one.data.shape == (len(nonces), ring.n)
+        assert batch.data.shape == (len(seeds), len(nonces), ring.n)
+        for i, t in enumerate(nonces):
+            assert one.data[i].dtype == np.int32
+            assert np.array_equal(one.data[i], gen_se(seeds[0], t, ring).coeffs)
+            assert np.array_equal(batch.data[:, i], gen_se(seeds, t, ring).coeffs)
+            for j, seed in enumerate(seeds):
+                assert np.array_equal(batch.data[j, i], reference_gen_se(seed, t, ring))
 
 
 def _centered_samples(ring, num_polys: int, seed: bytes) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mlds.sampling
+import mlds.scheme
 from mlds import (
     DEFAULT_PARAMS, keygen, sign, verify, measure_agreement,
     POLICIES, SECRET_DERIVED, Z2_DERIVED,
@@ -323,6 +325,33 @@ def test_unknown_policy_rejected(keypair):
             sign(sk, pk, MSG, COIN, policy=policy)
         with pytest.raises(ValueError, match="unknown h policy"):
             measure_agreement(1, policy=policy)
+
+
+def test_one_noise_draw_per_keygen_and_per_sign(monkeypatch):
+    # keygen draws s, e and sign e1..e4 with one gen_se call over a nonce range;
+    # gen_se_vec is never called, from mlds.scheme or through mlds.sampling
+    calls = []
+    draw = mlds.scheme.gen_se
+
+    def counted(seed, nonce, ring):
+        calls.append((1 if isinstance(seed, (bytes, bytearray)) else len(seed), nonce))
+        return draw(seed, nonce, ring)
+
+    def refused(*args):
+        raise AssertionError("gen_se_vec called")
+
+    monkeypatch.setattr(mlds.scheme, "gen_se", counted)
+    monkeypatch.setattr(mlds.scheme, "gen_se_vec", refused, raising=False)
+    monkeypatch.setattr(mlds.sampling, "gen_se_vec", refused)
+    k = DEFAULT_PARAMS.k
+    pk, sk = keygen(ZETA)
+    assert calls == [(1, range(2 * k))]
+    sign(sk, pk, MSG, COIN)
+    sign(sk, pk, MSG, COIN, policy=SECRET_DERIVED)
+    assert calls[1:] == [(1, range(2 * k + 2))] * 2
+    calls.clear()
+    measure_agreement(AGREEMENT_CHUNK, master_seed=bytes(32))  # one batched keygen and sign
+    assert calls == [(AGREEMENT_CHUNK, range(2 * k)), (AGREEMENT_CHUNK, range(2 * k + 2))]
 
 
 # -- measurement harness ----------------------------------------------------------------
