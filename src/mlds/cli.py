@@ -14,11 +14,11 @@ import json
 import os
 import sys
 import tempfile
+from dataclasses import asdict
 
 from . import codec
-from .codec import CodecError
-from .estimator import LweInstance, key_sizes, primal_cost, dual_cost, EstimatorError
-from .params import DEFAULT_PARAMS, ParamError, derive_ntt_constants
+from .estimator import LweInstance, key_sizes, primal_cost, dual_cost
+from .params import DEFAULT_PARAMS, derive_ntt_constants
 from .ring import get_ring
 from .scheme import (
     POLICIES,
@@ -148,26 +148,15 @@ def cmd_measure(args) -> int:
 
 def _estimate_instance(n_lwe: int, q: int, eta: int, max_samples: int | None) -> dict:
     inst = LweInstance.from_binomial(n_lwe, q, eta, max_samples)
-    primal = primal_cost(inst)
-    dual = dual_cost(inst)
-    return {
-        "n_lwe": inst.n_lwe,
-        "q": inst.q,
-        "eta": eta,
-        "sigma": inst.sigma,
-        "max_samples": inst.max_samples,
-        "primal": {"m": primal.m, "b": primal.b,
-                   "classical_bits": primal.classical_bits,
-                   "quantum_bits": primal.quantum_bits},
-        "dual": {"m": dual.m, "b": dual.b,
-                 "classical_bits": dual.classical_bits,
-                 "quantum_bits": dual.quantum_bits},
-    }
+    attacks = {a.kind: {"m": a.m, "b": a.b, "classical_bits": a.classical_bits,
+                        "quantum_bits": a.quantum_bits}
+               for a in (primal_cost(inst), dual_cost(inst))}
+    return {"n_lwe": inst.n_lwe, "q": inst.q, "eta": eta, "sigma": inst.sigma,
+            "max_samples": inst.max_samples, **attacks}
 
 
 def cmd_estimate(args) -> int:
     p = DEFAULT_PARAMS
-    sizes = key_sizes(p)
     if args.n_lwe is not None:
         dims = [args.n_lwe]
     else:
@@ -176,11 +165,7 @@ def cmd_estimate(args) -> int:
     instances = [_estimate_instance(d, args.q, args.eta, args.max_samples) for d in dims]
     payload = {
         "params": {"n": p.n, "q": p.q, "k": p.k, "eta": p.eta, "name": p.name},
-        "sizes_bytes": {
-            "pk_it": round(sizes.pk_it, 1), "sk_it": round(sizes.sk_it, 1),
-            "sig_it": round(sizes.sig_it, 1), "pk_wire": sizes.pk_wire,
-            "sk_wire": sizes.sk_wire, "sig_wire": sizes.sig_wire,
-        },
+        "sizes_bytes": {name: round(size, 1) for name, size in asdict(key_sizes(p)).items()},
         "instances": instances,
     }
     if args.json:
@@ -276,7 +261,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, CodecError, ParamError, EstimatorError, ValueError) as exc:
+    except (UsageError, ValueError) as exc:  # CodecError, ParamError, EstimatorError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

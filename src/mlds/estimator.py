@@ -56,11 +56,8 @@ rounding is monotone. Every cost block the search computes, the screen
 included, goes through ``_pick`` once.
 
 ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen, the
-whole rows and the dual's reported repetition count read them from two
-module-level tables over b >= MIN_BLOCK, filled by the same ``_log_delta``
-and ``_half_log`` expressions, bit for bit. A table grows when a search
-needs a larger b, by a longer copy that keeps every entry; it is never
-written in place, so a reader needs no lock.
+whole rows and the dual's reported repetition count read them, and b itself,
+from one cached, read-only table per search bound b_max = n + max_samples + 1.
 
 The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite. A
 clamped cell costs at most its model cost, so an optimum whose tau is below
@@ -77,6 +74,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,30 +131,15 @@ def _log_delta(b: np.ndarray) -> np.ndarray:
     return (np.log(np.pi * b) / b + np.log(b / (2 * math.pi * math.e))) / (2.0 * (b - 1.0))
 
 
-# ln delta(MIN_BLOCK + i) and 0.5 ln(MIN_BLOCK + i), filled by _log_delta and
-# _half_log; each is replaced by a longer copy, never written
-_LOG_DELTA = np.empty(0)
-_HALF_LOG_B = np.empty(0)
-
-
-def _half_log(b: np.ndarray) -> np.ndarray:
-    """0.5 ln b, elementwise: the primal's ln sqrt(b)."""
-    return 0.5 * np.log(b)
-
-
-def _table(name: str, fill, b_max: int) -> np.ndarray:
-    """fill(b) for b = MIN_BLOCK, ..., b_max, read from the shared table ``name``."""
-    table = globals()[name]
-    if table.size < b_max - MIN_BLOCK + 1:
-        table = np.concatenate((table, fill(np.arange(MIN_BLOCK + table.size, b_max + 1))))
-        table.flags.writeable = False
-        globals()[name] = table
-    return table[:max(0, b_max - MIN_BLOCK + 1)]
-
-
-def _log_delta_table(b_max: int) -> np.ndarray:
-    """ln delta(b) for b = MIN_BLOCK, ..., b_max, read from the shared table."""
-    return _table("_LOG_DELTA", _log_delta, b_max)
+@lru_cache(maxsize=8)
+def _b_table(b_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """b, ln delta(b) and 0.5 ln b over b = MIN_BLOCK, ..., b_max, as read-only float64 arrays."""
+    # float64 b: exact, and no int-to-float cast in each expression over it
+    b = np.arange(float(MIN_BLOCK), b_max + 1.0)
+    table = b, _log_delta(b), 0.5 * np.log(b)
+    for column in table:
+        column.flags.writeable = False
+    return table
 
 
 def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
@@ -181,12 +164,9 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     0.5 ln b, both shaped like ``b``. A cell's lattice dimension is d = n_lwe + offset + m,
     and b <= d.
     """
-    b_max = inst.n_lwe + inst.max_samples + 1
-    log_delta, half_log_b = _log_delta_table(b_max), _table("_HALF_LOG_B", _half_log, b_max)
-    if not log_delta.size:
+    b, log_delta, half_log_b = _b_table(inst.n_lwe + inst.max_samples + 1)
+    if not b.size:
         return None
-    # float64 b: exact, and no int-to-float cast in each expression over it
-    b = np.arange(float(MIN_BLOCK), MIN_BLOCK + log_delta.size)
     n = inst.n_lwe + offset
     # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n
     m_star = n * math.log(inst.q) / log_delta
@@ -284,7 +264,9 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
     _, b_opt, m_opt = best
-    m, b, log_delta = np.array([m_opt]), np.array([b_opt]), _log_delta_table(b_opt)[-1:]
+    m, b = np.array([m_opt]), np.array([b_opt])
+    # the search's cache entry: one entry per b_opt would evict the ones in use
+    log_delta = _b_table(inst.n_lwe + inst.max_samples + 1)[1][b - MIN_BLOCK]
     if _dual_log2_tau(inst, m, log_delta)[0] >= TAU_CLAMP_LOG2:
         raise EstimatorError(
             f"dual optimum (m={m_opt}, b={b_opt}) has log2 tau at the clamp {TAU_CLAMP_LOG2:g}: "

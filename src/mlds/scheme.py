@@ -144,8 +144,10 @@ def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
 def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:
     if policy not in POLICIES:
         raise ValueError(f"unknown h policy {policy!r}, expected one of {POLICIES}")
-    if not sk.params == pk.params == ring.params:
-        raise ValueError(f"sk and pk must both belong to the parameter set signed under, {ring.params}")
+    if not (isinstance(sk, SecretKey) and isinstance(pk, PublicKey)
+            and sk.params == pk.params == ring.params):
+        raise ValueError("sk must be a SecretKey and pk a PublicKey, both of the parameter set "
+                         f"signed under, {ring.params}")
     # On a chunk of trials every array is (B, ...), so each is dropped after
     # its last use: that keeps the literal policy's transforms from stacking
     # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials). e1..e4
@@ -211,8 +213,8 @@ def sign(
 ) -> Signature:
     """Sign ``message`` with the per-signature coin ``r`` (never reuse r).
 
-    ``policy`` is one of ``POLICIES``, and ``sk`` and ``pk`` belong to
-    ``params``; anything else raises ValueError.
+    ``policy`` is one of ``POLICIES``, ``sk`` is a ``SecretKey`` and ``pk`` a
+    ``PublicKey``, both of ``params``; anything else raises ValueError.
     """
     return _sign_steps(sk, pk, crh(message), r, get_ring(params), policy)
 
@@ -227,11 +229,11 @@ def verify(
     """Check (1) the mu branch and (2) the h binding; ``policy`` does not change
     the verdict and can go with the benchmark revision (ROADMAP item 1).
 
-    The reason is "parse" unless ``sig`` is one ``Signature`` under one key,
-    with ``sig.params == pk.params == params``.
+    The reason is "parse" unless ``sig`` is one ``Signature`` under one
+    ``PublicKey``, with ``sig.params == pk.params == params``.
     """
-    if not (isinstance(sig, Signature) and type(sig.h) is bytes and type(pk.rho) is bytes
-            and sig.params == pk.params == params):
+    if not (isinstance(sig, Signature) and type(sig.h) is bytes and isinstance(pk, PublicKey)
+            and type(pk.rho) is bytes and sig.params == pk.params == params):
         return VerifyResult(False, "parse")
     reason, _ = _verify_steps(pk, crh(message), sig, get_ring(params))
     return ACCEPT if reason is None else VerifyResult(False, reason)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -224,6 +225,21 @@ def test_estimate_json_default_reports_both_dimensions(capsys):
     assert abs(big["dual"]["b"] - 962) <= 2
     assert abs(payload["sizes_bytes"]["pk_it"] - 901.5) <= 0.5
     assert payload["sizes_bytes"]["sig_wire"] == 1830
+
+
+#: SHA-256 of the stdout of  mlds estimate [--json]: every estimate, size and
+#: column of the default run, byte for byte.
+ESTIMATE_SHA256 = {
+    "table": "a27774c4217eae8ca8dadd24c7f8d127ecaeb2cca2242fa22a7813dcf8a46797",
+    "json": "4512dfa25ebd536c8bdae50c51d4a01b440a1c430f38f681b59c01a73a6a373b",
+}
+
+
+@pytest.mark.parametrize("form", sorted(ESTIMATE_SHA256))
+def test_estimate_output_digest_pinned(form):
+    cmd = [sys.executable, "-m", "mlds.cli", "estimate"] + (["--json"] if form == "json" else [])
+    digest = hashlib.sha256(subprocess.run(cmd, capture_output=True, check=True).stdout).hexdigest()
+    assert digest == ESTIMATE_SHA256[form]
 
 
 def test_estimate_explicit_instance(capsys):

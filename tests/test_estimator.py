@@ -12,7 +12,7 @@ from mlds import (
 )
 from mlds.estimator import (
     CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, TAU_CLAMP_LOG2, AttackEstimate,
-    _dual_log2_rep, _half_log, _log_delta, _log_delta_table, _table,
+    _b_table, _dual_log2_rep, _log_delta,
 )
 
 
@@ -43,34 +43,22 @@ def test_bkz_delta_known_value():
     assert abs(math.exp(_log_delta(np.array([380]))[0]) - 1.00413) < 2e-4
 
 
-def test_log_delta_table_is_bit_identical_and_never_rewritten(monkeypatch):
-    monkeypatch.setattr(mlds.estimator, "_LOG_DELTA", np.empty(0))
-    small = _log_delta_table(300)
-    assert small.size == 300 - MIN_BLOCK + 1 and not small.flags.writeable
-    assert np.array_equal(small, _log_delta(np.arange(MIN_BLOCK, 301)))
-    before = mlds.estimator._LOG_DELTA
-    grown = _log_delta_table(5000)
-    assert mlds.estimator._LOG_DELTA is not before  # replaced, not written in place
-    assert np.array_equal(before, _log_delta(np.arange(MIN_BLOCK, 301)))
-    assert np.array_equal(grown[:small.size], small)  # growth keeps every existing entry
-    assert np.array_equal(grown, _log_delta(np.arange(MIN_BLOCK, 5001)))
-    for lo, hi in ((MIN_BLOCK, 64), (123, 4321), (999, 5000)):  # fresh ranges
-        assert np.array_equal(grown[lo - MIN_BLOCK:hi - MIN_BLOCK + 1],
-                              _log_delta(np.arange(lo, hi + 1)))
-    assert _log_delta_table(1000) is not grown and mlds.estimator._LOG_DELTA.size == grown.size
-    oracle = np.log([bkz_delta(b) for b in range(MIN_BLOCK, 5001)])
-    np.testing.assert_allclose(grown, oracle, rtol=1e-12, atol=0)
-
-
-def test_half_log_b_table_is_bit_identical_to_the_primal_expression(monkeypatch):
-    # the primal reads 0.5 ln b from its own table, grown like the ln delta table
-    monkeypatch.setattr(mlds.estimator, "_HALF_LOG_B", np.empty(0))
-    small = _table("_HALF_LOG_B", _half_log, 300)
-    assert not small.flags.writeable
-    before = mlds.estimator._HALF_LOG_B
-    grown = _table("_HALF_LOG_B", _half_log, 5000)
-    assert mlds.estimator._HALF_LOG_B is not before and np.array_equal(grown[:small.size], small)
-    assert np.array_equal(grown, 0.5 * np.log(np.arange(float(MIN_BLOCK), 5001.0)))
+def test_b_table_is_bit_identical_read_only_and_starts_at_min_block():
+    b, log_delta, half_log_b = _b_table(5000)
+    assert np.array_equal(b, np.arange(MIN_BLOCK, 5001))
+    # the whole table, then fresh ranges
+    for lo, hi in ((MIN_BLOCK, 5000), (MIN_BLOCK, 64), (123, 4321), (999, 5000)):
+        rows = slice(lo - MIN_BLOCK, hi - MIN_BLOCK + 1)
+        assert np.array_equal(log_delta[rows], _log_delta(np.arange(lo, hi + 1)))
+        assert np.array_equal(half_log_b[rows], 0.5 * np.log(np.arange(float(lo), hi + 1.0)))
+    oracle = np.log([bkz_delta(block) for block in range(MIN_BLOCK, 5001)])
+    np.testing.assert_allclose(log_delta, oracle, rtol=1e-12, atol=0)
+    for column in (b, log_delta, half_log_b):
+        assert column.dtype == np.float64 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0.0
+    # entry i is b = MIN_BLOCK + i, so a bound below MIN_BLOCK leaves nothing
+    assert all(column.size == 0 for column in _b_table(MIN_BLOCK - 1))
 
 
 def test_bkz_delta_rejects_small_blocks(monkeypatch):
@@ -78,30 +66,29 @@ def test_bkz_delta_rejects_small_blocks(monkeypatch):
         bkz_delta(10)
     with pytest.raises(EstimatorError):
         bkz_delta(49)
-    # the searches read ln delta(b) only from the table, which is filled from b = MIN_BLOCK
-    # up and grows only through _log_delta; start it empty so that every fill is seen
-    smallest, reads = [], []
+    # the searches read ln delta(b) only from _b_table, which fills it through
+    # _log_delta from b = MIN_BLOCK up; clear the cache so that every fill is seen
+    smallest = []
 
     def logged(b):
         smallest.append(int(np.min(b)))
         return _log_delta(b)
 
-    def read(b_max):
-        reads.append(b_max)
-        return table(b_max)
-
-    table = mlds.estimator._log_delta_table
-    monkeypatch.setattr(mlds.estimator, "_LOG_DELTA", np.empty(0))
+    _b_table.cache_clear()
     monkeypatch.setattr(mlds.estimator, "_log_delta", logged)
-    monkeypatch.setattr(mlds.estimator, "_log_delta_table", read)
     inst = LweInstance.from_binomial(n_lwe=128, q=12289, eta=16)
     primal_cost(inst)
     dual_cost(inst)
-    assert smallest and min(smallest) == MIN_BLOCK
-    assert reads and min(reads) >= MIN_BLOCK
-    # what a read returns starts at MIN_BLOCK: entry i is ln delta(MIN_BLOCK + i)
-    assert table(MIN_BLOCK - 1).size == 0
-    assert table(MIN_BLOCK)[0] == _log_delta(np.array([MIN_BLOCK]))[0]
+    _b_table.cache_clear()  # drop the entry that the logged fill built
+    assert smallest == [MIN_BLOCK]
+
+
+def test_both_attacks_on_one_instance_share_one_table_entry(reference_instance):
+    # dual_cost reads ln delta(b_opt) from the search's entry, not from one of its own
+    _b_table.cache_clear()
+    primal_cost(reference_instance)
+    dual_cost(reference_instance)
+    assert _b_table.cache_info().currsize == 1
 
 
 def test_instance_construction():

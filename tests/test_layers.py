@@ -1,8 +1,10 @@
-"""The package's modules form one import order, with no cycle.
+"""The package's modules form one import order, with no cycle, and keep no
+module state that a function rebinds.
 
 ``import mlds.codec`` cannot show a cycle, because ``mlds/__init__`` loads
 every module first; so the imports are read from the source, including the
-ones inside functions.
+ones inside functions. Cached values live in ``lru_cache`` functions, so no
+module needs a ``global`` statement or a ``globals()`` call.
 """
 
 import ast
@@ -30,6 +32,16 @@ def imported_modules(tree: ast.AST):
                     yield node.lineno, alias.name.split(".")[1]
 
 
+def module_state_writes(tree: ast.AST):
+    """(line, what) for every ``global`` statement and ``globals()`` call, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            yield node.lineno, "global " + ", ".join(node.names)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "globals"):
+            yield node.lineno, "globals()"
+
+
 def test_every_module_has_a_layer():
     assert {path.stem for path in SRC.glob("*.py")} == set(LAYERS) | {"__init__"}
 
@@ -49,3 +61,15 @@ def test_imports_point_to_earlier_layers_only():
 def test_the_check_sees_imports_inside_functions():
     source = "def parse():\n    from .scheme import Signature\n"
     assert list(imported_modules(ast.parse(source))) == [(2, "scheme")]
+
+
+def test_no_module_rebinds_its_own_state():
+    found = [f"{path.name}:{line} {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in module_state_writes(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_check_sees_global_statements_and_globals_calls():
+    source = "def grow():\n    global _T\n    globals()['_T'] = 1\n"
+    assert list(module_state_writes(ast.parse(source))) == [(2, "global _T"), (3, "globals()")]

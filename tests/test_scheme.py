@@ -185,6 +185,21 @@ def test_sign_refuses_a_key_pair_of_two_sets(keypair):
                 sign(*pair, MSG, COIN, params)
 
 
+def test_sign_refuses_keys_of_the_wrong_type(keypair):
+    # z2 signing never reads sk.s, so only the type check stops a public key used as sk
+    pk, sk = keypair
+    for pair in ((pk, pk), (sk, sk), (pk, sk), (None, pk), (sk, b"x")):
+        with pytest.raises(ValueError, match="a SecretKey and pk a PublicKey"):
+            sign(*pair, MSG, COIN)
+
+
+def test_verify_rejects_a_key_that_is_not_a_public_key_as_parse(keypair, z2_sig):
+    _, sk = keypair
+    for key in (sk, None, b"x"):
+        result = verify(key, MSG, z2_sig)
+        assert not result.ok and result.reason == "parse"
+
+
 def test_verify_rejects_a_signature_of_another_rank_as_parse(keypair, z2_sig):
     pk, _ = keypair
     pk_1, sk_1 = keygen(ZETA, RANK_1)
