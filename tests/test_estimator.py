@@ -43,22 +43,34 @@ def test_bkz_delta_known_value():
     assert abs(math.exp(_log_delta(np.array([380]))[0]) - 1.00413) < 2e-4
 
 
-def test_b_table_is_bit_identical_read_only_and_starts_at_min_block():
-    b, log_delta, half_log_b = _b_table(5000)
+def _check_read_only(column):
+    assert column.dtype == np.float64 and not column.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        column[0] = 0.0
+
+
+def test_log_delta_table_is_bit_identical_and_never_rewritten():
+    b, log_delta, _ = _b_table(5000)
     assert np.array_equal(b, np.arange(MIN_BLOCK, 5001))
     # the whole table, then fresh ranges
     for lo, hi in ((MIN_BLOCK, 5000), (MIN_BLOCK, 64), (123, 4321), (999, 5000)):
         rows = slice(lo - MIN_BLOCK, hi - MIN_BLOCK + 1)
         assert np.array_equal(log_delta[rows], _log_delta(np.arange(lo, hi + 1)))
-        assert np.array_equal(half_log_b[rows], 0.5 * np.log(np.arange(float(lo), hi + 1.0)))
     oracle = np.log([bkz_delta(block) for block in range(MIN_BLOCK, 5001)])
     np.testing.assert_allclose(log_delta, oracle, rtol=1e-12, atol=0)
-    for column in (b, log_delta, half_log_b):
-        assert column.dtype == np.float64 and not column.flags.writeable
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 0.0
+    _check_read_only(b)
+    _check_read_only(log_delta)
     # entry i is b = MIN_BLOCK + i, so a bound below MIN_BLOCK leaves nothing
     assert all(column.size == 0 for column in _b_table(MIN_BLOCK - 1))
+
+
+def test_half_log_b_table_is_bit_identical_to_the_primal_expression():
+    # the primal reads 0.5 ln b from the same cached entry as ln delta
+    _, _, half_log_b = _b_table(5000)
+    for lo, hi in ((MIN_BLOCK, 5000), (MIN_BLOCK, 64), (123, 4321), (999, 5000)):
+        rows = slice(lo - MIN_BLOCK, hi - MIN_BLOCK + 1)
+        assert np.array_equal(half_log_b[rows], 0.5 * np.log(np.arange(float(lo), hi + 1.0)))
+    _check_read_only(half_log_b)
 
 
 def test_bkz_delta_rejects_small_blocks(monkeypatch):
