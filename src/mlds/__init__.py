@@ -30,6 +30,8 @@ from .codec import (
     parse_sk,
     serialize_sig,
     parse_sig,
+    SizeReport,
+    key_sizes,
 )
 from .scheme import (
     VerifyResult,
@@ -46,10 +48,8 @@ from .estimator import (
     LweInstance,
     AttackEstimate,
     EstimatorError,
-    SizeReport,
     primal_cost,
     dual_cost,
-    key_sizes,
 )
 
 __version__ = "0.1.0"
@@ -62,10 +62,9 @@ __all__ = [
     "CodecError", "HeaderError", "LengthError", "CoefficientRangeError",
     "encode_bits", "decode_bits", "pack_poly", "unpack_poly",
     "serialize_pk", "parse_pk", "serialize_sk", "parse_sk",
-    "serialize_sig", "parse_sig",
+    "serialize_sig", "parse_sig", "SizeReport", "key_sizes",
     "PublicKey", "SecretKey", "Signature", "VerifyResult",
     "POLICIES", "SECRET_DERIVED", "Z2_DERIVED",
     "keygen", "sign", "verify", "measure_agreement", "AgreementReport",
-    "LweInstance", "AttackEstimate", "EstimatorError", "SizeReport",
-    "primal_cost", "dual_cost", "key_sizes",
+    "LweInstance", "AttackEstimate", "EstimatorError", "primal_cost", "dual_cost",
 ]

@@ -17,18 +17,11 @@ import tempfile
 from dataclasses import asdict
 
 from . import codec
-from .estimator import LweInstance, key_sizes, primal_cost, dual_cost
-from .params import DEFAULT_PARAMS, derive_ntt_constants
+from .estimator import LweInstance, primal_cost, dual_cost
+from .params import DEFAULT_PARAMS, SEED_BYTES, derive_ntt_constants
 from .ring import get_ring
-from .scheme import (
-    POLICIES,
-    Z2_DERIVED,
-    derive_case_seeds,
-    keygen,
-    measure_agreement,
-    sign,
-    verify,
-)
+from .sampling import derive_case_seeds
+from .scheme import POLICIES, Z2_DERIVED, keygen, measure_agreement, sign, verify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -45,8 +38,8 @@ def _parse_seed(text: str) -> bytes:
         seed = bytes.fromhex(text)
     except ValueError:
         raise UsageError(f"seed is not valid hex: {text!r}")
-    if len(seed) != 32:
-        raise UsageError(f"seed must be 32 bytes (64 hex chars), got {len(seed)}")
+    if len(seed) != SEED_BYTES:
+        raise UsageError(f"seed must be {SEED_BYTES} bytes ({2 * SEED_BYTES} hex chars), got {len(seed)}")
     return seed
 
 
@@ -69,7 +62,7 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def cmd_keygen(args) -> int:
-    zeta = _parse_seed(args.seed) if args.seed else os.urandom(32)
+    zeta = _parse_seed(args.seed) if args.seed else os.urandom(SEED_BYTES)
     ring = get_ring(DEFAULT_PARAMS)
     pk, sk = keygen(zeta, DEFAULT_PARAMS)
     _write_atomic(args.out_pk, codec.serialize_pk(pk, ring))
@@ -84,7 +77,7 @@ def cmd_sign(args) -> int:
     sk = codec.parse_sk(_read_file(args.sk), ring)
     pk = codec.parse_pk(_read_file(args.pk), ring)
     message = _read_file(args.msg)
-    r = os.urandom(32)  # fresh per signature; never caller-supplied outside kat
+    r = os.urandom(SEED_BYTES)  # fresh per signature; never caller-supplied outside kat
     sig = sign(sk, pk, message, r, DEFAULT_PARAMS)
     _write_atomic(args.out_sig, codec.serialize_sig(sig, ring))
     print(f"wrote {args.out_sig} ({codec.sig_bytes(DEFAULT_PARAMS)} B)")
@@ -165,7 +158,7 @@ def cmd_estimate(args) -> int:
     instances = [_estimate_instance(d, args.q, args.eta, args.max_samples) for d in dims]
     payload = {
         "params": {"n": p.n, "q": p.q, "k": p.k, "eta": p.eta, "name": p.name},
-        "sizes_bytes": {name: round(size, 1) for name, size in asdict(key_sizes(p)).items()},
+        "sizes_bytes": {name: round(size, 1) for name, size in asdict(codec.key_sizes(p)).items()},
         "instances": instances,
     }
     if args.json:
@@ -185,7 +178,7 @@ def cmd_estimate(args) -> int:
 
 def _sizes_line(p) -> str:
     """The key and signature sizes of parameter set ``p``, on one line that names it."""
-    sizes = key_sizes(p)
+    sizes = codec.key_sizes(p)
     return (f"sizes of {p.name} at q = {p.q} (bytes): pk {sizes.pk_it:.1f} it / {sizes.pk_wire} wire, "
             f"sk {sizes.sk_it:.1f} it / {sizes.sk_wire} wire, "
             f"sig {sizes.sig_it:.1f} it / {sizes.sig_wire} wire")
@@ -213,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     kg = sub.add_parser("keygen", help="generate a key pair")
     kg.add_argument("--out-pk", required=True)
     kg.add_argument("--out-sk", required=True)
-    kg.add_argument("--seed", help="32-byte hex seed (deterministic keygen)")
+    kg.add_argument("--seed", help=f"{SEED_BYTES}-byte hex seed (deterministic keygen)")
     kg.set_defaults(func=cmd_keygen)
 
     sg = sub.add_parser("sign", help="sign a message file")
@@ -231,7 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     kat = sub.add_parser("kat", help="deterministic known-answer fixtures")
     kat.add_argument("--count", type=int, required=True)
-    kat.add_argument("--seed", required=True, help="32-byte hex master seed")
+    kat.add_argument("--seed", required=True, help=f"{SEED_BYTES}-byte hex master seed")
     kat.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
     kat.add_argument("--out", help="write fixtures to a file instead of stdout")
     kat.set_defaults(func=cmd_kat)
@@ -239,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     ms = sub.add_parser("measure", help="measure decode/h agreement rates")
     ms.add_argument("--trials", type=int, required=True)
     ms.add_argument("--policy", choices=POLICIES, default=Z2_DERIVED)
-    ms.add_argument("--seed", help="32-byte hex master seed (reproducible runs)")
+    ms.add_argument("--seed", help=f"{SEED_BYTES}-byte hex master seed (reproducible runs)")
     ms.set_defaults(func=cmd_measure)
 
     est = sub.add_parser("estimate", help="core-SVP key-recovery (LWE) attack costs and sizes")

@@ -18,6 +18,10 @@ param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
     sig = header || pack(z1_0) || ... || pack(z1_{k-1}) || pack(z2)
                  || pack(z3) || h(32)
 
+``pk_bytes``, ``sk_bytes``, ``sig_bytes`` and ``key_sizes`` (wire and
+information-theoretic sizes) read one count of each format's seeds and
+polynomials. ``mu_payload_bits`` expands digests through ``bytes_to_bits``.
+
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
 layouts. Each carries its ``ParamSet`` and is checked once, when it is
 built: a malformed value raises ``CodecError`` and never exists, so the
@@ -32,6 +36,7 @@ and refuses a batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +155,17 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
 
 
+def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
+    """The digest bits carried by z3: all of mu, or its first n/4 bits.
+
+    One digest gives (mu_bits,) bits; a sequence of digests (mu_bits,) per
+    trial along a leading axis.
+    """
+    if isinstance(mu, (bytes, bytearray)):
+        return bytes_to_bits(mu)[: params.mu_bits]
+    return bytes_to_bits(b"".join(mu)).reshape(len(mu), -1)[:, : params.mu_bits]
+
+
 # -- message encode / decode --------------------------------------------------
 
 def encode_bits(bits: np.ndarray, ring: Ring) -> Poly:
@@ -262,16 +278,47 @@ def _body(data, p: ParamSet, kind: str, size: int) -> bytes:
     return data[HEADER_BYTES:]
 
 
+#: After the header of each format, in ``SizeReport`` order: (32-byte seeds and digests,
+#: polynomials beyond k).
+_LAYOUT = {"pk": (1, 0), "sk": (0, 0), "sig": (1, 2)}
+
+
+def _body_size(p: ParamSet, kind: str, element: float) -> float:
+    """Bytes after the header of a ``kind`` value at ``element`` bytes per polynomial."""
+    seeds, extra = _LAYOUT[kind]
+    return seeds * SEED_BYTES + (p.k + extra) * element
+
+
 def pk_bytes(p: ParamSet) -> int:
-    return HEADER_BYTES + SEED_BYTES + p.k * poly_bytes(p)
+    return HEADER_BYTES + _body_size(p, "pk", poly_bytes(p))
 
 
 def sk_bytes(p: ParamSet) -> int:
-    return HEADER_BYTES + p.k * poly_bytes(p)
+    return HEADER_BYTES + _body_size(p, "sk", poly_bytes(p))
 
 
 def sig_bytes(p: ParamSet) -> int:
-    return HEADER_BYTES + (p.k + 2) * poly_bytes(p) + SEED_BYTES
+    return HEADER_BYTES + _body_size(p, "sig", poly_bytes(p))
+
+
+@dataclass(frozen=True)
+class SizeReport:
+    """Information-theoretic sizes use log2(q) fractional bits; wire sizes
+    are the packed formats including headers."""
+
+    pk_it: float
+    sk_it: float
+    sig_it: float
+    pk_wire: int
+    sk_wire: int
+    sig_wire: int
+
+
+def key_sizes(p: ParamSet) -> SizeReport:
+    """Byte sizes for keys and signatures under parameter set ``p``."""
+    element = p.n * math.log2(p.q) / 8
+    return SizeReport(*(_body_size(p, kind, element) for kind in _LAYOUT),
+                      pk_bytes(p), sk_bytes(p), sig_bytes(p))
 
 
 def serialize_pk(pk, ring: Ring) -> bytes:
@@ -310,6 +357,6 @@ def serialize_sig(sig, ring: Ring) -> bytes:
 def parse_sig(data: bytes, ring: Ring) -> Signature:
     p = ring.params
     body = _body(data, p, "signature", sig_bytes(p))
-    end = (p.k + 2) * poly_bytes(p)
-    rows = unpack_poly(body[:end], ring).coeffs
-    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]), body[end:], p)
+    rows = unpack_poly(body[:-SEED_BYTES], ring).coeffs
+    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]),
+                     body[-SEED_BYTES:], p)

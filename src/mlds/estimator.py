@@ -1,4 +1,4 @@
-"""Core-SVP cost estimation for the primal and dual BKZ attacks, plus size accounting.
+"""Core-SVP cost estimation for the primal and dual BKZ attacks.
 
 Cost model (NewHope-USENIX methodology): one SVP-oracle call in block
 dimension b costs 2^(0.292 b) classically and 2^(0.265 b) on a quantum
@@ -77,9 +77,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-
-from . import codec
-from .params import ParamSet
 
 CLASSICAL_EXP = 0.292
 QUANTUM_EXP = 0.265
@@ -275,30 +272,3 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     rep = float(_dual_log2_rep(inst, m, b, log_delta)[0])
     return AttackEstimate("dual", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt + rep),
                           math.floor(QUANTUM_EXP * b_opt + rep))
-
-
-@dataclass(frozen=True)
-class SizeReport:
-    """Information-theoretic sizes use log2(q) fractional bits; wire sizes
-    are the packed formats including headers."""
-
-    pk_it: float
-    sk_it: float
-    sig_it: float
-    pk_wire: int
-    sk_wire: int
-    sig_wire: int
-
-
-def key_sizes(p: ParamSet) -> SizeReport:
-    """Byte sizes for keys and signatures under parameter set ``p``."""
-    log_q = math.log2(p.q)
-    element = p.n * log_q / 8
-    return SizeReport(
-        pk_it=32 + p.k * element,
-        sk_it=p.k * element,
-        sig_it=(p.k + 2) * element + 32,
-        pk_wire=codec.pk_bytes(p),
-        sk_wire=codec.sk_bytes(p),
-        sig_wire=codec.sig_bytes(p),
-    )

@@ -123,10 +123,6 @@ class NttMatrix:
 
     data: np.ndarray
 
-    def __getitem__(self, ij) -> NttPoly:
-        i, j = ij
-        return NttPoly(self.data[..., i, j, :])
-
 
 def _values(x) -> np.ndarray:
     """The value array of a Poly or NttPoly."""

@@ -5,6 +5,8 @@ change:
 
 * ``hash_h``     SHAKE-256(input), 64 bytes; first 32 = rho, last 32 = xi.
 * ``crh``        SHAKE-256(message), 32 bytes.
+* ``derive_case_seeds``  SHAKE-256(master || u32le(index)), three 32-byte
+                 seeds: the known-answer case's zeta, r and message.
 * ``gen_a``      entry (i, j) comes from SHAKE-128(rho || byte(i) || byte(j)):
                  candidates are 2 bytes little-endian masked to 14 bits,
                  accepted when < q, until n coefficients accepted. Output is
@@ -19,10 +21,10 @@ change:
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
 
-``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a sequence of
-seeds for a batch, whose outputs gain one leading axis. The SHAKE call per
-stream is the only per-item loop. ``gen_se_vec`` is ``gen_se`` over k
-consecutive nonces.
+``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a non-empty
+sequence of seeds for a batch, whose outputs gain one leading axis. The
+SHAKE call per stream is the only per-item loop. ``gen_se_vec`` is
+``gen_se`` over k consecutive nonces.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def _seed_batch(seeds, label: str) -> tuple[list, bool]:
     """(checked seeds, whether a single seed was given rather than a sequence)."""
     single = isinstance(seeds, (bytes, bytearray))
     batch = [seeds] if single else list(seeds)
-    if not all(isinstance(s, (bytes, bytearray)) and len(s) == SEED_BYTES for s in batch):
-        raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes")
+    if not (batch and all(isinstance(s, (bytes, bytearray)) and len(s) == SEED_BYTES for s in batch)):
+        raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes, or a non-empty sequence of them")
     return batch, single
 
 
@@ -58,6 +60,12 @@ def hash_h(data: bytes) -> tuple[bytes, bytes]:
 def crh(message: bytes) -> bytes:
     """Collision-resistant 256-bit message digest."""
     return hashlib.shake_256(message).digest(SEED_BYTES)
+
+
+def derive_case_seeds(master: bytes, index: int) -> tuple[bytes, bytes, bytes]:
+    """Per-case (zeta, r, msg) material: SHAKE-256(master || u32le(index))."""
+    buf = hashlib.shake_256(master + index.to_bytes(4, "little")).digest(3 * SEED_BYTES)
+    return buf[:SEED_BYTES], buf[SEED_BYTES:2 * SEED_BYTES], buf[2 * SEED_BYTES:]
 
 
 @lru_cache(maxsize=8)

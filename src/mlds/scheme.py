@@ -36,6 +36,9 @@ confidence interval instead of asserting a bound.
 
 The coin r must never repeat for the same key; callers own that contract.
 
+Byte layouts live elsewhere: the mu payload bits in ``codec.mu_payload_bits``,
+each agreement cycle's seeds in ``sampling.derive_case_seeds``.
+
 One array core computes all three operations, for one trial or for a batch
 of trials stacked along a leading axis (see "the array core" below).
 ``measure_agreement`` runs its cycles through it in chunks of
@@ -47,18 +50,17 @@ peak memory of chunks of 16, 32 and 64 are recorded at ``AGREEMENT_CHUNK``.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (PublicKey, SecretKey, Signature, bytes_to_bits, encode_bits, decode_bits,
-                    decode_payload)
+from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, decode_payload,
+                    mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import Ring, Poly, PolyVec, get_ring
-from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, gen_a, gen_se
+from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, derive_case_seeds, gen_a, gen_se
 
 
 #: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
@@ -77,18 +79,6 @@ class VerifyResult:
 
 
 ACCEPT = VerifyResult(True)
-
-
-def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
-    """The digest bits carried by z3: all of mu, or its first n/4 bits.
-
-    One digest gives (mu_bits,) bits; a sequence of digests (mu_bits,) per
-    trial along a leading axis.
-    """
-    if isinstance(mu, (bytes, bytearray)):
-        return bytes_to_bits(mu)[: params.mu_bits]
-    digests = np.frombuffer(b"".join(mu), dtype=np.uint8).reshape(len(mu), -1)
-    return np.unpackbits(digests, axis=-1, bitorder="little")[:, : params.mu_bits]
 
 
 def expand_key_noise(xi, ring: Ring) -> tuple[PolyVec, PolyVec]:
@@ -240,12 +230,6 @@ def verify(
 
 
 # -- agreement measurement -----------------------------------------------------
-
-def derive_case_seeds(master: bytes, index: int) -> tuple[bytes, bytes, bytes]:
-    """Per-case (zeta, r, msg) material: SHAKE-256(master || u32le(index))."""
-    buf = hashlib.shake_256(master + index.to_bytes(4, "little")).digest(3 * SEED_BYTES)
-    return buf[:32], buf[32:64], buf[64:96]
-
 
 WILSON_Z = 1.96  # two-sided 95% normal quantile
 

@@ -296,14 +296,15 @@ def test_criterion_8_sampler_statistics(ring):
     var_ok = abs(samples.var() - eta / 2) <= 0.05 * (eta / 2)
 
     a = gen_a(bytes(32), ring)
-    flat = np.concatenate([a[i, j].evals for i in range(ring.k) for j in range(ring.k)])
+    flat = np.concatenate([a.data[..., i, j, :] for i in range(ring.k) for j in range(ring.k)])
     buckets = np.bincount(flat * 16 // ring.q, minlength=16)
     width = np.array([np.count_nonzero(np.arange(ring.q) * 16 // ring.q == t) for t in range(16)])
     _, p_value = stats.chisquare(buckets, len(flat) * width / ring.q)
 
     se_det = gen_se(bytes(32), 0, ring) == gen_se(bytes(32), 0, ring)
     a2 = gen_a(bytes(32), ring)
-    a_det = all(a[i, j] == a2[i, j] for i in range(ring.k) for j in range(ring.k))
+    a_det = all(np.array_equal(a.data[..., i, j, :], a2.data[..., i, j, :])
+                for i in range(ring.k) for j in range(ring.k))
 
     ok = var_ok and p_value > 0.001 and se_det and a_det
     report(8, "sampler statistics", ok,

@@ -6,10 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mlds.estimator
-from mlds import (
-    DEFAULT_PARAMS, ParamError, ParamSet,
-    LweInstance, EstimatorError, primal_cost, dual_cost, key_sizes,
-)
+from mlds import LweInstance, EstimatorError, primal_cost, dual_cost
 from mlds.estimator import (
     CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, TAU_CLAMP_LOG2, AttackEstimate,
     _b_table, _dual_log2_rep, _log_delta,
@@ -430,27 +427,3 @@ def test_dual_rejects_noise_close_to_uniform():
 def test_estimates_deterministic(reference_instance):
     assert primal_cost(reference_instance) == primal_cost(reference_instance)
     assert dual_cost(reference_instance) == dual_cost(reference_instance)
-
-
-# -- sizes -------------------------------------------------------------------------
-
-def test_key_sizes_reference_row():
-    sizes = key_sizes(DEFAULT_PARAMS)
-    assert abs(sizes.pk_it - 901.5) <= 0.5
-    assert abs(sizes.sk_it - 869.5) <= 0.5
-    assert abs(sizes.sig_it - 1771) <= 0.5
-    assert (sizes.pk_wire, sizes.sk_wire, sizes.sig_wire) == (934, 902, 1830)
-
-
-def test_key_sizes_formula():
-    sizes = key_sizes(DEFAULT_PARAMS)
-    element = 256 * math.log2(12289) / 8
-    assert sizes.pk_it == pytest.approx(32 + 2 * element)
-    assert sizes.sk_it == pytest.approx(2 * element)
-    assert sizes.sig_it == pytest.approx(4 * element + 32)
-
-
-def test_key_sizes_degenerate():
-    # a degenerate set cannot be built, so key_sizes never meets one
-    with pytest.raises(ParamError, match="k=0 must be >= 1"):
-        key_sizes(ParamSet(k=0))

@@ -58,6 +58,11 @@ def test_imports_point_to_earlier_layers_only():
     assert backward == []
 
 
+def test_the_estimator_imports_no_other_mlds_module():
+    path = SRC / "estimator.py"
+    assert list(imported_modules(ast.parse(path.read_text(), str(path)))) == []
+
+
 def test_the_check_sees_imports_inside_functions():
     source = "def parse():\n    from .scheme import Signature\n"
     assert list(imported_modules(ast.parse(source))) == [(2, "scheme")]

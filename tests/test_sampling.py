@@ -7,6 +7,7 @@ from scipy import stats
 
 from mlds import ParamSet, Poly, PolyVec, gen_a, gen_se, get_ring, hash_h, crh, sampling
 from mlds.sampling import gen_se_vec
+from mlds.scheme import _keygen_steps
 
 import keccak_oracle
 from ring_oracle import centered
@@ -53,7 +54,7 @@ def test_gen_a_deterministic(ring):
     b = gen_a(ZERO_SEED, ring)
     for i in range(ring.k):
         for j in range(ring.k):
-            assert a[i, j] == b[i, j]
+            assert np.array_equal(a.data[..., i, j, :], b.data[..., i, j, :])
 
 
 def test_gen_a_entries_distinct_and_in_range(ring):
@@ -61,7 +62,7 @@ def test_gen_a_entries_distinct_and_in_range(ring):
     seen = set()
     for i in range(ring.k):
         for j in range(ring.k):
-            ev = a[i, j].evals
+            ev = a.data[..., i, j, :]
             assert ev.min() >= 0 and ev.max() < ring.q
             seen.add(ev.tobytes())
     assert len(seen) == ring.k * ring.k
@@ -69,20 +70,20 @@ def test_gen_a_entries_distinct_and_in_range(ring):
 
 def test_gen_a_regression_fixture(ring):
     a = gen_a(ZERO_SEED, ring)
-    assert a[0, 0].evals[:8].tolist() == [8009, 217, 340, 11082, 10956, 6554, 11765, 11592]
-    assert a[1, 0].evals[:8].tolist() == [8916, 6668, 298, 2758, 9792, 10086, 637, 6836]
+    assert a.data[..., 0, 0, :8].tolist() == [8009, 217, 340, 11082, 10956, 6554, 11765, 11592]
+    assert a.data[..., 1, 0, :8].tolist() == [8916, 6668, 298, 2758, 9792, 10086, 637, 6836]
 
 
 def test_gen_a_mean(ring):
     a = gen_a(ZERO_SEED, ring)
-    samples = np.concatenate([a[i, j].evals for i in range(ring.k) for j in range(ring.k)])
+    samples = np.concatenate([a.data[..., i, j, :] for i in range(ring.k) for j in range(ring.k)])
     sigma_mean = ring.q / math.sqrt(12 * len(samples))
     assert abs(samples.mean() - (ring.q - 1) / 2) < 3 * sigma_mean
 
 
 def test_gen_a_uniformity_chi_square(ring):
     a = gen_a(ZERO_SEED, ring)
-    samples = np.concatenate([a[i, j].evals for i in range(ring.k) for j in range(ring.k)])
+    samples = np.concatenate([a.data[..., i, j, :] for i in range(ring.k) for j in range(ring.k)])
     buckets = samples * 16 // ring.q
     observed = np.bincount(buckets, minlength=16)
     # bucket widths differ by one value; use exact probabilities
@@ -206,6 +207,14 @@ def test_gen_se_rejects_bad_arguments(ring):
         gen_se(b"short", 0, ring)
     with pytest.raises(ValueError):
         gen_se(ZERO_SEED, 256, ring)
+
+
+def test_an_empty_seed_batch_is_refused_by_its_argument_name(ring):
+    calls = {"rho": lambda: gen_a([], ring), "seed": lambda: gen_se([], 0, ring),
+             "zeta": lambda: _keygen_steps([], ring)}
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=f"^{name} must be exactly 32 bytes, or a non-empty"):
+            call()
 
 
 def test_gen_se_vec_uses_consecutive_nonces(ring):
