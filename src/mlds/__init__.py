@@ -2,15 +2,18 @@
 deterministic samplers, packed wire formats, and a core-SVP attack-cost
 estimator."""
 
-from .params import (
-    ParamSet,
+from .params import ParamSet, ParamError, DEFAULT_PARAMS, validate_params
+from .ring import (
+    Ring,
+    Poly,
+    NttPoly,
+    PolyVec,
+    NttMatrix,
+    DomainError,
     NttConstants,
-    ParamError,
-    DEFAULT_PARAMS,
     derive_ntt_constants,
-    validate_params,
+    get_ring,
 )
-from .ring import Ring, Poly, NttPoly, PolyVec, NttMatrix, DomainError, get_ring
 from .sampling import SEED_BYTES, hash_h, crh, gen_a, gen_se
 from .codec import (
     CodecError,
@@ -55,9 +58,9 @@ from .estimator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamSet", "NttConstants", "ParamError", "DEFAULT_PARAMS",
-    "derive_ntt_constants", "validate_params",
-    "Ring", "Poly", "NttPoly", "PolyVec", "NttMatrix", "DomainError", "get_ring",
+    "ParamSet", "ParamError", "DEFAULT_PARAMS", "validate_params",
+    "Ring", "Poly", "NttPoly", "PolyVec", "NttMatrix", "DomainError",
+    "NttConstants", "derive_ntt_constants", "get_ring",
     "SEED_BYTES", "hash_h", "crh", "gen_a", "gen_se",
     "CodecError", "HeaderError", "LengthError", "CoefficientRangeError",
     "encode_bits", "decode_bits", "pack_poly", "unpack_poly",

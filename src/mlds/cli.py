@@ -18,7 +18,7 @@ from dataclasses import asdict
 
 from . import codec
 from .estimator import LweInstance, primal_cost, dual_cost
-from .params import DEFAULT_PARAMS, SEED_BYTES, derive_ntt_constants
+from .params import DEFAULT_PARAMS, SEED_BYTES
 from .ring import get_ring
 from .sampling import derive_case_seeds
 from .scheme import POLICIES, Z2_DERIVED, keygen, measure_agreement, sign, verify
@@ -192,7 +192,7 @@ def cmd_info(args) -> int:
           f"floor(q/2)={p.half_q} floor(q/4)={p.quarter_q}")
     print(f"  decode margin: ||e3+e4||_inf <= 2*eta = {2 * p.eta} < floor(q/4) = {p.quarter_q} "
           f"(largest admissible eta: {p.max_eta})")
-    consts = derive_ntt_constants(p)
+    consts = get_ring(p).constants
     print(f"ntt: gamma={consts.gamma} omega={consts.omega} n_inv={consts.n_inv}")
     print(_sizes_line(p))
     print("h policies (signing only): z2 (recomputable, default), literal (signer binds the secret path)")

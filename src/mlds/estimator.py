@@ -45,15 +45,12 @@ row's optimum. So a row's slack bound is at most the float cost of each of
 its cells, and a row whose slack bound lies above the screen's best, an
 attained cell cost, can neither beat nor tie the optimum: it is skipped.
 
-The rows left, one to a few, are evaluated whole, over every m, in ascending
-b, and the answer comes from them alone, so ties still go to the smaller b,
-then the smaller m. A flat row, where the dual max(0, .) or the tau clamp
+The rows left, one to a few, are evaluated whole, over every m, as one
+block, and the answer comes from them alone, so ties still go to the smaller
+b, then the smaller m. A flat row, where the dual max(0, .) or the tau clamp
 holds the cost over several m, thus reports its smallest m, not the screen's.
-That scan stops before a block whose first row has fl(0.292 b) above the
-best: every cell costs at least fl(0.292 b), since a primal cell costs
-exactly that, a dual cell fl(0.292 b) + log2(R) with log2(R) >= 0, and float
-rounding is monotone. Every cost block the search computes, the screen
-included, goes through ``_pick`` once.
+Every cost block the search computes, the screen included, goes through
+``_pick`` once.
 
 ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen, the
 whole rows and the dual's reported repetition count read them, and b itself,
@@ -82,7 +79,6 @@ CLASSICAL_EXP = 0.292
 QUANTUM_EXP = 0.265
 SIEVE_VECTORS_EXP = 0.2075
 MIN_BLOCK = 50
-BLOCK_COLS = 64  # b rows per evaluated whole-row block
 SCREEN_SLACK = 1e-6  # see the module doc
 TAU_CLAMP_LOG2 = 30.0  # log2 tau is clamped here in the grid; see dual_cost
 
@@ -139,18 +135,17 @@ def _b_table(b_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return table
 
 
-def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray,
-          best: tuple | None) -> tuple[tuple | None, np.ndarray]:
-    """Merge a cost block into the running (cost, b, m) lexicographic best.
+def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray) -> tuple | None:
+    """The (cost, b, m) lexicographic minimum of a cost block, None if no cell is finite.
 
     ``cost`` holds one column per entry of ``b``; ``m`` broadcasts against it,
-    one m per cell. Returns the new best and the per-column minima.
+    one m per cell.
     """
     per_b = cost.min(axis=0)
     col = per_b.argmin()  # first minimum: smallest b
     row = cost[:, col].argmin()  # first minimum: smallest m
     cand = (per_b[col], int(b[col]), int(np.broadcast_to(m, cost.shape)[row, col]))
-    return (cand if np.isfinite(cand[0]) and (best is None or cand < best) else best), per_b
+    return cand if np.isfinite(cand[0]) else None
 
 
 def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
@@ -174,23 +169,18 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     np.maximum(m, np.maximum(1.0, b - n), out=m)
     np.minimum(m, inst.max_samples, out=m)
     cost, bound = block_cost(m, b, log_delta, half_log_b)
-    best, _ = _pick(cost, m, b, None)
+    best = _pick(cost, m, b)
     bound = bound.min(axis=0)
     # a row whose slack bound lies above an attained cost can neither beat nor tie the optimum
     keep = np.flatnonzero(np.isfinite(bound) & (bound <= (best[0] if best else np.inf)))
     rows, log_delta, half_log_b = b[keep], log_delta[keep], half_log_b[keep]
 
+    if not rows.size:
+        return None
     m = np.arange(1.0, inst.max_samples + 1)
-    best = None
-    for lo in range(0, rows.size, BLOCK_COLS):
-        b = rows[lo:lo + BLOCK_COLS]
-        if best is not None and CLASSICAL_EXP * b[0] > best[0]:
-            break
-        # built b-major, so that _pick reduces over m along contiguous memory
-        cols = slice(lo, lo + BLOCK_COLS)
-        cost, _ = block_cost(m[None, :], b[:, None], log_delta[cols, None], half_log_b[cols, None])
-        best, _ = _pick(cost.T, m[:, None], b, best)
-    return best
+    # built b-major, so that _pick reduces over m along contiguous memory
+    cost, _ = block_cost(m[None, :], rows[:, None], log_delta[:, None], half_log_b[:, None])
+    return _pick(cost.T, m[:, None], rows)
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:

@@ -1,4 +1,4 @@
-"""Parameter sets and derived NTT constants.
+"""Parameter sets.
 
 Everything downstream (ring arithmetic, samplers, codec, scheme) consumes a
 single frozen ``ParamSet``, named "ML-SD-<n>x<k>" and checked once, when it
@@ -16,9 +16,6 @@ payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-
-import numpy as np
 
 
 class ParamError(ValueError):
@@ -99,29 +96,6 @@ def _is_prime(x: int) -> bool:
     return True
 
 
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return out
-
-
-def _smallest_generator(q: int) -> int:
-    factors = _prime_factors(q - 1)
-    g = 2
-    while True:
-        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
-            return g
-        g += 1
-
-
 def validate_params(p: ParamSet) -> list[str]:
     """Return every violated invariant (empty list means the set is valid)."""
     errors = []
@@ -162,92 +136,3 @@ def validate_params(p: ParamSet) -> list[str]:
 
 DEFAULT_PARAMS = ParamSet()
 
-
-@dataclass(frozen=True, eq=False)
-class NttConstants:
-    """Roots of unity and transform tables for the negacyclic NTT mod q.
-
-    gamma is a primitive 2n-th root of unity (so gamma^n = -1), omega = gamma^2
-    a primitive n-th root. The transforms
-
-        forward:  evals[i] = sum_j gamma^j * omega^(i*j) * coeffs[j]
-        inverse:  coeffs[j] = n^-1 * gamma^-j * sum_i omega^(-i*j) * evals[i]
-
-    are computed in two stages over the split n = R1 * R2 (``split``). The
-    input index is j = R2*v1 + v2 and the output index i = u1 + R1*u2, so
-    omega^(i*j) = omega^(R2*u1*v1) * omega^(u1*v2) * omega^(R1*u2*v2) and
-
-        stage 1 (u1 x v1):       omega^(R2*u1*v1) * gamma^(R2*v1)
-        stage 2 (u1, v2 x u2):   omega^(u1*v2) * omega^(R1*u2*v2) * gamma^v2
-
-    for the forward transform; the inverse folds n^-1 * gamma^-u1 into stage 1
-    and gamma^(-R1*u2) into stage 2 instead. ``forward`` and ``inverse`` each
-    hold the stage-1 table (R1 x R1) followed by the stage-2 table
-    (R1 x R2 x R2), flattened into one float64 array of entries in [0, q);
-    ``stages`` gives the two as shaped views. Why float64 computes both
-    stages exactly is argued once, in the ``mlds.ring`` module docstring.
-    """
-
-    n: int
-    q: int
-    gamma: int
-    omega: int
-    n_inv: int
-    split: tuple[int, int]
-    forward: np.ndarray
-    inverse: np.ndarray
-
-    def stages(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The (R1, R1) stage-1 and (R1, R2, R2) stage-2 views of ``forward`` or ``inverse``."""
-        r1, r2 = self.split
-        return table[: r1 * r1].reshape(r1, r1), table[r1 * r1 :].reshape(r1, r2, r2)
-
-
-@lru_cache(maxsize=8)
-def derive_ntt_constants(p: ParamSet) -> NttConstants:
-    """Derive the NTT root/table set for ``p``. Deterministic and idempotent.
-
-    A ``ParamSet`` makes q a prime = 1 mod 2n, so gamma has order exactly 2n.
-    """
-    n, q = p.n, p.q
-    # Fixed root-selection rule so every implementation lands on the same
-    # tables: exponentiate the smallest generator of Z_q^*.
-    g = _smallest_generator(q)
-    gamma = pow(g, (q - 1) // (2 * n), q)
-    omega = gamma * gamma % q
-
-    n_inv = pow(n, -1, q)
-    r1 = 1 << ((n.bit_length() - 1) // 2)  # 16 x 16 at n = 256, 8 x 16 at 128, 16 x 32 at 512
-    r2 = n // r1
-
-    # Every table entry is a power of gamma (omega = gamma^2, gamma^-e =
-    # gamma^(2n-e)), so each table is one gather from gamma's powers with the
-    # exponent reduced mod 2n; the largest temporary is R1 x R2 x R2. The
-    # powers double in length per step: the next block is this one * gamma^size.
-    gamma_powers = np.ones(1, dtype=np.int64)
-    while gamma_powers.size < 2 * n:
-        step = pow(gamma, gamma_powers.size, q)
-        gamma_powers = np.concatenate([gamma_powers, gamma_powers * step % q])
-    u1 = np.arange(r1).reshape(r1, 1)
-    v1 = np.arange(r1).reshape(1, r1)
-    v2 = np.arange(r2).reshape(1, r2, 1)
-    u2 = np.arange(r2).reshape(1, 1, r2)
-    twiddle = 2 * (u1[..., None] * v2 + r1 * u2 * v2)  # omega^(u1*v2) * omega^(R1*u2*v2)
-    forward = (
-        gamma_powers[(2 * r2 * u1 * v1 + r2 * v1) % (2 * n)],
-        gamma_powers[(twiddle + v2) % (2 * n)],
-    )
-    inverse = (
-        gamma_powers[(-2 * r2 * u1 * v1 - u1) % (2 * n)] * n_inv % q,
-        gamma_powers[(-twiddle - r1 * u2) % (2 * n)],
-    )
-
-    def flat(tables) -> np.ndarray:
-        out = np.concatenate([t.ravel() for t in tables]).astype(np.float64)
-        out.setflags(write=False)
-        return out
-
-    return NttConstants(
-        n=n, q=q, gamma=gamma, omega=omega, n_inv=n_inv,
-        split=(r1, r2), forward=flat(forward), inverse=flat(inverse),
-    )

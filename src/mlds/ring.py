@@ -28,20 +28,13 @@ Transforms stay one ``ntt``/``intt`` call per module row, each over the
 same polynomial slots however many trials it carries; stacking across module
 rows is not done.
 
-The forward transform is the definitional negacyclic ("gamma-twisted") NTT
-
-    evals[i] = sum_j gamma^j * coeffs[j] * omega^(i*j)  mod q
-
-with the exact inverse built the same way. Each is computed in two stages
-over the split n = R1 * R2 (16 x 16 at n = 256; see ``NttConstants``): a
-stack of B polynomials is viewed as (B, R1, R2); stage 1 is one float64
-matrix product over the R1 axis, stage 2 one batched product of R1 (B, R2)
-blocks with per-row (R2, R2) tables that carry the twiddles, and the result
-is reduced mod q once in float64 and cast to int32. It is exact. Tables and
-inputs lie in [0, q), so stage 1 gives integers below R1*(q-1)^2 and stage 2
-integers y below n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about
-4.7e14 at n = 256, q = 12289); below 2^53 float64 holds integers exactly in
-any summation order, so neither stage loses anything.
+The transforms (defined, with their two-stage layout, in ``NttConstants``)
+multiply float64 tables by int32 inputs and reduce mod q once, in float64,
+before the int32 cast. They are exact. Tables and inputs lie in [0, q), so
+stage 1 gives integers below R1*(q-1)^2 and stage 2 integers y below
+n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about 4.7e14 at
+n = 256, q = 12289); below 2^53 float64 holds integers exactly in any
+summation order, so neither stage loses anything.
 
 The reduction y - floor(fl(y/q))*q is exact as well. Write y = a*q + r with
 0 <= r < q: the fractional part of y/q is a multiple of 1/q, so y/q lies in
@@ -61,7 +54,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ParamSet, derive_ntt_constants
+from .params import ParamSet
 
 
 class DomainError(TypeError):
@@ -102,10 +95,6 @@ class PolyVec:
     def __len__(self) -> int:
         return self.data.shape[-2]
 
-    def __iter__(self):
-        # indexing rows is several times cheaper than iterating the array
-        return map(self.__getitem__, range(self.data.shape[-2]))
-
     def __getitem__(self, i):
         return self.domain(self.data[..., i, :])
 
@@ -129,17 +118,121 @@ def _values(x) -> np.ndarray:
     return x.coeffs if type(x) is Poly else x.evals
 
 
-def _stack_rows(rows) -> np.ndarray:
-    """(..., n) arrays stacked along a new module axis -2: (..., k, n).
+@dataclass(frozen=True, eq=False)
+class NttConstants:
+    """Roots of unity and transform tables for the negacyclic NTT mod q.
 
-    ``np.array`` stacks them along axis 0 and the batch comes back as a view
-    with the module axis moved; this costs less than ``np.stack`` and keeps
-    each module row contiguous, the layout the per-row transforms read.
+    gamma is a primitive 2n-th root of unity (so gamma^n = -1), omega = gamma^2
+    a primitive n-th root. The transforms
+
+        forward:  evals[i] = sum_j gamma^j * omega^(i*j) * coeffs[j]
+        inverse:  coeffs[j] = n^-1 * gamma^-j * sum_i omega^(-i*j) * evals[i]
+
+    are computed in two stages over the split n = R1 * R2 (``split``; 16 x 16
+    at n = 256, 8 x 16 at 128, 16 x 32 at 512). The input index is
+    j = R2*v1 + v2 and the output index i = u1 + R1*u2, so
+    omega^(i*j) = omega^(R2*u1*v1) * omega^(u1*v2) * omega^(R1*u2*v2) and
+
+        stage 1 (u1 x v1):       omega^(R2*u1*v1) * gamma^(R2*v1)
+        stage 2 (u1, v2 x u2):   omega^(u1*v2) * omega^(R1*u2*v2) * gamma^v2
+
+    for the forward transform; the inverse folds n^-1 * gamma^-u1 into stage 1
+    and gamma^(-R1*u2) into stage 2 instead. ``forward`` and ``inverse`` each
+    hold the stage-1 table (R1 x R1) followed by the stage-2 table
+    (R1 x R2 x R2), flattened into one float64 array of entries in [0, q);
+    ``stages`` gives the two as shaped views.
+
+    ``Ring`` views a stack of B polynomials as (B, R1, R2), indexed (v1, v2).
+    Stage 1 is one matrix product over the R1 axis, giving (B, R1, R2)
+    indexed (u1, v2) and read as (R1, B, R2); stage 2 runs each of the R1
+    (B, R2) blocks through its (R2, R2) table, giving (R1, B, R2) indexed
+    (u1, u2), which is reduced mod q and written as (B, R2, R1), i.e. output
+    index u1 + R1*u2.
     """
-    stacked = np.array(rows)
-    if stacked.ndim == 2:
-        return stacked
-    return stacked.swapaxes(0, 1) if stacked.ndim == 3 else np.moveaxis(stacked, 0, -2)
+
+    gamma: int
+    omega: int
+    n_inv: int
+    split: tuple[int, int]
+    forward: np.ndarray
+    inverse: np.ndarray
+
+    def stages(self, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (R1, R1) stage-1 and (R1, R2, R2) stage-2 views of ``forward`` or ``inverse``."""
+        r1, r2 = self.split
+        return table[: r1 * r1].reshape(r1, r1), table[r1 * r1 :].reshape(r1, r2, r2)
+
+
+def _prime_factors(x: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            out.append(d)
+            while x % d == 0:
+                x //= d
+        d += 1
+    if x > 1:
+        out.append(x)
+    return out
+
+
+def _smallest_generator(q: int) -> int:
+    factors = _prime_factors(q - 1)
+    g = 2
+    while True:
+        if all(pow(g, (q - 1) // p, q) != 1 for p in factors):
+            return g
+        g += 1
+
+
+def derive_ntt_constants(p: ParamSet) -> NttConstants:
+    """Derive the NTT root/table set for ``p``. Deterministic; ``get_ring`` caches it per set.
+
+    A ``ParamSet`` makes q a prime = 1 mod 2n, so gamma has order exactly 2n.
+    """
+    n, q = p.n, p.q
+    # Fixed root-selection rule so every implementation lands on the same
+    # tables: exponentiate the smallest generator of Z_q^*.
+    g = _smallest_generator(q)
+    gamma = pow(g, (q - 1) // (2 * n), q)
+    omega = gamma * gamma % q
+
+    n_inv = pow(n, -1, q)
+    r1 = 1 << ((n.bit_length() - 1) // 2)
+    r2 = n // r1
+
+    # Every table entry is a power of gamma (omega = gamma^2, gamma^-e =
+    # gamma^(2n-e)), so each table is one gather from gamma's powers with the
+    # exponent reduced mod 2n; the largest temporary is R1 x R2 x R2. The
+    # powers double in length per step: the next block is this one * gamma^size.
+    gamma_powers = np.ones(1, dtype=np.int64)
+    while gamma_powers.size < 2 * n:
+        step = pow(gamma, gamma_powers.size, q)
+        gamma_powers = np.concatenate([gamma_powers, gamma_powers * step % q])
+    u1 = np.arange(r1).reshape(r1, 1)
+    v1 = np.arange(r1).reshape(1, r1)
+    v2 = np.arange(r2).reshape(1, r2, 1)
+    u2 = np.arange(r2).reshape(1, 1, r2)
+    twiddle = 2 * (u1[..., None] * v2 + r1 * u2 * v2)  # omega^(u1*v2) * omega^(R1*u2*v2)
+    forward = (
+        gamma_powers[(2 * r2 * u1 * v1 + r2 * v1) % (2 * n)],
+        gamma_powers[(twiddle + v2) % (2 * n)],
+    )
+    inverse = (
+        gamma_powers[(-2 * r2 * u1 * v1 - u1) % (2 * n)] * n_inv % q,
+        gamma_powers[(-twiddle - r1 * u2) % (2 * n)],
+    )
+
+    def flat(tables) -> np.ndarray:
+        out = np.concatenate([t.ravel() for t in tables]).astype(np.float64)
+        out.setflags(write=False)
+        return out
+
+    return NttConstants(
+        gamma=gamma, omega=omega, n_inv=n_inv,
+        split=(r1, r2), forward=flat(forward), inverse=flat(inverse),
+    )
 
 
 class Ring:
@@ -157,15 +250,8 @@ class Ring:
     # -- transforms --------------------------------------------------------
 
     def _transform(self, stages: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Two-stage transform of each (..., n) row of x in [0, q); exact, see the module docstring.
-
-        Stage 1 contracts the R1 axis of x viewed as (B, R1, R2), casting x
-        to float64 inside the product; stage 2 runs the R1 blocks of (B, R2)
-        through their (R2, R2) tables on a transposed view of stage 1's
-        output. Stage 2's (R1, B, R2) result y is reduced in float64 as
-        y - floor(y/q)*q, then the int32 cast writes it as (B, R2, R1), i.e.
-        output index u1 + R1*u2.
-        """
+        """Two-stage transform of each (..., n) row of x in [0, q); layout in
+        ``NttConstants``, exactness in the module docstring."""
         first, second = stages
         r1, r2 = self.constants.split
         y = np.matmul((first @ x.reshape(-1, r1, r2)).transpose(1, 0, 2), second)
@@ -187,11 +273,18 @@ class Ring:
 
     def vec_ntt(self, v: PolyVec) -> PolyVec:
         """One ``ntt`` call per module row, over that row's (..., n) stack."""
-        return PolyVec(_stack_rows([self.ntt(p).evals for p in v]), NttPoly)
+        return self._rows(self.ntt, v, NttPoly)
 
     def vec_intt(self, v: PolyVec) -> PolyVec:
         """One ``intt`` call per module row, over that row's (..., n) stack."""
-        return PolyVec(_stack_rows([self.intt(p).coeffs for p in v]), Poly)
+        return self._rows(self.intt, v, Poly)
+
+    def _rows(self, transform, v: PolyVec, domain: type) -> PolyVec:
+        """``transform`` of each module row of v, written into one (..., k, n) int32 array."""
+        out = np.empty(v.data.shape, dtype=np.int32)
+        for i in range(len(v)):
+            out[..., i, :] = _values(transform(v[i]))
+        return PolyVec(out, domain)
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 

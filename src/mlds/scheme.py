@@ -1,27 +1,37 @@
-"""Key generation, signing, verification, and the h-agreement harness.
+r"""Key generation, signing, verification, and the h-agreement harness.
+
+The scheme is the one of arXiv 2409.02222, which its abstract describes as an
+improved version of the signature scheme of Sharafi and Daghigh
+\cite{sharafi2022ring}, based on Module-LWE and Module-SIS. Below, a trailing
+* marks a secret input: the keygen seed zeta, xi, s and e, and the signing
+coin r and e1..e4. Everything else is public or a function of public values.
 
 All three operations are deterministic functions of their seed arguments.
 Key generation:
 
-    (rho, xi) = hash_h(zeta);  A_hat = gen_a(rho)
-    s, e sampled with nonces 0..k-1 and k..2k-1, in one gen_se call
-    P = intt(A_hat^T o ntt(s)) + e
+    (rho, xi*) = hash_h(zeta*);  A_hat = gen_a(rho)
+    s*, e* sampled from xi* with nonces 0..k-1 and k..2k-1, in one gen_se call
+    P = intt(A_hat^T o ntt(s*)) + e*
 
 The public key carries A_hat, expanded once from rho by ``keygen`` or by
 ``codec.parse_pk``; signing reuses it.
 
-Signing draws e1 (nonces 0..k-1), e2 (k..2k-1), e3 (2k), e4 (2k+1) from the
-per-signature coin r, in one gen_se call, and outputs
+Signing draws e1*, e2*, e3*, e4* from the per-signature coin r* (nonces
+0..k-1, k..2k-1, 2k and 2k+1), in one gen_se call, and outputs
 
-    z1 = intt(A_hat^T o ntt(e1)) + e2
-    z2 = intt(<P_hat, ntt(e2)>) + e4
-    z3 = intt(<A_hat o P_hat, ntt(e1)>) + e3 + encode(mu payload)
+    z1 = intt(A_hat^T o ntt(e1*)) + e2*
+    z2 = intt(<P_hat, ntt(e2*)>) + e4*
+    z3 = intt(<A_hat o P_hat, ntt(e1*)>) + e3* + encode(mu payload)
     h  = crh(mu || crh(decode-payload of X))
 
-where X is either the signer-side value intt(<A_hat^T o ntt(s), ntt(e2)>)
-("literal" h policy) or z2 itself ("z2" policy); the signer alone chooses. The
-verifier recomputes mu = crh(M) and always checks decode(z2 + z3 - <P, z1>)
-against the mu payload and h against crh(mu || crh(decode-payload of z2)).
+with mu = crh(M), where X is either the signer-side value
+intt(<A_hat^T o ntt(s*), ntt(e2*)>) ("literal" h policy) or z2 itself ("z2"
+policy); the signer alone chooses. The z2 preimage reads none of the secret
+inputs, only the signature's own public z2, and nothing else in a z2
+signature reads s: it is a function of (pk, M, r) alone. The verifier reads
+only public values, pk, M and (z1, z2, z3, h): it recomputes mu = crh(M) and
+always checks decode(z2 + z3 - <P, z1>) against the mu payload and h against
+crh(mu || crh(decode-payload of z2)).
 
 z3 is computed as intt(<P_hat, A_hat^T o ntt(e1)>), reusing z1's product; in
 the commutative ring sum_i (sum_j A_ij P_j) e1_i = sum_j P_j (sum_i A_ij e1_i).

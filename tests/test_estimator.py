@@ -297,9 +297,9 @@ def _traced_search(attack, inst: LweInstance, monkeypatch):
     blocks = []
     pick = mlds.estimator._pick
 
-    def traced(cost, m, b, best):
+    def traced(cost, m, b):
         blocks.append((np.broadcast_to(m, cost.shape).copy(), b.copy()))
-        return pick(cost, m, b, best)
+        return pick(cost, m, b)
 
     monkeypatch.setattr(mlds.estimator, "_pick", traced)
     return _outcome(attack, inst), blocks

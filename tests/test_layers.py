@@ -8,6 +8,7 @@ module needs a ``global`` statement or a ``globals()`` call.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import mlds
@@ -30,6 +31,15 @@ def imported_modules(tree: ast.AST):
             for alias in node.names:
                 if alias.name.startswith("mlds."):
                     yield node.lineno, alias.name.split(".")[1]
+
+
+def absolute_imports(tree: ast.AST):
+    """(line, top-level package) for every absolute import in a parsed file, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name.split(".")[0]) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
 
 
 def module_state_writes(tree: ast.AST):
@@ -61,6 +71,14 @@ def test_imports_point_to_earlier_layers_only():
 def test_the_estimator_imports_no_other_mlds_module():
     path = SRC / "estimator.py"
     assert list(imported_modules(ast.parse(path.read_text(), str(path)))) == []
+
+
+def test_params_imports_only_the_stdlib():
+    path = SRC / "params.py"
+    tree = ast.parse(path.read_text(), str(path))
+    assert list(imported_modules(tree)) == []
+    assert [(line, name) for line, name in absolute_imports(tree)
+            if name not in sys.stdlib_module_names] == []
 
 
 def test_the_check_sees_imports_inside_functions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mlds import ParamSet, ParamError, derive_ntt_constants, measure_agreement, validate_params
-from mlds.params import _smallest_generator
+from mlds.ring import _smallest_generator
 
 
 def violations(**fields) -> list[str]:

@@ -51,13 +51,14 @@ def test_ntt_matches_definition(ring, rng):
         assert int(ring.ntt(p).evals[i]) == expected
 
 
-def definition_matrices(c):
-    """Dense int64 forward and inverse NTT matrices from c.gamma, c.omega and c.n_inv.
+def definition_matrices(ring):
+    """Dense int64 forward and inverse NTT matrices from ring.n, ring.q and the roots
+    gamma, omega and n_inv of ring.constants.
 
     Built from the roots alone, sharing nothing with the transform tables:
     forward[i, j] = gamma^j * omega^(i*j), inverse[j, i] = n^-1 * gamma^-j * omega^(-i*j).
     """
-    n, q = c.n, c.q
+    n, q, c = ring.n, ring.q, ring.constants
     gamma_inv, omega_inv = pow(c.gamma, -1, q), pow(c.omega, -1, q)
 
     def powers(base):
@@ -80,7 +81,7 @@ def test_float_transforms_match_integer_definition(ring, rng):
     # 2^53 too, and only its result fits the int32 output. Compare with int64
     # arithmetic on the definition.
     assert ring.n * (ring.q - 1) ** 3 == 256 * 12288**3 < 2**53
-    forward, inverse = definition_matrices(ring.constants)
+    forward, inverse = definition_matrices(ring)
     worst = np.full(ring.n, ring.q - 1, dtype=np.int64)
     vectors = [rng.integers(0, ring.q, ring.n, dtype=np.int64) for _ in range(200)] + [worst]
     for x in vectors:
@@ -101,7 +102,7 @@ def test_stacked_transforms_match_integer_definition(param_set, rng):
     # (B, n) and (B, k, n) stacks, including strided module rows, on the square
     # split and both non-square ones; the all-(q-1) stack is the worst case.
     ring = get_ring(param_set)
-    forward, inverse = definition_matrices(ring.constants)
+    forward, inverse = definition_matrices(ring)
     stacks = [
         rng.integers(0, ring.q, (5, ring.n), dtype=np.int64),
         rng.integers(0, ring.q, (3, ring.k, ring.n), dtype=np.int64),
@@ -373,6 +374,16 @@ def test_batched_module_ops_match_rows(ring, rng):
         assert np.array_equal(vec_hat.data[t], ring.vec_ntt(ct).data)
         assert np.array_equal(vec_back.data[t], ring.vec_intt(ut).data)
         assert np.array_equal(ring.sub(u[0], v[0]).evals[t], ring.sub(ut[0], vt[0]).evals)
+
+
+def test_vector_transforms_with_two_batch_axes_match_each_trial(ring, rng):
+    # a (B1, B2, k, n) vector transforms as each of its B1 x B2 trials does alone
+    x = random_batch(ring, rng, 2, 3, ring.k)
+    vec_hat, vec_back = ring.vec_ntt(PolyVec(x, Poly)), ring.vec_intt(PolyVec(x, NttPoly))
+    assert vec_hat.data.shape == vec_back.data.shape == x.shape
+    for s, t in np.ndindex(2, 3):
+        assert np.array_equal(vec_hat.data[s, t], ring.vec_ntt(PolyVec(x[s, t], Poly)).data)
+        assert np.array_equal(vec_back.data[s, t], ring.vec_intt(PolyVec(x[s, t], NttPoly)).data)
 
 
 def test_unbatched_values_broadcast_against_a_batch(ring, rng):
