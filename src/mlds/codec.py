@@ -74,7 +74,10 @@ class CoefficientRangeError(CodecError):
 
 @dataclass(frozen=True, eq=False)
 class PublicKey:
-    """(rho, P) and A_hat = gen_a(rho) under ``params``; made by ``scheme.keygen`` or ``parse_pk``."""
+    """(rho, P) and A_hat = gen_a(rho) under ``params``; made by ``scheme.keygen`` or ``parse_pk``.
+
+    A_hat's type, shape, dtype and range are checked; that it is gen_a(rho) is trusted.
+    """
 
     rho: bytes  # a tuple of seeds for a batch
     p_vec: PolyVec  # (*trials, k, n)
@@ -84,9 +87,11 @@ class PublicKey:
     def __post_init__(self):
         p, trials = self.params, _trials(self.rho)
         if not (isinstance(p, ParamSet) and trials is not None
-                and _in_range(p, _coeffs(self.p_vec, PolyVec, trials + (p.k, p.n)))):
-            raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch) and a "
-                             "coefficient-domain (*trials, k, n) int32 P in [0, q)")
+                and _in_range(p, _coeffs(self.p_vec, PolyVec, trials + (p.k, p.n)),
+                              _coeffs(self.a_hat, NttMatrix, trials + (p.k, p.k, p.n)))):
+            raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch), a "
+                             "coefficient-domain (*trials, k, n) P and a (*trials, k, k, n) "
+                             "A_hat, int32 in [0, q)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,7 +129,8 @@ class Signature:
 
 
 def _coeffs(value, cls: type, shape: tuple) -> np.ndarray | None:
-    """The array of a coefficient-domain ``cls`` (Poly or PolyVec) value if it is int32 of ``shape``."""
+    """The array of a coefficient-domain ``cls`` (Poly or PolyVec) value, or of an NttMatrix,
+    if it is int32 of ``shape``."""
     if type(value) is not cls or getattr(value, "domain", Poly) is not Poly:
         return None
     c = value.coeffs if cls is Poly else value.data
@@ -177,8 +183,9 @@ def encode_bits(bits: np.ndarray, ring: Ring) -> Poly:
     bits = np.asarray(bits)
     if bits.shape[-1:] != (p.mu_bits,):
         raise CodecError(f"payload must be exactly {p.mu_bits} bits, got {bits.shape}")
-    if bits.min() < 0 or bits.max() > 1:  # checked before the int32 cast, which could wrap
-        raise CodecError("payload entries must be 0 or 1")
+    # 0.5 is in range but would encode as 0; the range is checked before the int32 cast, which could wrap
+    if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
+        raise CodecError("payload entries must be 0 or 1, of an integer or bool dtype")
     # n = redundancy * mu_bits, so copy r of bit i is coefficient r * mu_bits + i
     return Poly(np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1))
 

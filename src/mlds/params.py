@@ -15,7 +15,7 @@ payloads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
 class ParamError(ValueError):
@@ -97,8 +97,15 @@ def _is_prime(x: int) -> bool:
 
 
 def validate_params(p: ParamSet) -> list[str]:
-    """Return every violated invariant (empty list means the set is valid)."""
-    errors = []
+    """Return every violated invariant (empty list means the set is valid).
+
+    A field that is not exactly an ``int`` (a bool, a float) is reported alone,
+    before any arithmetic reads it.
+    """
+    errors = [f"{f.name}={getattr(p, f.name)!r} is not an int"
+              for f in fields(p) if type(getattr(p, f.name)) is not int]
+    if errors:
+        return errors
     if p.n < 2 or p.n & (p.n - 1) != 0:
         errors.append(f"n={p.n} is not a power of two >= 2")
     if not _is_prime(p.q):
@@ -131,6 +138,8 @@ def validate_params(p: ParamSet) -> list[str]:
     elif p.mu_bits > 8 * SEED_BYTES:
         errors.append(f"mu_bits = n/redundancy = {p.mu_bits} is more than the "
                       f"{8 * SEED_BYTES} bits of the message digest")
+    if not 0 <= p.param_id <= 255:
+        errors.append(f"param_id={p.param_id} does not fit in the one header byte 0..255")
     return errors
 
 

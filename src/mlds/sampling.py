@@ -14,17 +14,19 @@ change:
 * ``gen_se``     SHAKE-256(seed || byte(nonce)); coefficient t consumes bits
                  [2*eta*t, 2*eta*(t+1)) of the little-endian bitstream, the
                  first eta bits minus the second eta bits, stored mod q. It
-                 takes one nonce, or a range of consecutive nonces drawn in
-                 one pass with one stream per nonce, so the layout is the
-                 same either way.
+                 takes a range of nonces, drawn in one pass with one stream
+                 and one output row per nonce.
+* ``expand_key_noise``, ``expand_signing_noise``  one ``gen_se`` call each:
+                 s, e = nonces 0..k-1, k..2k-1 of the keygen seed xi; e1, e2,
+                 e3, e4 = nonces 0..k-1, k..2k-1, 2k, 2k+1 of the coin r.
 
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
 
-``gen_a``, ``gen_se`` and ``gen_se_vec`` take one seed, or a non-empty
-sequence of seeds for a batch, whose outputs gain one leading axis. The
-SHAKE call per stream is the only per-item loop. ``gen_se_vec`` is
-``gen_se`` over k consecutive nonces.
+``gen_a`` and the noise functions take one seed, or a non-empty sequence of
+seeds for a batch, whose outputs gain one leading axis; the SHAKE call per
+stream is the only per-item loop. ``gen_se_vec`` is ``gen_se`` over k
+consecutive nonces.
 """
 
 from __future__ import annotations
@@ -133,16 +135,31 @@ def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
     return lookup.take(total).reshape(len(seeds), len(nonces), p.n)
 
 
-def gen_se(seed, nonce, ring: Ring) -> Poly | PolyVec:
-    """psi_eta noise (values in [-eta, eta], stored mod q) per seed: a ``Poly`` for an
-    int nonce, a ``PolyVec`` with one row per nonce for a range of nonces."""
+def gen_se(seed, nonces: range, ring: Ring) -> PolyVec:
+    """psi_eta noise (values in [-eta, eta], stored mod q) per seed, one row per nonce."""
     seeds, single = _seed_batch(seed, "seed")
-    rows = isinstance(nonce, range)
-    c = _binomial(seeds, nonce if rows else range(nonce, nonce + 1), ring)
-    c = c[0] if single else c
-    return PolyVec(c, Poly) if rows else Poly(c[..., 0, :])
+    c = _binomial(seeds, nonces, ring)
+    return PolyVec(c[0] if single else c, Poly)
 
 
 def gen_se_vec(seed, first_nonce: int, ring: Ring) -> PolyVec:
     """k consecutive binomial polynomials starting at ``first_nonce``, per seed."""
     return gen_se(seed, range(first_nonce, first_nonce + ring.k), ring)
+
+
+def expand_key_noise(xi, ring: Ring) -> tuple[PolyVec, PolyVec]:
+    """(s, e) from the keygen seed(s): one draw over nonces 0..2k-1, split in half.
+
+    s is a copy, so that the secret key does not keep e's half of the draw alive.
+    """
+    se = gen_se(xi, range(2 * ring.k), ring).data
+    return PolyVec(se[..., :ring.k, :].copy(), Poly), PolyVec(se[..., ring.k:, :], Poly)
+
+
+def expand_signing_noise(r, ring: Ring) -> tuple[PolyVec, PolyVec, Poly, Poly]:
+    """(e1, e2, e3, e4) from the signing coin(s): views of one draw over nonces
+    0..2k+1, split as 0..k-1, k..2k-1, 2k and 2k+1."""
+    k = ring.k
+    e = gen_se(r, range(2 * k + 2), ring).data
+    return (PolyVec(e[..., :k, :], Poly), PolyVec(e[..., k:2 * k, :], Poly),
+            Poly(e[..., 2 * k, :]), Poly(e[..., 2 * k + 1, :]))

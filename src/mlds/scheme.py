@@ -10,14 +10,14 @@ All three operations are deterministic functions of their seed arguments.
 Key generation:
 
     (rho, xi*) = hash_h(zeta*);  A_hat = gen_a(rho)
-    s*, e* sampled from xi* with nonces 0..k-1 and k..2k-1, in one gen_se call
+    s*, e* = expand_key_noise(xi*)
     P = intt(A_hat^T o ntt(s*)) + e*
 
 The public key carries A_hat, expanded once from rho by ``keygen`` or by
 ``codec.parse_pk``; signing reuses it.
 
-Signing draws e1*, e2*, e3*, e4* from the per-signature coin r* (nonces
-0..k-1, k..2k-1, 2k and 2k+1), in one gen_se call, and outputs
+Signing draws e1*, e2*, e3*, e4* = expand_signing_noise(r*) from the
+per-signature coin r*, and outputs
 
     z1 = intt(A_hat^T o ntt(e1*)) + e2*
     z2 = intt(<P_hat, ntt(e2*)>) + e4*
@@ -47,7 +47,7 @@ confidence interval instead of asserting a bound.
 The coin r must never repeat for the same key; callers own that contract.
 
 Byte layouts live elsewhere: the mu payload bits in ``codec.mu_payload_bits``,
-each agreement cycle's seeds in ``sampling.derive_case_seeds``.
+the noise nonces and each agreement cycle's seeds in ``sampling``.
 
 One array core computes all three operations, for one trial or for a batch
 of trials stacked along a leading axis (see "the array core" below).
@@ -69,8 +69,9 @@ import numpy as np
 from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, decode_payload,
                     mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
-from .ring import Ring, Poly, PolyVec, get_ring
-from .sampling import SEED_BYTES, _seed_batch, hash_h, crh, derive_case_seeds, gen_a, gen_se
+from .ring import Ring, get_ring
+from .sampling import (SEED_BYTES, _seed_batch, hash_h, crh, derive_case_seeds, gen_a,
+                       expand_key_noise, expand_signing_noise)
 
 
 #: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
@@ -89,24 +90,6 @@ class VerifyResult:
 
 
 ACCEPT = VerifyResult(True)
-
-
-def expand_key_noise(xi, ring: Ring) -> tuple[PolyVec, PolyVec]:
-    """(s, e) from the keygen seed(s): one draw over nonces 0..2k-1, split in half.
-
-    s is a copy, so that the secret key does not keep e's half of the draw alive.
-    """
-    se = gen_se(xi, range(2 * ring.k), ring).data
-    return PolyVec(se[..., :ring.k, :].copy(), Poly), PolyVec(se[..., ring.k:, :], Poly)
-
-
-def expand_signing_noise(r, ring: Ring) -> tuple[PolyVec, PolyVec, Poly, Poly]:
-    """(e1, e2, e3, e4) from the signing coin(s): views of one draw over nonces
-    0..2k+1, split as 0..k-1, k..2k-1, 2k and 2k+1."""
-    k = ring.k
-    e = gen_se(r, range(2 * k + 2), ring).data
-    return (PolyVec(e[..., :k, :], Poly), PolyVec(e[..., k:2 * k, :], Poly),
-            Poly(e[..., 2 * k, :]), Poly(e[..., 2 * k + 1, :]))
 
 
 # -- the array core ----------------------------------------------------------------

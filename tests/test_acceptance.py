@@ -32,7 +32,8 @@ from mlds import (
 )
 from mlds.cli import main as cli_main
 from mlds.codec import SecretKey, encode_bits, pk_bytes, sig_bytes, sk_bytes
-from mlds.scheme import expand_signing_noise, mu_payload_bits
+from mlds.sampling import expand_signing_noise
+from mlds.scheme import mu_payload_bits
 
 from conftest import forge_key_only, random_poly
 from ring_oracle import centered, mul, schoolbook_mul
@@ -291,7 +292,7 @@ def test_criterion_8_sampler_statistics(ring):
     for block in range(16):
         seed = bytes([0x80 + block]) + bytes(31)
         for nonce in range(245):
-            samples.append(centered(ring, gen_se(seed, nonce, ring)))
+            samples.append(centered(ring, gen_se(seed, range(nonce, nonce + 1), ring)[0]))
     samples = np.concatenate(samples)  # ~1e6 draws
     var_ok = abs(samples.var() - eta / 2) <= 0.05 * (eta / 2)
 
@@ -301,7 +302,7 @@ def test_criterion_8_sampler_statistics(ring):
     width = np.array([np.count_nonzero(np.arange(ring.q) * 16 // ring.q == t) for t in range(16)])
     _, p_value = stats.chisquare(buckets, len(flat) * width / ring.q)
 
-    se_det = gen_se(bytes(32), 0, ring) == gen_se(bytes(32), 0, ring)
+    se_det = gen_se(bytes(32), range(0, 1), ring)[0] == gen_se(bytes(32), range(0, 1), ring)[0]
     a2 = gen_a(bytes(32), ring)
     a_det = all(np.array_equal(a.data[..., i, j, :], a2.data[..., i, j, :])
                 for i in range(ring.k) for j in range(ring.k))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlds import (
-    DEFAULT_PARAMS, NttPoly, ParamSet, Poly, PolyVec, get_ring, keygen, sign, verify, Z2_DERIVED,
+    DEFAULT_PARAMS, NttMatrix, NttPoly, ParamSet, Poly, PolyVec, get_ring, keygen, sign, verify,
+    Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
     HeaderError, LengthError, CoefficientRangeError, CodecError, ParamError, validate_params,
@@ -118,6 +119,9 @@ def test_encode_validates_payload(ring):
     # checked before the int32 cast, which would wrap 2^32 + 1 to 1
     with pytest.raises(CodecError):
         encode_bits(np.full(256, 2**32 + 1, dtype=np.int64), ring)
+    # in range, but a fractional payload would encode every bit as 0
+    with pytest.raises(CodecError):
+        encode_bits(np.full(256, 0.5), ring)
 
 
 # -- packing ----------------------------------------------------------------------
@@ -326,12 +330,16 @@ def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
 
 
 @pytest.mark.parametrize("kind", ["p-ntt", "p-plus-20000", "p-int64", "p-negative", "p-batch-of-one",
-                                  "rho-tuple-for-one", "rho-tuple-short", "rho-empty-tuple"])
+                                  "rho-tuple-for-one", "rho-tuple-short", "rho-empty-tuple",
+                                  "a-none", "a-3x3", "a-int64", "a-q"])
 def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
     # the first three once reached verify: an NTT-domain P raised DomainError there,
-    # P + 20000 was rejected as "mu-mismatch" and an int64 P verified a signature
+    # P + 20000 was rejected as "mu-mismatch" and an int64 P verified a signature;
+    # an A_hat of None made sign raise AttributeError
     pk = keypair_sig[0]
-    p = pk.p_vec.data
+    p, a = pk.p_vec.data, pk.a_hat.data
+    a_q = a.copy()
+    a_q[1, 0, 5] = ring.q
     batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
     fields = {
         "p-ntt": {"p_vec": PolyVec(p, NttPoly)},
@@ -342,6 +350,10 @@ def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
         "rho-tuple-for-one": {"rho": (pk.rho,)},
         "rho-tuple-short": {"rho": batch.rho[:1], "p_vec": batch.p_vec},
         "rho-empty-tuple": {"rho": (), "p_vec": PolyVec(np.zeros((0, ring.k, ring.n), np.int32), Poly)},
+        "a-none": {"a_hat": None},
+        "a-3x3": {"a_hat": NttMatrix(np.zeros((3, 3, ring.n), np.int32))},
+        "a-int64": {"a_hat": NttMatrix(a.astype(np.int64))},
+        "a-q": {"a_hat": NttMatrix(a_q)},
     }[kind]
     assert p.dtype == np.int32 and (p + 20000).dtype == np.int32
     with pytest.raises(CodecError, match="public key"):

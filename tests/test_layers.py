@@ -52,6 +52,17 @@ def module_state_writes(tree: ast.AST):
             yield node.lineno, "globals()"
 
 
+def names_used(tree: ast.AST, wanted: set):
+    """(line, name) for every name, attribute or imported name in ``wanted``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id in wanted:
+            yield node.lineno, node.id
+        elif isinstance(node, ast.Attribute) and node.attr in wanted:
+            yield node.lineno, node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, alias.name) for alias in node.names if alias.name in wanted)
+
+
 def test_every_module_has_a_layer():
     assert {path.stem for path in SRC.glob("*.py")} == set(LAYERS) | {"__init__"}
 
@@ -96,3 +107,19 @@ def test_no_module_rebinds_its_own_state():
 def test_the_check_sees_global_statements_and_globals_calls():
     source = "def grow():\n    global _T\n    globals()['_T'] = 1\n"
     assert list(module_state_writes(ast.parse(source))) == [(2, "global _T"), (3, "globals()")]
+
+
+def test_only_sampling_draws_noise():
+    # sampling owns which nonce feeds which noise polynomial; the other layers ask it
+    # for s, e or e1..e4 (the package __init__ only re-exports gen_se, and is no layer)
+    found = [f"{name}.py:{line} names {what}"
+             for name in LAYERS if name != "sampling"
+             for line, what in names_used(ast.parse((SRC / f"{name}.py").read_text()),
+                                          {"gen_se", "_binomial"})]
+    assert found == []
+
+
+def test_the_check_sees_names_attributes_and_imports():
+    source = "from .sampling import gen_se\nsampling._binomial(gen_se)\n"
+    assert sorted(names_used(ast.parse(source), {"gen_se", "_binomial"})) == [
+        (1, "gen_se"), (2, "_binomial"), (2, "gen_se")]

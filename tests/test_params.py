@@ -135,6 +135,20 @@ def test_validate_reports_each_violation():
     ]
 
 
+@pytest.mark.parametrize("fields, errors", [
+    ({"k": True}, ["k=True is not an int"]),  # would equal ParamSet(k=1), named ML-SD-256xTrue
+    ({"redundancy": 4.0}, ["redundancy=4.0 is not an int"]),
+    ({"eta": 16.0}, ["eta=16.0 is not an int"]),
+    ({"param_id": 1.0}, ["param_id=1.0 is not an int"]),
+    ({"n": 256.0, "q": "12289"}, ["n=256.0 is not an int", "q='12289' is not an int"]),
+    ({"param_id": 300}, ["param_id=300 does not fit in the one header byte 0..255"]),
+    ({"param_id": -1}, ["param_id=-1 does not fit in the one header byte 0..255"]),
+])
+def test_every_field_is_an_int_and_param_id_one_byte(fields, errors):
+    assert violations(**fields) == errors
+    assert validate_params(ParamSet(param_id=255)) == []
+
+
 @pytest.mark.parametrize("redundancy", [1, 4])
 def test_largest_admitted_eta_decodes_every_honest_signature(redundancy):
     # eta = 24 is the largest multiple of 8 with 2*eta < floor(257/4) = 64

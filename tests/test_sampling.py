@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from mlds import ParamSet, Poly, PolyVec, gen_a, gen_se, get_ring, hash_h, crh, sampling
-from mlds.sampling import gen_se_vec
+from mlds.sampling import expand_key_noise, expand_signing_noise, gen_se_vec
 from mlds.scheme import _keygen_steps
 
 import keccak_oracle
@@ -161,21 +161,22 @@ def test_gen_a_resqueezes_short_entries(monkeypatch):
 
 def test_gen_se_centered_magnitude(ring):
     for nonce in range(8):
-        p = gen_se(ZERO_SEED, nonce, ring)
+        p = gen_se(ZERO_SEED, range(nonce, nonce + 1), ring)[0]
         assert ring.infinity_norm(p) <= ring.params.eta
 
 
 def test_gen_se_deterministic_and_nonce_separated(ring):
-    a = gen_se(ZERO_SEED, 3, ring)
-    b = gen_se(ZERO_SEED, 3, ring)
-    c = gen_se(ZERO_SEED, 4, ring)
+    a = gen_se(ZERO_SEED, range(3, 4), ring)[0]
+    b = gen_se(ZERO_SEED, range(3, 4), ring)[0]
+    c = gen_se(ZERO_SEED, range(4, 5), ring)[0]
     assert a == b
     assert a != c
 
 
 def test_gen_se_regression_fixture(ring):
-    assert gen_se(ZERO_SEED, 0, ring).coeffs[:8].tolist() == [2, 4, 2, 0, 12284, 0, 12288, 3]
-    assert gen_se(ZERO_SEED, 1, ring).coeffs[:8].tolist() == [12287, 12288, 12285, 12284, 12287, 12288, 0, 2]
+    assert gen_se(ZERO_SEED, range(0, 1), ring)[0].coeffs[:8].tolist() == [2, 4, 2, 0, 12284, 0, 12288, 3]
+    assert (gen_se(ZERO_SEED, range(1, 2), ring)[0].coeffs[:8].tolist()
+            == [12287, 12288, 12285, 12284, 12287, 12288, 0, 2])
 
 
 def reference_gen_se(seed: bytes, nonce: int, ring) -> np.ndarray:
@@ -195,7 +196,8 @@ def test_gen_se_matches_bitwise_reference(eta):
     rng = np.random.default_rng(eta)
     for _ in range(50):
         seed, nonce = rng.bytes(32), int(rng.integers(256))
-        assert np.array_equal(gen_se(seed, nonce, ring).coeffs, reference_gen_se(seed, nonce, ring))
+        one = gen_se(seed, range(nonce, nonce + 1), ring)[0]
+        assert np.array_equal(one.coeffs, reference_gen_se(seed, nonce, ring))
         first = min(nonce, 256 - ring.k)
         batched = gen_se_vec(seed, first, ring)
         for i in range(ring.k):
@@ -204,13 +206,13 @@ def test_gen_se_matches_bitwise_reference(eta):
 
 def test_gen_se_rejects_bad_arguments(ring):
     with pytest.raises(ValueError):
-        gen_se(b"short", 0, ring)
+        gen_se(b"short", range(0, 1), ring)
     with pytest.raises(ValueError):
-        gen_se(ZERO_SEED, 256, ring)
+        gen_se(ZERO_SEED, range(256, 257), ring)
 
 
 def test_an_empty_seed_batch_is_refused_by_its_argument_name(ring):
-    calls = {"rho": lambda: gen_a([], ring), "seed": lambda: gen_se([], 0, ring),
+    calls = {"rho": lambda: gen_a([], ring), "seed": lambda: gen_se([], range(0, 1), ring),
              "zeta": lambda: _keygen_steps([], ring)}
     for name, call in calls.items():
         with pytest.raises(ValueError, match=f"^{name} must be exactly 32 bytes, or a non-empty"):
@@ -219,8 +221,8 @@ def test_an_empty_seed_batch_is_refused_by_its_argument_name(ring):
 
 def test_gen_se_vec_uses_consecutive_nonces(ring):
     v = gen_se_vec(ZERO_SEED, 2, ring)
-    assert v[0] == gen_se(ZERO_SEED, 2, ring)
-    assert v[1] == gen_se(ZERO_SEED, 3, ring)
+    assert v[0] == gen_se(ZERO_SEED, range(2, 3), ring)[0]
+    assert v[1] == gen_se(ZERO_SEED, range(3, 4), ring)[0]
 
 
 @pytest.mark.parametrize("eta", [8, 16, 24, 32, 64])
@@ -237,17 +239,35 @@ def test_gen_se_over_a_nonce_range_equals_one_call_per_nonce(eta):
         assert batch.data.shape == (len(seeds), len(nonces), ring.n)
         for i, t in enumerate(nonces):
             assert one.data[i].dtype == np.int32
-            assert np.array_equal(one.data[i], gen_se(seeds[0], t, ring).coeffs)
-            assert np.array_equal(batch.data[:, i], gen_se(seeds, t, ring).coeffs)
+            assert np.array_equal(one.data[i], gen_se(seeds[0], range(t, t + 1), ring)[0].coeffs)
+            assert np.array_equal(batch.data[:, i], gen_se(seeds, range(t, t + 1), ring)[0].coeffs)
             for j, seed in enumerate(seeds):
                 assert np.array_equal(batch.data[j, i], reference_gen_se(seed, t, ring))
+
+
+@pytest.mark.parametrize("trials", [None, 3], ids=["one-seed", "batch-of-3"])
+def test_key_and_signing_noise_layout_matches_the_bitwise_reference(ring, trials):
+    # s, e = nonces 0..k-1, k..2k-1 of xi; e1, e2, e3, e4 = 0..k-1, k..2k-1, 2k, 2k+1 of r
+    k = ring.k
+    xis = [bytes([0x40 + j]) * 32 for j in range(trials or 1)]
+    coins = [bytes([0x80 + j]) * 32 for j in range(trials or 1)]
+    s, e = expand_key_noise(xis if trials else xis[0], ring)
+    e1, e2, e3, e4 = expand_signing_noise(coins if trials else coins[0], ring)
+    layout = ([(xis, s[i], i) for i in range(k)] + [(xis, e[i], k + i) for i in range(k)]
+              + [(coins, e1[i], i) for i in range(k)] + [(coins, e2[i], k + i) for i in range(k)]
+              + [(coins, e3, 2 * k), (coins, e4, 2 * k + 1)])
+    shape = (trials, ring.n) if trials else (ring.n,)
+    for seeds, poly, nonce in layout:
+        assert type(poly) is Poly and poly.coeffs.shape == shape
+        for seed, row in zip(seeds, poly.coeffs.reshape(-1, ring.n)):
+            assert np.array_equal(row, reference_gen_se(seed, nonce, ring))
 
 
 def _centered_samples(ring, num_polys: int, seed: bytes) -> np.ndarray:
     assert num_polys <= 256  # one byte of nonce space per seed
     cs = []
     for nonce in range(num_polys):
-        cs.append(centered(ring, gen_se(seed, nonce, ring)))
+        cs.append(centered(ring, gen_se(seed, range(nonce, nonce + 1), ring)[0]))
     return np.concatenate(cs)
 
 

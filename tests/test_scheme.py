@@ -11,10 +11,10 @@ from mlds import (
 )
 from mlds import ParamSet, Poly, PolyVec, get_ring
 from mlds.scheme import (
-    AGREEMENT_CHUNK, Signature, expand_key_noise, expand_signing_noise, mu_payload_bits,
-    derive_case_seeds, wilson_interval, _keygen_steps, _sign_steps,
+    AGREEMENT_CHUNK, Signature, mu_payload_bits, derive_case_seeds, wilson_interval,
+    _keygen_steps, _sign_steps,
 )
-from mlds.sampling import hash_h
+from mlds.sampling import expand_key_noise, expand_signing_noise, hash_h
 from mlds.codec import encode_bits
 
 from ring_oracle import zero, schoolbook_mul
@@ -346,7 +346,7 @@ def test_one_noise_draw_per_keygen_and_per_sign(monkeypatch):
     # keygen draws s, e and sign e1..e4 with one gen_se call over a nonce range;
     # gen_se_vec is never called, from mlds.scheme or through mlds.sampling
     calls = []
-    draw = mlds.scheme.gen_se
+    draw = mlds.sampling.gen_se
 
     def counted(seed, nonce, ring):
         calls.append((1 if isinstance(seed, (bytes, bytearray)) else len(seed), nonce))
@@ -355,7 +355,7 @@ def test_one_noise_draw_per_keygen_and_per_sign(monkeypatch):
     def refused(*args):
         raise AssertionError("gen_se_vec called")
 
-    monkeypatch.setattr(mlds.scheme, "gen_se", counted)
+    monkeypatch.setattr(mlds.sampling, "gen_se", counted)
     monkeypatch.setattr(mlds.scheme, "gen_se_vec", refused, raising=False)
     monkeypatch.setattr(mlds.sampling, "gen_se_vec", refused)
     k = DEFAULT_PARAMS.k
