@@ -5,10 +5,9 @@ estimator."""
 from .params import ParamSet, ParamError, DEFAULT_PARAMS, validate_params
 from .ring import (
     Ring,
-    Poly,
-    NttPoly,
-    PolyVec,
-    NttMatrix,
+    RqArray,
+    COEFF,
+    NTT,
     DomainError,
     NttConstants,
     derive_ntt_constants,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ParamSet", "ParamError", "DEFAULT_PARAMS", "validate_params",
-    "Ring", "Poly", "NttPoly", "PolyVec", "NttMatrix", "DomainError",
+    "Ring", "RqArray", "COEFF", "NTT", "DomainError",
     "NttConstants", "derive_ntt_constants", "get_ring",
     "SEED_BYTES", "hash_h", "crh", "gen_a", "gen_se",
     "CodecError", "HeaderError", "LengthError", "CoefficientRangeError",

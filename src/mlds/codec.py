@@ -29,9 +29,11 @@ serializers refuse only a batch or a value of another set, and verification
 never meets a malformed signature. The parsers take any bytes-like wire.
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
-m * 448 bytes into an (m, n) stack, also for m = 1, with one length and one
-range check over all rows. A serializer packs one (k, n) or (k + 2, n) stack
-and refuses a batch.
+m * 448 bytes into a coefficient-domain (m, n) ``RqArray``, also for m = 1,
+with one length and one range check over all rows. A ``Signature`` holds its
+rows in wire order, as one (k + 2, n) array z, so a serializer packs one
+(k, n) or (k + 2, n) array as it is, a parser hands the unpacked array to
+the constructor as it is, and each refuses a batch.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .params import ParamSet
-from .ring import Ring, Poly, PolyVec, NttMatrix
+from .ring import COEFF, NTT, Ring, RqArray
 from .sampling import SEED_BYTES, gen_a
 
 MAGIC = b"MLDS"
@@ -80,15 +82,15 @@ class PublicKey:
     """
 
     rho: bytes  # a tuple of seeds for a batch
-    p_vec: PolyVec  # (*trials, k, n)
-    a_hat: NttMatrix = field(repr=False)
+    p_vec: RqArray  # (*trials, k, n)
+    a_hat: RqArray = field(repr=False)  # (*trials, k, k, n), NTT domain
     params: ParamSet = field(repr=False)
 
     def __post_init__(self):
         p, trials = self.params, _trials(self.rho)
         if not (isinstance(p, ParamSet) and trials is not None
-                and _in_range(p, _coeffs(self.p_vec, PolyVec, trials + (p.k, p.n)),
-                              _coeffs(self.a_hat, NttMatrix, trials + (p.k, p.k, p.n)))):
+                and _in_range(p, _array(self.p_vec, COEFF, trials + (p.k, p.n)),
+                              _array(self.a_hat, NTT, trials + (p.k, p.k, p.n)))):
             raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch), a "
                              "coefficient-domain (*trials, k, n) P and a (*trials, k, k, n) "
                              "A_hat, int32 in [0, q)")
@@ -98,42 +100,55 @@ class PublicKey:
 class SecretKey:
     """s under ``params``; made by ``scheme.keygen`` or ``parse_sk``."""
 
-    s: PolyVec  # (*trials, k, n)
+    s: RqArray  # (*trials, k, n)
     params: ParamSet = field(repr=False)
 
     def __post_init__(self):
         p = self.params
-        trials = self.s.data.shape[-3:-2] if type(self.s) is PolyVec else ()
-        if not (isinstance(p, ParamSet) and _in_range(p, _coeffs(self.s, PolyVec, trials + (p.k, p.n)))):
+        trials = self.s.data.shape[-3:-2] if type(self.s) is RqArray else ()
+        if not (isinstance(p, ParamSet) and _in_range(p, _array(self.s, COEFF, trials + (p.k, p.n)))):
             raise CodecError("a secret key is a coefficient-domain (*trials, k, n) int32 s in [0, q)")
 
 
 @dataclass(frozen=True, eq=False)
 class Signature:
-    """(z1, z2, z3, h) under ``params``; made by ``scheme.sign`` or ``parse_sig``."""
+    """(z1, z2, z3, h) under ``params``; made by ``scheme.sign`` or ``parse_sig``.
 
-    z1: PolyVec  # (*trials, k, n)
-    z2: Poly  # (*trials, n)
-    z3: Poly  # (*trials, n)
+    z holds the k + 2 rows in wire order; ``z1``, ``z2`` and ``z3`` are views of them.
+    """
+
+    z: RqArray  # (*trials, k + 2, n)
     h: bytes  # a tuple of digests for a batch
     params: ParamSet = field(repr=False)
 
     def __post_init__(self):
         p, trials = self.params, _trials(self.h)
         if not (isinstance(p, ParamSet) and trials is not None
-                and _in_range(p, _coeffs(self.z1, PolyVec, trials + (p.k, p.n)),
-                              _coeffs(self.z2, Poly, trials + (p.n,)),
-                              _coeffs(self.z3, Poly, trials + (p.n,)))):
-            raise CodecError("a signature is a 32-byte h (a tuple of them for a batch) and coefficient-"
-                             "domain (*trials, k, n) z1, (*trials, n) z2 and z3, int32 in [0, q)")
+                and _in_range(p, _array(self.z, COEFF, trials + (p.k + 2, p.n)))):
+            raise CodecError("a signature is a 32-byte h (a tuple of them for a batch) and a "
+                             "coefficient-domain (*trials, k + 2, n) z, int32 in [0, q)")
+
+    @property
+    def z1(self) -> RqArray:
+        """Rows 0..k-1 of z: (*trials, k, n)."""
+        return RqArray(self.z.data[..., :-2, :], COEFF)
+
+    @property
+    def z2(self) -> RqArray:
+        """Row k of z: (*trials, 1, n)."""
+        return RqArray(self.z.data[..., -2:-1, :], COEFF)
+
+    @property
+    def z3(self) -> RqArray:
+        """Row k + 1 of z: (*trials, 1, n)."""
+        return RqArray(self.z.data[..., -1:, :], COEFF)
 
 
-def _coeffs(value, cls: type, shape: tuple) -> np.ndarray | None:
-    """The array of a coefficient-domain ``cls`` (Poly or PolyVec) value, or of an NttMatrix,
-    if it is int32 of ``shape``."""
-    if type(value) is not cls or getattr(value, "domain", Poly) is not Poly:
+def _array(value, domain: str, shape: tuple) -> np.ndarray | None:
+    """The array of an RqArray in ``domain``, if it is int32 of ``shape``."""
+    if type(value) is not RqArray or value.domain != domain:
         return None
-    c = value.coeffs if cls is Poly else value.data
+    c = value.data
     return c if c.shape == shape and c.dtype == np.int32 else None
 
 
@@ -141,7 +156,8 @@ def _in_range(p: ParamSet, *values) -> bool:
     """Whether every array is there (not None) and their entries, at least one, lie in [0, q)."""
     if any(c is None for c in values):
         return False
-    c = np.concatenate([c.ravel() for c in values])  # one maximum costs less than one per array
+    # one maximum costs less than one per array
+    c = values[0] if len(values) == 1 else np.concatenate([c.ravel() for c in values])
     # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
     return c.size > 0 and c.view(np.uint32).max() < p.q
 
@@ -174,35 +190,39 @@ def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
 
 # -- message encode / decode --------------------------------------------------
 
-def encode_bits(bits: np.ndarray, ring: Ring) -> Poly:
-    """Spread mu_bits payload bits into a ring element at amplitude floor(q/2).
+def encode_bits(bits: np.ndarray, ring: Ring) -> RqArray:
+    """Spread mu_bits payload bits into one coefficient-domain row at amplitude floor(q/2).
 
-    Leading axes of ``bits`` (..., mu_bits) carry over: one element per row.
+    Leading axes of ``bits`` (..., mu_bits) carry over: (..., 1, n).
     """
     p = ring.params
     bits = np.asarray(bits)
-    if bits.shape[-1:] != (p.mu_bits,):
-        raise CodecError(f"payload must be exactly {p.mu_bits} bits, got {bits.shape}")
+    if bits.shape[-1:] != (p.mu_bits,) or not bits.size:
+        raise CodecError(f"payload must be exactly {p.mu_bits} bits per row, got {bits.shape}")
     # 0.5 is in range but would encode as 0; the range is checked before the int32 cast, which could wrap
     if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
         raise CodecError("payload entries must be 0 or 1, of an integer or bool dtype")
     # n = redundancy * mu_bits, so copy r of bit i is coefficient r * mu_bits + i
-    return Poly(np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1))
+    row = np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1)
+    return RqArray(row[..., None, :], COEFF)
 
 
-def decode_bits(v: Poly, ring: Ring) -> np.ndarray:
-    """Threshold-decode a ring element (..., n) back to (..., mu_bits) payload bits."""
+def decode_bits(v: RqArray, ring: Ring) -> np.ndarray:
+    """Threshold-decode one coefficient-domain row (..., 1, n) back to (..., mu_bits) payload bits."""
     p = ring.params
+    c = v.data
+    if v.domain != COEFF or c.shape[-2:] != (1, p.n):
+        raise CodecError(f"decode_bits reads one coefficient-domain row of {p.n}")
     # For coefficients in [0, q), |v - floor(q/2)| <= floor(q/2) <= q - |v - floor(q/2)|,
     # so the plain distance is already the circular one.
-    dist = np.abs(v.coeffs - p.half_q)
+    dist = np.abs(c[..., 0, :] - p.half_q)
     if p.redundancy == 1:
         return (dist < p.quarter_q).view(np.uint8)
     total = dist.reshape(dist.shape[:-1] + (p.redundancy, p.mu_bits)).sum(axis=-2, dtype=np.int32)
     return (total <= p.q).view(np.uint8)
 
 
-def decode_payload(v: Poly, ring: Ring) -> np.ndarray:
+def decode_payload(v: RqArray, ring: Ring) -> np.ndarray:
     """Decoded payload packed into bytes (little-endian bits): (..., mu_bits // 8) uint8."""
     return np.packbits(decode_bits(v, ring), axis=-1, bitorder="little")
 
@@ -236,17 +256,19 @@ def _pack_rows(c: np.ndarray, p: ParamSet) -> bytes:
     return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
 
 
-def pack_poly(v: Poly, ring: Ring) -> bytes:
-    """Pack the (n,) rows of a (..., n) int32 stack in order, 14 bits each, 4 per 7 bytes."""
+def pack_poly(v: RqArray, ring: Ring) -> bytes:
+    """Pack the (n,) rows of a (..., n) int32 coefficient stack in order, 14 bits each, 4 per 7 bytes."""
     p = ring.params
-    c = v.coeffs  # a negative int32 read as uint32 is >= q: one maximum checks [0, q)
-    if c.dtype != np.int32 or c.shape[-1:] != (p.n,) or not c.size or c.view(np.uint32).max() >= p.q:
-        raise CodecError(f"pack_poly takes int32 coefficients in [0, {p.q}) on an axis of {p.n}")
+    c = v.data  # a negative int32 read as uint32 is >= q: one maximum checks [0, q)
+    if (v.domain != COEFF or c.dtype != np.int32 or c.shape[-1:] != (p.n,) or not c.size
+            or c.view(np.uint32).max() >= p.q):
+        raise CodecError(f"pack_poly takes coefficient-domain int32 values in [0, {p.q}) "
+                         f"on an axis of {p.n}")
     return _pack_rows(c, p)
 
 
-def unpack_poly(data: bytes, ring: Ring) -> Poly:
-    """Unpack m * poly_bytes bytes into an (m, n) stack, m >= 1."""
+def unpack_poly(data: bytes, ring: Ring) -> RqArray:
+    """Unpack m * poly_bytes bytes into a coefficient-domain (m, n) stack, m >= 1."""
     p = ring.params
     _require_packable(p)
     step = poly_bytes(p)
@@ -257,7 +279,7 @@ def unpack_poly(data: bytes, ring: Ring) -> Poly:
     coeffs = ((lanes.view("<u8") >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32)
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
-    return Poly(coeffs.reshape(-1, p.n))
+    return RqArray(coeffs.reshape(-1, p.n), COEFF)
 
 
 # -- key / signature formats ---------------------------------------------------
@@ -338,8 +360,7 @@ def parse_pk(data: bytes, ring: Ring) -> PublicKey:
     p = ring.params
     body = _body(data, p, "public key", pk_bytes(p))
     rho = body[:SEED_BYTES]
-    p_vec = PolyVec(unpack_poly(body[SEED_BYTES:], ring).coeffs, Poly)
-    return PublicKey(rho, p_vec, gen_a(rho, ring), p)
+    return PublicKey(rho, unpack_poly(body[SEED_BYTES:], ring), gen_a(rho, ring), p)
 
 
 def serialize_sk(sk, ring: Ring) -> bytes:
@@ -351,19 +372,16 @@ def serialize_sk(sk, ring: Ring) -> bytes:
 def parse_sk(data: bytes, ring: Ring) -> SecretKey:
     p = ring.params
     body = _body(data, p, "secret key", sk_bytes(p))
-    return SecretKey(PolyVec(unpack_poly(body, ring).coeffs, Poly), p)
+    return SecretKey(unpack_poly(body, ring), p)
 
 
 def serialize_sig(sig, ring: Ring) -> bytes:
     if not (isinstance(sig, Signature) and sig.params == ring.params and type(sig.h) is bytes):
         raise CodecError("serialize_sig takes one signature of this parameter set, not a batch")
-    rows = np.concatenate((sig.z1.data.ravel(), sig.z2.coeffs, sig.z3.coeffs))
-    return b"".join((_header(ring.params), _pack_rows(rows, ring.params), sig.h))
+    return b"".join((_header(ring.params), _pack_rows(sig.z.data, ring.params), sig.h))
 
 
 def parse_sig(data: bytes, ring: Ring) -> Signature:
     p = ring.params
     body = _body(data, p, "signature", sig_bytes(p))
-    rows = unpack_poly(body[:-SEED_BYTES], ring).coeffs
-    return Signature(PolyVec(rows[: p.k], Poly), Poly(rows[p.k]), Poly(rows[p.k + 1]),
-                     body[-SEED_BYTES:], p)
+    return Signature(unpack_poly(body[:-SEED_BYTES], ring), body[-SEED_BYTES:], p)

@@ -1,19 +1,19 @@
 """Arithmetic in R_q = Z_q[x]/(x^n + 1) and over rank-k modules.
 
-Coefficient-domain and NTT-domain values are distinct types (``Poly`` vs
-``NttPoly``); every operation checks the domain so the two can never be mixed
-silently. Coefficients are stored canonically in [0, q); centered
+Every value is one type, ``RqArray``: an int32 array of shape (..., rows, n)
+tagged with its domain, ``COEFF`` (coefficients) or ``NTT`` (evaluations).
+Every operation checks the domain, so the two can never be mixed silently.
+Entries are stored canonically in [0, q), below q < 2^14; centered
 representatives exist only inside the norm helper and the codec.
 
-Every value array is int32: residues lie below q < 2^14. Module values are
-stacked: a ``PolyVec`` is one (k, n) int32 array tagged with its row domain,
-an ``NttMatrix`` one (k, k, n) array in NTT domain. Every value may also
-carry leading batch axes: ``Poly``/``NttPoly`` data of shape (..., n),
-``PolyVec`` (..., k, n), ``NttMatrix`` (..., k, k, n), one entry per trial of
-a batch. The module axis of a vector is axis -2; its length and indexing
-refer to that axis. Vector add/sub, ``matvec`` and ``inner_product`` act on
-the trailing axes and broadcast over the leading ones, so a key without batch
-axes combines with a batch of noise.
+Axis -1 holds one ring element's n entries and axis -2 the module rows: a
+ring element has one row, a length-k vector k rows, and a k x k matrix is an
+NTT-domain (..., k, k, n) array. A single element keeps its row axis, so a
+batch axis is never taken for a module axis. Leading axes are batch axes,
+one entry per trial of a batch. add/sub, ``matvec`` and ``inner_product``
+act on the trailing axes and broadcast over the leading ones, so a key
+without batch axes combines with a batch of noise; add/sub refuse values
+whose domains or row counts differ.
 
 Reductions. A sum or difference of two residues lies in (-q, 2q), so one
 conditional correction reduces it, written as one ``np.minimum`` over the
@@ -23,10 +23,12 @@ true ``% q``: ``matvec`` and ``inner_product`` sum k products below (q-1)^2
 in int32 and reduce once, exact because ``validate_params`` keeps
 k*(q-1)^2 below 2^31 (3.0e8 at k = 2, q = 12289).
 
-Transforms stay one ``ntt``/``intt`` call per module row, each over the
-(..., n) stack of that row in every trial. A cycle therefore transforms the
-same polynomial slots however many trials it carries; stacking across module
-rows is not done.
+``ntt``/``intt`` transform one row, over its (..., 1, n) stack in every
+trial, and ``vec_ntt``/``vec_intt`` make one such call per module row. A
+cycle therefore transforms the same polynomial slots however many trials it
+carries. ``_transform`` would take all rows at once, but the row loop stays
+while the benchmark counts transform calls (19 per z2 cycle,
+``perfbench/test_perfbench.py``).
 
 The transforms (defined, with their two-stage layout, in ``NttConstants``)
 multiply float64 tables by int32 inputs and reduce mod q once, in float64,
@@ -61,61 +63,23 @@ class DomainError(TypeError):
     """Coefficient-domain and NTT-domain values were mixed, or shapes disagree."""
 
 
-@dataclass(frozen=True, eq=False)
-class Poly:
-    """Ring element in coefficient representation; entries in [0, q)."""
-
-    coeffs: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Poly) and np.array_equal(self.coeffs, other.coeffs)
+COEFF = "coeff"
+NTT = "ntt"
 
 
-@dataclass(frozen=True, eq=False)
-class NttPoly:
-    """Ring element in NTT (evaluation) representation; entries in [0, q)."""
+@dataclass(frozen=True, eq=False, slots=True)  # slots: one is built per operation and per row
+class RqArray:
+    """Values over R_q: an int32 (..., rows, n) array of entries in [0, q), in ``domain``.
 
-    evals: np.ndarray
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NttPoly) and np.array_equal(self.evals, other.evals)
-
-
-@dataclass(frozen=True, eq=False)
-class PolyVec:
-    """Length-k vector over R_q: a (..., k, n) array whose rows are ``domain`` values.
-
-    ``domain`` is ``Poly`` or ``NttPoly``; length and indexing refer to the
-    module axis -2, and row i is the (..., n) stack of that row.
+    ``domain`` is ``COEFF`` or ``NTT``; see the module docstring for the axes.
     """
 
     data: np.ndarray
-    domain: type
-
-    def __len__(self) -> int:
-        return self.data.shape[-2]
-
-    def __getitem__(self, i):
-        return self.domain(self.data[..., i, :])
+    domain: str
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyVec)
-            and self.domain is other.domain
-            and np.array_equal(self.data, other.data)
-        )
-
-
-@dataclass(frozen=True, eq=False)
-class NttMatrix:
-    """k x k matrix over R_q in NTT domain: one (..., k, k, n) int32 array."""
-
-    data: np.ndarray
-
-
-def _values(x) -> np.ndarray:
-    """The value array of a Poly or NttPoly."""
-    return x.coeffs if type(x) is Poly else x.evals
+        return (isinstance(other, RqArray) and self.domain == other.domain
+                and np.array_equal(self.data, other.data))
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,97 +225,93 @@ class Ring:
         y -= quot
         return y.transpose(1, 2, 0).astype(np.int32, order="C").reshape(x.shape)
 
-    def ntt(self, p: Poly) -> NttPoly:
-        if not isinstance(p, Poly):
-            raise DomainError(f"ntt expects a coefficient-domain Poly, got {type(p).__name__}")
-        return NttPoly(self._transform(self._forward, p.coeffs))
+    def ntt(self, p: RqArray) -> RqArray:
+        """Forward transform of one coefficient-domain row, (..., 1, n)."""
+        if type(p) is not RqArray or p.domain != COEFF or p.data.shape[-2] != 1:
+            raise DomainError("ntt expects one coefficient-domain row")
+        return RqArray(self._transform(self._forward, p.data), NTT)
 
-    def intt(self, p: NttPoly) -> Poly:
-        if not isinstance(p, NttPoly):
-            raise DomainError(f"intt expects an NTT-domain NttPoly, got {type(p).__name__}")
-        return Poly(self._transform(self._inverse, p.evals))
+    def intt(self, p: RqArray) -> RqArray:
+        """Inverse transform of one NTT-domain row, (..., 1, n)."""
+        if type(p) is not RqArray or p.domain != NTT or p.data.shape[-2] != 1:
+            raise DomainError("intt expects one NTT-domain row")
+        return RqArray(self._transform(self._inverse, p.data), COEFF)
 
-    def vec_ntt(self, v: PolyVec) -> PolyVec:
-        """One ``ntt`` call per module row, over that row's (..., n) stack."""
-        return self._rows(self.ntt, v, NttPoly)
+    def vec_ntt(self, v: RqArray) -> RqArray:
+        """One ``ntt`` call per module row, over that row's (..., 1, n) stack."""
+        return self._rows(self.ntt, v, NTT)
 
-    def vec_intt(self, v: PolyVec) -> PolyVec:
-        """One ``intt`` call per module row, over that row's (..., n) stack."""
-        return self._rows(self.intt, v, Poly)
+    def vec_intt(self, v: RqArray) -> RqArray:
+        """One ``intt`` call per module row, over that row's (..., 1, n) stack."""
+        return self._rows(self.intt, v, COEFF)
 
-    def _rows(self, transform, v: PolyVec, domain: type) -> PolyVec:
-        """``transform`` of each module row of v, written into one (..., k, n) int32 array."""
+    def _rows(self, transform, v: RqArray, domain: str) -> RqArray:
+        """``transform`` of each module row of v, written into one (..., rows, n) int32 array."""
         out = np.empty(v.data.shape, dtype=np.int32)
-        for i in range(len(v)):
-            out[..., i, :] = _values(transform(v[i]))
-        return PolyVec(out, domain)
+        for i in range(v.data.shape[-2]):
+            out[..., i : i + 1, :] = transform(RqArray(v.data[..., i : i + 1, :], v.domain)).data
+        return RqArray(out, domain)
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 
-    def add(self, a, b):
+    def add(self, a: RqArray, b: RqArray) -> RqArray:
         return self._elementwise(np.add, a, b, "add")
 
-    def sub(self, a, b):
+    def sub(self, a: RqArray, b: RqArray) -> RqArray:
         return self._elementwise(np.subtract, a, b, "subtract")
 
-    def _elementwise(self, op, a, b, verb: str):
-        """op(a, b) mod q on two ring elements, or two vectors, of one domain.
+    def _elementwise(self, op, a: RqArray, b: RqArray, verb: str) -> RqArray:
+        """op(a, b) mod q on two values of one domain and one row count.
 
-        Leading batch axes broadcast. The sum or difference of two residues
-        is reduced by one conditional correction (see the module docstring).
+        Leading batch axes broadcast, module rows do not. The sum or
+        difference of two residues is reduced by one conditional correction
+        (see the module docstring).
         """
-        if type(a) is PolyVec and type(b) is PolyVec:
-            if a.domain is b.domain and len(a) == len(b):
-                return PolyVec(self._reduce_once(op, a.data, b.data), a.domain)
-        elif type(a) is type(b) and type(a) in (Poly, NttPoly):
-            return type(a)(self._reduce_once(op, _values(a), _values(b)))
-        raise DomainError(f"cannot {verb} {type(a).__name__} and {type(b).__name__}: "
-                          "domains or lengths differ")
-
-    def _reduce_once(self, op, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """op(x, y) for int32 residues x, y, brought back into [0, q) by one np.minimum."""
-        d = op(x, y)
+        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != b.domain
+                or a.data.shape[-2] != b.data.shape[-2]):
+            raise DomainError(f"cannot {verb} values whose domains or row counts differ")
+        d = op(a.data, b.data)
         if d.dtype != np.int32:  # a uint32 view of wider values would split each one
             raise DomainError(f"ring values must be int32 arrays, got {d.dtype}")
         u = d.view(np.uint32)
         # min(d, d - q) after an add, min(d, d + q) after a sub: the wrong
         # candidate wraps around to 2^32 - q or above
         np.minimum(u, u - self.q if op is np.add else u + self.q, out=u)
-        return d
+        return RqArray(d, a.domain)
 
     # -- multiplicative arithmetic ------------------------------------------
 
-    def pointwise_mul(self, a: NttPoly, b: NttPoly) -> NttPoly:
-        if not (isinstance(a, NttPoly) and isinstance(b, NttPoly)):
-            raise DomainError("pointwise_mul is defined on NTT-domain values only")
-        return NttPoly(a.evals * b.evals % self.q)
+    def pointwise_mul(self, a: RqArray, b: RqArray) -> RqArray:
+        """a o b, entry by entry, on two NTT-domain values of one row count."""
+        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT
+                or b.domain != NTT or a.data.shape[-2] != b.data.shape[-2]):
+            raise DomainError("pointwise_mul is defined on NTT-domain values of one row count")
+        return RqArray(a.data * b.data % self.q, NTT)
 
-    def matvec(self, mat: NttMatrix, v: PolyVec) -> PolyVec:
-        """M^T o v: out_j = sum_i M_ij o v_i; batch axes broadcast."""
-        if v.domain is not NttPoly:
-            raise DomainError("matvec operates on NTT-domain vectors")
-        if mat.data.shape[-3:-1] != (len(v), len(v)):
+    def matvec(self, mat: RqArray, v: RqArray) -> RqArray:
+        """M^T o v: out_j = sum_i M_ij o v_i for a (..., k, k, n) M; batch axes broadcast."""
+        if type(mat) is not RqArray or type(v) is not RqArray or mat.domain != NTT or v.domain != NTT:
+            raise DomainError("matvec operates on NTT-domain values")
+        k = v.data.shape[-2]
+        if mat.data.shape[-3:-1] != (k, k):
             raise DomainError("matrix/vector rank mismatch")
-        return PolyVec((mat.data * v.data[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NttPoly)
+        return RqArray((mat.data * v.data[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NTT)
 
-    def inner_product(self, a: PolyVec, b: PolyVec) -> NttPoly:
-        """sum_i a_i o b_i, one ring element in NTT domain (per trial of a batch)."""
-        if a.domain is not NttPoly or b.domain is not NttPoly:
+    def inner_product(self, a: RqArray, b: RqArray) -> RqArray:
+        """sum_i a_i o b_i: one NTT-domain row, (..., 1, n), per trial of a batch."""
+        if type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT or b.domain != NTT:
             raise DomainError("inner_product operates on NTT-domain vectors")
-        if len(a) != len(b):
+        if a.data.shape[-2] != b.data.shape[-2]:
             raise DomainError("vector length mismatch")
-        return NttPoly((a.data * b.data).sum(axis=-2, dtype=np.int32) % self.q)
+        return RqArray((a.data * b.data).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
 
     # -- norms ---------------------------------------------------------------
 
-    def infinity_norm(self, x) -> int:
-        """max_i min(c_i, q - c_i) over all coefficients (and trials) of a Poly or PolyVec."""
-        if isinstance(x, Poly):
-            c = x.coeffs
-        elif isinstance(x, PolyVec) and x.domain is Poly:
-            c = x.data
-        else:
+    def infinity_norm(self, x: RqArray) -> int:
+        """max_i min(c_i, q - c_i) over every coefficient, row and trial of a coefficient-domain value."""
+        if type(x) is not RqArray or x.domain != COEFF:
             raise DomainError("infinity norm is defined on coefficient-domain values")
+        c = x.data
         return int(np.max(np.minimum(c, self.q - c)))
 
 

@@ -39,7 +39,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import SEED_BYTES
-from .ring import Ring, Poly, PolyVec, NttMatrix
+from .ring import COEFF, NTT, Ring, RqArray
 
 SHAKE128_RATE = 168  # output bytes per Keccak permutation
 
@@ -85,8 +85,8 @@ def _gen_a_bytes(n: int, q: int, bits: int) -> int:
             return 2 * m
 
 
-def gen_a(rho, ring: Ring) -> NttMatrix:
-    """Expand rho into the public k x k matrix, uniform in NTT domain.
+def gen_a(rho, ring: Ring) -> RqArray:
+    """Expand rho into the public k x k matrix, uniform in NTT domain: (..., k, k, n).
 
     All k^2 streams of every seed are squeezed to ``_gen_a_bytes`` (five
     blocks, 840 bytes, at the default set) and tested in one pass; each entry
@@ -106,7 +106,7 @@ def gen_a(rho, ring: Ring) -> NttMatrix:
         if rank[:, -1].min() >= n:
             accept &= rank <= n
             data = np.compress(accept.ravel(), cand).astype(np.int32).reshape(len(rhos), k, k, n)
-            return NttMatrix(data[0] if single else data)
+            return RqArray(data[0] if single else data, NTT)
         need *= 2
 
 
@@ -135,31 +135,31 @@ def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
     return lookup.take(total).reshape(len(seeds), len(nonces), p.n)
 
 
-def gen_se(seed, nonces: range, ring: Ring) -> PolyVec:
+def gen_se(seed, nonces: range, ring: Ring) -> RqArray:
     """psi_eta noise (values in [-eta, eta], stored mod q) per seed, one row per nonce."""
     seeds, single = _seed_batch(seed, "seed")
     c = _binomial(seeds, nonces, ring)
-    return PolyVec(c[0] if single else c, Poly)
+    return RqArray(c[0] if single else c, COEFF)
 
 
-def gen_se_vec(seed, first_nonce: int, ring: Ring) -> PolyVec:
+def gen_se_vec(seed, first_nonce: int, ring: Ring) -> RqArray:
     """k consecutive binomial polynomials starting at ``first_nonce``, per seed."""
     return gen_se(seed, range(first_nonce, first_nonce + ring.k), ring)
 
 
-def expand_key_noise(xi, ring: Ring) -> tuple[PolyVec, PolyVec]:
+def expand_key_noise(xi, ring: Ring) -> tuple[RqArray, RqArray]:
     """(s, e) from the keygen seed(s): one draw over nonces 0..2k-1, split in half.
 
     s is a copy, so that the secret key does not keep e's half of the draw alive.
     """
     se = gen_se(xi, range(2 * ring.k), ring).data
-    return PolyVec(se[..., :ring.k, :].copy(), Poly), PolyVec(se[..., ring.k:, :], Poly)
+    return RqArray(se[..., :ring.k, :].copy(), COEFF), RqArray(se[..., ring.k:, :], COEFF)
 
 
-def expand_signing_noise(r, ring: Ring) -> tuple[PolyVec, PolyVec, Poly, Poly]:
-    """(e1, e2, e3, e4) from the signing coin(s): views of one draw over nonces
-    0..2k+1, split as 0..k-1, k..2k-1, 2k and 2k+1."""
+def expand_signing_noise(r, ring: Ring) -> tuple[RqArray, RqArray, RqArray, RqArray]:
+    """(e1, e2, e3, e4) from the signing coin(s): row slices of one draw over
+    nonces 0..2k+1, split as 0..k-1, k..2k-1, 2k and 2k+1."""
     k = ring.k
     e = gen_se(r, range(2 * k + 2), ring).data
-    return (PolyVec(e[..., :k, :], Poly), PolyVec(e[..., k:2 * k, :], Poly),
-            Poly(e[..., 2 * k, :]), Poly(e[..., 2 * k + 1, :]))
+    return (RqArray(e[..., :k, :], COEFF), RqArray(e[..., k:2 * k, :], COEFF),
+            RqArray(e[..., 2 * k:2 * k + 1, :], COEFF), RqArray(e[..., 2 * k + 1:, :], COEFF))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import mlds
-from mlds import DEFAULT_PARAMS, ParamSet, PolyVec, Poly, Signature, crh, get_ring
+from mlds import COEFF, DEFAULT_PARAMS, ParamSet, RqArray, Signature, crh, get_ring
 from mlds.codec import decode_payload, encode_bits
 from mlds.scheme import mu_payload_bits
 
@@ -55,9 +55,10 @@ def forge_key_only(pk, message: bytes, ring, rng) -> Signature:
     makes w = encode(mu) exactly, and h is computed from z2 as the verifier does.
     """
     mu = crh(message)
-    z1 = PolyVec(rng.integers(0, ring.q, (ring.k, ring.n)).astype(np.int32), Poly)
-    z2 = Poly(rng.integers(0, ring.q, ring.n).astype(np.int32))
+    z1 = RqArray(rng.integers(0, ring.q, (ring.k, ring.n)).astype(np.int32), COEFF)
+    z2 = RqArray(rng.integers(0, ring.q, (1, ring.n)).astype(np.int32), COEFF)
     p_z1 = ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(z1)))
     z3 = ring.sub(ring.add(encode_bits(mu_payload_bits(mu, ring.params), ring), p_z1), z2)
     h = crh(mu + crh(decode_payload(z2, ring).tobytes()))
-    return Signature(z1=z1, z2=z2, z3=z3, h=h, params=ring.params)
+    z = RqArray(np.concatenate((z1.data, z2.data, z3.data)), COEFF)
+    return Signature(z=z, h=h, params=ring.params)

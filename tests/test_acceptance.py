@@ -28,7 +28,7 @@ from mlds import (
     LweInstance, primal_cost, dual_cost, key_sizes,
     keygen, sign, verify, measure_agreement, Z2_DERIVED, SECRET_DERIVED,
     serialize_sig, parse_sig,
-    gen_a, gen_se, crh, CodecError, Poly, PolyVec,
+    gen_a, gen_se, crh, CodecError, COEFF, RqArray,
 )
 from mlds.cli import main as cli_main
 from mlds.codec import SecretKey, encode_bits, pk_bytes, sig_bytes, sk_bytes
@@ -232,7 +232,7 @@ def test_z2_signing_reads_the_secret_key(ring):
     identical = 0
     for t in range(20):
         pk, sk = keygen(bytes([0x40 + t]) * 32)
-        zero_sk = SecretKey(PolyVec(np.zeros_like(sk.s.data), Poly), sk.params)
+        zero_sk = SecretKey(RqArray(np.zeros_like(sk.s.data), COEFF), sk.params)
         msg, r = rng.bytes(24), rng.bytes(32)
         real = serialize_sig(sign(sk, pk, msg, r), ring)
         identical += serialize_sig(sign(zero_sk, pk, msg, r), ring) == real
@@ -292,7 +292,7 @@ def test_criterion_8_sampler_statistics(ring):
     for block in range(16):
         seed = bytes([0x80 + block]) + bytes(31)
         for nonce in range(245):
-            samples.append(centered(ring, gen_se(seed, range(nonce, nonce + 1), ring)[0]))
+            samples.append(centered(ring, gen_se(seed, range(nonce, nonce + 1), ring)))
     samples = np.concatenate(samples)  # ~1e6 draws
     var_ok = abs(samples.var() - eta / 2) <= 0.05 * (eta / 2)
 
@@ -302,7 +302,7 @@ def test_criterion_8_sampler_statistics(ring):
     width = np.array([np.count_nonzero(np.arange(ring.q) * 16 // ring.q == t) for t in range(16)])
     _, p_value = stats.chisquare(buckets, len(flat) * width / ring.q)
 
-    se_det = gen_se(bytes(32), range(0, 1), ring)[0] == gen_se(bytes(32), range(0, 1), ring)[0]
+    se_det = gen_se(bytes(32), range(0, 1), ring) == gen_se(bytes(32), range(0, 1), ring)
     a2 = gen_a(bytes(32), ring)
     a_det = all(np.array_equal(a.data[..., i, j, :], a2.data[..., i, j, :])
                 for i in range(ring.k) for j in range(ring.k))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlds import (
-    DEFAULT_PARAMS, NttMatrix, NttPoly, ParamSet, Poly, PolyVec, get_ring, keygen, sign, verify,
+    COEFF, DEFAULT_PARAMS, NTT, ParamSet, RqArray, get_ring, keygen, sign, verify,
     Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
@@ -21,7 +21,7 @@ from mlds.sampling import crh
 from mlds.scheme import _keygen_steps, _sign_steps, _verify_steps
 
 from conftest import random_poly
-from ring_oracle import poly, zero, monomial
+from ring_oracle import poly, zero, monomial, row
 
 
 @pytest.fixture(scope="module")
@@ -53,17 +53,18 @@ def test_encode_single_bit_redundancy_1(ring):
     bits = np.zeros(256, dtype=np.uint8)
     bits[0] = 1
     v = encode_bits(bits, ring)
-    assert v.coeffs[0] == 6144
-    assert not v.coeffs[1:].any()
+    assert v.data.shape == (1, ring.n)
+    assert v.data[0, 0] == 6144
+    assert not v.data[0, 1:].any()
 
 
 def test_encode_single_bit_redundancy_4(ring_r4):
     bits = np.zeros(64, dtype=np.uint8)
     bits[0] = 1
     v = encode_bits(bits, ring_r4)
-    hot = np.nonzero(v.coeffs)[0]
+    hot = np.nonzero(v.data[0])[0]
     assert hot.tolist() == [0, 64, 128, 192]
-    assert (v.coeffs[hot] == 6144).all()
+    assert (v.data[0, hot] == 6144).all()
 
 
 @pytest.mark.parametrize("mode", ["r1", "r4"])
@@ -89,14 +90,14 @@ def test_decode_survives_small_noise(mode, ring, ring_r4, rng):
     for _ in range(100):
         bits = rng.integers(0, 2, r.params.mu_bits).astype(np.uint8)
         noise = rng.integers(-32, 33, r.n)
-        noisy = poly(r, (encode_bits(bits, r).coeffs + noise) % q)
+        noisy = poly(r, (encode_bits(bits, r).data[0] + noise) % q)
         assert np.array_equal(decode_bits(noisy, r), bits)
 
 
 def test_decode_noise_boundary(ring, rng):
     q = ring.q
     bits = rng.integers(0, 2, 256).astype(np.uint8)
-    enc = encode_bits(bits, ring).coeffs
+    enc = encode_bits(bits, ring).data[0]
     # centered magnitude 3071 always decodes; 3072 flips every bit=1 position
     for sign_ in (+1, -1):
         ok = poly(ring, (enc + sign_ * 3071) % q)
@@ -111,6 +112,15 @@ def test_decode_tie_rule(ring):
     assert decode_bits(v, ring)[0] == 0
 
 
+def test_decode_reads_one_coefficient_row(ring):
+    # a module vector or an NTT-domain row is refused, not decoded from its first row
+    v = encode_bits(np.ones(ring.params.mu_bits, dtype=np.uint8), ring)
+    assert decode_bits(v, ring).all()
+    for bad in (RqArray(np.concatenate([v.data] * ring.k), COEFF), RqArray(v.data, NTT)):
+        with pytest.raises(CodecError):
+            decode_bits(bad, ring)
+
+
 def test_encode_validates_payload(ring):
     with pytest.raises(CodecError):
         encode_bits(np.zeros(255, dtype=np.uint8), ring)
@@ -122,6 +132,9 @@ def test_encode_validates_payload(ring):
     # in range, but a fractional payload would encode every bit as 0
     with pytest.raises(CodecError):
         encode_bits(np.full(256, 0.5), ring)
+    # an empty batch has no minimum to check
+    with pytest.raises(CodecError):
+        encode_bits(np.zeros((0, 256), dtype=np.uint8), ring)
 
 
 # -- packing ----------------------------------------------------------------------
@@ -133,9 +146,9 @@ def test_pack_zero(ring):
 def test_pack_roundtrip_random(ring, rng):
     for _ in range(200):
         p = random_poly(ring, rng)
-        out = unpack_poly(pack_poly(p, ring), ring).coeffs
-        assert out.dtype == np.int32 and out.shape == (1, ring.n)
-        assert np.array_equal(out, p.coeffs[None])
+        out = unpack_poly(pack_poly(p, ring), ring)
+        assert out.domain == COEFF and out.data.dtype == np.int32 and out.data.shape == (1, ring.n)
+        assert out == p
 
 
 def test_pack_known_value(ring):
@@ -164,9 +177,9 @@ def test_pack_unpack_stack_roundtrip(m, seed, at, edge):
     n = DEFAULT_PARAMS.n
     x = np.random.default_rng(seed).integers(0, DEFAULT_PARAMS.q, (m, n), dtype=np.int32)
     x.flat[at % x.size] = edge
-    wire = pack_poly(Poly(x), FUZZ_RING)
+    wire = pack_poly(RqArray(x, COEFF), FUZZ_RING)
     assert len(wire) == m * poly_bytes(DEFAULT_PARAMS)
-    out = unpack_poly(wire, FUZZ_RING).coeffs
+    out = unpack_poly(wire, FUZZ_RING).data
     assert out.dtype == np.int32 and out.shape == (m, n)
     assert np.array_equal(out, x)
 
@@ -179,7 +192,7 @@ def test_pack_rejects_out_of_range_stack(m, seed, at, bad):
     x = np.random.default_rng(seed).integers(0, DEFAULT_PARAMS.q, (m, DEFAULT_PARAMS.n), dtype=np.int32)
     x.flat[at % x.size] = bad
     with pytest.raises(CodecError):
-        pack_poly(Poly(x), FUZZ_RING)
+        pack_poly(RqArray(x, COEFF), FUZZ_RING)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -192,7 +205,7 @@ def test_pack_rejects_out_of_range_stack(m, seed, at, bad):
 ], ids=["int64", "float64", "axis-252", "axis-1", "empty", "scalar"])
 def test_pack_rejects_bad_dtype_or_axis(coeffs, ring):
     with pytest.raises(CodecError):
-        pack_poly(Poly(coeffs), ring)
+        pack_poly(RqArray(coeffs, COEFF), ring)
 
 
 # -- file formats -------------------------------------------------------------------
@@ -222,8 +235,27 @@ def test_roundtrip_pk_sk_sig(ring, keypair_sig):
     sk2 = parse_sk(serialize_sk(sk, ring), ring)
     assert sk2.s == sk.s
     sig2 = parse_sig(serialize_sig(sig, ring), ring)
+    assert sig2.z == sig.z and sig2.z.data.shape == (ring.k + 2, ring.n)
     assert sig2.z1 == sig.z1 and sig2.z2 == sig.z2
     assert sig2.z3 == sig.z3 and sig2.h == sig.h
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["one", "batch-of-3"])
+def test_signature_parts_are_views_of_one_wire_ordered_array(ring, keypair_sig, batch):
+    # z1, z2 and z3 are the rows of z in wire order, sharing its memory
+    if batch:
+        pk, sk = _keygen_steps([bytes([t]) * 32 for t in range(3)], ring)
+        sig = _sign_steps(sk, pk, [crh(bytes([t])) for t in range(3)],
+                          [bytes([7 + t]) * 32 for t in range(3)], ring, Z2_DERIVED)
+    else:
+        sig = keypair_sig[2]
+    trials = (3,) if batch else ()
+    assert sig.z.domain == COEFF and sig.z.data.shape == trials + (ring.k + 2, ring.n)
+    parts = (sig.z1, sig.z2, sig.z3)
+    assert [part.data.shape for part in parts] == [trials + (rows, ring.n) for rows in (ring.k, 1, 1)]
+    for part in parts:
+        assert part.domain == COEFF and np.shares_memory(part.data, sig.z.data)
+    assert np.array_equal(np.concatenate([part.data for part in parts], axis=-2), sig.z.data)
 
 
 def test_parse_rejects_corrupt_magic(ring, keypair_sig):
@@ -289,7 +321,7 @@ def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair
     # 16383 in the fourth 14-bit field of the last 7-byte group
     group = int.from_bytes(blob[end - 7 : end], "little") | ((1 << PACK_BITS) - 1) << (3 * PACK_BITS)
     blob[end - 7 : end] = group.to_bytes(7, "little")
-    assert parse_sig(serialize_sig(sig, ring), ring).z3.coeffs[-1] < params.q
+    assert parse_sig(serialize_sig(sig, ring), ring).z.data[-1, -1] < params.q
     with pytest.raises(CodecError):
         parse_sig(bytes(blob), ring)
 
@@ -309,9 +341,9 @@ def unserializable(ring, keypair_sig):
             "h-33": (serialize_sig, lambda: dataclasses.replace(one_sig, h=bytes(33))),
             "rho-str": (serialize_pk, lambda: dataclasses.replace(one_pk, rho="r" * 32)),
             "rho-bytearray": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytearray(32))),
-            "p-poly": (serialize_pk, lambda: dataclasses.replace(one_pk, p_vec=one_pk.p_vec[0])),
+            "p-poly": (serialize_pk, lambda: dataclasses.replace(one_pk, p_vec=row(one_pk.p_vec, 0))),
             "p-int64": (serialize_pk, lambda: dataclasses.replace(
-                one_pk, p_vec=PolyVec(one_pk.p_vec.data.astype(np.int64), Poly))),
+                one_pk, p_vec=RqArray(one_pk.p_vec.data.astype(np.int64), COEFF))),
             "s-ndarray": (serialize_sk, lambda: SecretKey(one_sk.s.data, ring.params)),
             "sk-as-pk": (serialize_pk, lambda: one_sk),
             "pk-as-sk": (serialize_sk, lambda: one_pk)}
@@ -342,18 +374,18 @@ def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
     a_q[1, 0, 5] = ring.q
     batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
     fields = {
-        "p-ntt": {"p_vec": PolyVec(p, NttPoly)},
-        "p-plus-20000": {"p_vec": PolyVec(p + 20000, Poly)},
-        "p-int64": {"p_vec": PolyVec(p.astype(np.int64), Poly)},
-        "p-negative": {"p_vec": PolyVec(p - ring.q, Poly)},
-        "p-batch-of-one": {"p_vec": PolyVec(p[None], Poly)},
+        "p-ntt": {"p_vec": RqArray(p, NTT)},
+        "p-plus-20000": {"p_vec": RqArray(p + 20000, COEFF)},
+        "p-int64": {"p_vec": RqArray(p.astype(np.int64), COEFF)},
+        "p-negative": {"p_vec": RqArray(p - ring.q, COEFF)},
+        "p-batch-of-one": {"p_vec": RqArray(p[None], COEFF)},
         "rho-tuple-for-one": {"rho": (pk.rho,)},
         "rho-tuple-short": {"rho": batch.rho[:1], "p_vec": batch.p_vec},
-        "rho-empty-tuple": {"rho": (), "p_vec": PolyVec(np.zeros((0, ring.k, ring.n), np.int32), Poly)},
+        "rho-empty-tuple": {"rho": (), "p_vec": RqArray(np.zeros((0, ring.k, ring.n), np.int32), COEFF)},
         "a-none": {"a_hat": None},
-        "a-3x3": {"a_hat": NttMatrix(np.zeros((3, 3, ring.n), np.int32))},
-        "a-int64": {"a_hat": NttMatrix(a.astype(np.int64))},
-        "a-q": {"a_hat": NttMatrix(a_q)},
+        "a-3x3": {"a_hat": RqArray(np.zeros((3, 3, ring.n), np.int32), NTT)},
+        "a-int64": {"a_hat": RqArray(a.astype(np.int64), NTT)},
+        "a-q": {"a_hat": RqArray(a_q, NTT)},
     }[kind]
     assert p.dtype == np.int32 and (p + 20000).dtype == np.int32
     with pytest.raises(CodecError, match="public key"):
@@ -372,17 +404,19 @@ def test_batched_and_parsed_public_keys_build(ring, keypair_sig):
 
 
 def _malformed(sig, kind, ring):
-    z1, z2, z3 = sig.z1.data, sig.z2.coeffs, sig.z3.coeffs
-    out_of_range = z2.copy()
-    out_of_range[7] = ring.q
+    # z holds z1's k rows, z2 and z3; one array has one domain, so a z2 in
+    # the NTT domain is the whole z transformed
+    z = sig.z.data
+    out_of_range = z.copy()
+    out_of_range[ring.k, 7] = ring.q
     fields = {
-        "z1-poly": {"z1": sig.z1[0]},
-        "z1-ndarray": {"z1": z1},
-        "z1-ntt": {"z1": PolyVec(z1, NttPoly)},
-        "z1-int64": {"z1": PolyVec(z1.astype(np.int64), Poly)},
-        "z2-ntt": {"z2": ring.ntt(sig.z2)},
-        "z2-out-of-range": {"z2": Poly(out_of_range)},
-        "z3-short": {"z3": Poly(z3[:-1])},
+        "z1-poly": {"z": RqArray(np.concatenate((z[:1], z[-2:])), COEFF)},
+        "z1-ndarray": {"z": z},
+        "z1-ntt": {"z": RqArray(z, NTT)},
+        "z1-int64": {"z": RqArray(z.astype(np.int64), COEFF)},
+        "z2-ntt": {"z": ring.vec_ntt(sig.z)},
+        "z2-out-of-range": {"z": RqArray(out_of_range, COEFF)},
+        "z3-short": {"z": RqArray(z[:, :-1], COEFF)},
         "h-str": {"h": "h" * SEED_BYTES},
         "h-bytearray": {"h": bytearray(sig.h)},
         "h-short": {"h": sig.h[:-1]},
@@ -410,14 +444,14 @@ def test_batch_with_one_malformed_trial_cannot_be_built(kind, ring):
     mus = [crh(b"a"), crh(b"b")]
     pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
     sig = _sign_steps(sk, pk, mus, [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
-    z2, h = sig.z2.coeffs.copy(), list(sig.h)
+    z, h = sig.z.data.copy(), list(sig.h)
     if kind == "z2-out-of-range":
-        z2[1, 7] = ring.q
+        z[1, ring.k, 7] = ring.q
     else:
         h[1] = bytearray(h[1]) if kind == "h-bytearray" else h[1][:-1]
     assert _verify_steps(pk, mus, sig, ring)[0] == (None, None)
     with pytest.raises(CodecError, match="signature"):
-        dataclasses.replace(sig, z2=Poly(z2), h=tuple(h))
+        dataclasses.replace(sig, z=RqArray(z, COEFF), h=tuple(h))
 
 
 @pytest.mark.parametrize("kind", ["s-ntt", "s-int64", "s-q", "s-negative", "s-short-axis",
@@ -426,13 +460,13 @@ def test_malformed_secret_key_is_refused_when_built(kind, ring, keypair_sig):
     sk = keypair_sig[1]
     s = sk.s.data
     fields = {
-        "s-ntt": {"s": PolyVec(s, NttPoly)},
-        "s-int64": {"s": PolyVec(s.astype(np.int64), Poly)},
-        "s-q": {"s": PolyVec(np.full_like(s, ring.q), Poly)},
-        "s-negative": {"s": PolyVec(s - ring.q, Poly)},
-        "s-short-axis": {"s": PolyVec(s[:, :-1], Poly)},
-        "s-empty-batch": {"s": PolyVec(s[None][:0], Poly)},
-        "s-two-batch-axes": {"s": PolyVec(s[None, None], Poly)},
+        "s-ntt": {"s": RqArray(s, NTT)},
+        "s-int64": {"s": RqArray(s.astype(np.int64), COEFF)},
+        "s-q": {"s": RqArray(np.full_like(s, ring.q), COEFF)},
+        "s-negative": {"s": RqArray(s - ring.q, COEFF)},
+        "s-short-axis": {"s": RqArray(s[:, :-1], COEFF)},
+        "s-empty-batch": {"s": RqArray(s[None][:0], COEFF)},
+        "s-two-batch-axes": {"s": RqArray(s[None, None], COEFF)},
         "params-none": {"params": None},
     }[kind]
     with pytest.raises(CodecError, match="secret key"):
@@ -455,7 +489,7 @@ def test_parsers_take_any_bytes_like_wire(wire_type, ring, keypair_sig):
                       for parse, wire in zip((parse_pk, parse_sk, parse_sig), wires))
     assert pk2.rho == pk.rho and pk2.p_vec == pk.p_vec and np.array_equal(pk2.a_hat.data, pk.a_hat.data)
     assert sk2.s == sk.s
-    assert (sig2.z1, sig2.z2, sig2.z3, sig2.h) == (sig.z1, sig.z2, sig.z3, sig.h)
+    assert (sig2.z, sig2.h) == (sig.z, sig.h)
     assert [type(pk2.rho), type(sig2.h)] == [bytes, bytes]
     assert verify(pk2, b"codec test message", sig2).ok
     assert sign(sk2, pk2, b"codec test message", bytes(32)).h == sig.h
@@ -515,7 +549,7 @@ FUZZ_WIRES = {
     "pk": (serialize_pk(_FUZZ_PK, FUZZ_RING), parse_pk),
     "sk": (serialize_sk(_FUZZ_SK, FUZZ_RING), parse_sk),
     "sig": (serialize_sig(sign(_FUZZ_SK, _FUZZ_PK, b"fuzz", bytes(32)), FUZZ_RING), parse_sig),
-    "poly": (pack_poly(_FUZZ_SK.s[0], FUZZ_RING), unpack_poly),
+    "poly": (pack_poly(row(_FUZZ_SK.s, 0), FUZZ_RING), unpack_poly),
 }
 FUZZ_KINDS = st.sampled_from(sorted(FUZZ_WIRES))
 
@@ -575,7 +609,7 @@ _ONE_SIG = sign(_FUZZ_SK, _FUZZ_PK, b"one rule", bytes(32))
 _TWO_PK, _TWO_SK = _keygen_steps([bytes(32), bytes(range(32))], FUZZ_RING)
 _TWO_SIG = _sign_steps(_TWO_SK, _TWO_PK, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)],
                        FUZZ_RING, Z2_DERIVED)
-RING_FIELDS = {PublicKey: ("p_vec",), SecretKey: ("s",), Signature: ("z1", "z2", "z3")}
+RING_FIELDS = {PublicKey: ("p_vec",), SecretKey: ("s",), Signature: ("z",)}
 SEED_FIELD = {PublicKey: "rho", Signature: "h"}
 CODEC = {PublicKey: (serialize_pk, parse_pk), SecretKey: (serialize_sk, parse_sk),
          Signature: (serialize_sig, parse_sig)}
@@ -608,11 +642,9 @@ def _mutate(value, field: str, how: str, axis: int, at: int):
     elif field == "params":
         new = {"redundancy-4": ParamSet(redundancy=4), "rank-1": ParamSet(k=1, param_id=2)}[how]
     elif how == "ntt":
-        new = PolyVec(old.data, NttPoly) if type(old) is PolyVec else NttPoly(old.coeffs)
+        new = RqArray(old.data, NTT)
     else:
-        data = old.data if type(old) is PolyVec else old.coeffs
-        data = _array_mutant(data, how, axis % data.ndim, at, value.params.q)
-        new = PolyVec(data, Poly) if type(old) is PolyVec else Poly(data)
+        new = RqArray(_array_mutant(old.data, how, axis % old.data.ndim, at, value.params.q), COEFF)
     return dataclasses.replace(value, **{field: new})
 
 

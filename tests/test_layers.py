@@ -123,3 +123,17 @@ def test_the_check_sees_names_attributes_and_imports():
     source = "from .sampling import gen_se\nsampling._binomial(gen_se)\n"
     assert sorted(names_used(ast.parse(source), {"gen_se", "_binomial"})) == [
         (1, "gen_se"), (2, "_binomial"), (2, "gen_se")]
+
+
+def test_one_ring_value_type():
+    # every ring value is one RqArray, a (..., rows, n) array tagged with its
+    # domain; no module defines or names a per-shape or per-domain value class
+    old = {"Poly", "NttPoly", "PolyVec", "NttMatrix"}
+    found = [f"{path.name}:{line} names {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in names_used(ast.parse(path.read_text(), str(path)), old)]
+    found += [f"{path.name}:{node.lineno} defines {node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.ClassDef) and node.name in old]
+    assert found == []

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from mlds import Poly, NttPoly, PolyVec, NttMatrix, DomainError, ParamSet, get_ring
+from mlds import COEFF, NTT, RqArray, DomainError, ParamSet, get_ring
 
 from conftest import random_poly
-from ring_oracle import poly, zero, one, monomial, ntt_poly, centered, mul, schoolbook_mul, vec
+from ring_oracle import poly, zero, one, monomial, ntt_poly, centered, mul, schoolbook_mul, vec, row
 
 
 def ntt_matrix(rows):
-    return NttMatrix(np.array([[e.evals for e in row] for row in rows]))
+    """A (k, k, n) NTT-domain matrix from k rows of k one-row NTT-domain values."""
+    return RqArray(np.array([[e.data[0] for e in entries] for entries in rows]), NTT)
 
 
 def random_ntt_matrix(ring, rng):
@@ -24,13 +25,13 @@ def random_ntt_vec(ring, rng):
 # -- transforms ----------------------------------------------------------------
 
 def test_ntt_of_zero_is_zero(ring):
-    assert not ring.ntt(zero(ring)).evals.any()
-    assert ring.intt(NttPoly(np.zeros(ring.n, dtype=np.int32))) == zero(ring)
+    assert not ring.ntt(zero(ring)).data.any()
+    assert ring.intt(RqArray(np.zeros((1, ring.n), dtype=np.int32), NTT)) == zero(ring)
 
 
 def test_ntt_of_constant_is_constant(ring):
     c = monomial(ring, 0, 77)
-    assert (ring.ntt(c).evals == 77).all()
+    assert (ring.ntt(c).data == 77).all()
 
 
 def test_ntt_roundtrip_random(ring, rng):
@@ -45,10 +46,10 @@ def test_ntt_matches_definition(ring, rng):
     p = random_poly(ring, rng)
     for i in (0, 1, 17, 255):
         expected = sum(
-            pow(c.gamma, j, ring.q) * int(p.coeffs[j]) * pow(c.omega, i * j % ring.n, ring.q)
+            pow(c.gamma, j, ring.q) * int(p.data[0, j]) * pow(c.omega, i * j % ring.n, ring.q)
             for j in range(ring.n)
         ) % ring.q
-        assert int(ring.ntt(p).evals[i]) == expected
+        assert int(ring.ntt(p).data[0, i]) == expected
 
 
 def definition_matrices(ring):
@@ -85,7 +86,7 @@ def test_float_transforms_match_integer_definition(ring, rng):
     worst = np.full(ring.n, ring.q - 1, dtype=np.int64)
     vectors = [rng.integers(0, ring.q, ring.n, dtype=np.int64) for _ in range(200)] + [worst]
     for x in vectors:
-        x_hat, x_back = ring.ntt(poly(ring, x)).evals, ring.intt(ntt_poly(ring, x)).coeffs
+        x_hat, x_back = ring.ntt(poly(ring, x)).data[0], ring.intt(ntt_poly(ring, x)).data[0]
         assert x_hat.dtype == x_back.dtype == np.int32
         assert np.array_equal(x_hat, forward @ x % ring.q)
         assert np.array_equal(x_back, inverse @ x % ring.q)
@@ -99,8 +100,9 @@ def test_float_transforms_match_integer_definition(ring, rng):
                                        ParamSet(n=512, redundancy=4)],
                          ids=["16x16", "8x16", "16x32"])
 def test_stacked_transforms_match_integer_definition(param_set, rng):
-    # (B, n) and (B, k, n) stacks, including strided module rows, on the square
-    # split and both non-square ones; the all-(q-1) stack is the worst case.
+    # (B, n) and (B, k, n) stacks of one-row values, including strided module
+    # rows, on the square split and both non-square ones; the all-(q-1) stack
+    # is the worst case.
     ring = get_ring(param_set)
     forward, inverse = definition_matrices(ring)
     stacks = [
@@ -109,10 +111,10 @@ def test_stacked_transforms_match_integer_definition(param_set, rng):
         rng.integers(0, ring.q, (4, ring.k, ring.n), dtype=np.int64)[:, 1, :],
         np.full((2, ring.k, ring.n), ring.q - 1, dtype=np.int64),
     ]
-    for x in (s.astype(np.int32) for s in stacks):
-        assert np.array_equal(ring.ntt(Poly(x)).evals, x @ forward.T % ring.q)
-        assert np.array_equal(ring.intt(NttPoly(x)).coeffs, x @ inverse.T % ring.q)
-        assert ring.ntt(Poly(x)).evals.shape == x.shape
+    for x in (s.astype(np.int32)[..., None, :] for s in stacks):
+        assert np.array_equal(ring.ntt(RqArray(x, COEFF)).data, x @ forward.T % ring.q)
+        assert np.array_equal(ring.intt(RqArray(x, NTT)).data, x @ inverse.T % ring.q)
+        assert ring.ntt(RqArray(x, COEFF)).data.shape == x.shape
 
 
 # -- multiplication -------------------------------------------------------------
@@ -167,19 +169,19 @@ def test_add_sub(ring, rng):
     edges = np.array([0, 1, ring.q // 2, ring.q - 2, ring.q - 1])
     x, y = (v.ravel() for v in np.meshgrid(edges, edges))
     b = random_poly(ring, rng)
-    pairs = [(a.coeffs, b.coeffs), (np.resize(x, ring.n), np.resize(y, ring.n))]
+    pairs = [(a.data[0], b.data[0]), (np.resize(x, ring.n), np.resize(y, ring.n))]
     for u, v in pairs:
         pu, pv = poly(ring, u), poly(ring, v)
         wide_u, wide_v = u.astype(np.int64), v.astype(np.int64)
-        assert np.array_equal(ring.add(pu, pv).coeffs, (wide_u + wide_v) % ring.q)
-        assert np.array_equal(ring.sub(pu, pv).coeffs, (wide_u - wide_v) % ring.q)
-        assert ring.add(pu, pv).coeffs.dtype == ring.sub(pu, pv).coeffs.dtype == np.int32
+        assert np.array_equal(ring.add(pu, pv).data[0], (wide_u + wide_v) % ring.q)
+        assert np.array_equal(ring.sub(pu, pv).data[0], (wide_u - wide_v) % ring.q)
+        assert ring.add(pu, pv).data.dtype == ring.sub(pu, pv).data.dtype == np.int32
     # values built directly from int64 arrays are refused, not reduced wrongly
-    wide = Poly(a.coeffs.astype(np.int64))
+    wide = RqArray(a.data.astype(np.int64), COEFF)
     with pytest.raises(DomainError):
         ring.sub(wide, wide)
     with pytest.raises(DomainError):
-        ring.add(PolyVec(np.stack([wide.coeffs] * ring.k), Poly), vec(ring, [a] * ring.k))
+        ring.add(RqArray(np.concatenate([wide.data] * ring.k), COEFF), vec(ring, [a] * ring.k))
 
 
 def test_vector_add(ring, rng):
@@ -223,14 +225,14 @@ def test_matvec_matches_schoolbook(ring, rng):
     v = vec(ring, [ring.ntt(e) for e in coeff_vec])
     # matvec(M, v) is M^T o v, so M with its module axes swapped gives M o v
     for transpose in (False, True):
-        m = mat if transpose else NttMatrix(mat.data.swapaxes(-3, -2))
+        m = mat if transpose else RqArray(mat.data.swapaxes(-3, -2), NTT)
         fast = ring.vec_intt(ring.matvec(m, v))
         for i in range(ring.k):
             acc = zero(ring)
             for j in range(ring.k):
                 entry = coeff_mat[j][i] if transpose else coeff_mat[i][j]
                 acc = ring.add(acc, schoolbook_mul(ring, entry, coeff_vec[j]))
-            assert fast[i] == acc
+            assert row(fast, i) == acc
 
 
 def test_inner_product(ring, rng):
@@ -238,7 +240,7 @@ def test_inner_product(ring, rng):
     slot0 = vec(ring, [
         ring.ntt(one(ring)) if i == 0 else ring.ntt(zero(ring)) for i in range(ring.k)
     ])
-    assert ring.inner_product(slot0, b) == b[0]
+    assert ring.inner_product(slot0, b) == row(b, 0)
     zeros = vec(ring, [ring.ntt(zero(ring)) for _ in range(ring.k)])
     assert ring.inner_product(b, zeros) == ring.ntt(zero(ring))
 
@@ -260,14 +262,14 @@ def test_module_products_at_the_int32_bound(ring):
     # int32 accumulation validate_params allows; compare with int64 arithmetic
     assert ring.k == 2 and ring.k * (ring.q - 1) ** 2 < 2**31
     top = np.full((ring.k, ring.k, ring.n), ring.q - 1, dtype=np.int32)
-    mat, v = NttMatrix(top), PolyVec(top[0], NttPoly)
+    mat, v = RqArray(top, NTT), RqArray(top[0], NTT)
     expected = ring.k * (ring.q - 1) ** 2 % ring.q
-    for m in (mat, NttMatrix(top.swapaxes(-3, -2))):
+    for m in (mat, RqArray(top.swapaxes(-3, -2), NTT)):
         out = ring.matvec(m, v).data
         assert out.dtype == np.int32
         assert np.array_equal(out, (top.astype(np.int64) * top[0]).sum(axis=-2) % ring.q)
         assert (out == expected).all()
-    inner = ring.inner_product(v, v).evals
+    inner = ring.inner_product(v, v).data
     assert inner.dtype == np.int32 and (inner == expected).all()
 
 
@@ -276,7 +278,7 @@ def test_z3_forms_agree(ring, rng):
     for _ in range(20):
         mat = random_ntt_matrix(ring, rng)
         p_hat, e1_hat = random_ntt_vec(ring, rng), random_ntt_vec(ring, rng)
-        lhs = ring.inner_product(ring.matvec(NttMatrix(mat.data.swapaxes(-3, -2)), p_hat), e1_hat)
+        lhs = ring.inner_product(ring.matvec(RqArray(mat.data.swapaxes(-3, -2), NTT), p_hat), e1_hat)
         assert lhs == ring.inner_product(p_hat, ring.matvec(mat, e1_hat))
 
 
@@ -300,8 +302,17 @@ def test_domain_mixing_rejected(ring, rng):
     u, u_hat = vec(ring, (p, p)), vec(ring, (p_hat, p_hat))
     with pytest.raises(DomainError):
         ring.add(u, u_hat)
+    # a k-row vector and a one-row element do not broadcast against each other
     with pytest.raises(DomainError):
         ring.add(u, p)
+    with pytest.raises(DomainError):
+        ring.sub(p_hat, u_hat)
+    with pytest.raises(DomainError):
+        ring.pointwise_mul(u_hat, p_hat)
+    with pytest.raises(DomainError):
+        ring.ntt(u)
+    with pytest.raises(DomainError):
+        ring.add(p.data, p)
     with pytest.raises(DomainError):
         ring.vec_ntt(u_hat)
     with pytest.raises(DomainError):
@@ -324,7 +335,7 @@ def test_poly_validation(ring):
         poly(ring, [2**32] + [0] * (ring.n - 1))
     with pytest.raises(ValueError):
         poly(ring, np.full(ring.n, 2**32 + 1, dtype=np.int64))
-    assert poly(ring, [ring.q - 1] * ring.n).coeffs.dtype == np.int32
+    assert poly(ring, [ring.q - 1] * ring.n).data.dtype == np.int32
 
 
 def test_infinity_norm_centered(ring):
@@ -334,7 +345,7 @@ def test_infinity_norm_centered(ring):
     assert ring.infinity_norm(monomial(ring, 3, ring.q - 16)) == 16
     v = vec(ring, [monomial(ring, 0, 5), monomial(ring, 1, ring.q - 9)])
     assert ring.infinity_norm(v) == 9
-    assert centered(ring, monomial(ring, 0, ring.q - 2))[0] == -2
+    assert centered(ring, monomial(ring, 0, ring.q - 2))[0, 0] == -2
 
 
 # -- leading batch axes -------------------------------------------------------------
@@ -344,71 +355,77 @@ def random_batch(ring, rng, *shape):
 
 
 def test_batched_transforms_match_rows(ring, rng):
-    x = random_batch(ring, rng, 5)
-    stacked_hat = ring.ntt(Poly(x))
-    stacked_back = ring.intt(NttPoly(x))
+    x = random_batch(ring, rng, 5, 1)
+    stacked_hat = ring.ntt(RqArray(x, COEFF))
+    stacked_back = ring.intt(RqArray(x, NTT))
     for t in range(5):
-        assert NttPoly(stacked_hat.evals[t]) == ring.ntt(Poly(x[t]))
-        assert Poly(stacked_back.coeffs[t]) == ring.intt(NttPoly(x[t]))
+        assert RqArray(stacked_hat.data[t], NTT) == ring.ntt(RqArray(x[t], COEFF))
+        assert RqArray(stacked_back.data[t], COEFF) == ring.intt(RqArray(x[t], NTT))
 
 
 def test_batched_module_ops_match_rows(ring, rng):
     trials, k = 4, ring.k
-    mats = NttMatrix(random_batch(ring, rng, trials, k, k))
-    u = PolyVec(random_batch(ring, rng, trials, k), NttPoly)
-    v = PolyVec(random_batch(ring, rng, trials, k), NttPoly)
-    c = PolyVec(random_batch(ring, rng, trials, k), Poly)
-    assert len(u) == k and u[1].evals.shape == (trials, ring.n)
+    mats = RqArray(random_batch(ring, rng, trials, k, k), NTT)
+    u = RqArray(random_batch(ring, rng, trials, k), NTT)
+    v = RqArray(random_batch(ring, rng, trials, k), NTT)
+    c = RqArray(random_batch(ring, rng, trials, k), COEFF)
+    assert u.data.shape[-2] == k and row(u, 1).data.shape == (trials, 1, ring.n)
     vec_hat, vec_back = ring.vec_ntt(c), ring.vec_intt(u)
-    for m in (mats, NttMatrix(mats.data.swapaxes(-3, -2))):
+    for m in (mats, RqArray(mats.data.swapaxes(-3, -2), NTT)):
         batched = ring.matvec(m, u)
         for t in range(trials):
-            row = ring.matvec(NttMatrix(m.data[t]), PolyVec(u.data[t], NttPoly))
-            assert np.array_equal(batched.data[t], row.data)
+            one = ring.matvec(RqArray(m.data[t], NTT), RqArray(u.data[t], NTT))
+            assert np.array_equal(batched.data[t], one.data)
     inner = ring.inner_product(u, v)
     total = ring.add(c, c)
     for t in range(trials):
-        ut, vt, ct = (PolyVec(w.data[t], w.domain) for w in (u, v, c))
-        assert np.array_equal(inner.evals[t], ring.inner_product(ut, vt).evals)
+        ut, vt, ct = (RqArray(w.data[t], w.domain) for w in (u, v, c))
+        assert np.array_equal(inner.data[t], ring.inner_product(ut, vt).data)
         assert np.array_equal(total.data[t], ring.add(ct, ct).data)
         assert np.array_equal(vec_hat.data[t], ring.vec_ntt(ct).data)
         assert np.array_equal(vec_back.data[t], ring.vec_intt(ut).data)
-        assert np.array_equal(ring.sub(u[0], v[0]).evals[t], ring.sub(ut[0], vt[0]).evals)
+        assert np.array_equal(ring.sub(row(u, 0), row(v, 0)).data[t],
+                              ring.sub(row(ut, 0), row(vt, 0)).data)
 
 
 def test_vector_transforms_with_two_batch_axes_match_each_trial(ring, rng):
     # a (B1, B2, k, n) vector transforms as each of its B1 x B2 trials does alone
     x = random_batch(ring, rng, 2, 3, ring.k)
-    vec_hat, vec_back = ring.vec_ntt(PolyVec(x, Poly)), ring.vec_intt(PolyVec(x, NttPoly))
+    vec_hat, vec_back = ring.vec_ntt(RqArray(x, COEFF)), ring.vec_intt(RqArray(x, NTT))
     assert vec_hat.data.shape == vec_back.data.shape == x.shape
     for s, t in np.ndindex(2, 3):
-        assert np.array_equal(vec_hat.data[s, t], ring.vec_ntt(PolyVec(x[s, t], Poly)).data)
-        assert np.array_equal(vec_back.data[s, t], ring.vec_intt(PolyVec(x[s, t], NttPoly)).data)
+        assert np.array_equal(vec_hat.data[s, t], ring.vec_ntt(RqArray(x[s, t], COEFF)).data)
+        assert np.array_equal(vec_back.data[s, t], ring.vec_intt(RqArray(x[s, t], NTT)).data)
 
 
 def test_unbatched_values_broadcast_against_a_batch(ring, rng):
     # a key without a trial axis combines with a batch of noise row by row
     mat = random_ntt_matrix(ring, rng)
     p_hat = random_ntt_vec(ring, rng)
-    e = PolyVec(random_batch(ring, rng, 3, ring.k), NttPoly)
+    e = RqArray(random_batch(ring, rng, 3, ring.k), NTT)
     batched = ring.matvec(mat, e)
     inner = ring.inner_product(p_hat, e)
-    assert batched.data.shape == (3, ring.k, ring.n) and inner.evals.shape == (3, ring.n)
+    assert batched.data.shape == (3, ring.k, ring.n) and inner.data.shape == (3, 1, ring.n)
     for t in range(3):
-        et = PolyVec(e.data[t], NttPoly)
+        et = RqArray(e.data[t], NTT)
         assert np.array_equal(batched.data[t], ring.matvec(mat, et).data)
-        assert np.array_equal(inner.evals[t], ring.inner_product(p_hat, et).evals)
+        assert np.array_equal(inner.data[t], ring.inner_product(p_hat, et).data)
 
 
 def test_batched_domain_mixing_rejected(ring, rng):
     x = random_batch(ring, rng, 3, ring.k)
-    c, c_hat = PolyVec(x, Poly), PolyVec(x, NttPoly)
+    c, c_hat = RqArray(x, COEFF), RqArray(x, NTT)
     with pytest.raises(DomainError):
         ring.add(c, c_hat)
+    # (3, k, n) and (3, 1, n) would broadcast; the row counts differ
     with pytest.raises(DomainError):
-        ring.ntt(c_hat[0])
+        ring.add(c, row(c, 0))
     with pytest.raises(DomainError):
-        ring.intt(c[0])
+        ring.sub(row(c_hat, 1), c_hat)
+    with pytest.raises(DomainError):
+        ring.ntt(row(c_hat, 0))
+    with pytest.raises(DomainError):
+        ring.intt(row(c, 0))
     with pytest.raises(DomainError):
         ring.vec_ntt(c_hat)
     with pytest.raises(DomainError):
@@ -418,7 +435,7 @@ def test_batched_domain_mixing_rejected(ring, rng):
     with pytest.raises(DomainError):
         ring.inner_product(c_hat, c)
     with pytest.raises(DomainError):
-        vec(ring, (c[0], c_hat[1]))
+        vec(ring, (row(c, 0), row(c_hat, 1)))
     # module rank is axis -2, not the trial axis
     with pytest.raises(DomainError):
-        ring.matvec(NttMatrix(random_batch(ring, rng, 3, 3, 3)), c_hat)
+        ring.matvec(RqArray(random_batch(ring, rng, 3, 3, 3), NTT), c_hat)

@@ -9,7 +9,7 @@ from mlds import (
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
     gen_a, crh, CodecError,
 )
-from mlds import ParamSet, Poly, PolyVec, get_ring
+from mlds import COEFF, ParamSet, RqArray, get_ring
 from mlds.scheme import (
     AGREEMENT_CHUNK, Signature, mu_payload_bits, derive_case_seeds, wilson_interval,
     _keygen_steps, _sign_steps,
@@ -17,7 +17,7 @@ from mlds.scheme import (
 from mlds.sampling import expand_key_noise, expand_signing_noise, hash_h
 from mlds.codec import encode_bits
 
-from ring_oracle import zero, schoolbook_mul
+from ring_oracle import row, zero, schoolbook_mul
 
 
 ZETA = bytes(range(32))
@@ -119,8 +119,8 @@ def test_z2_decomposition_exact(ring, keypair, rng):
         ))
         lhs = ring.sub(sig.z2, signer_value)
         rhs = e4
-        for ei, e2i in zip(e, e2):
-            rhs = ring.add(rhs, schoolbook_mul(ring, ei, e2i))
+        for i in range(ring.k):
+            rhs = ring.add(rhs, schoolbook_mul(ring, row(e, i), row(e2, i)))
         assert lhs == rhs
 
 
@@ -143,7 +143,7 @@ def test_n_512_redundancy_4_signs_and_verifies():
     pk, sk = keygen(ZETA, params)
     for policy in POLICIES:
         sig = sign(sk, pk, MSG, COIN, params, policy)
-        assert sig.z2.coeffs.shape == (512,)
+        assert sig.z2.data.shape == (1, 512)
         assert verify(pk, MSG, sig, params).reason in (None, "h-mismatch")
         assert verify(pk, MSG + b"!", sig, params).reason == "mu-mismatch"
     assert verify(pk, MSG, sign(sk, pk, MSG, COIN, params), params).ok
@@ -230,7 +230,9 @@ def test_message_flip_rejects_mu(keypair, z2_sig):
 
 def test_zeroed_z3_rejects(ring, keypair, z2_sig):
     pk, _ = keypair
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=zero(ring), h=z2_sig.h, params=ring.params)
+    z = z2_sig.z.data.copy()
+    z[-1] = zero(ring).data
+    broken = Signature(z=RqArray(z, COEFF), h=z2_sig.h, params=ring.params)
     assert not verify(pk, MSG, broken, policy=Z2_DERIVED).ok
 
 
@@ -238,7 +240,7 @@ def test_h_flip_rejects_h(ring, keypair, z2_sig):
     pk, _ = keypair
     h = bytearray(z2_sig.h)
     h[5] ^= 0x10
-    broken = Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=bytes(h), params=ring.params)
+    broken = Signature(z=z2_sig.z, h=bytes(h), params=ring.params)
     result = verify(pk, MSG, broken, policy=Z2_DERIVED)
     # verify decides mu before h, so an h-mismatch shows the mu branch passed
     assert not result.ok and result.reason == "h-mismatch"
@@ -249,9 +251,8 @@ def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
     # a Signature, reaches verify and is rejected as "parse"
     pk, _ = keypair
     with pytest.raises(CodecError, match="signature"):
-        Signature(z1=z2_sig.z1, z2=z2_sig.z2, z3=z2_sig.z3, h=b"short", params=ring.params)
-    batch = Signature(PolyVec(z2_sig.z1.data[None], Poly), Poly(z2_sig.z2.coeffs[None]),
-                      Poly(z2_sig.z3.coeffs[None]), (z2_sig.h,), ring.params)
+        Signature(z=z2_sig.z, h=b"short", params=ring.params)
+    batch = Signature(RqArray(z2_sig.z.data[None], COEFF), (z2_sig.h,), ring.params)
     for sig in (batch, serialize_sig(z2_sig, ring), None):
         result = verify(pk, MSG, sig, policy=Z2_DERIVED)
         assert not result.ok and result.reason == "parse"
@@ -262,29 +263,26 @@ def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
 def test_in_memory_out_of_range_coefficient_rejects_as_parse(ring, z2_sig, part, bad_value):
     # built in memory, so no parser has range-checked it: building refuses it,
     # so verify never meets it
-    parts = {"z1": z2_sig.z1.data.copy(), "z2": z2_sig.z2.coeffs.copy(),
-             "z3": z2_sig.z3.coeffs.copy()}
-    parts[part][..., 7] = bad_value  # -1 is a negative int32 entry
-    assert parts[part].dtype == np.int32
+    z = z2_sig.z.data.copy()
+    z[{"z1": slice(-2), "z2": slice(-2, -1), "z3": slice(-1, None)}[part], 7] = bad_value
+    assert z.dtype == np.int32  # -1 is a negative int32 entry
     with pytest.raises(CodecError, match="signature"):
-        Signature(z1=PolyVec(parts["z1"], Poly), z2=Poly(parts["z2"]),
-                  z3=Poly(parts["z3"]), h=z2_sig.h, params=ring.params)
+        Signature(z=RqArray(z, COEFF), h=z2_sig.h, params=ring.params)
 
 
 @pytest.mark.parametrize("z1", ["poly", "ndarray"])
 def test_in_memory_z1_not_a_vector_rejects_as_parse(ring, z2_sig, z1):
-    # a Poly or a bare array in place of z1 is malformed, refused when built
-    bad = z2_sig.z1[0] if z1 == "poly" else z2_sig.z1.data
+    # z1 one row, or z a bare array, is malformed, refused when built
+    z = z2_sig.z.data
+    bad = RqArray(np.concatenate((z[:1], z[-2:])), COEFF) if z1 == "poly" else z
     with pytest.raises(CodecError, match="signature"):
-        Signature(z1=bad, z2=z2_sig.z2, z3=z2_sig.z3, h=z2_sig.h, params=ring.params)
+        Signature(z=bad, h=z2_sig.h, params=ring.params)
 
 
 def test_in_memory_int64_signature_rejects_as_parse(ring, z2_sig):
     # the same in-range values, but not in the int32 the ring computes in
     with pytest.raises(CodecError, match="signature"):
-        Signature(z1=PolyVec(z2_sig.z1.data.astype(np.int64), Poly),
-                  z2=Poly(z2_sig.z2.coeffs.astype(np.int64)),
-                  z3=Poly(z2_sig.z3.coeffs.astype(np.int64)), h=z2_sig.h, params=ring.params)
+        Signature(z=RqArray(z2_sig.z.data.astype(np.int64), COEFF), h=z2_sig.h, params=ring.params)
 
 
 def test_every_ring_value_is_int32(ring, keypair, z2_sig):
@@ -293,9 +291,9 @@ def test_every_ring_value_is_int32(ring, keypair, z2_sig):
     parsed_sig = parse_sig(serialize_sig(z2_sig, ring), ring)
     payload = encode_bits(mu_payload_bits(crh(MSG), DEFAULT_PARAMS), ring)
     arrays = [pk.p_vec.data, pk.a_hat.data, sk.s.data, parsed_pk.p_vec.data, parsed_pk.a_hat.data,
-              payload.coeffs]
+              payload.data]
     for sig in (z2_sig, parsed_sig):
-        arrays += [sig.z1.data, sig.z2.coeffs, sig.z3.coeffs]
+        arrays += [sig.z.data, sig.z1.data, sig.z2.data, sig.z3.data]
     assert [a.dtype for a in arrays] == [np.int32] * len(arrays)
 
 
@@ -443,9 +441,7 @@ def test_batched_core_matches_single_calls(ring, policy):
         assert np.array_equal(pks.a_hat.data[t], pk.a_hat.data)
         assert np.array_equal(sks.s.data[t], sk.s.data)
         sig = sign(sk, pk, msg, coin, policy=policy)
-        assert np.array_equal(sigs.z1.data[t], sig.z1.data)
-        assert np.array_equal(sigs.z2.coeffs[t], sig.z2.coeffs)
-        assert np.array_equal(sigs.z3.coeffs[t], sig.z3.coeffs)
+        assert np.array_equal(sigs.z.data[t], sig.z.data)
         assert sigs.h[t] == sig.h
 
 
