@@ -11,6 +11,11 @@ set "ML-SD-256x2" is
 with one message bit per ring coefficient (``redundancy = 1``). A redundant
 four-coefficients-per-bit mode (``redundancy = 4``) is available for 64-bit
 payloads.
+
+``param_id`` is the set's one-byte wire header id. Built without one, the
+shipped fields (the defaults) get 0x01 and any other set the reserved
+"unregistered" id 0x00, which every such set shares; ``dataclasses.replace``
+passes the id on, so a set replaced from the shipped one keeps 0x01.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ class ParamSet:
     k: int = 2
     eta: int = 16
     redundancy: int = 1
-    param_id: int = 0x01
+    param_id: int | None = None  # built as 0x01 for the shipped fields, else 0x00
 
     @property
     def name(self) -> str:
@@ -63,6 +68,11 @@ class ParamSet:
         return (self.quarter_q - 1) // 2 // 8 * 8
 
     def __post_init__(self):
+        if self.param_id is None:
+            # a field that is not an int is not shipped; validate_params reports it
+            shipped = all(type(getattr(self, f.name)) is int and getattr(self, f.name) == f.default
+                          for f in fields(self) if f.name != "param_id")
+            object.__setattr__(self, "param_id", 0x01 if shipped else 0x00)
         errors = validate_params(self)
         if errors:
             raise ParamError("; ".join(errors))

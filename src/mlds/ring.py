@@ -227,13 +227,13 @@ class Ring:
 
     def ntt(self, p: RqArray) -> RqArray:
         """Forward transform of one coefficient-domain row, (..., 1, n)."""
-        if type(p) is not RqArray or p.domain != COEFF or p.data.shape[-2] != 1:
+        if type(p) is not RqArray or p.domain != COEFF or p.data.shape[-2:-1] != (1,):
             raise DomainError("ntt expects one coefficient-domain row")
         return RqArray(self._transform(self._forward, p.data), NTT)
 
     def intt(self, p: RqArray) -> RqArray:
         """Inverse transform of one NTT-domain row, (..., 1, n)."""
-        if type(p) is not RqArray or p.domain != NTT or p.data.shape[-2] != 1:
+        if type(p) is not RqArray or p.domain != NTT or p.data.shape[-2:-1] != (1,):
             raise DomainError("intt expects one NTT-domain row")
         return RqArray(self._transform(self._inverse, p.data), COEFF)
 
@@ -247,6 +247,8 @@ class Ring:
 
     def _rows(self, transform, v: RqArray, domain: str) -> RqArray:
         """``transform`` of each module row of v, written into one (..., rows, n) int32 array."""
+        if type(v) is not RqArray or v.data.ndim < 2:
+            raise DomainError("a module transform expects a (..., rows, n) ring value")
         out = np.empty(v.data.shape, dtype=np.int32)
         for i in range(v.data.shape[-2]):
             out[..., i : i + 1, :] = transform(RqArray(v.data[..., i : i + 1, :], v.domain)).data
@@ -268,7 +270,7 @@ class Ring:
         (see the module docstring).
         """
         if (type(a) is not RqArray or type(b) is not RqArray or a.domain != b.domain
-                or a.data.shape[-2] != b.data.shape[-2]):
+                or a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]):
             raise DomainError(f"cannot {verb} values whose domains or row counts differ")
         d = op(a.data, b.data)
         if d.dtype != np.int32:  # a uint32 view of wider values would split each one
@@ -283,8 +285,8 @@ class Ring:
 
     def pointwise_mul(self, a: RqArray, b: RqArray) -> RqArray:
         """a o b, entry by entry, on two NTT-domain values of one row count."""
-        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT
-                or b.domain != NTT or a.data.shape[-2] != b.data.shape[-2]):
+        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT or b.domain != NTT
+                or a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]):
             raise DomainError("pointwise_mul is defined on NTT-domain values of one row count")
         return RqArray(a.data * b.data % self.q, NTT)
 
@@ -292,8 +294,7 @@ class Ring:
         """M^T o v: out_j = sum_i M_ij o v_i for a (..., k, k, n) M; batch axes broadcast."""
         if type(mat) is not RqArray or type(v) is not RqArray or mat.domain != NTT or v.domain != NTT:
             raise DomainError("matvec operates on NTT-domain values")
-        k = v.data.shape[-2]
-        if mat.data.shape[-3:-1] != (k, k):
+        if v.data.ndim < 2 or mat.data.shape[-3:-1] != v.data.shape[-2:-1] * 2:
             raise DomainError("matrix/vector rank mismatch")
         return RqArray((mat.data * v.data[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NTT)
 
@@ -301,7 +302,7 @@ class Ring:
         """sum_i a_i o b_i: one NTT-domain row, (..., 1, n), per trial of a batch."""
         if type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT or b.domain != NTT:
             raise DomainError("inner_product operates on NTT-domain vectors")
-        if a.data.shape[-2] != b.data.shape[-2]:
+        if a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]:
             raise DomainError("vector length mismatch")
         return RqArray((a.data * b.data).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
 

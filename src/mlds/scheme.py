@@ -49,13 +49,19 @@ The coin r must never repeat for the same key; callers own that contract.
 Byte layouts live elsewhere: the mu payload bits in ``codec.mu_payload_bits``,
 the noise nonces and each agreement cycle's seeds in ``sampling``.
 
-One array core computes all three operations, for one trial or for a batch
-of trials stacked along a leading axis (see "the array core" below).
-``measure_agreement`` runs its cycles through it in chunks of
-``AGREEMENT_CHUNK`` = 64 trials: the 19 transform calls of a z2 cycle then
-each cover a whole chunk, and a 64-cycle call is one batched keygen, sign
-and verify, which is what makes the agreement harness fast. The time and
-peak memory of chunks of 16, 32 and 64 are recorded at ``AGREEMENT_CHUNK``.
+``keygen``, ``sign`` and ``verify`` each compute one trial, or a batch: each
+per-trial argument (zeta; message and r) is then a list or tuple, ring values
+(int32 arrays, see ``mlds.ring``) carry a leading trial axis (B, ...) and rho
+and h become tuples. Keys without a trial axis broadcast against a batch. The
+per-trial hashing is the only per-trial loop, and each step transforms the
+same polynomial slots as one trial does: one ntt/intt call per slot, over a
+(B, 1, n) stack. One trial keeps no trial axis (with one of length one, a
+sign measured ~6% slower on a 2-vCPU Xeon, from broadcasting and unwrapping).
+``measure_agreement`` runs its cycles in chunks of ``AGREEMENT_CHUNK`` = 64
+trials: the 19 transform calls of a z2 cycle then each cover a whole chunk,
+and a 64-cycle call is one batched keygen, sign and verify, which is what
+makes the agreement harness fast. The time and peak memory of chunks of 16,
+32 and 64 are recorded at ``AGREEMENT_CHUNK``.
 """
 
 from __future__ import annotations
@@ -92,30 +98,25 @@ class VerifyResult:
 ACCEPT = VerifyResult(True)
 
 
-# -- the array core ----------------------------------------------------------------
-#
-# ``_keygen_steps``, ``_sign_steps`` and ``_verify_steps`` are the whole of
-# keygen, sign and verify. Their per-trial arguments (zeta; mu and r) are one
-# byte string, or a sequence of them for a batch of trials; ring values (int32
-# arrays, see ``mlds.ring``) then carry a leading trial axis (B, ...) and rho
-# and h become tuples. Keys without a trial axis broadcast against a batch.
-# The per-trial hashing is the only per-trial loop, and each step transforms
-# the same polynomial slots as one trial does: one ntt/intt call per slot,
-# over a (B, 1, n) stack.
-# ``keygen``, ``sign`` and ``verify`` run the steps on one trial without a
-# trial axis (with a trial axis of length one, a sign measured ~6% slower on
-# a 2-vCPU Xeon, from broadcasting and unwrapping); ``measure_agreement``
-# runs them on chunks.
+# -- keygen, sign and verify, each for one trial or a batch -----------------------
+
+
+def _batch(items) -> tuple:
+    """(B,) for a list or tuple of B per-trial values, () for one value."""
+    return (len(items),) if isinstance(items, (list, tuple)) else ()
 
 
 def _each(fn, items, *rows):
     """fn on one trial's values, or a tuple of fn over the trials of a batch."""
-    if isinstance(items, (bytes, bytearray)):
+    if not isinstance(items, (list, tuple)):
         return fn(items, *rows)
     return tuple(map(fn, items, *rows))
 
 
-def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
+def keygen(zeta, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
+    """Deterministic key pair from a 32-byte seed, or a batch of them from a
+    sequence of seeds; any other seed raises ValueError."""
+    ring = get_ring(params)
     zetas, single = _seed_batch(zeta, "zeta")
     rho, xi = hash_h(zeta) if single else zip(*map(hash_h, zetas))
     a_hat = gen_a(rho, ring)
@@ -124,13 +125,29 @@ def _keygen_steps(zeta, ring: Ring) -> tuple[PublicKey, SecretKey]:
     return PublicKey(rho, p_vec, a_hat, ring.params), SecretKey(s, ring.params)
 
 
-def _sign_steps(sk: SecretKey, pk: PublicKey, mu, r, ring: Ring, policy: str) -> Signature:
+def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PARAMS,
+         policy: str = Z2_DERIVED) -> Signature:
+    """Sign ``message`` (bytes-like) with the per-signature coin ``r`` (never reuse r).
+
+    A batch is equal-length lists or tuples of messages and coins, under one key
+    pair or one per message. ``policy`` is one of ``POLICIES``, ``sk`` is a
+    ``SecretKey`` and ``pk`` a ``PublicKey``, both of ``params``; anything else
+    raises ValueError.
+    """
+    ring = get_ring(params)
     if policy not in POLICIES:
         raise ValueError(f"unknown h policy {policy!r}, expected one of {POLICIES}")
     if not (isinstance(sk, SecretKey) and isinstance(pk, PublicKey)
             and sk.params == pk.params == ring.params):
         raise ValueError("sk must be a SecretKey and pk a PublicKey, both of the parameter set "
                          f"signed under, {ring.params}")
+    trials = _batch(message)
+    if _batch(r) != trials:
+        raise ValueError("r must be one coin for one message, or a list or tuple of one per message")
+    for name, keys in (("sk", sk.s), ("pk", pk.p_vec)):
+        if keys.data.shape[:-2] not in ((), trials):
+            raise ValueError(f"{name} must be one key, or a batch of one per message")
+    mu = _each(crh, message)
     # On a chunk of trials every array is (B, ...), so each is dropped after
     # its last use: that keeps the literal policy's transforms from stacking
     # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials). e1..e4
@@ -162,10 +179,10 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
 
 
 def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
-    """(reason, w) for one trial, or (reasons per trial, w) for a batch.
+    """(verdict, w) for one trial, or (verdicts per trial, w) for a batch.
 
-    A reason is None on accept. Each trial is decided in order: the mu decode
-    of w = z2 + z3 - intt(<P_hat, z1_hat>), then h recomputed from z2.
+    Each trial is decided in order: the mu decode of w = z2 + z3 -
+    intt(<P_hat, z1_hat>), then h recomputed from z2.
     """
     z2 = sig.z2  # a view of z's row, built once for its two reads
     p_hat = ring.vec_ntt(pk.p_vec)
@@ -175,53 +192,29 @@ def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
 
     def decide(mu_t, h_t, mu_ok_t, payload_t):
         if not mu_ok_t:
-            return "mu-mismatch"
+            return VerifyResult(False, "mu-mismatch")
         if h_t != _h_digest(mu_t, payload_t):
-            return "h-mismatch"
-        return None
+            return VerifyResult(False, "h-mismatch")
+        return ACCEPT
 
     return _each(decide, mu, sig.h, mu_ok, decode_payload(z2, ring)), w
 
 
-def keygen(zeta: bytes, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
-    """Deterministic key pair from a 32-byte seed; any other length raises ValueError."""
-    return _keygen_steps(zeta, get_ring(params))
-
-
-def sign(
-    sk: SecretKey,
-    pk: PublicKey,
-    message: bytes,
-    r: bytes,
-    params: ParamSet = DEFAULT_PARAMS,
-    policy: str = Z2_DERIVED,
-) -> Signature:
-    """Sign ``message`` with the per-signature coin ``r`` (never reuse r).
-
-    ``policy`` is one of ``POLICIES``, ``sk`` is a ``SecretKey`` and ``pk`` a
-    ``PublicKey``, both of ``params``; anything else raises ValueError.
-    """
-    return _sign_steps(sk, pk, crh(message), r, get_ring(params), policy)
-
-
-def verify(
-    pk: PublicKey,
-    message: bytes,
-    sig: Signature,
-    params: ParamSet = DEFAULT_PARAMS,
-    policy: str = Z2_DERIVED,
-) -> VerifyResult:
+def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PARAMS,
+           policy: str = Z2_DERIVED) -> VerifyResult | tuple[VerifyResult, ...]:
     """Check (1) the mu branch and (2) the h binding; ``policy`` does not change
     the verdict and can go with the benchmark revision (ROADMAP item 1).
 
-    The reason is "parse" unless ``sig`` is one ``Signature`` under one
-    ``PublicKey``, with ``sig.params == pk.params == params``.
+    A list or tuple of messages gets a tuple of ``VerifyResult``, one each. The
+    reason is "parse" unless ``sig`` is a ``Signature`` of one trial per message
+    under one ``PublicKey`` or one per message, ``sig.params == pk.params == params``.
     """
-    if not (isinstance(sig, Signature) and type(sig.h) is bytes and isinstance(pk, PublicKey)
-            and type(pk.rho) is bytes and sig.params == pk.params == params):
-        return VerifyResult(False, "parse")
-    reason, _ = _verify_steps(pk, crh(message), sig, get_ring(params))
-    return ACCEPT if reason is None else VerifyResult(False, reason)
+    trials = _batch(message)
+    if not (isinstance(sig, Signature) and isinstance(pk, PublicKey)
+            and sig.params == pk.params == params and sig.z.data.shape[:-2] == trials
+            and pk.p_vec.data.shape[:-2] in ((), trials)):
+        return _each(lambda _: VerifyResult(False, "parse"), message)
+    return _verify_steps(pk, _each(crh, message), sig, get_ring(params))[0]
 
 
 # -- agreement measurement -----------------------------------------------------
@@ -277,7 +270,7 @@ class AgreementReport:
 #: Cold-keys benchmark runs (10 s, 3 seeds, 2-vCPU Xeon, whole-block
 #: ``gen_a`` and one-lookup binomial sampler) read the z2 cycle at 205-215
 #: ref_us with peak RSS 39.5-39.6 MB at chunk 16, 188-196 and 40.0-40.1 MB
-#: at 32, and 174-187 and 40.9-41.3 MB at 64; dropping ``_sign_steps``'
+#: at 32, and 174-187 and 40.9-41.3 MB at 64; dropping ``sign``'s
 #: arrays after their last use then brought 64 to 40.5 MB. In-process (min
 #: of 12 interleaved ``measure_agreement(64)`` calls, 3 processes) chunk 16
 #: took 12-20% longer per cycle than 32 and 64, which tied.
@@ -292,10 +285,10 @@ def measure_agreement(
 ) -> AgreementReport:
     """Run fresh keygen/sign/verify cycles; count the two failure modes separately.
 
-    Cycle t uses ``derive_case_seeds(master_seed, t)``. The cycles run
-    through the array core in chunks of ``AGREEMENT_CHUNK`` trials, each a
-    batched keygen, sign and verify; the counts equal those of running the
-    cycles one at a time. Sign and verify share each trial's mu = crh(msg).
+    Cycle t uses ``derive_case_seeds(master_seed, t)``. The cycles run in
+    chunks of ``AGREEMENT_CHUNK`` trials, each a batched keygen, sign and
+    verify (``_verify_steps``, for its w); the counts equal those of running
+    the cycles one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -307,11 +300,11 @@ def measure_agreement(
     for start in range(0, trials, AGREEMENT_CHUNK):
         cases = range(start, min(start + AGREEMENT_CHUNK, trials))
         zetas, rs, msgs = zip(*(derive_case_seeds(master_seed, t) for t in cases))
+        pk, sk = keygen(zetas, params)
+        sig = sign(sk, pk, msgs, rs, params, policy)
         mus = [crh(msg) for msg in msgs]
-        pk, sk = _keygen_steps(zetas, ring)
-        sig = _sign_steps(sk, pk, mus, rs, ring, policy)
-        chunk_reasons, w = _verify_steps(pk, mus, sig, ring)
-        reasons += chunk_reasons
+        chunk_verdicts, w = _verify_steps(pk, mus, sig, ring)
+        reasons += [verdict.reason for verdict in chunk_verdicts]
         noise = ring.sub(w, encode_bits(mu_payload_bits(mus, params), ring))
         max_noise = max(max_noise, ring.infinity_norm(noise))
     return AgreementReport(trials=trials, mu_failures=reasons.count("mu-mismatch"),

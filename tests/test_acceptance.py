@@ -131,7 +131,7 @@ def _tamper_outcomes(ring, trials_per_target: int):
     for _ in range(trials_per_target):
         flipped = bytearray(msg)
         flipped[rng.integers(0, len(msg))] ^= 1 << rng.integers(0, 8)
-        if not verify(pk, bytes(flipped), sig, policy=Z2_DERIVED).ok:
+        if not verify(pk, bytes(flipped), sig).ok:
             rejects["M"] += 1
         for target, (lo, hi) in spans.items():
             corrupt = bytearray(blob)
@@ -141,7 +141,7 @@ def _tamper_outcomes(ring, trials_per_target: int):
             except CodecError:
                 rejects[target] += 1  # range violations reject at parse
                 continue
-            if not verify(pk, msg, bad, policy=Z2_DERIVED).ok:
+            if not verify(pk, msg, bad).ok:
                 rejects[target] += 1
     return rejects
 
@@ -174,7 +174,7 @@ def test_criterion_5_companion_actual_guarantees(ring):
     for _ in range(200):
         flipped = bytearray(msg)
         flipped[rng.integers(0, len(msg))] ^= 1 << rng.integers(0, 8)
-        assert not verify(pk, bytes(flipped), sig, policy=Z2_DERIVED).ok
+        assert not verify(pk, bytes(flipped), sig).ok
         for lo, hi in ((6, 6 + 2 * step), (len(blob) - 32, len(blob))):  # z1, h
             corrupt = bytearray(blob)
             corrupt[rng.integers(lo, hi)] ^= 1 << rng.integers(0, 8)
@@ -182,7 +182,7 @@ def test_criterion_5_companion_actual_guarantees(ring):
                 bad = parse_sig(bytes(corrupt), ring)
             except CodecError:
                 continue
-            assert not verify(pk, msg, bad, policy=Z2_DERIVED).ok
+            assert not verify(pk, msg, bad).ok
         for lo, hi in ((6 + 2 * step, 6 + 3 * step), (6 + 3 * step, 6 + 4 * step)):  # z2, z3
             corrupt = bytearray(blob)
             corrupt[rng.integers(lo, hi)] ^= 1 << rng.integers(0, 8)
@@ -190,7 +190,7 @@ def test_criterion_5_companion_actual_guarantees(ring):
                 bad = parse_sig(bytes(corrupt), ring)
             except CodecError:
                 continue
-            accepted = verify(pk, msg, bad, policy=Z2_DERIVED).ok
+            accepted = verify(pk, msg, bad).ok
             w = ring.sub(
                 ring.add(bad.z2, bad.z3),
                 ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(bad.z1))),

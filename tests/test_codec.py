@@ -17,8 +17,6 @@ from mlds.codec import (
     HEADER_BYTES, PACK_BITS, SEED_BYTES, PublicKey, SecretKey, Signature,
     bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
-from mlds.sampling import crh
-from mlds.scheme import _keygen_steps, _sign_steps, _verify_steps
 
 from conftest import random_poly
 from ring_oracle import poly, zero, monomial, row
@@ -244,9 +242,8 @@ def test_roundtrip_pk_sk_sig(ring, keypair_sig):
 def test_signature_parts_are_views_of_one_wire_ordered_array(ring, keypair_sig, batch):
     # z1, z2 and z3 are the rows of z in wire order, sharing its memory
     if batch:
-        pk, sk = _keygen_steps([bytes([t]) * 32 for t in range(3)], ring)
-        sig = _sign_steps(sk, pk, [crh(bytes([t])) for t in range(3)],
-                          [bytes([7 + t]) * 32 for t in range(3)], ring, Z2_DERIVED)
+        pk, sk = keygen([bytes([t]) * 32 for t in range(3)])
+        sig = sign(sk, pk, [bytes([t]) for t in range(3)], [bytes([7 + t]) * 32 for t in range(3)])
     else:
         sig = keypair_sig[2]
     trials = (3,) if batch else ()
@@ -278,9 +275,6 @@ def test_parse_rejects_bad_version_and_param_id(ring, keypair_sig):
         parse_pk(bytes(blob), ring)
 
 
-@pytest.mark.xfail(strict=True, reason="every ParamSet built without its own param_id writes id "
-                   "0x01, so a key and a z2 signature made under ParamSet(eta=8) parse under the "
-                   "shipped set, and verify; open until the parameter sweep's ids are decided")
 def test_a_wire_of_another_set_is_refused_by_its_header(ring):
     other = ParamSet(eta=8)
     other_ring = get_ring(other)
@@ -328,8 +322,8 @@ def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair
 
 @pytest.fixture(scope="module")
 def unserializable(ring, keypair_sig):
-    pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
-    sig = _sign_steps(sk, pk, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
+    pk, sk = keygen([bytes(32), bytes(range(32))])
+    sig = sign(sk, pk, [b"a", b"b"], [bytes(32), bytes([7] * 32)])
     one_pk, one_sk, one_sig = keypair_sig
     # a malformed key or signature is refused when it is built, so those cases build inside the check
     return {"pk": (serialize_pk, lambda: pk), "sk": (serialize_sk, lambda: sk),
@@ -372,7 +366,7 @@ def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
     p, a = pk.p_vec.data, pk.a_hat.data
     a_q = a.copy()
     a_q[1, 0, 5] = ring.q
-    batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    batch, _ = keygen([bytes(32), bytes(range(32))])
     fields = {
         "p-ntt": {"p_vec": RqArray(p, NTT)},
         "p-plus-20000": {"p_vec": RqArray(p + 20000, COEFF)},
@@ -394,7 +388,7 @@ def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
 
 def test_batched_and_parsed_public_keys_build(ring, keypair_sig):
     pk = keypair_sig[0]
-    batch, _ = _keygen_steps([bytes(32), bytes(range(32))], ring)
+    batch, _ = keygen([bytes(32), bytes(range(32))])
     assert type(batch.rho) is tuple and batch.p_vec.data.shape == (2, ring.k, ring.n)
     assert dataclasses.replace(batch).p_vec is batch.p_vec
     assert parse_pk(serialize_pk(pk, ring), ring).p_vec == pk.p_vec
@@ -441,15 +435,14 @@ def test_malformed_signature_is_refused_by_serialize_and_verify(kind, ring, keyp
 @pytest.mark.parametrize("kind", ["z2-out-of-range", "h-bytearray", "h-short"])
 def test_batch_with_one_malformed_trial_cannot_be_built(kind, ring):
     # range and h are checked for every trial when the batch is built
-    mus = [crh(b"a"), crh(b"b")]
-    pk, sk = _keygen_steps([bytes(32), bytes(range(32))], ring)
-    sig = _sign_steps(sk, pk, mus, [bytes(32), bytes([7] * 32)], ring, Z2_DERIVED)
+    pk, sk = keygen([bytes(32), bytes(range(32))])
+    sig = sign(sk, pk, [b"a", b"b"], [bytes(32), bytes([7] * 32)])
     z, h = sig.z.data.copy(), list(sig.h)
     if kind == "z2-out-of-range":
         z[1, ring.k, 7] = ring.q
     else:
         h[1] = bytearray(h[1]) if kind == "h-bytearray" else h[1][:-1]
-    assert _verify_steps(pk, mus, sig, ring)[0] == (None, None)
+    assert [v.reason for v in verify(pk, [b"a", b"b"], sig)] == [None, None]
     with pytest.raises(CodecError, match="signature"):
         dataclasses.replace(sig, z=RqArray(z, COEFF), h=tuple(h))
 
@@ -606,9 +599,8 @@ def test_fuzz_coefficient_out_of_range(kind, slot, value):
 # or raises ParamError or CodecError. Nothing else escapes.
 
 _ONE_SIG = sign(_FUZZ_SK, _FUZZ_PK, b"one rule", bytes(32))
-_TWO_PK, _TWO_SK = _keygen_steps([bytes(32), bytes(range(32))], FUZZ_RING)
-_TWO_SIG = _sign_steps(_TWO_SK, _TWO_PK, [crh(b"a"), crh(b"b")], [bytes(32), bytes([7] * 32)],
-                       FUZZ_RING, Z2_DERIVED)
+_TWO_PK, _TWO_SK = keygen([bytes(32), bytes(range(32))])
+_TWO_SIG = sign(_TWO_SK, _TWO_PK, [b"a", b"b"], [bytes(32), bytes([7] * 32)])
 RING_FIELDS = {PublicKey: ("p_vec",), SecretKey: ("s",), Signature: ("z",)}
 SEED_FIELD = {PublicKey: "rho", Signature: "h"}
 CODEC = {PublicKey: (serialize_pk, parse_pk), SecretKey: (serialize_sk, parse_sk),

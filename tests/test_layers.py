@@ -137,3 +137,18 @@ def test_one_ring_value_type():
               for node in ast.walk(ast.parse(path.read_text(), str(path)))
               if isinstance(node, ast.ClassDef) and node.name in old]
     assert found == []
+
+
+def test_one_function_per_operation():
+    # keygen, sign and verify each take one trial or a batch; no private batch twin
+    # of keygen or sign exists beside them, in the package or in its tests
+    twins = {"_keygen_steps", "_sign_steps"}
+    tests = Path(__file__).resolve().parent
+    found = [f"{path.parent.name}/{path.name}:{line} names {what}"
+             for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))
+             for line, what in names_used(ast.parse(path.read_text(), str(path)), twins)]
+    found += [f"{path.parent.name}/{path.name}:{node.lineno} defines {node.name}"
+              for path in sorted(SRC.glob("*.py"))
+              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+              if isinstance(node, ast.FunctionDef) and node.name in twins]
+    assert found == []

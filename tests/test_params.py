@@ -81,6 +81,15 @@ def test_name_follows_n_and_k():
     assert ParamSet(n=512, k=3, redundancy=4).name == "ML-SD-512x3"
 
 
+def test_only_the_shipped_fields_default_to_id_1():
+    # any other set built without an id is "unregistered", 0x00, and all such sets share it
+    assert ParamSet().param_id == ParamSet(n=256, q=12289, k=2, eta=16, redundancy=1).param_id == 0x01
+    assert ParamSet(eta=8).param_id == ParamSet(k=1).param_id == 0x00
+    assert ParamSet(k=1, param_id=2).param_id == 2 and ParamSet(eta=8, param_id=1).param_id == 1
+    # replace passes the shipped set's id on
+    assert dataclasses.replace(ParamSet(), eta=8).param_id == 0x01
+
+
 def test_derivation_deterministic_and_idempotent(params):
     a = derive_ntt_constants(params)
     b = derive_ntt_constants(params)
@@ -141,6 +150,7 @@ def test_validate_reports_each_violation():
     ({"eta": 16.0}, ["eta=16.0 is not an int"]),
     ({"param_id": 1.0}, ["param_id=1.0 is not an int"]),
     ({"n": 256.0, "q": "12289"}, ["n=256.0 is not an int", "q='12289' is not an int"]),
+    ({"eta": np.array([16, 16])}, ["eta=array([16, 16]) is not an int"]),  # no truth value
     ({"param_id": 300}, ["param_id=300 does not fit in the one header byte 0..255"]),
     ({"param_id": -1}, ["param_id=-1 does not fit in the one header byte 0..255"]),
 ])

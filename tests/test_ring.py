@@ -321,6 +321,15 @@ def test_domain_mixing_rejected(ring, rng):
         ring.inner_product(u, u_hat)
     with pytest.raises(DomainError):
         ring.infinity_norm(p_hat)
+    # a value without a row axis is refused by its check, not by an index read
+    flat, flat_hat = RqArray(p.data[0], COEFF), RqArray(p_hat.data[0], NTT)
+    for op, args in [(ring.add, (flat, flat)), (ring.sub, (flat, p)), (ring.add, (p, flat)),
+                     (ring.ntt, (flat,)), (ring.intt, (flat_hat,)), (ring.vec_ntt, (flat,)),
+                     (ring.vec_intt, (flat_hat,)), (ring.pointwise_mul, (flat_hat, flat_hat)),
+                     (ring.matvec, (random_ntt_matrix(ring, rng), flat_hat)),
+                     (ring.matvec, (flat_hat, flat_hat)), (ring.inner_product, (flat_hat, flat_hat))]:
+        with pytest.raises(DomainError):
+            op(*args)
 
 
 def test_poly_validation(ring):

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mlds import COEFF, ParamSet, RqArray, gen_a, gen_se, get_ring, hash_h, crh, sampling
+from mlds import COEFF, ParamSet, RqArray, gen_a, gen_se, get_ring, hash_h, crh, keygen, sampling
 from mlds.sampling import expand_key_noise, expand_signing_noise, gen_se_vec
-from mlds.scheme import _keygen_steps
 
 import keccak_oracle
 from ring_oracle import centered, row
@@ -213,7 +212,7 @@ def test_gen_se_rejects_bad_arguments(ring):
 
 def test_an_empty_seed_batch_is_refused_by_its_argument_name(ring):
     calls = {"rho": lambda: gen_a([], ring), "seed": lambda: gen_se([], range(0, 1), ring),
-             "zeta": lambda: _keygen_steps([], ring)}
+             "zeta": lambda: keygen([], ring.params)}
     for name, call in calls.items():
         with pytest.raises(ValueError, match=f"^{name} must be exactly 32 bytes, or a non-empty"):
             call()

@@ -7,16 +7,16 @@ from mlds import (
     DEFAULT_PARAMS, keygen, sign, verify, measure_agreement,
     POLICIES, SECRET_DERIVED, Z2_DERIVED,
     serialize_sig, parse_sig, serialize_pk, parse_pk, serialize_sk, parse_sk,
-    gen_a, crh, CodecError,
+    gen_a, crh, CodecError, VerifyResult,
 )
 from mlds import COEFF, ParamSet, RqArray, get_ring
 from mlds.scheme import (
-    AGREEMENT_CHUNK, Signature, mu_payload_bits, derive_case_seeds, wilson_interval,
-    _keygen_steps, _sign_steps,
+    AGREEMENT_CHUNK, SecretKey, Signature, mu_payload_bits, derive_case_seeds, wilson_interval,
 )
 from mlds.sampling import expand_key_noise, expand_signing_noise, hash_h
 from mlds.codec import encode_bits
 
+from conftest import forge_key_only
 from ring_oracle import row, zero, schoolbook_mul
 
 
@@ -46,11 +46,11 @@ def test_keygen_deterministic(ring, keypair):
 
 
 @pytest.mark.parametrize("zeta", [b"", bytes(31), bytes(33), "00" * 32])
-def test_keygen_rejects_a_seed_not_32_bytes(ring, zeta):
+def test_keygen_rejects_a_seed_not_32_bytes(zeta):
     with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
         keygen(zeta)
     with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
-        _keygen_steps([ZETA, zeta], ring)
+        keygen([ZETA, zeta])
 
 
 def test_keygen_noise_recomputable(ring, keypair):
@@ -132,7 +132,7 @@ def test_signature_wire_size(ring, z2_sig):
 
 def test_honest_verify_accepts(keypair, z2_sig):
     pk, _ = keypair
-    result = verify(pk, MSG, z2_sig, policy=Z2_DERIVED)
+    result = verify(pk, MSG, z2_sig)
     assert result.ok and result.reason is None
     assert bool(result)
 
@@ -214,7 +214,7 @@ def test_verify_after_serialization_roundtrip(ring, keypair, z2_sig):
     pk, sk = keypair
     pk2 = parse_pk(serialize_pk(pk, ring), ring)
     sig2 = parse_sig(serialize_sig(z2_sig, ring), ring)
-    assert verify(pk2, MSG, sig2, policy=Z2_DERIVED).ok
+    assert verify(pk2, MSG, sig2).ok
     sk2 = parse_sk(serialize_sk(sk, ring), ring)
     sig3 = sign(sk2, pk2, MSG, COIN, policy=Z2_DERIVED)
     assert serialize_sig(sig3, ring) == serialize_sig(z2_sig, ring)
@@ -224,7 +224,7 @@ def test_message_flip_rejects_mu(keypair, z2_sig):
     pk, _ = keypair
     tampered = bytearray(MSG)
     tampered[0] ^= 0x01
-    result = verify(pk, bytes(tampered), z2_sig, policy=Z2_DERIVED)
+    result = verify(pk, bytes(tampered), z2_sig)
     assert not result.ok and result.reason == "mu-mismatch"
 
 
@@ -233,7 +233,7 @@ def test_zeroed_z3_rejects(ring, keypair, z2_sig):
     z = z2_sig.z.data.copy()
     z[-1] = zero(ring).data
     broken = Signature(z=RqArray(z, COEFF), h=z2_sig.h, params=ring.params)
-    assert not verify(pk, MSG, broken, policy=Z2_DERIVED).ok
+    assert not verify(pk, MSG, broken).ok
 
 
 def test_h_flip_rejects_h(ring, keypair, z2_sig):
@@ -241,7 +241,7 @@ def test_h_flip_rejects_h(ring, keypair, z2_sig):
     h = bytearray(z2_sig.h)
     h[5] ^= 0x10
     broken = Signature(z=z2_sig.z, h=bytes(h), params=ring.params)
-    result = verify(pk, MSG, broken, policy=Z2_DERIVED)
+    result = verify(pk, MSG, broken)
     # verify decides mu before h, so an h-mismatch shows the mu branch passed
     assert not result.ok and result.reason == "h-mismatch"
 
@@ -254,7 +254,7 @@ def test_structurally_invalid_signature_rejects_as_parse(ring, keypair, z2_sig):
         Signature(z=z2_sig.z, h=b"short", params=ring.params)
     batch = Signature(RqArray(z2_sig.z.data[None], COEFF), (z2_sig.h,), ring.params)
     for sig in (batch, serialize_sig(z2_sig, ring), None):
-        result = verify(pk, MSG, sig, policy=Z2_DERIVED)
+        result = verify(pk, MSG, sig)
         assert not result.ok and result.reason == "parse"
 
 
@@ -304,7 +304,7 @@ def test_literal_policy_signature_against_z2_check(keypair):
     # decides mu before h
     pk, sk = keypair
     lit = sign(sk, pk, MSG, COIN, policy=SECRET_DERIVED)
-    result = verify(pk, MSG, lit, policy=SECRET_DERIVED)
+    result = verify(pk, MSG, lit)
     assert not result.ok and result.reason == "h-mismatch"
 
 
@@ -406,7 +406,7 @@ def reference_measure_agreement(trials, params, policy, master_seed):
         zeta, r, msg = derive_case_seeds(master_seed, t)
         pk, sk = keygen(zeta, params)
         sig = sign(sk, pk, msg, r, params, policy)
-        reasons.append(verify(pk, msg, sig, params, policy).reason)
+        reasons.append(verify(pk, msg, sig, params).reason)
         _, _, e3, e4 = expand_signing_noise(r, ring)
         max_noise = max(max_noise, ring.infinity_norm(ring.add(e3, e4)))
     return reasons, max_noise
@@ -429,11 +429,12 @@ def test_measure_agreement_matches_per_cycle_loop(policy, master_seed):
 
 
 @pytest.mark.parametrize("policy", [Z2_DERIVED, SECRET_DERIVED], ids=["z2", "literal"])
-def test_batched_core_matches_single_calls(ring, policy):
+def test_batched_core_matches_single_calls(policy):
     cases = [derive_case_seeds(b"\x06" * 32, t) for t in range(AGREEMENT_CHUNK + 3)]
     zetas, coins, msgs = zip(*cases)
-    pks, sks = _keygen_steps(zetas, ring)
-    sigs = _sign_steps(sks, pks, [crh(m) for m in msgs], coins, ring, policy)
+    pks, sks = keygen(zetas)
+    sigs = sign(sks, pks, msgs, coins, policy=policy)
+    verdicts = verify(pks, msgs, sigs)
     for t, (zeta, coin, msg) in enumerate(cases):
         pk, sk = keygen(zeta)
         assert pks.rho[t] == pk.rho
@@ -443,6 +444,72 @@ def test_batched_core_matches_single_calls(ring, policy):
         sig = sign(sk, pk, msg, coin, policy=policy)
         assert np.array_equal(sigs.z.data[t], sig.z.data)
         assert sigs.h[t] == sig.h
+        assert verdicts[t] == verify(pk, msg, sig)
+
+
+def _stack(sigs):
+    """One batch Signature of single-trial signatures, in order."""
+    return Signature(RqArray(np.stack([sig.z.data for sig in sigs]), COEFF),
+                     tuple(sig.h for sig in sigs), DEFAULT_PARAMS)
+
+
+def _tampered(sig, where):
+    """sig with bits of one h byte flipped, or one z3 coefficient shifted by floor(q/2)."""
+    z, h = sig.z.data.copy(), bytearray(sig.h)
+    if where == "h":
+        h[5] ^= 0x10
+    else:
+        z[-1, 7] = (z[-1, 7] + DEFAULT_PARAMS.half_q) % DEFAULT_PARAMS.q
+    return Signature(RqArray(z, COEFF), bytes(h), DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("keys", ["one-pk", "batch-of-keys"])
+def test_batch_verify_matches_single_calls(ring, keys):
+    # honest, wrong message, flipped h byte, shifted z3 coefficient, zero-key
+    # signature and key-only forgery, under one key or under one key per trial
+    zetas, coins, msgs = map(list, zip(*(derive_case_seeds(b"\x07" * 32, t) for t in range(6))))
+    if keys == "one-pk":
+        zetas = [zetas[0]] * len(zetas)
+    pairs = [keygen(zeta) for zeta in zetas]
+    sigs = [sign(sk, pk, msg, coin) for (pk, sk), msg, coin in zip(pairs, msgs, coins)]
+    msgs[1] = bytes([msgs[1][0] ^ 0x01]) + msgs[1][1:]
+    sigs[2], sigs[3] = _tampered(sigs[2], "h"), _tampered(sigs[3], "z3")
+    zero_sk = SecretKey(RqArray(np.zeros_like(pairs[4][1].s.data), COEFF), DEFAULT_PARAMS)
+    sigs[4] = sign(zero_sk, pairs[4][0], msgs[4], coins[4])
+    sigs[5] = forge_key_only(pairs[5][0], msgs[5], ring, np.random.default_rng(5))
+    singles = tuple(verify(pk, msg, sig) for (pk, _), msg, sig in zip(pairs, msgs, sigs))
+    assert [v.reason for v in singles] == [None, "mu-mismatch", "h-mismatch", "mu-mismatch", None, None]
+    batch_pk, _ = keygen(zetas[0] if keys == "one-pk" else zetas)
+    assert verify(batch_pk, msgs, _stack(sigs)) == singles
+
+
+def test_batch_arguments_of_other_lengths_are_refused(keypair):
+    pk, sk = keypair
+    pks, sks = keygen([ZETA, COIN, bytes(32)])
+    for args, name in (((sk, pk, [MSG, MSG], [COIN]), "r"), ((sk, pk, [MSG], COIN), "r"),
+                       ((sk, pk, MSG, [COIN]), "r"), ((sks, pk, [MSG, MSG], [COIN, COIN]), "sk"),
+                       ((sk, pks, [MSG, MSG], [COIN, COIN]), "pk"), ((sks, pks, MSG, COIN), "sk")):
+        with pytest.raises(ValueError, match=f"^{name} must be one"):
+            sign(*args)
+    sigs = sign(sks, pks, [MSG, b"b", b"c"], [COIN, COIN, COIN])
+    assert [v.ok for v in verify(pks, [MSG, b"b", b"c"], sigs)] == [True] * 3
+    parse = VerifyResult(False, "parse")
+    assert verify(pks, [MSG, b"b"], sigs) == (parse, parse)
+    assert verify(pk, [MSG, b"b"], sigs) == (parse, parse)
+    assert verify(pks, MSG, sigs) == parse
+    assert verify(pk, [MSG], sign(sk, pk, MSG, COIN)) == (parse,)
+    two = sign(sk, pk, [MSG, b"b"], [COIN, COIN])
+    assert verify(pks, [MSG, b"b"], two) == (parse, parse)  # three keys, two trials
+
+
+def test_a_memoryview_message_signs_and_verifies(ring, keypair, z2_sig):
+    pk, sk = keypair
+    view = memoryview(bytearray(MSG))
+    assert serialize_sig(sign(sk, pk, view, COIN), ring) == serialize_sig(z2_sig, ring)
+    assert verify(pk, view, z2_sig).ok
+    batch = sign(sk, pk, [view, bytearray(MSG)], [COIN, bytes(32)])
+    assert batch.h[0] == z2_sig.h
+    assert [v.ok for v in verify(pk, (view, MSG), batch)] == [True, True]
 
 
 def test_derive_case_seeds_stable():
