@@ -20,8 +20,7 @@ from . import codec
 from .estimator import LweInstance, primal_cost, dual_cost
 from .params import DEFAULT_PARAMS, SEED_BYTES
 from .ring import get_ring
-from .sampling import derive_case_seeds
-from .scheme import POLICIES, Z2_DERIVED, keygen, measure_agreement, sign, verify
+from .scheme import POLICIES, Z2_DERIVED, keygen, measure_agreement, run_cases, sign, verify
 
 EXIT_OK = 0
 EXIT_REJECT = 1
@@ -100,21 +99,17 @@ def cmd_verify(args) -> int:
 def cmd_kat(args) -> int:
     if args.count < 1:
         raise UsageError("--count must be >= 1")
-    master = _parse_seed(args.seed)
-    ring = get_ring(DEFAULT_PARAMS)
-    lines = []
-    for i in range(args.count):
-        zeta, r, msg = derive_case_seeds(master, i)
-        pk, sk = keygen(zeta, DEFAULT_PARAMS)
-        sig = sign(sk, pk, msg, r, DEFAULT_PARAMS, args.policy)
-        verdict = "accept" if verify(pk, msg, sig, DEFAULT_PARAMS).ok else "reject"
-        lines.append(
-            f"case {i}: zeta={zeta.hex()} r={r.hex()} msg={msg.hex()}"
-            f" pk={codec.serialize_pk(pk, ring).hex()}"
-            f" sk={codec.serialize_sk(sk, ring).hex()}"
-            f" sig={codec.serialize_sig(sig, ring).hex()}"
-            f" verdict={verdict}"
-        )
+    ring, lines = get_ring(DEFAULT_PARAMS), []
+    for cases, pk, sk, sig, verdicts, _ in run_cases(_parse_seed(args.seed), args.count,
+                                                     DEFAULT_PARAMS, args.policy):
+        wires = zip(codec.serialize_pk(pk, ring), codec.serialize_sk(sk, ring),
+                    codec.serialize_sig(sig, ring))
+        for (zeta, r, msg), (pk_wire, sk_wire, sig_wire), verdict in zip(cases, wires, verdicts):
+            lines.append(
+                f"case {len(lines)}: zeta={zeta.hex()} r={r.hex()} msg={msg.hex()}"
+                f" pk={pk_wire.hex()} sk={sk_wire.hex()} sig={sig_wire.hex()}"
+                f" verdict={'accept' if verdict.ok else 'reject'}"
+            )
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_atomic(args.out, text.encode())

@@ -25,15 +25,15 @@ polynomials. ``mu_payload_bits`` expands digests through ``bytes_to_bits``.
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
 layouts. Each carries its ``ParamSet`` and is checked once, when it is
 built: a malformed value raises ``CodecError`` and never exists, so the
-serializers refuse only a batch or a value of another set, and verification
+serializers refuse only a value of another type or set, and verification
 never meets a malformed signature. The parsers take any bytes-like wire.
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
 m * 448 bytes into a coefficient-domain (m, n) ``RqArray``, also for m = 1,
 with one length and one range check over all rows. A ``Signature`` holds its
-rows in wire order, as one (k + 2, n) array z, so a serializer packs one
-(k, n) or (k + 2, n) array as it is, a parser hands the unpacked array to
-the constructor as it is, and each refuses a batch.
+rows in wire order, as one (k + 2, n) array z, so a serializer packs each
+trial's (k, n) or (k + 2, n) array as it is, one wire per trial (a tuple of
+them for a batch), and a parser hands the unpacked array to the constructor.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ import numpy as np
 
 from .params import ParamSet
 from .ring import COEFF, NTT, Ring, RqArray
-from .sampling import SEED_BYTES, gen_a
+from .sampling import SEED_BYTES, _batch, _each, gen_a
 
 MAGIC = b"MLDS"
 VERSION = 0x01
@@ -180,12 +180,11 @@ def bytes_to_bits(data: bytes) -> np.ndarray:
 def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
     """The digest bits carried by z3: all of mu, or its first n/4 bits.
 
-    One digest gives (mu_bits,) bits; a sequence of digests (mu_bits,) per
+    One digest gives (mu_bits,) bits; a list or tuple of digests (mu_bits,) per
     trial along a leading axis.
     """
-    if isinstance(mu, (bytes, bytearray)):
-        return bytes_to_bits(mu)[: params.mu_bits]
-    return bytes_to_bits(b"".join(mu)).reshape(len(mu), -1)[:, : params.mu_bits]
+    digests = b"".join(mu) if _batch(mu) else mu
+    return bytes_to_bits(digests).reshape(_batch(mu) + (-1,))[..., : params.mu_bits]
 
 
 # -- message encode / decode --------------------------------------------------
@@ -350,10 +349,16 @@ def key_sizes(p: ParamSet) -> SizeReport:
                       pk_bytes(p), sk_bytes(p), sig_bytes(p))
 
 
-def serialize_pk(pk, ring: Ring) -> bytes:
-    if not (isinstance(pk, PublicKey) and pk.params == ring.params and type(pk.rho) is bytes):
-        raise CodecError("serialize_pk takes one public key of this parameter set, not a batch")
-    return b"".join((_header(ring.params), pk.rho, _pack_rows(pk.p_vec.data, ring.params)))
+def _header_of(value, cls, ring: Ring) -> bytes:
+    """The wire header of ``value``, which must be a ``cls`` of ``ring``'s set."""
+    if not (isinstance(value, cls) and value.params == ring.params):
+        raise CodecError(f"only a {cls.__name__} of this parameter set serializes to its format")
+    return _header(ring.params)
+
+
+def serialize_pk(pk, ring: Ring) -> bytes | tuple[bytes, ...]:
+    head = _header_of(pk, PublicKey, ring)
+    return _each(lambda rho, p: b"".join((head, rho, _pack_rows(p, ring.params))), pk.rho, pk.p_vec.data)
 
 
 def parse_pk(data: bytes, ring: Ring) -> PublicKey:
@@ -363,10 +368,9 @@ def parse_pk(data: bytes, ring: Ring) -> PublicKey:
     return PublicKey(rho, unpack_poly(body[SEED_BYTES:], ring), gen_a(rho, ring), p)
 
 
-def serialize_sk(sk, ring: Ring) -> bytes:
-    if not (isinstance(sk, SecretKey) and sk.params == ring.params and sk.s.data.ndim == 2):
-        raise CodecError("serialize_sk takes one secret key of this parameter set, not a batch")
-    return _header(ring.params) + _pack_rows(sk.s.data, ring.params)
+def serialize_sk(sk, ring: Ring) -> bytes | tuple[bytes, ...]:
+    head, s = _header_of(sk, SecretKey, ring), sk.s.data  # a batch's s has a leading trial axis
+    return _each(lambda s: head + _pack_rows(s, ring.params), list(s) if s.ndim == 3 else s)
 
 
 def parse_sk(data: bytes, ring: Ring) -> SecretKey:
@@ -375,10 +379,9 @@ def parse_sk(data: bytes, ring: Ring) -> SecretKey:
     return SecretKey(unpack_poly(body, ring), p)
 
 
-def serialize_sig(sig, ring: Ring) -> bytes:
-    if not (isinstance(sig, Signature) and sig.params == ring.params and type(sig.h) is bytes):
-        raise CodecError("serialize_sig takes one signature of this parameter set, not a batch")
-    return b"".join((_header(ring.params), _pack_rows(sig.z.data, ring.params), sig.h))
+def serialize_sig(sig, ring: Ring) -> bytes | tuple[bytes, ...]:
+    head = _header_of(sig, Signature, ring)
+    return _each(lambda h, z: b"".join((head, _pack_rows(z, ring.params), h)), sig.h, sig.z.data)
 
 
 def parse_sig(data: bytes, ring: Ring) -> Signature:

@@ -23,10 +23,10 @@ change:
 Rejection in ``gen_a`` touches public data only; the binomial sampler has no
 data-dependent branching.
 
-``gen_a`` and the noise functions take one seed, or a non-empty sequence of
-seeds for a batch, whose outputs gain one leading axis; the SHAKE call per
-stream is the only per-item loop. ``gen_se_vec`` is ``gen_se`` over k
-consecutive nonces.
+``gen_a`` and the noise functions take one bytes-like seed, or a list or
+tuple of them for a batch (``_batch`` and ``_each`` are that rule for every
+layer), whose outputs gain one leading axis; the SHAKE call per stream is the
+only per-item loop. ``gen_se_vec`` is ``gen_se`` over k consecutive nonces.
 """
 
 from __future__ import annotations
@@ -44,13 +44,26 @@ from .ring import COEFF, NTT, Ring, RqArray
 SHAKE128_RATE = 168  # output bytes per Keccak permutation
 
 
-def _seed_batch(seeds, label: str) -> tuple[list, bool]:
-    """(checked seeds, whether a single seed was given rather than a sequence)."""
-    single = isinstance(seeds, (bytes, bytearray))
-    batch = [seeds] if single else list(seeds)
-    if not (batch and all(isinstance(s, (bytes, bytearray)) and len(s) == SEED_BYTES for s in batch)):
-        raise ValueError(f"{label} must be exactly {SEED_BYTES} bytes, or a non-empty sequence of them")
-    return batch, single
+def _batch(items) -> tuple:
+    """(B,) for a list or tuple of B per-trial values, () for one value."""
+    return (len(items),) if isinstance(items, (list, tuple)) else ()
+
+
+def _each(fn, items, *rows):
+    """fn on one trial's values, or a tuple of fn over the trials of a batch."""
+    return tuple(map(fn, items, *rows)) if _batch(items) else fn(items, *rows)
+
+
+def _seed_batch(seeds, name: str) -> list[bytes]:
+    """Each seed of a batch, or the one seed, as bytes; each must be 32 bytes-like bytes."""
+    try:
+        batch = [bytes(memoryview(s)) for s in (seeds if _batch(seeds) else (seeds,))]
+    except TypeError:  # not bytes-like
+        batch = []
+    if not (batch and all(len(s) == SEED_BYTES for s in batch)):
+        raise ValueError(f"{name} must be exactly {SEED_BYTES} bytes, "
+                         "or a non-empty list or tuple of them")
+    return batch
 
 
 def hash_h(data: bytes) -> tuple[bytes, bytes]:
@@ -94,7 +107,7 @@ def gen_a(rho, ring: Ring) -> RqArray:
     falls short, all streams are squeezed again at twice the length; SHAKE
     output is prefix-stable, so that only extends each stream.
     """
-    rhos, single = _seed_batch(rho, "rho")
+    rhos = _seed_batch(rho, "rho")
     p, k, n = ring.params, ring.k, ring.n
     seeds = [r + bytes([i, j]) for r in rhos for i in range(k) for j in range(k)]
     need = _gen_a_bytes(n, p.q, p.bits_per_coeff)
@@ -105,8 +118,8 @@ def gen_a(rho, ring: Ring) -> RqArray:
         rank = accept.view(np.uint8).cumsum(axis=1, dtype=np.min_scalar_type(need // 2))
         if rank[:, -1].min() >= n:
             accept &= rank <= n
-            data = np.compress(accept.ravel(), cand).astype(np.int32).reshape(len(rhos), k, k, n)
-            return RqArray(data[0] if single else data, NTT)
+            data = np.compress(accept.ravel(), cand).astype(np.int32)
+            return RqArray(data.reshape(_batch(rho) + (k, k, n)), NTT)
         need *= 2
 
 
@@ -137,9 +150,8 @@ def _binomial(seeds: list, nonces: range, ring: Ring) -> np.ndarray:
 
 def gen_se(seed, nonces: range, ring: Ring) -> RqArray:
     """psi_eta noise (values in [-eta, eta], stored mod q) per seed, one row per nonce."""
-    seeds, single = _seed_batch(seed, "seed")
-    c = _binomial(seeds, nonces, ring)
-    return RqArray(c[0] if single else c, COEFF)
+    c = _binomial(_seed_batch(seed, "seed"), nonces, ring)
+    return RqArray(c.reshape(_batch(seed) + c.shape[1:]), COEFF)
 
 
 def gen_se_vec(seed, first_nonce: int, ring: Ring) -> RqArray:

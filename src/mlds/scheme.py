@@ -50,18 +50,18 @@ Byte layouts live elsewhere: the mu payload bits in ``codec.mu_payload_bits``,
 the noise nonces and each agreement cycle's seeds in ``sampling``.
 
 ``keygen``, ``sign`` and ``verify`` each compute one trial, or a batch: each
-per-trial argument (zeta; message and r) is then a list or tuple, ring values
-(int32 arrays, see ``mlds.ring``) carry a leading trial axis (B, ...) and rho
-and h become tuples. Keys without a trial axis broadcast against a batch. The
-per-trial hashing is the only per-trial loop, and each step transforms the
-same polynomial slots as one trial does: one ntt/intt call per slot, over a
-(B, 1, n) stack. One trial keeps no trial axis (with one of length one, a
-sign measured ~6% slower on a 2-vCPU Xeon, from broadcasting and unwrapping).
-``measure_agreement`` runs its cycles in chunks of ``AGREEMENT_CHUNK`` = 64
-trials: the 19 transform calls of a z2 cycle then each cover a whole chunk,
-and a 64-cycle call is one batched keygen, sign and verify, which is what
-makes the agreement harness fast. The time and peak memory of chunks of 16,
-32 and 64 are recorded at ``AGREEMENT_CHUNK``.
+per-trial argument (zeta; message and r) is then a list or tuple
+(``sampling._batch``), ring values (int32 arrays, see ``mlds.ring``) carry a
+leading trial axis (B, ...) and rho and h become tuples. Keys without a trial
+axis broadcast against a batch. The per-trial hashing is the only per-trial
+loop, and each step transforms the same polynomial slots as one trial does:
+one ntt/intt call per slot, over a (B, 1, n) stack. One trial keeps no trial
+axis (with one of length one, a sign measured ~6% slower on a 2-vCPU Xeon,
+from broadcasting and unwrapping). ``run_cases`` runs the known-answer cases
+of ``measure_agreement`` and ``mlds kat`` in chunks of ``AGREEMENT_CHUNK`` =
+64: the 19 transform calls of a z2 cycle then each cover a whole chunk, and a
+64-cycle call is one batched keygen, sign and verify. The time and peak memory
+of chunks of 16, 32 and 64 are recorded at ``AGREEMENT_CHUNK``.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, d
                     mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import COEFF, Ring, RqArray, get_ring
-from .sampling import (SEED_BYTES, _seed_batch, hash_h, crh, derive_case_seeds, gen_a,
+from .sampling import (SEED_BYTES, _batch, _each, _seed_batch, hash_h, crh, derive_case_seeds, gen_a,
                        expand_key_noise, expand_signing_noise)
 
 
@@ -101,24 +101,12 @@ ACCEPT = VerifyResult(True)
 # -- keygen, sign and verify, each for one trial or a batch -----------------------
 
 
-def _batch(items) -> tuple:
-    """(B,) for a list or tuple of B per-trial values, () for one value."""
-    return (len(items),) if isinstance(items, (list, tuple)) else ()
-
-
-def _each(fn, items, *rows):
-    """fn on one trial's values, or a tuple of fn over the trials of a batch."""
-    if not isinstance(items, (list, tuple)):
-        return fn(items, *rows)
-    return tuple(map(fn, items, *rows))
-
-
 def keygen(zeta, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKey]:
     """Deterministic key pair from a 32-byte seed, or a batch of them from a
-    sequence of seeds; any other seed raises ValueError."""
+    list or tuple of seeds; any other seed raises ValueError."""
     ring = get_ring(params)
-    zetas, single = _seed_batch(zeta, "zeta")
-    rho, xi = hash_h(zeta) if single else zip(*map(hash_h, zetas))
+    zetas = _seed_batch(zeta, "zeta")
+    rho, xi = zip(*map(hash_h, zetas)) if _batch(zeta) else hash_h(*zetas)
     a_hat = gen_a(rho, ring)
     s, e = expand_key_noise(xi, ring)
     p_vec = ring.add(ring.vec_intt(ring.matvec(a_hat, ring.vec_ntt(s))), e)
@@ -127,7 +115,7 @@ def keygen(zeta, params: ParamSet = DEFAULT_PARAMS) -> tuple[PublicKey, SecretKe
 
 def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PARAMS,
          policy: str = Z2_DERIVED) -> Signature:
-    """Sign ``message`` (bytes-like) with the per-signature coin ``r`` (never reuse r).
+    """Sign ``message`` (bytes-like) with the bytes-like 32-byte coin ``r`` (never reuse r).
 
     A batch is equal-length lists or tuples of messages and coins, under one key
     pair or one per message. ``policy`` is one of ``POLICIES``, ``sk`` is a
@@ -144,6 +132,7 @@ def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PA
     trials = _batch(message)
     if _batch(r) != trials:
         raise ValueError("r must be one coin for one message, or a list or tuple of one per message")
+    _seed_batch(r, "r")
     for name, keys in (("sk", sk.s), ("pk", pk.p_vec)):
         if keys.data.shape[:-2] not in ((), trials):
             raise ValueError(f"{name} must be one key, or a batch of one per message")
@@ -277,6 +266,23 @@ class AgreementReport:
 AGREEMENT_CHUNK = 64
 
 
+def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
+              policy: str = Z2_DERIVED):
+    """Per chunk of cases t = 0..count-1, each ``derive_case_seeds(master_seed, t)``, one
+    batched keygen, sign and ``_verify_steps``: yields ((zeta, r, msg) per case, pk, sk,
+    sig, verdicts, the chunk's largest ||w - encode(mu)||_inf)."""
+    ring, every = get_ring(params), range(count)
+    for start in range(0, count, AGREEMENT_CHUNK):
+        cases = [derive_case_seeds(master_seed, t) for t in every[start:start + AGREEMENT_CHUNK]]
+        zetas, rs, msgs = zip(*cases)
+        pk, sk = keygen(zetas, params)
+        sig = sign(sk, pk, msgs, rs, params, policy)
+        mus = [crh(msg) for msg in msgs]
+        verdicts, w = _verify_steps(pk, mus, sig, ring)
+        noise = ring.sub(w, encode_bits(mu_payload_bits(mus, params), ring))
+        yield cases, pk, sk, sig, verdicts, ring.infinity_norm(noise)
+
+
 def measure_agreement(
     trials: int,
     params: ParamSet = DEFAULT_PARAMS,
@@ -285,27 +291,16 @@ def measure_agreement(
 ) -> AgreementReport:
     """Run fresh keygen/sign/verify cycles; count the two failure modes separately.
 
-    Cycle t uses ``derive_case_seeds(master_seed, t)``. The cycles run in
-    chunks of ``AGREEMENT_CHUNK`` trials, each a batched keygen, sign and
-    verify (``_verify_steps``, for its w); the counts equal those of running
-    the cycles one at a time.
+    Cycle t is known-answer case t of ``master_seed``, run by ``run_cases``;
+    the counts equal those of running the cycles one at a time.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if master_seed is None:
         master_seed = os.urandom(SEED_BYTES)
-    ring = get_ring(params)
-    reasons = []
-    max_noise = 0
-    for start in range(0, trials, AGREEMENT_CHUNK):
-        cases = range(start, min(start + AGREEMENT_CHUNK, trials))
-        zetas, rs, msgs = zip(*(derive_case_seeds(master_seed, t) for t in cases))
-        pk, sk = keygen(zetas, params)
-        sig = sign(sk, pk, msgs, rs, params, policy)
-        mus = [crh(msg) for msg in msgs]
-        chunk_verdicts, w = _verify_steps(pk, mus, sig, ring)
-        reasons += [verdict.reason for verdict in chunk_verdicts]
-        noise = ring.sub(w, encode_bits(mu_payload_bits(mus, params), ring))
-        max_noise = max(max_noise, ring.infinity_norm(noise))
+    reasons, max_noise = [], 0
+    for *_, verdicts, noise in run_cases(master_seed, trials, params, policy):
+        reasons += [verdict.reason for verdict in verdicts]
+        max_noise = max(max_noise, noise)
     return AgreementReport(trials=trials, mu_failures=reasons.count("mu-mismatch"),
                            h_failures=reasons.count("h-mismatch"), max_noise=max_noise)

@@ -9,7 +9,10 @@ import sys
 import pytest
 
 import mlds.cli
-from mlds import ParamError, ParamSet, validate_params
+from mlds import (DEFAULT_PARAMS, ParamError, ParamSet, get_ring, keygen, serialize_pk,
+                  serialize_sig, serialize_sk, sign, validate_params, verify)
+from mlds.sampling import derive_case_seeds
+from mlds.scheme import AGREEMENT_CHUNK
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
 from mlds.estimator import AttackEstimate
 
@@ -190,6 +193,25 @@ def test_kat_subprocess_byte_identical():
     a = subprocess.run(cmd, capture_output=True, check=True).stdout
     b = subprocess.run(cmd, capture_output=True, check=True).stdout
     assert a == b and a
+
+
+@pytest.mark.parametrize("policy", ["z2", "literal"])
+def test_kat_across_a_chunk_boundary_matches_single_calls(policy, capsys):
+    # kat runs its cases in batched chunks of AGREEMENT_CHUNK; the last case starts
+    # a second chunk, and every line must equal one built from single calls
+    count = AGREEMENT_CHUNK + 1
+    master, ring = bytes.fromhex(SEED2), get_ring(DEFAULT_PARAMS)
+    expected = []
+    for i in range(count):
+        zeta, r, msg = derive_case_seeds(master, i)
+        pk, sk = keygen(zeta)
+        sig = sign(sk, pk, msg, r, policy=policy)
+        verdict = "accept" if verify(pk, msg, sig).ok else "reject"
+        expected.append(f"case {i}: zeta={zeta.hex()} r={r.hex()} msg={msg.hex()}"
+                        f" pk={serialize_pk(pk, ring).hex()} sk={serialize_sk(sk, ring).hex()}"
+                        f" sig={serialize_sig(sig, ring).hex()} verdict={verdict}\n")
+    assert run_cli("kat", "--count", str(count), "--seed", SEED2, "--policy", policy) == EXIT_OK
+    assert capsys.readouterr().out == "".join(expected)
 
 
 def test_kat_rejects_bad_count():

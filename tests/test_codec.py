@@ -320,15 +320,31 @@ def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair
         parse_sig(bytes(blob), ring)
 
 
+@pytest.mark.parametrize("kind", ["pk", "sk", "sig"])
+def test_a_batch_serializes_to_one_wire_per_trial(kind, ring):
+    # each trial's wire is the wire of that trial made alone, and parses back to it
+    zetas, msgs, coins = [bytes(32), bytes(range(32))], [b"a", b"b"], [bytes(32), bytes([7] * 32)]
+    serialize, parse, fields = {"pk": (serialize_pk, parse_pk, ("rho", "p_vec")),
+                                "sk": (serialize_sk, parse_sk, ("s",)),
+                                "sig": (serialize_sig, parse_sig, ("z", "h"))}[kind]
+
+    def made(zeta, msg, coin):
+        pk, sk = keygen(zeta)
+        return {"pk": pk, "sk": sk, "sig": sign(sk, pk, msg, coin)}[kind]
+
+    singles = [made(*case) for case in zip(zetas, msgs, coins)]
+    wires = serialize(made(zetas, msgs, coins), ring)
+    assert type(wires) is tuple and wires == tuple(serialize(one, ring) for one in singles)
+    for wire, one in zip(wires, singles):
+        back = parse(wire, ring)
+        assert [getattr(back, f) for f in fields] == [getattr(one, f) for f in fields]
+
+
 @pytest.fixture(scope="module")
 def unserializable(ring, keypair_sig):
-    pk, sk = keygen([bytes(32), bytes(range(32))])
-    sig = sign(sk, pk, [b"a", b"b"], [bytes(32), bytes([7] * 32)])
     one_pk, one_sk, one_sig = keypair_sig
     # a malformed key or signature is refused when it is built, so those cases build inside the check
-    return {"pk": (serialize_pk, lambda: pk), "sk": (serialize_sk, lambda: sk),
-            "sig": (serialize_sig, lambda: sig),
-            "ntt-sk": (serialize_sk, lambda: SecretKey(ring.vec_ntt(one_sk.s), ring.params)),
+    return {"ntt-sk": (serialize_sk, lambda: SecretKey(ring.vec_ntt(one_sk.s), ring.params)),
             "rho-31": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(31))),
             "rho-33": (serialize_pk, lambda: dataclasses.replace(one_pk, rho=bytes(33))),
             "h-31": (serialize_sig, lambda: dataclasses.replace(one_sig, h=bytes(31))),
@@ -343,13 +359,13 @@ def unserializable(ring, keypair_sig):
             "pk-as-sk": (serialize_sk, lambda: one_pk)}
 
 
-@pytest.mark.parametrize("kind", ["pk", "sk", "sig", "ntt-sk", "rho-31", "rho-33", "h-31", "h-33",
-                                  "rho-str", "rho-bytearray", "p-poly", "p-int64", "s-ndarray",
+@pytest.mark.parametrize("kind", ["ntt-sk", "rho-31", "rho-33", "h-31", "h-33", "rho-str",
+                                  "rho-bytearray", "p-poly", "p-int64", "s-ndarray",
                                   "sk-as-pk", "pk-as-sk"])
 def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
-    # a batch of two keys or signatures, a key in the NTT domain, a rho or h
-    # of the wrong length, whose wire parse_pk/parse_sig would refuse, and
-    # values of the wrong type
+    # a key in the NTT domain, a rho or h of the wrong length, whose wire
+    # parse_pk/parse_sig would refuse, and values of the wrong type; a batch
+    # is no longer refused (test_a_batch_serializes_to_one_wire_per_trial)
     serialize, build = unserializable[kind]
     with pytest.raises(CodecError):
         serialize(build(), ring)
@@ -656,19 +672,20 @@ def _mutants(draw):
 
 
 def _round_trip(value) -> None:
+    """A value, or each trial of a batch, parses back from its own wire."""
     ring = get_ring(value.params)
     serialize, parse = CODEC[type(value)]
-    back = parse(serialize(value, ring), ring)
-    assert back.params == value.params
+    wires = serialize(value, ring)
+    batch = type(wires) is tuple
     seed = (SEED_FIELD[type(value)],) if type(value) in SEED_FIELD else ()
-    for field in RING_FIELDS[type(value)] + seed:
-        assert getattr(back, field) == getattr(value, field)
-
-
-def _is_batch(value) -> bool:
-    if type(value) is SecretKey:
-        return value.s.data.ndim == 3
-    return type(getattr(value, SEED_FIELD[type(value)])) is tuple
+    for t, wire in enumerate(wires if batch else (wires,)):
+        back = parse(wire, ring)
+        assert back.params == value.params
+        for field in RING_FIELDS[type(value)] + seed:
+            want = getattr(value, field)
+            if batch:
+                want = want[t] if field in seed else RqArray(want.data[t], want.domain)
+            assert getattr(back, field) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -679,11 +696,7 @@ def test_a_mutated_key_or_signature_round_trips_or_raises_codec_error(mutant):
         built = _mutate(value, field, how, axis, at)
     except CodecError:
         return
-    if _is_batch(built):  # a batch is well formed, but has no wire format
-        with pytest.raises(CodecError, match="not a batch"):
-            _round_trip(built)
-    else:
-        _round_trip(built)
+    _round_trip(built)
 
 
 @settings(max_examples=60, deadline=None)

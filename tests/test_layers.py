@@ -152,3 +152,41 @@ def test_one_function_per_operation():
               for node in ast.walk(ast.parse(path.read_text(), str(path)))
               if isinstance(node, ast.FunctionDef) and node.name in twins]
     assert found == []
+
+
+def batch_tests(tree: ast.AST):
+    """(line, types) for every ``isinstance(x, (list, tuple))`` or ``isinstance(x, (bytes,
+    bytearray))`` call, at any depth: the tests that decide one trial or a batch."""
+    rules = ({"list", "tuple"}, {"bytes", "bytearray"})
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and isinstance(node.args[1], ast.Tuple)):
+            types = {elt.id for elt in node.args[1].elts if isinstance(elt, ast.Name)}
+            if types in rules:
+                yield node.lineno, ", ".join(sorted(types))
+
+
+def test_one_batch_rule():
+    # sampling's _batch and _each decide whether a value is one trial or a batch,
+    # for every layer; no other module tests the type of a batch by its own rule
+    found = [f"{path.name}:{line} isinstance(..., ({types}))"
+             for path in sorted(SRC.glob("*.py")) if path.stem != "sampling"
+             for line, types in batch_tests(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_check_sees_both_batch_tests():
+    source = ("def f(x):\n    if isinstance(x, (list, tuple)):\n"
+              "        return isinstance(x[0], (bytes, bytearray))\n    return isinstance(x, bytes)\n")
+    assert list(batch_tests(ast.parse(source))) == [(2, "list, tuple"), (3, "bytearray, bytes")]
+
+
+def test_one_known_answer_loop():
+    # scheme.run_cases runs the known-answer cases of measure_agreement and mlds kat;
+    # no module but sampling, which derives a case's seeds, and scheme names them
+    found = [f"{name}.py:{line} names {what}"
+             for name in LAYERS if name not in ("sampling", "scheme")
+             for line, what in names_used(ast.parse((SRC / f"{name}.py").read_text()),
+                                          {"derive_case_seeds"})]
+    assert found == []

@@ -45,12 +45,19 @@ def test_keygen_deterministic(ring, keypair):
     assert serialize_sk(sk, ring) == serialize_sk(sk2, ring)
 
 
-@pytest.mark.parametrize("zeta", [b"", bytes(31), bytes(33), "00" * 32])
-def test_keygen_rejects_a_seed_not_32_bytes(zeta):
+@pytest.mark.parametrize("zeta", [b"", bytes(31), bytes(33), "00" * 32, 5, None])
+def test_keygen_rejects_a_seed_not_32_bytes(zeta, keypair):
+    # a seed that is not bytes-like, not iterable either, is a ValueError too
     with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
         keygen(zeta)
     with pytest.raises(ValueError, match="zeta must be exactly 32 bytes"):
         keygen([ZETA, zeta])
+    # a bad coin is reported under its own name, for one message or a batch
+    pk, sk = keypair
+    with pytest.raises(ValueError, match="^r must be exactly 32 bytes"):
+        sign(sk, pk, MSG, zeta)
+    with pytest.raises(ValueError, match="^r must be exactly 32 bytes"):
+        sign(sk, pk, [MSG, MSG], [COIN, zeta])
 
 
 def test_keygen_noise_recomputable(ring, keypair):
@@ -506,6 +513,9 @@ def test_a_memoryview_message_signs_and_verifies(ring, keypair, z2_sig):
     pk, sk = keypair
     view = memoryview(bytearray(MSG))
     assert serialize_sig(sign(sk, pk, view, COIN), ring) == serialize_sig(z2_sig, ring)
+    # a bytes-like coin signs like its bytes, as a bytes-like message does
+    assert serialize_sig(sign(sk, pk, MSG, memoryview(COIN)), ring) == serialize_sig(z2_sig, ring)
+    assert serialize_sig(sign(sk, pk, [MSG], [bytearray(COIN)]), ring) == (serialize_sig(z2_sig, ring),)
     assert verify(pk, view, z2_sig).ok
     batch = sign(sk, pk, [view, bytearray(MSG)], [COIN, bytes(32)])
     assert batch.h[0] == z2_sig.h
