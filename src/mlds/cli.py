@@ -148,7 +148,8 @@ def cmd_estimate(args) -> int:
     if args.n_lwe is not None:
         dims = [args.n_lwe]
     else:
-        # module secret dimension n*k, plus the conservative n*k^2 reading
+        # module secret dimension n*k, plus an n*k^2 row that prices no instance of the
+        # scheme and claims more bits than the n*k row
         dims = [p.n * p.k, p.n * p.k * p.k]
     instances = [_estimate_instance(d, args.q, args.eta, args.max_samples) for d in dims]
     payload = {
@@ -232,7 +233,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = sub.add_parser("estimate", help="core-SVP key-recovery (LWE) attack costs and sizes")
     est.add_argument("--n-lwe", type=int, default=None,
-                     help="LWE secret dimension (default: both n*k and n*k^2)")
+                     help="LWE secret dimension (default: the module secret dimension n*k, "
+                          "and n*k^2, a row that prices no instance of the scheme)")
     est.add_argument("--q", type=int, default=DEFAULT_PARAMS.q)
     est.add_argument("--eta", type=int, default=DEFAULT_PARAMS.eta)
     est.add_argument("--max-samples", type=int, default=None)

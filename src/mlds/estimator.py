@@ -95,6 +95,9 @@ class LweInstance:
     max_samples: int
 
     def __post_init__(self):
+        # whole numbers only, as in ParamSet: a fractional sample cap admits an m beyond it
+        if not all(type(v) is int for v in (self.n_lwe, self.q, self.max_samples)):
+            raise EstimatorError(f"n_lwe, q and max_samples must be ints (not bool): {self}")
         # isfinite also rejects NaN, for which sigma <= 0 is False, and inf
         if (self.n_lwe < 1 or self.q < 2 or not math.isfinite(self.sigma) or self.sigma <= 0
                 or self.max_samples < 1):
@@ -103,8 +106,8 @@ class LweInstance:
     @classmethod
     def from_binomial(cls, n_lwe: int, q: int, eta: int, max_samples: int | None = None):
         """Instance with psi_eta noise, sigma = sqrt(eta/2); default m cap 2n."""
-        if eta < 1:
-            raise EstimatorError(f"eta must be >= 1, got {eta}")
+        if type(eta) is not int or eta < 1:  # a bool is refused too
+            raise EstimatorError(f"eta must be an int >= 1, got {eta!r}")
         if max_samples is None:
             max_samples = 2 * n_lwe
         return cls(n_lwe=n_lwe, q=q, sigma=math.sqrt(eta / 2), max_samples=max_samples)
@@ -138,21 +141,23 @@ def _b_table(b_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray) -> tuple | None:
     """The (cost, b, m) lexicographic minimum of a cost block, None if no cell is finite.
 
-    ``cost`` holds one column per entry of ``b``; ``m`` broadcasts against it,
+    ``cost`` holds one column per entry of ``b``; ``m``, 2-D, broadcasts against it,
     one m per cell.
     """
     per_b = cost.min(axis=0)
     col = per_b.argmin()  # first minimum: smallest b
     row = cost[:, col].argmin()  # first minimum: smallest m
-    cand = (per_b[col], int(b[col]), int(np.broadcast_to(m, cost.shape)[row, col]))
-    return cand if np.isfinite(cand[0]) else None
+    # m is 2-D, so an axis it broadcasts along has length 1 and is read at index 0
+    cand = (per_b[col], int(b[col]), int(m[row % m.shape[0], col % m.shape[1]]))
+    return cand if math.isfinite(cand[0]) else None
 
 
 def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     """(cost, b, m) minimum over every cell, None if no cell is finite; see the module doc.
 
     ``block_cost(m, b, log_delta, half_log_b)`` returns the cost of each cell of the
-    broadcast block and its slack bound; ``log_delta`` is ln delta(b) and ``half_log_b``
+    broadcast block and a function, called at most once, that returns their slack bounds
+    from the same intermediate arrays; ``log_delta`` is ln delta(b) and ``half_log_b``
     0.5 ln b, both shaped like ``b``. A cell's lattice dimension is d = n_lwe + offset + m,
     and b <= d.
     """
@@ -164,15 +169,16 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     m_star = n * math.log(inst.q) / log_delta
     np.sqrt(m_star, out=m_star)
     m_star -= n
-    m = np.floor(m_star) + np.arange(2.0)[:, None]  # the (2, #b) screen: floor and floor + 1
+    m = np.floor(m_star, out=m_star) + np.arange(2.0)[:, None]  # (2, #b) screen: floor, floor + 1
     # clip to the row's [max(1, b - n), max_samples]; an empty row clips to max_samples
-    np.maximum(m, np.maximum(1.0, b - n), out=m)
+    low = b - n
+    np.maximum(m, np.maximum(low, 1.0, out=low), out=m)
     np.minimum(m, inst.max_samples, out=m)
     cost, bound = block_cost(m, b, log_delta, half_log_b)
     best = _pick(cost, m, b)
-    bound = bound.min(axis=0)
-    # a row whose slack bound lies above an attained cost can neither beat nor tie the optimum
-    keep = np.flatnonzero(np.isfinite(bound) & (bound <= (best[0] if best else np.inf)))
+    bound = bound().min(axis=0)  # the whole rows below need no slack bound
+    # a row whose slack bound lies above an attained cost (so any inf) cannot beat or tie it
+    keep = np.flatnonzero(bound <= best[0] if best else np.isfinite(bound))
     rows, log_delta, half_log_b = b[keep], log_delta[keep], half_log_b[keep]
 
     if not rows.size:
@@ -186,15 +192,20 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
 def primal_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
     def block_cost(m, b, log_delta, half_log_b):
-        d = inst.n_lwe + m + 1.0
+        d = m + (inst.n_lwe + 1.0)  # n_lwe + m + 1, exact in float64
         rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
         rhs *= log_delta
-        rhs += (m / d) * math.log(inst.q)
+        q_term = m / d
+        rhs += np.multiply(q_term, math.log(inst.q), out=q_term)
         lhs = math.log(inst.sigma) + half_log_b
         price, in_range = CLASSICAL_EXP * b, b <= d
-        cost = np.where((rhs >= lhs) & in_range, price, np.inf)
-        rhs += SCREEN_SLACK  # the slack bound: the same test against a looser rhs
-        return cost, np.where((rhs >= lhs) & in_range, price, np.inf)
+        ok = rhs >= lhs
+        cost = np.where(np.logical_and(ok, in_range, out=ok), price, np.inf)
+
+        def bound():  # the same test against a looser rhs, which it spends
+            np.greater_equal(np.add(rhs, SCREEN_SLACK, out=rhs), lhs, out=ok)
+            return np.where(np.logical_and(ok, in_range, out=ok), price, np.inf)
+        return cost, bound
 
     best = _search(inst, block_cost, 1)
     if best is None:
@@ -244,8 +255,8 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     def block_cost(m, b, log_delta, _):
         cost = _dual_log2_rep(inst, m, b, log_delta)
         cost += CLASSICAL_EXP * b
-        cost[b > inst.n_lwe + m] = np.inf
-        return cost, cost * (1.0 - SCREEN_SLACK)
+        cost[m < b - inst.n_lwe] = np.inf  # b > d, exact in float64
+        return cost, lambda: cost * (1.0 - SCREEN_SLACK)
 
     best = _search(inst, block_cost, 0)
     if best is None:

@@ -270,7 +270,14 @@ def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
               policy: str = Z2_DERIVED):
     """Per chunk of cases t = 0..count-1, each ``derive_case_seeds(master_seed, t)``, one
     batched keygen, sign and ``_verify_steps``: yields ((zeta, r, msg) per case, pk, sk,
-    sig, verdicts, the chunk's largest ||w - encode(mu)||_inf)."""
+    sig, verdicts, the chunk's largest ||w - encode(mu)||_inf). A master seed that is not
+    one 32-byte bytes-like value raises ValueError before the first chunk."""
+    try:
+        master_seed = bytes(memoryview(master_seed))
+    except TypeError:  # not bytes-like
+        master_seed = b""
+    if len(master_seed) != SEED_BYTES:
+        raise ValueError(f"master_seed must be one {SEED_BYTES}-byte bytes-like value")
     ring, every = get_ring(params), range(count)
     for start in range(0, count, AGREEMENT_CHUNK):
         cases = [derive_case_seeds(master_seed, t) for t in every[start:start + AGREEMENT_CHUNK]]
@@ -294,8 +301,8 @@ def measure_agreement(
     Cycle t is known-answer case t of ``master_seed``, run by ``run_cases``;
     the counts equal those of running the cycles one at a time.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if type(trials) is not int or trials < 1:  # a bool is refused too
+        raise ValueError(f"trials must be an int >= 1, got {trials!r}")
     if master_seed is None:
         master_seed = os.urandom(SEED_BYTES)
     reasons, max_noise = [], 0

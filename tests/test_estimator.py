@@ -108,6 +108,14 @@ def test_instance_construction():
         LweInstance(n_lwe=0, q=12289, sigma=1.0, max_samples=10)
     with pytest.raises(EstimatorError):
         LweInstance.from_binomial(512, 12289, 0)
+    # whole numbers only: at a cap of 10.5 the dual search reported m = 11, beyond the cap
+    for n_lwe, q, max_samples in ((60, 257, 10.5), (60.5, 257, 10), (60, 257.0, 10),
+                                  (True, 257, 10), (60, 257, True), (np.int64(60), 257, 10)):
+        with pytest.raises(EstimatorError, match="must be ints"):
+            LweInstance(n_lwe=n_lwe, q=q, sigma=3.0, max_samples=max_samples)
+    for eta in (2.5, 2.0, True):
+        with pytest.raises(EstimatorError, match="eta must be an int"):
+            LweInstance.from_binomial(512, 12289, eta)
 
 
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
@@ -400,6 +408,25 @@ def test_estimates_digest_pinned():
     assert sum(isinstance(o, tuple) for o in outcomes) == 286
     digest = hashlib.sha256(repr(outcomes).encode()).hexdigest()
     assert digest == "8604fa6b49ef65504544595b1a22a4c17dc70b738fb92ef02f99e2e9885db860"
+
+
+def test_evaluated_cells_digest_pinned(monkeypatch):
+    # every cell the search evaluates, not only the chosen one: a change that moved a losing
+    # cell by one ulp changes this hash. The instances are the benchmark's estimate grid.
+    digest, pick = hashlib.sha256(), mlds.estimator._pick
+
+    def traced(cost, m, b):
+        for values in (cost, np.broadcast_to(m, cost.shape), b):
+            digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
+        return pick(cost, m, b)
+
+    monkeypatch.setattr(mlds.estimator, "_pick", traced)
+    for n_lwe in (512, 768, 1024):
+        for eta in (2, 4, 8, 16):
+            inst = LweInstance.from_binomial(n_lwe, 12289, eta)
+            primal_cost(inst)
+            dual_cost(inst)
+    assert digest.hexdigest() == "c917ba1d25c8fed856b72c006e8ee18cfc16302394132823d8e3d97a4ac9b103"
 
 
 def test_primal_infeasible_raises():

@@ -11,7 +11,8 @@ from mlds import (
 )
 from mlds import COEFF, ParamSet, RqArray, get_ring
 from mlds.scheme import (
-    AGREEMENT_CHUNK, SecretKey, Signature, mu_payload_bits, derive_case_seeds, wilson_interval,
+    AGREEMENT_CHUNK, SecretKey, Signature, mu_payload_bits, derive_case_seeds, run_cases,
+    wilson_interval,
 )
 from mlds.sampling import expand_key_noise, expand_signing_noise, hash_h
 from mlds.codec import encode_bits
@@ -377,8 +378,21 @@ def test_one_noise_draw_per_keygen_and_per_sign(monkeypatch):
 # -- measurement harness ----------------------------------------------------------------
 
 def test_measure_agreement_validates_trials():
-    with pytest.raises(ValueError):
-        measure_agreement(0)
+    for trials in (0, -1, True, 2.0, "2"):
+        with pytest.raises(ValueError, match="trials"):
+            measure_agreement(trials, DEFAULT_PARAMS, Z2_DERIVED, bytes(32))
+    # 1 byte, 33 bytes, a seed in a list, an int, a hex string
+    for seed in (b"x", bytes(33), [bytes(32)], 5, "00" * 32):
+        with pytest.raises(ValueError, match="master_seed"):
+            measure_agreement(1, DEFAULT_PARAMS, Z2_DERIVED, seed)
+        with pytest.raises(ValueError, match="master_seed"):  # before any case runs
+            next(run_cases(seed, 1))
+
+
+def test_run_cases_takes_a_bytes_like_master_seed():
+    seed = bytes(range(32))
+    first = [cases for cases, *_ in run_cases(seed, 2)]
+    assert [cases for cases, *_ in run_cases(memoryview(bytearray(seed)), 2)] == first
 
 
 def test_measure_agreement_z2_policy_all_accept():
