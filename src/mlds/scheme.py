@@ -271,7 +271,10 @@ def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
     """Per chunk of cases t = 0..count-1, each ``derive_case_seeds(master_seed, t)``, one
     batched keygen, sign and ``_verify_steps``: yields ((zeta, r, msg) per case, pk, sk,
     sig, verdicts, the chunk's largest ||w - encode(mu)||_inf). A master seed that is not
-    one 32-byte bytes-like value raises ValueError before the first chunk."""
+    one 32-byte bytes-like value, or a count that is not an int >= 1, raises ValueError
+    before the first chunk."""
+    if type(count) is not int or count < 1:  # a bool is refused too
+        raise ValueError(f"count must be an int >= 1, got {count!r}")
     try:
         master_seed = bytes(memoryview(master_seed))
     except TypeError:  # not bytes-like

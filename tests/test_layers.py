@@ -1,5 +1,5 @@
-"""The package's modules form one import order, with no cycle, and keep no
-module state that a function rebinds.
+"""The package's modules form one import order, with no cycle, keep no
+module state that a function rebinds, and never rebind a ring value's fields.
 
 ``import mlds.codec`` cannot show a cycle, because ``mlds/__init__`` loads
 every module first; so the imports are read from the source, including the
@@ -11,7 +11,11 @@ import ast
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import mlds
+from mlds.ring import COEFF, RqArray
 
 LAYERS = ("params", "ring", "sampling", "codec", "scheme", "estimator", "cli")
 SRC = Path(mlds.__file__).resolve().parent
@@ -107,6 +111,48 @@ def test_no_module_rebinds_its_own_state():
 def test_the_check_sees_global_statements_and_globals_calls():
     source = "def grow():\n    global _T\n    globals()['_T'] = 1\n"
     assert list(module_state_writes(ast.parse(source))) == [(2, "global _T"), (3, "globals()")]
+
+
+def field_rebinds(tree: ast.AST, fields: set):
+    """(line, what) for every assignment to an attribute in ``fields`` (plain, augmented,
+    annotated or unpacked) and every ``setattr``/``x.__setattr__`` call that names one,
+    at any depth. A write into the array, ``x.data[i] = v``, rebinds nothing."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            if node.attr in fields:
+                yield node.lineno, f".{node.attr} ="
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant) and node.args[1].value in fields
+              and ((isinstance(node.func, ast.Name) and node.func.id == "setattr")
+                   or (isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__"))):
+            yield node.lineno, f"sets {node.args[1].value!r}"
+
+
+def test_no_module_rebinds_a_ring_value():
+    # RqArray is not frozen, since a frozen build costs over twice as much; no module
+    # rebinds the array or the domain of a value once it is built
+    found = [f"{path.name}:{line} {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in field_rebinds(ast.parse(path.read_text(), str(path)),
+                                             {"data", "domain"})]
+    assert found == []
+
+
+def test_the_check_sees_assignments_and_setattr_calls():
+    source = ("x.data = a\nx.domain += b\ny.data: int = 1\nx.data, y = a, b\n"
+              "setattr(x, 'domain', c)\nobject.__setattr__(x, 'data', c)\n"
+              "object.__setattr__(self, 'param_id', 1)\nz = x.data\nx.data[0] = 1\n")
+    assert sorted(field_rebinds(ast.parse(source), {"data", "domain"})) == [
+        (1, ".data ="), (2, ".domain ="), (3, ".data ="), (4, ".data ="),
+        (5, "sets 'domain'"), (6, "sets 'data'")]
+
+
+def test_a_ring_value_has_only_its_two_slots():
+    # the slots keep a build cheap; without a __dict__ no other attribute can be set
+    value = RqArray(np.zeros((1, 4), np.int32), COEFF)
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        value.cache = None
 
 
 def test_only_sampling_draws_noise():

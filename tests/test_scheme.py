@@ -389,6 +389,12 @@ def test_measure_agreement_validates_trials():
             next(run_cases(seed, 1))
 
 
+@pytest.mark.parametrize("count", [-3, 0, True, 2.5])
+def test_run_cases_validates_count(count):
+    with pytest.raises(ValueError, match="count"):  # before any case runs
+        next(run_cases(bytes(32), count))
+
+
 def test_run_cases_takes_a_bytes_like_master_seed():
     seed = bytes(range(32))
     first = [cases for cases, *_ in run_cases(seed, 2)]
