@@ -97,11 +97,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kat(args) -> int:
-    if args.count < 1:
-        raise UsageError("--count must be >= 1")
     ring, lines = get_ring(DEFAULT_PARAMS), []
-    for cases, pk, sk, sig, verdicts, _ in run_cases(_parse_seed(args.seed), args.count,
-                                                     DEFAULT_PARAMS, args.policy):
+    for cases, pk, sk, sig, verdicts in run_cases(_parse_seed(args.seed), args.count,
+                                                  DEFAULT_PARAMS, args.policy):
         wires = zip(codec.serialize_pk(pk, ring), codec.serialize_sk(sk, ring),
                     codec.serialize_sig(sig, ring))
         for (zeta, r, msg), (pk_wire, sk_wire, sig_wire), verdict in zip(cases, wires, verdicts):
@@ -119,8 +117,6 @@ def cmd_kat(args) -> int:
 
 
 def cmd_measure(args) -> int:
-    if args.trials < 1:
-        raise UsageError("--trials must be >= 1")
     master = _parse_seed(args.seed) if args.seed else None
     report = measure_agreement(args.trials, DEFAULT_PARAMS, args.policy, master)
     mu_lo, mu_hi = report.mu_interval

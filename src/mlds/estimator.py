@@ -159,12 +159,14 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     broadcast block and a function, called at most once, that returns their slack bounds
     from the same intermediate arrays; ``log_delta`` is ln delta(b) and ``half_log_b``
     0.5 ln b, both shaped like ``b``. A cell's lattice dimension is d = n_lwe + offset + m,
-    and b <= d.
+    and b <= d. An instance whose every d lies below MIN_BLOCK raises EstimatorError.
     """
-    b, log_delta, half_log_b = _b_table(inst.n_lwe + inst.max_samples + 1)
-    if not b.size:
-        return None
     n = inst.n_lwe + offset
+    if n + inst.max_samples < MIN_BLOCK:  # b <= d then leaves no cell
+        raise EstimatorError(
+            f"the largest lattice dimension, {n + inst.max_samples} at m = max_samples, is below "
+            f"MIN_BLOCK = {MIN_BLOCK}, the smallest block size the delta(b) model holds for")
+    b, log_delta, half_log_b = _b_table(inst.n_lwe + inst.max_samples + 1)
     # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n
     m_star = n * math.log(inst.q) / log_delta
     np.sqrt(m_star, out=m_star)

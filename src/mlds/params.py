@@ -9,8 +9,8 @@ set "ML-SD-256x2" is
     n = 256, q = 12289, k = 2, eta = 16
 
 with one message bit per ring coefficient (``redundancy = 1``). A redundant
-four-coefficients-per-bit mode (``redundancy = 4``) is available for 64-bit
-payloads.
+four-coefficients-per-bit mode (``redundancy = 4``) carries n/4 payload bits:
+64 at n = 256, 128 at n = 512.
 
 ``param_id`` is the set's one-byte wire header id. Built without one, the
 shipped fields (the defaults) get 0x01 and any other set the reserved

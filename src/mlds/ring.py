@@ -3,7 +3,8 @@
 Every value is one type, ``RqArray``: an int32 array of shape (..., rows, n)
 tagged with its domain, ``COEFF`` (coefficients) or ``NTT`` (evaluations).
 Every operation checks the domain, so the two can never be mixed silently.
-Entries are stored canonically in [0, q), below q < 2^14; centered
+Entries are stored canonically in [0, q), for any q that ``validate_params``
+admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
 representatives exist only inside the norm helper and the codec.
 
 Axis -1 holds one ring element's n entries and axis -2 the module rows: a

@@ -8,9 +8,10 @@ change:
 * ``derive_case_seeds``  SHAKE-256(master || u32le(index)), three 32-byte
                  seeds: the known-answer case's zeta, r and message.
 * ``gen_a``      entry (i, j) comes from SHAKE-128(rho || byte(i) || byte(j)):
-                 candidates are 2 bytes little-endian masked to 14 bits,
-                 accepted when < q, until n coefficients accepted. Output is
-                 NTT-domain by definition.
+                 candidates are 2 bytes little-endian masked to
+                 ``bits_per_coeff`` bits (14 at q = 12289), accepted when
+                 < q, until n coefficients accepted. Output is NTT-domain
+                 by definition.
 * ``gen_se``     SHAKE-256(seed || byte(nonce)); coefficient t consumes bits
                  [2*eta*t, 2*eta*(t+1)) of the little-endian bitstream, the
                  first eta bits minus the second eta bits, stored mod q. It

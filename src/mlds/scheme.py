@@ -75,7 +75,7 @@ import numpy as np
 from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, decode_payload,
                     mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
-from .ring import COEFF, Ring, RqArray, get_ring
+from .ring import COEFF, RqArray, get_ring
 from .sampling import (SEED_BYTES, _batch, _each, _seed_batch, hash_h, crh, derive_case_seeds, gen_a,
                        expand_key_noise, expand_signing_noise)
 
@@ -88,14 +88,16 @@ POLICIES = (Z2_DERIVED, SECRET_DERIVED)
 
 @dataclass(frozen=True)
 class VerifyResult:
+    """A verdict, its reason, and ``noise`` = ||w - encode(mu)||_inf of the verifier's public
+    w = z2 + z3 - intt(<P_hat, z1_hat>): ||e3 + e4||_inf <= 2 * eta for an honest signature,
+    None for a "parse" verdict, which has no w."""
+
     ok: bool
     reason: str | None = None  # "parse" | "mu-mismatch" | "h-mismatch"
+    noise: int | None = None
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-ACCEPT = VerifyResult(True)
 
 
 # -- keygen, sign and verify, each for one trial or a batch -----------------------
@@ -167,26 +169,13 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
     return crh(mu + crh(payload))
 
 
-def _verify_steps(pk: PublicKey, mu, sig: Signature, ring: Ring):
-    """(verdict, w) for one trial, or (verdicts per trial, w) for a batch.
-
-    Each trial is decided in order: the mu decode of w = z2 + z3 -
-    intt(<P_hat, z1_hat>), then h recomputed from z2.
-    """
-    z2 = sig.z2  # a view of z's row, built once for its two reads
-    p_hat = ring.vec_ntt(pk.p_vec)
-    z1_hat = ring.vec_ntt(sig.z1)
-    w = ring.sub(ring.add(z2, sig.z3), ring.intt(ring.inner_product(p_hat, z1_hat)))
-    mu_ok = (decode_bits(w, ring) == mu_payload_bits(mu, ring.params)).all(axis=-1)
-
-    def decide(mu_t, h_t, mu_ok_t, payload_t):
-        if not mu_ok_t:
-            return VerifyResult(False, "mu-mismatch")
-        if h_t != _h_digest(mu_t, payload_t):
-            return VerifyResult(False, "h-mismatch")
-        return ACCEPT
-
-    return _each(decide, mu, sig.h, mu_ok, decode_payload(z2, ring)), w
+def _verdict(mu: bytes, h: bytes, mu_ok, payload: np.ndarray, noise: int) -> VerifyResult:
+    """One trial's verdict: the mu decode of w first, then h recomputed from z2."""
+    if not mu_ok:
+        return VerifyResult(False, "mu-mismatch", noise)
+    if h != _h_digest(mu, payload):
+        return VerifyResult(False, "h-mismatch", noise)
+    return VerifyResult(True, None, noise)
 
 
 def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PARAMS,
@@ -203,7 +192,19 @@ def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PA
             and sig.params == pk.params == params and sig.z.data.shape[:-2] == trials
             and pk.p_vec.data.shape[:-2] in ((), trials)):
         return _each(lambda _: VerifyResult(False, "parse"), message)
-    return _verify_steps(pk, _each(crh, message), sig, get_ring(params))[0]
+    ring = get_ring(params)
+    mu = _each(crh, message)
+    z2 = sig.z2  # a view of z's row, built once for its two reads
+    w = ring.sub(ring.add(z2, sig.z3),
+                 ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(sig.z1))))
+    bits = mu_payload_bits(mu, params)
+    # ||w - encode(bits)||_inf per trial, copy c of bit i at coefficient c * mu_bits + i; a
+    # difference d lies in (-q, q), so min(|d|, q - |d|) is its centered norm mod q
+    d = np.abs(w.data.reshape(trials + (params.redundancy, params.mu_bits))
+               - bits[..., None, :] * np.int32(params.half_q))
+    noise = np.minimum(d, params.q - d, out=d).max(axis=(-2, -1)).tolist()
+    mu_ok = (decode_bits(w, ring) == bits).all(axis=-1)
+    return _each(_verdict, mu, sig.h, mu_ok, decode_payload(z2, ring), noise)
 
 
 # -- agreement measurement -----------------------------------------------------
@@ -269,10 +270,9 @@ AGREEMENT_CHUNK = 64
 def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
               policy: str = Z2_DERIVED):
     """Per chunk of cases t = 0..count-1, each ``derive_case_seeds(master_seed, t)``, one
-    batched keygen, sign and ``_verify_steps``: yields ((zeta, r, msg) per case, pk, sk,
-    sig, verdicts, the chunk's largest ||w - encode(mu)||_inf). A master seed that is not
-    one 32-byte bytes-like value, or a count that is not an int >= 1, raises ValueError
-    before the first chunk."""
+    batched keygen, sign and verify: yields ((zeta, r, msg) per case, pk, sk, sig,
+    verdicts). A master seed that is not one 32-byte bytes-like value, or a count that is
+    not an int >= 1, raises ValueError before the first chunk."""
     if type(count) is not int or count < 1:  # a bool is refused too
         raise ValueError(f"count must be an int >= 1, got {count!r}")
     try:
@@ -281,16 +281,13 @@ def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
         master_seed = b""
     if len(master_seed) != SEED_BYTES:
         raise ValueError(f"master_seed must be one {SEED_BYTES}-byte bytes-like value")
-    ring, every = get_ring(params), range(count)
+    every = range(count)
     for start in range(0, count, AGREEMENT_CHUNK):
         cases = [derive_case_seeds(master_seed, t) for t in every[start:start + AGREEMENT_CHUNK]]
         zetas, rs, msgs = zip(*cases)
         pk, sk = keygen(zetas, params)
         sig = sign(sk, pk, msgs, rs, params, policy)
-        mus = [crh(msg) for msg in msgs]
-        verdicts, w = _verify_steps(pk, mus, sig, ring)
-        noise = ring.sub(w, encode_bits(mu_payload_bits(mus, params), ring))
-        yield cases, pk, sk, sig, verdicts, ring.infinity_norm(noise)
+        yield cases, pk, sk, sig, verify(pk, msgs, sig, params)
 
 
 def measure_agreement(
@@ -309,8 +306,8 @@ def measure_agreement(
     if master_seed is None:
         master_seed = os.urandom(SEED_BYTES)
     reasons, max_noise = [], 0
-    for *_, verdicts, noise in run_cases(master_seed, trials, params, policy):
+    for *_, verdicts in run_cases(master_seed, trials, params, policy):
         reasons += [verdict.reason for verdict in verdicts]
-        max_noise = max(max_noise, noise)
+        max_noise = max(max_noise, *(verdict.noise for verdict in verdicts))
     return AgreementReport(trials=trials, mu_failures=reasons.count("mu-mismatch"),
                            h_failures=reasons.count("h-mismatch"), max_noise=max_noise)

@@ -214,8 +214,15 @@ def test_kat_across_a_chunk_boundary_matches_single_calls(policy, capsys):
     assert capsys.readouterr().out == "".join(expected)
 
 
-def test_kat_rejects_bad_count():
-    assert run_cli("kat", "--count", "0", "--seed", SEED) == EXIT_USAGE
+def test_kat_rejects_bad_count(tmp_path, capsys):
+    # run_cases refuses the count, before any case runs or any file is written
+    out = tmp_path / "fixtures.kat"
+    for count in ("0", "-1"):
+        assert run_cli("kat", "--count", count, "--seed", SEED, "--out", str(out)) == EXIT_USAGE
+        assert "count must be an int >= 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli("kat", "--count", count, "--seed", SEED) == EXIT_USAGE
+        assert capsys.readouterr().out == ""
 
 
 # -- measure -----------------------------------------------------------------------
@@ -230,8 +237,29 @@ def test_measure_z2(capsys):
     assert noise and int(noise.group(1)) <= 32
 
 
-def test_measure_rejects_zero_trials():
-    assert run_cli("measure", "--trials", "0", "--seed", SEED) == EXIT_USAGE
+#: SHA-256 of the stdout of  mlds measure --trials 130 --seed 1f..1f --policy P: 130
+#: cycles run in chunks of AGREEMENT_CHUNK and so cross two chunk boundaries.
+MEASURE_SHA256 = {
+    "z2": "0c2f503fcf8db074ea9974b70bad860af1ea52430ee97bf4ab6dd619ac24f0ec",
+    "literal": "40ae16740a0a8c13fd09a6c88d1af02e7b1a28e266c71dc686e7ced4be53acde",
+}
+
+
+@pytest.mark.parametrize("policy", sorted(MEASURE_SHA256))
+def test_measure_output_digest_pinned(policy, capsys):
+    assert 2 * AGREEMENT_CHUNK < 130
+    assert run_cli("measure", "--trials", "130", "--seed", "1f" * 32, "--policy", policy) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == MEASURE_SHA256[policy]
+
+
+def test_measure_rejects_zero_trials(capsys):
+    # measure_agreement refuses the count, with or without a master seed
+    for trials in ("0", "-1"):
+        for seed in ((), ("--seed", SEED)):
+            assert run_cli("measure", "--trials", trials, *seed) == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert out == "" and "trials must be an int >= 1" in err
 
 
 # -- estimate / info ------------------------------------------------------------------
@@ -294,6 +322,15 @@ def test_estimate_json_records_each_instance_eta(capsys):
     assert [(inst["n_lwe"], inst["q"], inst["eta"]) for inst in payload["instances"]] == [(512, 7681, 2)]
     # the params block stays the signature set whose sizes are reported
     assert (payload["params"]["q"], payload["params"]["eta"]) == (12289, 16)
+
+
+def test_estimate_names_the_block_size_an_instance_is_too_small_for(capsys):
+    # n_lwe = 16 with its default 32 samples builds lattices of dimension 49 at most
+    assert run_cli("estimate", "--n-lwe", "16") == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the largest lattice dimension, 49 at m = max_samples, is below "
+                   "MIN_BLOCK = 50, the smallest block size the delta(b) model holds for\n")
 
 
 def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):

@@ -292,12 +292,21 @@ def test_search_matches_full_grid(n_lwe, max_samples, q, sigma):
 
 
 def test_empty_block_range_raises_estimator_error():
-    # EstimatorError, not the ValueError numpy raises for argmin over an empty block
+    # EstimatorError naming the cause, not the ValueError numpy raises for argmin over
+    # an empty block: every lattice dimension lies below MIN_BLOCK. The primal lattice
+    # has one dimension more than the dual's, so at n_lwe + max_samples = 49 the primal
+    # still has a cell.
     empty = LweInstance(n_lwe=10, q=12289, sigma=2.0, max_samples=20)  # no b >= 50 in range
-    for attack in (primal_cost, dual_cost):
-        with pytest.raises(EstimatorError):
+    for attack, d in ((primal_cost, 31), (dual_cost, 30)):
+        with pytest.raises(EstimatorError, match=f"dimension, {d} at m = max_samples, is below "
+                                                 f"MIN_BLOCK = {MIN_BLOCK}"):
             attack(empty)
     _assert_matches_reference(empty)
+    edge = LweInstance(n_lwe=17, q=12289, sigma=2.0, max_samples=32)
+    assert primal_cost(edge).b == MIN_BLOCK
+    with pytest.raises(EstimatorError, match="dimension, 49 at m = max_samples"):
+        dual_cost(edge)
+    _assert_matches_reference(edge)
 
 
 def _traced_search(attack, inst: LweInstance, monkeypatch):

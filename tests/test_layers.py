@@ -187,8 +187,8 @@ def test_one_ring_value_type():
 
 def test_one_function_per_operation():
     # keygen, sign and verify each take one trial or a batch; no private batch twin
-    # of keygen or sign exists beside them, in the package or in its tests
-    twins = {"_keygen_steps", "_sign_steps"}
+    # of keygen, sign or verify exists beside them, in the package or in its tests
+    twins = {"_keygen_steps", "_sign_steps", "_verify_steps"}
     tests = Path(__file__).resolve().parent
     found = [f"{path.parent.name}/{path.name}:{line} names {what}"
              for path in sorted(SRC.glob("*.py")) + sorted(tests.glob("*.py"))

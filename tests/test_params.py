@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mlds import ParamSet, ParamError, derive_ntt_constants, measure_agreement, validate_params
+from mlds import (CodecError, ParamSet, ParamError, derive_ntt_constants, get_ring, keygen,
+                  measure_agreement, serialize_pk, validate_params)
 from mlds.ring import _smallest_generator
 
 
@@ -167,6 +168,19 @@ def test_largest_admitted_eta_decodes_every_honest_signature(redundancy):
     report = measure_agreement(256, params, "z2", bytes(32))
     assert report.mu_failures == 0 and report.h_failures == 0
     assert report.max_noise <= 2 * params.eta < params.quarter_q
+
+
+def test_a_q_above_2_to_the_14_is_admitted_and_signs():
+    # 18433 = 36 * 512 + 1 is prime and meets both exactness bounds at n = 256, k = 2,
+    # whose largest admitted q is below 2^15; keygen, sign and verify take it, and only
+    # the 14-bit wire format refuses it
+    params = ParamSet(q=18433)
+    assert validate_params(params) == [] and params.bits_per_coeff == 15
+    report = measure_agreement(8, params, "z2", bytes(32))
+    assert (report.mu_failures, report.h_failures) == (0, 0)
+    assert report.max_noise <= 2 * params.eta
+    with pytest.raises(CodecError, match="14-bit coefficients"):
+        serialize_pk(keygen(bytes(32), params)[0], get_ring(params))
 
 
 def test_ntt_congruence_holds_for_n_512():

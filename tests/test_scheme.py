@@ -112,6 +112,46 @@ def test_correctness_identity_exact(ring, keypair, rng):
         assert ring.infinity_norm(ring.add(e3, e4)) <= 2 * DEFAULT_PARAMS.eta
 
 
+def _decode_noise(pk, msg, sig, params):
+    """||w - encode(mu payload)||_inf through the ring's own sub and norm, one trial."""
+    ring = get_ring(params)
+    w = ring.sub(ring.add(sig.z2, sig.z3),
+                 ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(sig.z1))))
+    return ring.infinity_norm(ring.sub(w, encode_bits(mu_payload_bits(crh(msg), params), ring)))
+
+
+@pytest.mark.parametrize("params", [DEFAULT_PARAMS, ParamSet(redundancy=4)], ids=["r1", "r4"])
+def test_verify_reports_the_decode_noise(params, rng):
+    # an honest signature's noise is ||e3 + e4||_inf <= 2*eta under either policy; a
+    # rejected one's is the ring's norm of w - encode(mu), here far above 2*eta
+    ring = get_ring(params)
+    pk, sk = keygen(ZETA, params)
+    coins, msgs = [rng.bytes(32) for _ in range(6)], [rng.bytes(40) for _ in range(6)]
+    sigs = [sign(sk, pk, msg, coin, params, POLICIES[t % 2])
+            for t, (msg, coin) in enumerate(zip(msgs, coins))]
+    for msg, coin, sig in zip(msgs, coins, sigs):
+        _, _, e3, e4 = expand_signing_noise(coin, ring)
+        verdict = verify(pk, msg, sig, params)
+        assert verdict.noise == ring.infinity_norm(ring.add(e3, e4)) <= 2 * params.eta
+        assert verdict.noise == _decode_noise(pk, msg, sig, params)
+        other = verify(pk, msg + b"!", sig, params)
+        assert other.reason == "mu-mismatch"
+        assert other.noise == _decode_noise(pk, msg + b"!", sig, params) > 2 * params.eta
+    batch = verify(pk, msgs, sign(sk, pk, msgs, coins, params), params)
+    assert [v.noise for v in batch] == [verify(pk, m, s, params).noise for m, s in zip(msgs, sigs)]
+
+
+def test_a_parse_verdict_has_no_noise(keypair, z2_sig):
+    pk, sk = keypair
+    assert verify(sk, MSG, z2_sig) == VerifyResult(False, "parse", None)
+    assert verify(pk, [MSG, MSG], z2_sig) == (VerifyResult(False, "parse", None),) * 2
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_measure_agreement_max_noise_at_256_cycles(policy):
+    assert measure_agreement(256, DEFAULT_PARAMS, policy, bytes(32)).max_noise == 18
+
+
 def test_z2_decomposition_exact(ring, keypair, rng):
     # z2 - intt(<A^T o ntt(s), ntt(e2)>) = <e, e2> + e4, with <,> expanded
     # coefficient-side through the schoolbook oracle
