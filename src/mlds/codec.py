@@ -10,8 +10,8 @@ dist(a, b) = min(|a - b|, q - |a - b|):
 * redundancy 4: t = sum of the four distances; bit = 0 if t > q else 1.
 
 Every file starts with the 6-byte header  magic "MLDS" || version 0x01 ||
-param-id. Coefficients are packed 14 bits little-endian, four per 7 bytes
-(448 bytes per polynomial at n = 256). All formats:
+param-id. Coefficients are packed little-endian at ``bits_per_coeff`` = b bits
+each, n*b/8 bytes per polynomial (448 at n = 256, q = 12289). All formats:
 
     pk  = header || rho(32) || pack(P_0) || ... || pack(P_{k-1})
     sk  = header || pack(s_0) || ... || pack(s_{k-1})
@@ -29,7 +29,7 @@ serializers refuse only a value of another type or set, and verification
 never meets a malformed signature. The parsers take any bytes-like wire.
 
 Each wire value is packed and unpacked in one pass. ``unpack_poly`` turns
-m * 448 bytes into a coefficient-domain (m, n) ``RqArray``, also for m = 1,
+m * ``poly_bytes`` bytes into a coefficient-domain (m, n) ``RqArray``, also for m = 1,
 with one length and one range check over all rows. A ``Signature`` holds its
 rows in wire order, as one (k + 2, n) array z, so a serializer packs each
 trial's (k, n) or (k + 2, n) array as it is, one wire per trial (a tuple of
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .sampling import SEED_BYTES, _batch, _each, gen_a
 MAGIC = b"MLDS"
 VERSION = 0x01
 HEADER_BYTES = 6
-PACK_BITS = 14
+PACK_BITS = 14  # read only by perfbench/bench_workloads.py's z3 tamper; the codec packs at bits_per_coeff
 
 
 class CodecError(ValueError):
@@ -229,34 +230,31 @@ def decode_payload(v: RqArray, ring: Ring) -> np.ndarray:
 # -- coefficient packing -------------------------------------------------------
 
 def poly_bytes(p: ParamSet) -> int:
-    """Packed size of one polynomial: n coefficients at 14 bits."""
-    return p.n * PACK_BITS // 8
+    """Packed size of one polynomial: n coefficients at ``bits_per_coeff`` = b bits, n*b/8 bytes."""
+    return p.n * p.bits_per_coeff // 8
 
 
-def _require_packable(p: ParamSet) -> None:
-    if p.bits_per_coeff != PACK_BITS or p.n % 4 != 0:
-        raise CodecError(
-            f"packing format requires {PACK_BITS}-bit coefficients and 4 | n; "
-            f"got bits_per_coeff={p.bits_per_coeff}, n={p.n}"
-        )
-
-
-# Each group of four coefficients is one 56-bit little-endian integer in a zero-padded
-# 8-byte "<u8" lane. Its 14-bit fields are disjoint: packing sums them, weighted.
-_LANE_SHIFTS = np.arange(4, dtype=np.uint64) * PACK_BITS
-_LANE_WEIGHTS = np.uint64(1) << _LANE_SHIFTS
-_LANE_MASK = (1 << PACK_BITS) - 1
+@lru_cache(maxsize=None)
+def _layout(b: int) -> tuple:
+    """Group bytes, field start bytes, field shifts and placement at b <= 16 bits per coefficient:
+    a group is the 8 / gcd(b, 8) coefficients that end on a byte, field t lies in the 4-byte window
+    at byte floor(t*b/8) shifted by t*b mod 8, and placement[4t + u, j] = 1 puts its byte u at j."""
+    t = np.arange(8 // math.gcd(b, 8)) * b
+    width = (t[-1] + b) // 8
+    place = (((t >> 3)[:, None] + np.arange(4)).reshape(-1, 1) == np.arange(width)).astype(np.float32)
+    return width, t >> 3, (t & 7).astype(np.uint8), place
 
 
 def _pack_rows(c: np.ndarray, p: ParamSet) -> bytes:
     """Pack an int32 stack whose values are known to lie in [0, q)."""
-    _require_packable(p)
-    groups = (c.astype(np.uint64).reshape(-1, 4) @ _LANE_WEIGHTS).astype("<u8", copy=False)
-    return groups.view(np.uint8).reshape(-1, 8)[:, :7].tobytes()
+    _, starts, shifts, place = _layout(p.bits_per_coeff)
+    windows = (c.reshape(-1, len(starts)) << shifts).astype("<i4", copy=False)
+    # the fields hold disjoint bits, so each float32 sum of window bytes is an exact OR below 256
+    return (windows.view(np.uint8) @ place).astype(np.uint8).tobytes()
 
 
 def pack_poly(v: RqArray, ring: Ring) -> bytes:
-    """Pack the (n,) rows of a (..., n) int32 coefficient stack in order, 14 bits each, 4 per 7 bytes."""
+    """Pack the (n,) rows of a (..., n) int32 coefficient stack in order, ``bits_per_coeff`` bits each."""
     p = ring.params
     c = v.data  # a negative int32 read as uint32 is >= q: one maximum checks [0, q)
     if (v.domain != COEFF or c.dtype != np.int32 or c.shape[-1:] != (p.n,) or not c.size
@@ -269,23 +267,19 @@ def pack_poly(v: RqArray, ring: Ring) -> bytes:
 def unpack_poly(data: bytes, ring: Ring) -> RqArray:
     """Unpack m * poly_bytes bytes into a coefficient-domain (m, n) stack, m >= 1."""
     p = ring.params
-    _require_packable(p)
-    step = poly_bytes(p)
+    step, b = poly_bytes(p), p.bits_per_coeff
     if not data or len(data) % step:
         raise LengthError(f"packed rows must be a positive multiple of {step} bytes, got {len(data)}")
-    lanes = np.zeros((len(data) // 7, 8), dtype=np.uint8)
-    lanes[:, :7] = np.frombuffer(data, dtype=np.uint8).reshape(-1, 7)
-    coeffs = ((lanes.view("<u8") >> _LANE_SHIFTS) & _LANE_MASK).astype(np.int32)
+    width, starts, shifts, _ = _layout(b)
+    # a 4-byte window at each group byte, over the data and 3 zero bytes; the mask drops its sign
+    windows = np.ndarray((len(data) // width, width), "<i4", b"".join((data, bytes(3))), strides=(width, 1))
+    coeffs = windows[:, starts] >> shifts & (1 << b) - 1
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
-    return RqArray(coeffs.reshape(-1, p.n), COEFF)
+    return RqArray(coeffs.astype(np.int32, copy=False).reshape(-1, p.n), COEFF)
 
 
 # -- key / signature formats ---------------------------------------------------
-
-def _header(p: ParamSet) -> bytes:
-    return MAGIC + bytes([VERSION, p.param_id])
-
 
 def _body(data, p: ParamSet, kind: str, size: int) -> bytes:
     """The bytes after the header of a ``size``-byte wire value; ``data`` is any bytes-like object."""
@@ -353,7 +347,7 @@ def _header_of(value, cls, ring: Ring) -> bytes:
     """The wire header of ``value``, which must be a ``cls`` of ``ring``'s set."""
     if not (isinstance(value, cls) and value.params == ring.params):
         raise CodecError(f"only a {cls.__name__} of this parameter set serializes to its format")
-    return _header(ring.params)
+    return MAGIC + bytes([VERSION, ring.params.param_id])
 
 
 def serialize_pk(pk, ring: Ring) -> bytes | tuple[bytes, ...]:

@@ -110,7 +110,10 @@ def validate_params(p: ParamSet) -> list[str]:
     """Return every violated invariant (empty list means the set is valid).
 
     A field that is not exactly an ``int`` (a bool, a float) is reported alone,
-    before any arithmetic reads it.
+    before any arithmetic reads it. Every admitted set packs: 8 | n*bits_per_coeff ends each
+    polynomial on a byte, and k(q-1)^2 < 2^31 gives q <= 46341 (46337 at n = 4 is the largest
+    admitted), so bits_per_coeff <= 16 fits a 2-byte ``gen_a`` candidate and a 4-byte window
+    read at a bit shift of at most 7.
     """
     errors = [f"{f.name}={getattr(p, f.name)!r} is not an int"
               for f in fields(p) if type(getattr(p, f.name)) is not int]
@@ -127,6 +130,8 @@ def validate_params(p: ParamSet) -> list[str]:
             f"n*(q-1)^3 = {p.n * (p.q - 1) ** 3} is not below 2^53: "
             "the two-stage float64 NTT would round its partial sums"
         )
+    elif p.n * p.bits_per_coeff % 8:  # each packed polynomial ends on a byte, see mlds.codec
+        errors.append(f"n*bits_per_coeff = {p.n * p.bits_per_coeff} bits is not a whole number of bytes")
     if p.k < 1:
         errors.append(f"k={p.k} must be >= 1")
     elif p.k * (p.q - 1) ** 2 >= 2**31:  # int32 ring values, see mlds.ring

@@ -5,7 +5,7 @@ tagged with its domain, ``COEFF`` (coefficients) or ``NTT`` (evaluations).
 Every operation checks the domain, so the two can never be mixed silently.
 Entries are stored canonically in [0, q), for any q that ``validate_params``
 admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
-representatives exist only inside the norm helper and the codec.
+representatives exist only inside the codec's decoder and verify's noise.
 
 Axis -1 holds one ring element's n entries and axis -2 the module rows: a
 ring element has one row, a length-k vector k rows, and a k x k matrix is an
@@ -311,15 +311,6 @@ class Ring:
         if a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]:
             raise DomainError("vector length mismatch")
         return RqArray((a.data * b.data).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
-
-    # -- norms ---------------------------------------------------------------
-
-    def infinity_norm(self, x: RqArray) -> int:
-        """max_i min(c_i, q - c_i) over every coefficient, row and trial of a coefficient-domain value."""
-        if type(x) is not RqArray or x.domain != COEFF:
-            raise DomainError("infinity norm is defined on coefficient-domain values")
-        c = x.data
-        return int(np.max(np.minimum(c, self.q - c)))
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,7 @@
 """Ring helpers that only the tests use: range-checked construction of one
 row, constants, module vectors stacked from rows and rows viewed out of them,
-an NTT product and the O(n^2) schoolbook product it is checked against.
+the centered infinity norm (the reference for ``VerifyResult.noise``), an NTT
+product and the O(n^2) schoolbook product it is checked against.
 
 ``schoolbook_mul`` shares no arithmetic with the NTT path: a plain integer
 convolution folded by x^n = -1. It accumulates in int64, because the
@@ -67,6 +68,14 @@ def centered(ring, p: RqArray) -> np.ndarray:
         raise DomainError("centered representatives exist in coefficient domain only")
     c = p.data
     return np.where(c > ring.q // 2, c - ring.q, c)
+
+
+def infinity_norm(ring, x: RqArray) -> int:
+    """max_i min(c_i, q - c_i) over every coefficient, row and trial of a coefficient-domain value."""
+    if type(x) is not RqArray or x.domain != COEFF:
+        raise DomainError("infinity norm is defined on coefficient-domain values")
+    c = x.data
+    return int(np.max(np.minimum(c, ring.q - c)))
 
 
 def mul(ring, a: RqArray, b: RqArray) -> RqArray:

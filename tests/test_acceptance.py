@@ -31,12 +31,12 @@ from mlds import (
     gen_a, gen_se, crh, CodecError, COEFF, RqArray,
 )
 from mlds.cli import main as cli_main
-from mlds.codec import SecretKey, encode_bits, pk_bytes, sig_bytes, sk_bytes
+from mlds.codec import SecretKey, encode_bits, pk_bytes, poly_bytes, sig_bytes, sk_bytes
 from mlds.sampling import expand_signing_noise
 from mlds.scheme import mu_payload_bits
 
 from conftest import forge_key_only, random_poly
-from ring_oracle import centered, mul, schoolbook_mul
+from ring_oracle import centered, infinity_norm, mul, schoolbook_mul
 
 
 def report(criterion: int, name: str, ok: bool, detail: str = "") -> None:
@@ -81,7 +81,7 @@ def test_criterion_2_correctness_identity(ring, rng):
         payload = encode_bits(mu_payload_bits(crh(msg), DEFAULT_PARAMS), ring)
         if ring.sub(w, payload) != e34:
             report(2, "correctness identity", False, f"identity broke at signature {i}")
-        if ring.infinity_norm(e34) > bound:
+        if infinity_norm(ring, e34) > bound:
             report(2, "correctness identity", False, f"noise norm exceeded {bound}")
     report(2, "correctness identity", True,
            "1000 signatures: exact ring identity, ||e3+e4|| <= 32")
@@ -120,7 +120,7 @@ def _tamper_outcomes(ring, trials_per_target: int):
     msg = b"tamper target message"
     sig = sign(sk, pk, msg, b"\x33" * 32, policy=Z2_DERIVED)
     blob = serialize_sig(sig, ring)
-    step = 448
+    step = poly_bytes(DEFAULT_PARAMS)
     spans = {
         "z1": (6, 6 + 2 * step),
         "z2": (6 + 2 * step, 6 + 3 * step),
@@ -171,7 +171,7 @@ def test_criterion_5_companion_actual_guarantees(ring):
     mu_bits = mu_payload_bits(crh(msg), DEFAULT_PARAMS)
     from mlds.codec import decode_bits
     z2_image = decode_bits(sig.z2, ring)
-    step = 448
+    step = poly_bytes(DEFAULT_PARAMS)
     for _ in range(200):
         flipped = bytearray(msg)
         flipped[rng.integers(0, len(msg))] ^= 1 << rng.integers(0, 8)

@@ -14,7 +14,7 @@ from mlds import (
     key_sizes,
 )
 from mlds.codec import (
-    HEADER_BYTES, PACK_BITS, SEED_BYTES, PublicKey, SecretKey, Signature,
+    HEADER_BYTES, SEED_BYTES, PublicKey, SecretKey, Signature,
     bytes_to_bits, decode_payload, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
 
@@ -311,10 +311,11 @@ def test_parse_rejects_range_violation_in_last_coefficient(params, ring, keypair
     # the one range check over all k + 2 rows reaches the last coefficient of z3
     _, _, sig = keypair_sig
     blob = bytearray(serialize_sig(sig, ring))
-    end = HEADER_BYTES + (params.k + 2) * poly_bytes(params)
-    # 16383 in the fourth 14-bit field of the last 7-byte group
-    group = int.from_bytes(blob[end - 7 : end], "little") | ((1 << PACK_BITS) - 1) << (3 * PACK_BITS)
-    blob[end - 7 : end] = group.to_bytes(7, "little")
+    step, b = poly_bytes(params), params.bits_per_coeff
+    end = HEADER_BYTES + (params.k + 2) * step
+    # 2^b - 1 (16383) in the last field of z3
+    z3 = int.from_bytes(blob[end - step : end], "little") | ((1 << b) - 1) << (b * (params.n - 1))
+    blob[end - step : end] = z3.to_bytes(step, "little")
     assert parse_sig(serialize_sig(sig, ring), ring).z.data[-1, -1] < params.q
     with pytest.raises(CodecError):
         parse_sig(bytes(blob), ring)
@@ -594,15 +595,15 @@ def test_fuzz_mutated_bytes(kind, edits):
 
 
 @given(kind=FUZZ_KINDS, slot=st.integers(min_value=0),
-       value=st.integers(DEFAULT_PARAMS.q, (1 << PACK_BITS) - 1))
+       value=st.integers(DEFAULT_PARAMS.q, (1 << DEFAULT_PARAMS.bits_per_coeff) - 1))
 def test_fuzz_coefficient_out_of_range(kind, slot, value):
     # overwrite one packed coefficient of the first polynomial with a value >= q
     wire, parse = FUZZ_WIRES[kind]
     start = {"pk": HEADER_BYTES + SEED_BYTES, "sk": HEADER_BYTES, "sig": HEADER_BYTES, "poly": 0}[kind]
-    step = poly_bytes(DEFAULT_PARAMS)
+    step, b = poly_bytes(DEFAULT_PARAMS), DEFAULT_PARAMS.bits_per_coeff
     packed = int.from_bytes(wire[start : start + step], "little")
-    shift = PACK_BITS * (slot % DEFAULT_PARAMS.n)
-    packed ^= (((packed >> shift) & ((1 << PACK_BITS) - 1)) ^ value) << shift
+    shift = b * (slot % DEFAULT_PARAMS.n)
+    packed ^= (((packed >> shift) & ((1 << b) - 1)) ^ value) << shift
     bad = wire[:start] + packed.to_bytes(step, "little") + wire[start + step :]
     with pytest.raises(CoefficientRangeError):
         parse(bad, FUZZ_RING)
@@ -709,9 +710,6 @@ def test_a_mutated_param_set_round_trips_or_raises_param_error(field, data):
         return
     assert validate_params(params) == []
     pk, sk = keygen(bytes(32), params)
-    if params.bits_per_coeff != PACK_BITS:  # the wire format packs 14-bit coefficients only
-        with pytest.raises(CodecError, match="14-bit"):
-            _round_trip(pk)
-    else:
-        _round_trip(pk)
-        _round_trip(sk)
+    # every set that builds has a wire, at bits_per_coeff bits per coefficient
+    for value in (pk, sk, sign(sk, pk, b"one rule", bytes(32), params)):
+        _round_trip(value)

@@ -236,3 +236,17 @@ def test_one_known_answer_loop():
              for line, what in names_used(ast.parse((SRC / f"{name}.py").read_text()),
                                           {"derive_case_seeds"})]
     assert found == []
+
+
+def test_one_rule_for_which_sets_exist():
+    # ParamSet is the only validity check and the codec packs at bits_per_coeff: nothing
+    # refuses a set for its width, and only codec's own assignment names PACK_BITS, which
+    # the package keeps for the benchmark's z3 tamper
+    found = [f"{path.name}:{line} names {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in names_used(ast.parse(path.read_text(), str(path)),
+                                          {"PACK_BITS", "_require_packable"})]
+    assert len(found) == 1 and found[0].startswith("codec.py:") and found[0].endswith("PACK_BITS")
+    tests = Path(__file__).resolve()
+    assert [path.name for path in sorted(tests.parent.glob("*.py"))
+            if path != tests and "PACK_BITS" in path.read_text()] == []

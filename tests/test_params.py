@@ -3,8 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mlds import (CodecError, ParamSet, ParamError, derive_ntt_constants, get_ring, keygen,
-                  measure_agreement, serialize_pk, validate_params)
+from mlds import (ParamSet, ParamError, derive_ntt_constants, get_ring, keygen, measure_agreement,
+                  parse_pk, parse_sig, parse_sk, serialize_pk, serialize_sig, serialize_sk, sign,
+                  validate_params, verify)
+from mlds.codec import poly_bytes
 from mlds.ring import _smallest_generator
 
 
@@ -172,15 +174,45 @@ def test_largest_admitted_eta_decodes_every_honest_signature(redundancy):
 
 def test_a_q_above_2_to_the_14_is_admitted_and_signs():
     # 18433 = 36 * 512 + 1 is prime and meets both exactness bounds at n = 256, k = 2,
-    # whose largest admitted q is below 2^15; keygen, sign and verify take it, and only
-    # the 14-bit wire format refuses it
+    # whose largest admitted q is below 2^15; keygen, sign and verify take it, and its
+    # wires pack 15 bits per coefficient, 480 bytes per polynomial
     params = ParamSet(q=18433)
     assert validate_params(params) == [] and params.bits_per_coeff == 15
+    assert poly_bytes(params) == 480
     report = measure_agreement(8, params, "z2", bytes(32))
     assert (report.mu_failures, report.h_failures) == (0, 0)
     assert report.max_noise <= 2 * params.eta
-    with pytest.raises(CodecError, match="14-bit coefficients"):
-        serialize_pk(keygen(bytes(32), params)[0], get_ring(params))
+    ring = get_ring(params)
+    pk, sk = keygen(bytes(32), params)
+    sig = sign(sk, pk, b"15 bits", bytes(32), params)
+    wires = serialize_pk(pk, ring), serialize_sk(sk, ring), serialize_sig(sig, ring)
+    assert [len(w) for w in wires] == [6 + 32 + 2 * 480, 6 + 2 * 480, 6 + 4 * 480 + 32]
+    assert parse_pk(wires[0], ring).p_vec == pk.p_vec and parse_sk(wires[1], ring).s == sk.s
+    back = parse_sig(wires[2], ring)
+    assert back.z == sig.z and back.h == sig.h and verify(pk, b"15 bits", back, params).ok
+
+
+def test_every_admitted_q_fits_16_bits():
+    # k(q-1)^2 < 2^31 caps q at 46341; 46337 = 5792 * 8 + 1 is the largest prime below it
+    # that a ring (n >= 4, 2n | q - 1) admits, and it needs all 16 bits
+    params = ParamSet(n=4, q=46337, k=1, eta=8)
+    assert params.bits_per_coeff == 16 and poly_bytes(params) == 8
+    # 46441 is prime and 1 mod 8, and only the int32 bound refuses it
+    assert violations(n=4, q=46441, k=1, eta=8) == [
+        f"k*(q-1)^2 = {46440**2} is not below 2^31: "
+        "a module product's sum of k products would overflow int32"
+    ]
+
+
+def test_a_polynomial_must_pack_into_whole_bytes():
+    # q = 73 is prime, 1 mod 8 and 7 bits wide: 4 coefficients would take 28 bits
+    assert violations(n=4, q=73, k=1, eta=8) == [
+        "n*bits_per_coeff = 28 bits is not a whole number of bytes"
+    ]
+    with pytest.raises(ParamError, match="whole number of bytes"):
+        ParamSet(n=4, q=73, k=1, eta=8)
+    # the same width at n = 8 packs into 7 bytes
+    assert poly_bytes(ParamSet(n=8, q=97, k=1, eta=8)) == 7
 
 
 def test_ntt_congruence_holds_for_n_512():
