@@ -267,12 +267,12 @@ def pack_poly(v: RqArray, ring: Ring) -> bytes:
 def unpack_poly(data: bytes, ring: Ring) -> RqArray:
     """Unpack m * poly_bytes bytes into a coefficient-domain (m, n) stack, m >= 1."""
     p = ring.params
-    step, b = poly_bytes(p), p.bits_per_coeff
-    if not data or len(data) % step:
-        raise LengthError(f"packed rows must be a positive multiple of {step} bytes, got {len(data)}")
+    step, b, size = poly_bytes(p), p.bits_per_coeff, memoryview(data).nbytes
+    if not size or size % step:
+        raise LengthError(f"packed rows must be a positive multiple of {step} bytes, got {size}")
     width, starts, shifts, _ = _layout(b)
     # a 4-byte window at each group byte, over the data and 3 zero bytes; the mask drops its sign
-    windows = np.ndarray((len(data) // width, width), "<i4", b"".join((data, bytes(3))), strides=(width, 1))
+    windows = np.ndarray((size // width, width), "<i4", b"".join((data, bytes(3))), strides=(width, 1))
     coeffs = windows[:, starts] >> shifts & (1 << b) - 1
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")

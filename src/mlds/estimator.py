@@ -112,6 +112,12 @@ class LweInstance:
             max_samples = 2 * n_lwe
         return cls(n_lwe=n_lwe, q=q, sigma=math.sqrt(eta / 2), max_samples=max_samples)
 
+    @classmethod
+    def from_params(cls, p):
+        """The instance a public key exposes, P = A^T s + e: k*n secret coefficients and
+        k*n samples, sigma = sqrt(eta/2). ``p`` is a ParamSet, read by attribute only."""
+        return cls.from_binomial(p.k * p.n, p.q, p.eta, p.k * p.n)
+
 
 @dataclass(frozen=True)
 class AttackEstimate:

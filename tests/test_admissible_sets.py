@@ -1,4 +1,5 @@
-"""Every parameter set that builds signs, verifies and has a wire.
+"""Every parameter set that builds signs, verifies, has a wire and gives its public key's
+LWE instance.
 
 The strategy draws from the admissible space independently of ``validate_params``:
 n a power of two from 8 to 1024, k from 1 to 3, q a prime (by trial division, not the
@@ -20,6 +21,7 @@ from mlds import (
     parse_pk, parse_sig, parse_sk, serialize_pk, serialize_sig, serialize_sk, sign, verify,
 )
 from mlds.codec import poly_bytes
+from mlds.estimator import MIN_BLOCK, EstimatorError, LweInstance, primal_cost
 
 from ring_oracle import mul, schoolbook_mul
 
@@ -96,3 +98,22 @@ def test_every_admissible_set_signs_verifies_and_round_trips(params):
     report = measure_agreement(8, params, "z2", bytes(32))
     assert (report.mu_failures, report.h_failures) == (0, 0)
     assert report.max_noise <= 2 * params.eta
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=admissible_sets())
+def test_every_admissible_set_gives_the_public_key_instance(params):
+    kn = params.k * params.n
+    inst = LweInstance.from_params(params)
+    assert inst.n_lwe == inst.max_samples == kn and inst.q == params.q
+    assert inst.sigma == np.sqrt(params.eta / 2)
+    if 2 * kn + 1 < MIN_BLOCK:  # the largest primal lattice, at m = max_samples
+        with pytest.raises(EstimatorError, match=f"MIN_BLOCK = {MIN_BLOCK}"):
+            primal_cost(inst)
+        return
+    try:
+        est = primal_cost(inst)
+    except EstimatorError as exc:  # only at the largest eta: k*n samples admit no embedding with b <= d
+        assert params.eta > 16 and str(exc) == "no (m, b) satisfies the primal embedding condition in bounds"
+    else:
+        assert MIN_BLOCK <= est.b <= 2 * kn + 1 and 1 <= est.m <= kn

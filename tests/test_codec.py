@@ -169,6 +169,16 @@ def test_unpack_rejects_bad_length(ring):
             unpack_poly(bytes(size), ring)
 
 
+def test_unpack_counts_the_length_in_bytes_not_items(ring, rng):
+    # a memoryview of a wider format holds 448 bytes in 224 items
+    p = random_poly(ring, rng)
+    wide = memoryview(np.frombuffer(pack_poly(p, ring), np.uint16))
+    assert len(wide) == 224 and unpack_poly(wide, ring) == p
+    assert unpack_poly(memoryview(np.zeros(224, np.uint16)), ring) == zero(ring)
+    with pytest.raises(LengthError, match="got 446$"):
+        unpack_poly(memoryview(np.zeros(223, np.uint16)), ring)
+
+
 @given(m=st.integers(1, DEFAULT_PARAMS.k + 2), seed=st.integers(0, 2**32 - 1),
        at=st.integers(min_value=0), edge=st.sampled_from([0, DEFAULT_PARAMS.q - 1]))
 def test_pack_unpack_stack_roundtrip(m, seed, at, edge):

@@ -1,12 +1,15 @@
 import hashlib
 import math
+import re
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import mlds.estimator
-from mlds import LweInstance, EstimatorError, primal_cost, dual_cost
+from mlds import DEFAULT_PARAMS, LweInstance, EstimatorError, primal_cost, dual_cost
 from mlds.estimator import (
     CLASSICAL_EXP, MIN_BLOCK, QUANTUM_EXP, SIEVE_VECTORS_EXP, TAU_CLAMP_LOG2, AttackEstimate,
     _b_table, _dual_log2_rep, _log_delta,
@@ -156,6 +159,21 @@ def test_module_secret_dimension_also_reported():
     est = primal_cost(inst)
     assert (est.m, est.b) == (575, 425)
     assert est.classical_bits == math.floor(0.292 * 425)
+
+
+def test_from_params_is_the_instance_a_public_key_gives():
+    # P = A^T s + e: k*n secret coefficients, k*n samples, sigma = sqrt(eta/2); the fields
+    # are read by attribute, so the estimator needs no ParamSet import
+    key = LweInstance.from_params(SimpleNamespace(n=256, q=12289, k=2, eta=16))
+    assert key == LweInstance.from_params(DEFAULT_PARAMS) == LweInstance.from_binomial(512, 12289, 16, 512)
+
+
+def test_readme_tables_price_the_instances_they_name(reference_instance):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^\| (primal|dual) \| (\d+) \| (\d+) \| (\d+) \| (\d+) \|$", readme, re.M)
+    assert rows == [(a.kind, *map(str, (a.m, a.b, a.classical_bits, a.quantum_bits)))
+                    for inst in (reference_instance, LweInstance.from_params(DEFAULT_PARAMS))
+                    for a in (primal_cost(inst), dual_cost(inst))]
 
 
 @pytest.mark.parametrize("attack", [primal_cost, dual_cost])
