@@ -17,7 +17,7 @@ import tempfile
 from dataclasses import asdict
 
 from . import codec
-from .estimator import LweInstance, primal_cost, dual_cost
+from .estimator import EstimatorError, LweInstance, primal_cost, dual_cost
 from .params import DEFAULT_PARAMS, SEED_BYTES
 from .ring import get_ring
 from .scheme import POLICIES, Z2_DERIVED, keygen, measure_agreement, run_cases, sign, verify
@@ -135,10 +135,21 @@ FORGERY = ("forgery: not priced; the v1 relation rests on no hardness assumption
 
 
 def _estimate_instance(n_lwe: int, q: int, eta: int, max_samples: int) -> dict:
+    """The instance's fields and each attack's price, or its ``"refused"`` reason when that
+    attack's model refuses the instance; raises the first refusal when every attack refuses."""
     inst = LweInstance.from_binomial(n_lwe, q, eta, max_samples)
-    attacks = {a.kind: {"m": a.m, "b": a.b, "classical_bits": a.classical_bits,
-                        "quantum_bits": a.quantum_bits}
-               for a in (primal_cost(inst), dual_cost(inst))}
+    attacks, refused = {}, []
+    for kind, cost in (("primal", primal_cost), ("dual", dual_cost)):
+        try:
+            a = cost(inst)
+        except EstimatorError as exc:
+            refused.append(exc)
+            attacks[kind] = {"refused": str(exc)}
+        else:
+            attacks[kind] = {"m": a.m, "b": a.b, "classical_bits": a.classical_bits,
+                             "quantum_bits": a.quantum_bits}
+    if len(refused) == len(attacks):
+        raise refused[0]
     return {"n_lwe": inst.n_lwe, "q": inst.q, "eta": eta, "sigma": inst.sigma,
             "max_samples": inst.max_samples, **attacks}
 
@@ -161,8 +172,9 @@ def cmd_estimate(args) -> int:
           "key recovery (LWE) bits: classical quantum")
     for kind in ("primal", "dual"):
         a = inst[kind]
-        print(f"{kind:>6} {inst['n_lwe']:>5} {inst['q']:>6} {inst['eta']:>3} "
-              f"{a['m']:>5} {a['b']:>5} | {'':>25}{a['classical_bits']:>9} {a['quantum_bits']:>7}")
+        cells = (f"refused: {a['refused']}" if "refused" in a else
+                 f"{a['m']:>5} {a['b']:>5} | {'':>25}{a['classical_bits']:>9} {a['quantum_bits']:>7}")
+        print(f"{kind:>6} {inst['n_lwe']:>5} {inst['q']:>6} {inst['eta']:>3} {cells}")
     print(FORGERY)
     return EXIT_OK
 

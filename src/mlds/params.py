@@ -12,10 +12,10 @@ with one message bit per ring coefficient (``redundancy = 1``). A redundant
 four-coefficients-per-bit mode (``redundancy = 4``) carries n/4 payload bits:
 64 at n = 256, 128 at n = 512.
 
-``param_id`` is the set's one-byte wire header id. Built without one, the
-shipped fields (the defaults) get 0x01 and any other set the reserved
-"unregistered" id 0x00, which every such set shares; ``dataclasses.replace``
-passes the id on, so a set replaced from the shipped one keeps 0x01.
+``param_id``, the set's one-byte wire header id, follows from the five fields:
+0x01 for the shipped ones (the defaults), and for every other set the reserved
+"unregistered" 0x00, which all such sets share. Equal fields are one equal set
+with one id, whether built or ``dataclasses.replace``d.
 """
 
 from __future__ import annotations
@@ -36,7 +36,11 @@ class ParamSet:
     k: int = 2
     eta: int = 16
     redundancy: int = 1
-    param_id: int | None = None  # built as 0x01 for the shipped fields, else 0x00
+
+    @property
+    def param_id(self) -> int:
+        """Wire header id: 0x01 for the shipped fields, 0x00 for every other set."""
+        return 0x01 if (self.n, self.q, self.k, self.eta, self.redundancy) == _SHIPPED else 0x00
 
     @property
     def name(self) -> str:
@@ -68,11 +72,6 @@ class ParamSet:
         return (self.quarter_q - 1) // 2 // 8 * 8
 
     def __post_init__(self):
-        if self.param_id is None:
-            # a field that is not an int is not shipped; validate_params reports it
-            shipped = all(type(getattr(self, f.name)) is int and getattr(self, f.name) == f.default
-                          for f in fields(self) if f.name != "param_id")
-            object.__setattr__(self, "param_id", 0x01 if shipped else 0x00)
         errors = validate_params(self)
         if errors:
             raise ParamError("; ".join(errors))
@@ -153,10 +152,9 @@ def validate_params(p: ParamSet) -> list[str]:
     elif p.mu_bits > 8 * SEED_BYTES:
         errors.append(f"mu_bits = n/redundancy = {p.mu_bits} is more than the "
                       f"{8 * SEED_BYTES} bits of the message digest")
-    if not 0 <= p.param_id <= 255:
-        errors.append(f"param_id={p.param_id} does not fit in the one header byte 0..255")
     return errors
 
 
+_SHIPPED = tuple(f.default for f in fields(ParamSet))  # the defaults, the one set with id 0x01
 DEFAULT_PARAMS = ParamSet()
 

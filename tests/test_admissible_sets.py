@@ -78,6 +78,9 @@ def test_every_admissible_set_signs_verifies_and_round_trips(params):
         assert verdicts[t].ok and verdicts[t].noise <= 2 * params.eta
 
         wires = serialize_pk(pk, ring), serialize_sk(sk, ring), serialize_sig(sig, ring)
+        # the id byte is 0x01 for the shipped fields only, 0x00 for every other set
+        shipped = (params.n, params.q, params.k, params.eta, params.redundancy) == (256, 12289, 2, 16, 1)
+        assert [wire[5] for wire in wires] == [0x01 if shipped else 0x00] * 3
         assert wires[0][6:] == pk.rho + big_int_pack(pk.p_vec.data, b)
         assert wires[1][6:] == big_int_pack(sk.s.data, b)
         assert wires[2][6:] == big_int_pack(sig.z.data, b) + sig.h

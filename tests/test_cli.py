@@ -351,15 +351,22 @@ def test_estimate_names_the_block_size_an_instance_is_too_small_for(capsys):
                    "MIN_BLOCK = 50, the smallest block size the delta(b) model holds for\n")
 
 
+def refused_line(out: str, kind: str) -> str:
+    """The table row of the attack ``kind``, which must be a refusal."""
+    (line,) = [line for line in out.splitlines() if line.split()[:1] == [kind]]
+    assert line.split()[4] == "refused:"
+    return line
+
+
 def test_estimate_rejects_dual_outside_model(capsys, monkeypatch):
-    # Such noise already defeats the primal embedding, so primal_cost is
-    # stubbed to let the dual model's own rejection reach the command line.
+    # Such noise already defeats the primal embedding, so primal_cost is stubbed
+    # to price it; the dual model's own refusal is printed on the dual's row.
     stub = AttackEstimate("primal", 1, 50, 14, 13)
     monkeypatch.setattr(mlds.cli, "primal_cost", lambda inst: stub)
-    assert run_cli("estimate", "--n-lwe", "256", "--q", "2", "--eta", "1000000") == EXIT_USAGE
+    assert run_cli("estimate", "--n-lwe", "256", "--q", "2", "--eta", "1000000") == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "sigma*sqrt(2*pi) < q" in captured.err
+    assert captured.err == ""
+    assert "sigma*sqrt(2*pi) < q" in refused_line(captured.out, "dual")
 
 
 def test_estimate_rejects_dual_optimum_at_tau_clamp(capsys, monkeypatch):
@@ -369,10 +376,27 @@ def test_estimate_rejects_dual_optimum_at_tau_clamp(capsys, monkeypatch):
     stub = AttackEstimate("primal", 1, 50, 14, 13)
     monkeypatch.setattr(mlds.cli, "primal_cost", lambda inst: stub)
     assert run_cli("estimate", "--n-lwe", "60", "--q", str(q), "--eta", str(q * q // 8),
-                   "--max-samples", "10") == EXIT_USAGE
+                   "--max-samples", "10", "--json") == EXIT_OK
+    (inst,) = json.loads(capsys.readouterr().out)["instances"]
+    assert inst["dual"]["refused"].startswith("dual optimum (m=1, b=50)")
+    assert "clamp" in inst["dual"]["refused"]
+    assert inst["primal"] == {"m": 1, "b": 50, "classical_bits": 14, "quantum_bits": 13}
+
+
+def test_estimate_prices_the_dual_where_the_primal_refuses(capsys):
+    # at the largest admissible eta the primal embedding has no feasible (m, b), yet the
+    # dual model prices the same instance; each attack is priced on its own
+    assert run_cli("estimate", "--eta", "1528") == EXIT_OK
     captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: dual optimum (m=1, b=50)") and "clamp" in captured.err
+    assert captured.err == ""
+    assert refused_line(captured.out, "primal").endswith(
+        "refused: no (m, b) satisfies the primal embedding condition in bounds")
+    (dual,) = [line.split() for line in captured.out.splitlines() if line.split()[:1] == ["dual"]]
+    assert dual == ["dual", "512", "12289", "1528", "512", "1024", "|", "301", "273"]
+    assert run_cli("estimate", "--eta", "1528", "--json") == EXIT_OK
+    (inst,) = json.loads(capsys.readouterr().out)["instances"]
+    assert inst["primal"] == {"refused": "no (m, b) satisfies the primal embedding condition in bounds"}
+    assert inst["dual"] == {"m": 512, "b": 1024, "classical_bits": 301, "quantum_bits": 273}
 
 
 def test_info_runs(capsys):

@@ -286,14 +286,18 @@ def test_parse_rejects_bad_version_and_param_id(ring, keypair_sig):
 
 
 def test_a_wire_of_another_set_is_refused_by_its_header(ring):
-    other = ParamSet(eta=8)
-    other_ring = get_ring(other)
-    pk, sk = keygen(bytes(32), other)
-    sig = sign(sk, pk, b"another set", bytes(32), other)
-    with pytest.raises(HeaderError):
-        parse_pk(serialize_pk(pk, other_ring), ring)
-    with pytest.raises(HeaderError):
-        parse_sig(serialize_sig(sig, other_ring), ring)
+    # eta leaves every size alone, so only the id byte tells the sets apart; a set
+    # replaced from the shipped one is unregistered too
+    for other in (ParamSet(eta=8), dataclasses.replace(DEFAULT_PARAMS, eta=8)):
+        other_ring = get_ring(other)
+        pk, sk = keygen(bytes(32), other)
+        sig = sign(sk, pk, b"another set", bytes(32), other)
+        for wire, parse in ((serialize_pk(pk, other_ring), parse_pk),
+                            (serialize_sk(sk, other_ring), parse_sk),
+                            (serialize_sig(sig, other_ring), parse_sig)):
+            assert wire[5] == 0x00
+            with pytest.raises(HeaderError, match="parameter id 0x00 does not match 0x01"):
+                parse(wire, ring)
 
 
 def test_parse_rejects_truncation(ring, keypair_sig):
@@ -524,7 +528,7 @@ def test_parsers_refuse_a_wire_that_is_not_bytes_like(wire, ring):
 
 def test_rank_1_roundtrip():
     # k = 1 keys unpack as one (n,) row and still parse to a (1, n) module vector
-    params = ParamSet(k=1, param_id=2)
+    params = ParamSet(k=1)
     ring1 = get_ring(params)
     pk, sk = keygen(bytes(32), params)
     pk2 = parse_pk(serialize_pk(pk, ring1), ring1)
@@ -633,8 +637,7 @@ SEED_FIELD = {PublicKey: "rho", Signature: "h"}
 CODEC = {PublicKey: (serialize_pk, parse_pk), SecretKey: (serialize_sk, parse_sk),
          Signature: (serialize_sig, parse_sig)}
 PARAM_VALUES = {"n": [128, 200, 512, 1024], "q": [257, 7681, 12288, 13313, 40961],
-                "k": [0, 1, 3, 15], "eta": [0, 3, 8, 24, 1536], "redundancy": [2, 4],
-                "param_id": [2]}
+                "k": [0, 1, 3, 15], "eta": [0, 3, 8, 24, 1536], "redundancy": [2, 4]}
 
 
 def _array_mutant(x: np.ndarray, how: str, axis: int, at: int, q: int) -> np.ndarray:
@@ -659,7 +662,7 @@ def _mutate(value, field: str, how: str, axis: int, at: int):
         if type(old) is tuple and how in ("31", "33", "bytearray", "str"):
             new = (new,) + old[1:]
     elif field == "params":
-        new = {"redundancy-4": ParamSet(redundancy=4), "rank-1": ParamSet(k=1, param_id=2)}[how]
+        new = {"redundancy-4": ParamSet(redundancy=4), "rank-1": ParamSet(k=1)}[how]
     elif how == "ntt":
         new = RqArray(old.data, NTT)
     else:

@@ -1,5 +1,6 @@
 """The package's modules form one import order, with no cycle, keep no
-module state that a function rebinds, and never rebind a ring value's fields.
+module state that a function rebinds, never rebind a ring value's fields and
+never patch a frozen value.
 
 ``import mlds.codec`` cannot show a cycle, because ``mlds/__init__`` loads
 every module first; so the imports are read from the source, including the
@@ -153,6 +154,33 @@ def test_a_ring_value_has_only_its_two_slots():
     assert not hasattr(value, "__dict__")
     with pytest.raises(AttributeError):
         value.cache = None
+
+
+def frozen_patches(tree: ast.AST):
+    """(line, what) for every ``object.__setattr__`` call, at any depth: the one way to
+    write a field of a frozen dataclass."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "__setattr__" and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "object"):
+            yield node.lineno, "object.__setattr__"
+
+
+def test_no_module_patches_a_frozen_value():
+    # a frozen value (ParamSet, the keys, a signature) is built whole and never patched:
+    # what follows from its fields, such as ParamSet.param_id, is a property
+    found = [f"{path.name}:{line} calls {what}"
+             for path in sorted(SRC.glob("*.py"))
+             for line, what in frozen_patches(ast.parse(path.read_text(), str(path)))]
+    assert found == []
+
+
+def test_the_check_sees_object_setattr_calls():
+    source = ("def __post_init__(self):\n    object.__setattr__(self, 'id', 1)\n"
+              "    setattr(self, 'id', 1)\n    self.__setattr__('id', 1)\n"
+              "x = [object.__setattr__(v, 'data', c) for v in vs]\n")
+    assert list(frozen_patches(ast.parse(source))) == [(2, "object.__setattr__"),
+                                                       (5, "object.__setattr__")]
 
 
 def test_only_sampling_draws_noise():

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mlds import (ParamSet, ParamError, derive_ntt_constants, get_ring, keygen, measure_agreement,
-                  parse_pk, parse_sig, parse_sk, serialize_pk, serialize_sig, serialize_sk, sign,
-                  validate_params, verify)
+from mlds import (DEFAULT_PARAMS, ParamSet, ParamError, derive_ntt_constants, get_ring, keygen,
+                  measure_agreement, parse_pk, parse_sig, parse_sk, serialize_pk, serialize_sig,
+                  serialize_sk, sign, validate_params, verify)
 from mlds.codec import poly_bytes
 from mlds.ring import _smallest_generator
 
@@ -80,17 +80,38 @@ def test_building_raises_every_validation_error():
 
 def test_name_follows_n_and_k():
     assert ParamSet().name == "ML-SD-256x2"
-    assert ParamSet(k=1, param_id=2).name == "ML-SD-256x1"
+    assert ParamSet(k=1).name == "ML-SD-256x1"
     assert ParamSet(n=512, k=3, redundancy=4).name == "ML-SD-512x3"
 
 
 def test_only_the_shipped_fields_default_to_id_1():
-    # any other set built without an id is "unregistered", 0x00, and all such sets share it
+    # the id follows from the five fields: every other set is "unregistered", 0x00, and
+    # all such sets share it
     assert ParamSet().param_id == ParamSet(n=256, q=12289, k=2, eta=16, redundancy=1).param_id == 0x01
-    assert ParamSet(eta=8).param_id == ParamSet(k=1).param_id == 0x00
-    assert ParamSet(k=1, param_id=2).param_id == 2 and ParamSet(eta=8, param_id=1).param_id == 1
-    # replace passes the shipped set's id on
-    assert dataclasses.replace(ParamSet(), eta=8).param_id == 0x01
+    assert ParamSet(eta=8).param_id == ParamSet(k=1).param_id == ParamSet(redundancy=4).param_id == 0x00
+    assert dataclasses.replace(ParamSet(), eta=8).param_id == 0x00
+    assert dataclasses.replace(ParamSet(eta=8), eta=16).param_id == 0x01
+
+
+def test_a_set_is_its_five_fields():
+    assert [f.name for f in dataclasses.fields(ParamSet)] == ["n", "q", "k", "eta", "redundancy"]
+    with pytest.raises(TypeError):
+        ParamSet(k=1, param_id=2)
+    with pytest.raises(AttributeError):
+        DEFAULT_PARAMS.param_id = 2
+    # built or replaced, equal fields are one equal set with one cached Ring
+    replaced = dataclasses.replace(DEFAULT_PARAMS, eta=8)
+    assert replaced == ParamSet(eta=8) and hash(replaced) == hash(ParamSet(eta=8))
+    assert get_ring(replaced) is get_ring(ParamSet(eta=8))
+    assert dataclasses.replace(ParamSet(eta=8), eta=16) == DEFAULT_PARAMS
+
+
+def test_a_replaced_set_signs_under_its_equal_built_set():
+    replaced, built = dataclasses.replace(DEFAULT_PARAMS, eta=8), ParamSet(eta=8)
+    for made, used in ((replaced, built), (built, replaced)):
+        pk, sk = keygen(bytes(32), made)
+        sig = sign(sk, pk, b"equal sets", bytes(32), used)
+        assert sig.params == used and verify(pk, b"equal sets", sig, used).ok
 
 
 def test_derivation_deterministic_and_idempotent(params):
@@ -151,15 +172,11 @@ def test_validate_reports_each_violation():
     ({"k": True}, ["k=True is not an int"]),  # would equal ParamSet(k=1), named ML-SD-256xTrue
     ({"redundancy": 4.0}, ["redundancy=4.0 is not an int"]),
     ({"eta": 16.0}, ["eta=16.0 is not an int"]),
-    ({"param_id": 1.0}, ["param_id=1.0 is not an int"]),
     ({"n": 256.0, "q": "12289"}, ["n=256.0 is not an int", "q='12289' is not an int"]),
     ({"eta": np.array([16, 16])}, ["eta=array([16, 16]) is not an int"]),  # no truth value
-    ({"param_id": 300}, ["param_id=300 does not fit in the one header byte 0..255"]),
-    ({"param_id": -1}, ["param_id=-1 does not fit in the one header byte 0..255"]),
 ])
 def test_every_field_is_an_int_and_param_id_one_byte(fields, errors):
     assert violations(**fields) == errors
-    assert validate_params(ParamSet(param_id=255)) == []
 
 
 @pytest.mark.parametrize("redundancy", [1, 4])

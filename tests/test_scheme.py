@@ -203,7 +203,7 @@ def test_n_512_redundancy_4_signs_and_verifies():
 # than the one it signs under, and verify rejects as "parse" a signature or
 # key of another set.
 
-RANK_1 = ParamSet(k=1, param_id=2)
+RANK_1 = ParamSet(k=1)
 REDUNDANCY_4 = ParamSet(redundancy=4)
 
 
