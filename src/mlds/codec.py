@@ -46,7 +46,7 @@ import numpy as np
 
 from .params import ParamSet
 from .ring import COEFF, NTT, Ring, RqArray
-from .sampling import SEED_BYTES, _batch, _each, gen_a
+from .sampling import SEED_BYTES, _as_bytes, _batch, _each, gen_a
 
 MAGIC = b"MLDS"
 VERSION = 0x01
@@ -265,14 +265,18 @@ def pack_poly(v: RqArray, ring: Ring) -> bytes:
 
 
 def unpack_poly(data: bytes, ring: Ring) -> RqArray:
-    """Unpack m * poly_bytes bytes into a coefficient-domain (m, n) stack, m >= 1."""
+    """Unpack m * poly_bytes bytes (any bytes-like object) into a coefficient-domain (m, n)
+    stack, m >= 1."""
+    body = _as_bytes(data)
+    if body is None:
+        raise CodecError(f"packed rows are a bytes-like object, not {type(data).__name__}")
     p = ring.params
-    step, b, size = poly_bytes(p), p.bits_per_coeff, memoryview(data).nbytes
+    step, b, size = poly_bytes(p), p.bits_per_coeff, len(body)
     if not size or size % step:
         raise LengthError(f"packed rows must be a positive multiple of {step} bytes, got {size}")
     width, starts, shifts, _ = _layout(b)
     # a 4-byte window at each group byte, over the data and 3 zero bytes; the mask drops its sign
-    windows = np.ndarray((size // width, width), "<i4", b"".join((data, bytes(3))), strides=(width, 1))
+    windows = np.ndarray((size // width, width), "<i4", body + bytes(3), strides=(width, 1))
     coeffs = windows[:, starts] >> shifts & (1 << b) - 1
     if coeffs.max() >= p.q:
         raise CoefficientRangeError(f"coefficient {int(coeffs.max())} out of range [0, {p.q})")
@@ -283,21 +287,20 @@ def unpack_poly(data: bytes, ring: Ring) -> RqArray:
 
 def _body(data, p: ParamSet, kind: str, size: int) -> bytes:
     """The bytes after the header of a ``size``-byte wire value; ``data`` is any bytes-like object."""
-    try:
-        data = bytes(memoryview(data))
-    except TypeError:
-        raise CodecError(f"a {kind} is a bytes-like object, not {type(data).__name__}") from None
-    if len(data) < HEADER_BYTES:
+    wire = _as_bytes(data)
+    if wire is None:
+        raise CodecError(f"a {kind} is a bytes-like object, not {type(data).__name__}")
+    if len(wire) < HEADER_BYTES:
         raise LengthError(f"{kind} shorter than the {HEADER_BYTES}-byte header")
-    if data[:4] != MAGIC:
-        raise HeaderError(f"bad magic {data[:4]!r}")
-    if data[4] != VERSION:
-        raise HeaderError(f"unsupported version {data[4]:#04x}")
-    if data[5] != p.param_id:
-        raise HeaderError(f"parameter id {data[5]:#04x} does not match {p.param_id:#04x}")
-    if len(data) != size:
-        raise LengthError(f"{kind} must be {size} bytes, got {len(data)}")
-    return data[HEADER_BYTES:]
+    if wire[:4] != MAGIC:
+        raise HeaderError(f"bad magic {wire[:4]!r}")
+    if wire[4] != VERSION:
+        raise HeaderError(f"unsupported version {wire[4]:#04x}")
+    if wire[5] != p.param_id:
+        raise HeaderError(f"parameter id {wire[5]:#04x} does not match {p.param_id:#04x}")
+    if len(wire) != size:
+        raise LengthError(f"{kind} must be {size} bytes, got {len(wire)}")
+    return wire[HEADER_BYTES:]
 
 
 #: After the header of each format, in ``SizeReport`` order: (32-byte seeds and digests,

@@ -2,7 +2,11 @@
 
 Every value is one type, ``RqArray``: an int32 array of shape (..., rows, n)
 tagged with its domain, ``COEFF`` (coefficients) or ``NTT`` (evaluations).
-Every operation checks the domain, so the two can never be mixed silently.
+One rule, ``Ring._operand``, checks every operand of every operation: an
+``RqArray`` in the operation's domain holding an int32 (..., *rows, n) ndarray,
+rows (1,) for ``ntt``/``intt``, (k, k) and (k,) for ``matvec``, any for the
+vector transforms, and for add/sub, ``pointwise_mul`` and ``inner_product``
+the first operand's. Anything else raises ``DomainError`` naming the operation.
 Entries are stored canonically in [0, q), for any q that ``validate_params``
 admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
 representatives exist only inside the codec's decoder and verify's noise.
@@ -13,8 +17,7 @@ NTT-domain (..., k, k, n) array. A single element keeps its row axis, so a
 batch axis is never taken for a module axis. Leading axes are batch axes,
 one entry per trial of a batch. add/sub, ``matvec`` and ``inner_product``
 act on the trailing axes and broadcast over the leading ones, so a key
-without batch axes combines with a batch of noise; add/sub refuse values
-whose domains or row counts differ.
+without batch axes combines with a batch of noise.
 
 Reductions. A sum or difference of two residues lies in (-q, 2q), so one
 conditional correction reduces it, written as one ``np.minimum`` over the
@@ -233,32 +236,38 @@ class Ring:
 
     def ntt(self, p: RqArray) -> RqArray:
         """Forward transform of one coefficient-domain row, (..., 1, n)."""
-        if type(p) is not RqArray or p.domain != COEFF or p.data.shape[-2:-1] != (1,):
-            raise DomainError("ntt expects one coefficient-domain row")
-        return RqArray(self._transform(self._forward, p.data), NTT)
+        return RqArray(self._transform(self._forward, self._operand("ntt", p, COEFF, (1, self.n))), NTT)
 
     def intt(self, p: RqArray) -> RqArray:
         """Inverse transform of one NTT-domain row, (..., 1, n)."""
-        if type(p) is not RqArray or p.domain != NTT or p.data.shape[-2:-1] != (1,):
-            raise DomainError("intt expects one NTT-domain row")
-        return RqArray(self._transform(self._inverse, p.data), COEFF)
+        return RqArray(self._transform(self._inverse, self._operand("intt", p, NTT, (1, self.n))), COEFF)
 
     def vec_ntt(self, v: RqArray) -> RqArray:
         """One ``ntt`` call per module row, over that row's (..., 1, n) stack."""
-        return self._rows(self.ntt, v, NTT)
+        return self._rows("vec_ntt", self.ntt, v, COEFF, NTT)
 
     def vec_intt(self, v: RqArray) -> RqArray:
         """One ``intt`` call per module row, over that row's (..., 1, n) stack."""
-        return self._rows(self.intt, v, COEFF)
+        return self._rows("vec_intt", self.intt, v, NTT, COEFF)
 
-    def _rows(self, transform, v: RqArray, domain: str) -> RqArray:
+    def _rows(self, verb: str, transform, v: RqArray, source: str, target: str) -> RqArray:
         """``transform`` of each module row of v, written into one (..., rows, n) int32 array."""
-        if type(v) is not RqArray or v.data.ndim < 2:
-            raise DomainError("a module transform expects a (..., rows, n) ring value")
-        out = np.empty(v.data.shape, dtype=np.int32)
-        for i in range(v.data.shape[-2]):
-            out[..., i : i + 1, :] = transform(RqArray(v.data[..., i : i + 1, :], v.domain)).data
-        return RqArray(out, domain)
+        data = self._operand(verb, v, source)
+        out = np.empty(data.shape, dtype=np.int32)
+        for i in range(data.shape[-2]):
+            out[..., i : i + 1, :] = transform(RqArray(data[..., i : i + 1, :], source)).data
+        return RqArray(out, target)
+
+    def _operand(self, verb: str, value, domain: str | None, tail: tuple | None = None) -> np.ndarray:
+        """The data of ``value``: an RqArray in ``domain`` (either, for None) whose data is an int32
+        ndarray of shape (..., *tail), tail = (*rows, n); with no tail, (..., rows, n), any rows."""
+        if (type(value) is RqArray and value.domain in ((domain,) if domain else (COEFF, NTT))
+                and type(data := value.data) is np.ndarray and data.dtype == np.int32
+                and (data.shape[-len(tail):] == tail if tail
+                     else data.ndim >= 2 and data.shape[-1] == self.n)):
+            return data
+        shape = ", ".join(map(str, tail or ("rows", self.n)))
+        raise DomainError(f"{verb} takes {domain or 'same-domain'} values: int32 (..., {shape}) arrays")
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 
@@ -266,7 +275,7 @@ class Ring:
         return self._elementwise(np.add, a, b, "add")
 
     def sub(self, a: RqArray, b: RqArray) -> RqArray:
-        return self._elementwise(np.subtract, a, b, "subtract")
+        return self._elementwise(np.subtract, a, b, "sub")
 
     def _elementwise(self, op, a: RqArray, b: RqArray, verb: str) -> RqArray:
         """op(a, b) mod q on two values of one domain and one row count.
@@ -275,13 +284,9 @@ class Ring:
         difference of two residues is reduced by one conditional correction
         (see the module docstring).
         """
-        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != b.domain
-                or a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]):
-            raise DomainError(f"cannot {verb} values whose domains or row counts differ")
-        d = op(a.data, b.data)
-        if d.dtype != np.int32:  # a uint32 view of wider values would split each one
-            raise DomainError(f"ring values must be int32 arrays, got {d.dtype}")
-        u = d.view(np.uint32)
+        x = self._operand(verb, a, None)
+        d = op(x, self._operand(verb, b, a.domain, x.shape[-2:]))
+        u = d.view(np.uint32)  # int32 operands keep d int32, so each entry is one uint32
         # min(d, d - q) after an add, min(d, d + q) after a sub: the wrong
         # candidate wraps around to 2^32 - q or above
         np.minimum(u, u - self.q if op is np.add else u + self.q, out=u)
@@ -291,26 +296,20 @@ class Ring:
 
     def pointwise_mul(self, a: RqArray, b: RqArray) -> RqArray:
         """a o b, entry by entry, on two NTT-domain values of one row count."""
-        if (type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT or b.domain != NTT
-                or a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]):
-            raise DomainError("pointwise_mul is defined on NTT-domain values of one row count")
-        return RqArray(a.data * b.data % self.q, NTT)
+        x = self._operand("pointwise_mul", a, NTT)
+        return RqArray(x * self._operand("pointwise_mul", b, NTT, x.shape[-2:]) % self.q, NTT)
 
     def matvec(self, mat: RqArray, v: RqArray) -> RqArray:
         """M^T o v: out_j = sum_i M_ij o v_i for a (..., k, k, n) M; batch axes broadcast."""
-        if type(mat) is not RqArray or type(v) is not RqArray or mat.domain != NTT or v.domain != NTT:
-            raise DomainError("matvec operates on NTT-domain values")
-        if v.data.ndim < 2 or mat.data.shape[-3:-1] != v.data.shape[-2:-1] * 2:
-            raise DomainError("matrix/vector rank mismatch")
-        return RqArray((mat.data * v.data[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NTT)
+        m = self._operand("matvec", mat, NTT, (self.k, self.k, self.n))
+        x = self._operand("matvec", v, NTT, (self.k, self.n))
+        return RqArray((m * x[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NTT)
 
     def inner_product(self, a: RqArray, b: RqArray) -> RqArray:
         """sum_i a_i o b_i: one NTT-domain row, (..., 1, n), per trial of a batch."""
-        if type(a) is not RqArray or type(b) is not RqArray or a.domain != NTT or b.domain != NTT:
-            raise DomainError("inner_product operates on NTT-domain vectors")
-        if a.data.ndim < 2 or a.data.shape[-2:-1] != b.data.shape[-2:-1]:
-            raise DomainError("vector length mismatch")
-        return RqArray((a.data * b.data).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
+        x = self._operand("inner_product", a, NTT)
+        y = self._operand("inner_product", b, NTT, x.shape[-2:])
+        return RqArray((x * y).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
 
 
 @lru_cache(maxsize=8)

@@ -55,13 +55,19 @@ def _each(fn, items, *rows):
     return tuple(map(fn, items, *rows)) if _batch(items) else fn(items, *rows)
 
 
+def _as_bytes(value) -> bytes | None:
+    """A bytes-like ``value`` as bytes (bytes itself is immutable and kept, anything else
+    copied), or None for what is not bytes-like, such as a str, a list or None."""
+    try:
+        return value if type(value) is bytes else bytes(memoryview(value))
+    except TypeError:
+        return None
+
+
 def _seed_batch(seeds, name: str) -> list[bytes]:
     """Each seed of a batch, or the one seed, as bytes; each must be 32 bytes-like bytes."""
-    try:
-        batch = [bytes(memoryview(s)) for s in (seeds if _batch(seeds) else (seeds,))]
-    except TypeError:  # not bytes-like
-        batch = []
-    if not (batch and all(len(s) == SEED_BYTES for s in batch)):
+    batch = [_as_bytes(s) for s in (seeds if _batch(seeds) else (seeds,))]
+    if not (batch and all(s is not None and len(s) == SEED_BYTES for s in batch)):
         raise ValueError(f"{name} must be exactly {SEED_BYTES} bytes, "
                          "or a non-empty list or tuple of them")
     return batch

@@ -76,8 +76,8 @@ from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, d
                     mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
 from .ring import COEFF, RqArray, get_ring
-from .sampling import (SEED_BYTES, _batch, _each, _seed_batch, hash_h, crh, derive_case_seeds, gen_a,
-                       expand_key_noise, expand_signing_noise)
+from .sampling import (SEED_BYTES, _as_bytes, _batch, _each, _seed_batch, hash_h, crh,
+                       derive_case_seeds, gen_a, expand_key_noise, expand_signing_noise)
 
 
 #: The signer's h preimage: z2 itself, or the secret-side decode (the paper's).
@@ -88,13 +88,17 @@ POLICIES = (Z2_DERIVED, SECRET_DERIVED)
 
 @dataclass(frozen=True)
 class VerifyResult:
-    """A verdict, its reason, and ``noise`` = ||w - encode(mu)||_inf of the verifier's public
-    w = z2 + z3 - intt(<P_hat, z1_hat>): ||e3 + e4||_inf <= 2 * eta for an honest signature,
-    None for a "parse" verdict, which has no w."""
+    """A verdict's reason, None when the signature is accepted, and ``noise`` =
+    ||w - encode(mu)||_inf of the verifier's public w = z2 + z3 - intt(<P_hat, z1_hat>):
+    ||e3 + e4||_inf <= 2 * eta for an honest signature, None for a "parse" verdict,
+    which has no w. ``ok`` is derived from the reason, so the two cannot disagree."""
 
-    ok: bool
-    reason: str | None = None  # "parse" | "mu-mismatch" | "h-mismatch"
+    reason: str | None  # None | "parse" | "mu-mismatch" | "h-mismatch"
     noise: int | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -172,10 +176,10 @@ def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
 def _verdict(mu: bytes, h: bytes, mu_ok, payload: np.ndarray, noise: int) -> VerifyResult:
     """One trial's verdict: the mu decode of w first, then h recomputed from z2."""
     if not mu_ok:
-        return VerifyResult(False, "mu-mismatch", noise)
+        return VerifyResult("mu-mismatch", noise)
     if h != _h_digest(mu, payload):
-        return VerifyResult(False, "h-mismatch", noise)
-    return VerifyResult(True, None, noise)
+        return VerifyResult("h-mismatch", noise)
+    return VerifyResult(None, noise)
 
 
 def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PARAMS,
@@ -191,7 +195,7 @@ def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PA
     if not (isinstance(sig, Signature) and isinstance(pk, PublicKey)
             and sig.params == pk.params == params and sig.z.data.shape[:-2] == trials
             and pk.p_vec.data.shape[:-2] in ((), trials)):
-        return _each(lambda _: VerifyResult(False, "parse"), message)
+        return _each(lambda _: VerifyResult("parse"), message)
     ring = get_ring(params)
     mu = _each(crh, message)
     z2 = sig.z2  # a view of z's row, built once for its two reads
@@ -275,11 +279,8 @@ def run_cases(master_seed: bytes, count: int, params: ParamSet = DEFAULT_PARAMS,
     not an int >= 1, raises ValueError before the first chunk."""
     if type(count) is not int or count < 1:  # a bool is refused too
         raise ValueError(f"count must be an int >= 1, got {count!r}")
-    try:
-        master_seed = bytes(memoryview(master_seed))
-    except TypeError:  # not bytes-like
-        master_seed = b""
-    if len(master_seed) != SEED_BYTES:
+    master_seed = _as_bytes(master_seed)
+    if master_seed is None or len(master_seed) != SEED_BYTES:
         raise ValueError(f"master_seed must be one {SEED_BYTES}-byte bytes-like value")
     every = range(count)
     for start in range(0, count, AGREEMENT_CHUNK):

@@ -521,7 +521,8 @@ def test_parsers_take_any_bytes_like_wire(wire_type, ring, keypair_sig):
 
 @pytest.mark.parametrize("wire", ["MLDS", 7, None, [1, 2]], ids=["str", "int", "none", "list"])
 def test_parsers_refuse_a_wire_that_is_not_bytes_like(wire, ring):
-    for parse in (parse_pk, parse_sk, parse_sig):
+    # unpack_poly too: a str, an int, None or a list is a CodecError, not a TypeError
+    for parse in (parse_pk, parse_sk, parse_sig, unpack_poly):
         with pytest.raises(CodecError, match="bytes-like"):
             parse(wire, ring)
 

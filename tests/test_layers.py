@@ -278,3 +278,36 @@ def test_one_rule_for_which_sets_exist():
     tests = Path(__file__).resolve()
     assert [path.name for path in sorted(tests.parent.glob("*.py"))
             if path != tests and "PACK_BITS" in path.read_text()] == []
+
+
+def raise_sites(tree: ast.AST, exc: str):
+    """(line, enclosing Class.function, or "<module>") for every ``raise exc`` or
+    ``raise exc(...)``, at any depth."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                target = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if isinstance(target, ast.Name) and target.id == exc:
+                    yield child.lineno, ".".join(scope) or "<module>"
+            yield from visit(child, scope)
+    yield from visit(tree, ())
+
+
+def test_one_operand_rule():
+    # Ring._operand is the ring's one check of an operand's type, domain, dtype and
+    # shape; every operation calls it, and no other code in ring.py raises DomainError
+    path = SRC / "ring.py"
+    sites = list(raise_sites(ast.parse(path.read_text(), str(path)), "DomainError"))
+    assert [where for _, where in sites] == ["Ring._operand"]
+
+
+def test_the_check_sees_a_raise_in_any_function():
+    source = ("class Ring:\n    def _operand(self):\n        raise DomainError('x')\n"
+              "    def ntt(self):\n        def check():\n            raise DomainError\n"
+              "        if bad:\n            raise ValueError\n"
+              "def helper():\n    raise DomainError('y') from None\nraise DomainError\n")
+    assert list(raise_sites(ast.parse(source), "DomainError")) == [
+        (3, "Ring._operand"), (6, "Ring.ntt.check"), (10, "helper"), (11, "<module>")]

@@ -177,12 +177,6 @@ def test_add_sub(ring, rng):
         assert np.array_equal(ring.add(pu, pv).data[0], (wide_u + wide_v) % ring.q)
         assert np.array_equal(ring.sub(pu, pv).data[0], (wide_u - wide_v) % ring.q)
         assert ring.add(pu, pv).data.dtype == ring.sub(pu, pv).data.dtype == np.int32
-    # values built directly from int64 arrays are refused, not reduced wrongly
-    wide = RqArray(a.data.astype(np.int64), COEFF)
-    with pytest.raises(DomainError):
-        ring.sub(wide, wide)
-    with pytest.raises(DomainError):
-        ring.add(RqArray(np.concatenate([wide.data] * ring.k), COEFF), vec(ring, [a] * ring.k))
 
 
 def test_vector_add(ring, rng):
@@ -320,15 +314,52 @@ def test_domain_mixing_rejected(ring, rng):
         ring.matvec(random_ntt_matrix(ring, rng), u)
     with pytest.raises(DomainError):
         ring.inner_product(u, u_hat)
-    # a value without a row axis is refused by its check, not by an index read
-    flat, flat_hat = RqArray(p.data[0], COEFF), RqArray(p_hat.data[0], NTT)
-    for op, args in [(ring.add, (flat, flat)), (ring.sub, (flat, p)), (ring.add, (p, flat)),
-                     (ring.ntt, (flat,)), (ring.intt, (flat_hat,)), (ring.vec_ntt, (flat,)),
-                     (ring.vec_intt, (flat_hat,)), (ring.pointwise_mul, (flat_hat, flat_hat)),
-                     (ring.matvec, (random_ntt_matrix(ring, rng), flat_hat)),
-                     (ring.matvec, (flat_hat, flat_hat)), (ring.inner_product, (flat_hat, flat_hat))]:
-        with pytest.raises(DomainError):
-            op(*args)
+
+
+def operand_specs(ring):
+    """Each Ring operation's (domain, rows) per operand, on which it succeeds."""
+    k = ring.k
+    return {"ntt": [(COEFF, (1,))], "intt": [(NTT, (1,))],
+            "vec_ntt": [(COEFF, (k,))], "vec_intt": [(NTT, (k,))],
+            "add": [(COEFF, (k,))] * 2, "sub": [(NTT, (1,))] * 2,
+            "pointwise_mul": [(NTT, (k,))] * 2, "matvec": [(NTT, (k, k)), (NTT, (k,))],
+            "inner_product": [(NTT, (k,))] * 2}
+
+
+#: Data that is not an int32 (..., rows, n) ndarray, made from a valid operand's data; a
+#: value that lost its row axis is refused by the rule, not by an index read.
+MALFORMED = {"n=100": lambda x: x[..., :100], "int64": lambda x: x.astype(np.int64),
+             "float64": lambda x: x.astype(np.float64), "uint32": lambda x: x.astype(np.uint32),
+             "list": lambda x: x.tolist(), "row dropped": lambda x: x[..., 0, :]}
+
+
+@pytest.mark.parametrize("malformed", MALFORMED)
+@pytest.mark.parametrize("name", operand_specs(get_ring(ParamSet())))
+def test_every_operation_refuses_malformed_data(name, malformed, ring, rng):
+    # one operand rule for every operation: each operand, and all of them at once, with
+    # data of another length, dtype or type is a DomainError that names the operation
+    specs = operand_specs(ring)[name]
+    valid = [RqArray(rng.integers(0, ring.q, rows + (ring.n,), dtype=np.int32), domain)
+             for domain, rows in specs]
+    out = getattr(ring, name)(*valid)
+    assert type(out) is RqArray and out.data.dtype == np.int32
+    bad = [RqArray(MALFORMED[malformed](v.data), v.domain) for v in valid]
+    for args in [valid[:i] + bad[i : i + 1] + valid[i + 1 :] for i in range(len(valid))] + [bad]:
+        with pytest.raises(DomainError, match=f"^{name} "):
+            getattr(ring, name)(*args)
+
+
+def test_matvec_takes_a_k_by_k_matrix_and_k_rows(ring, rng):
+    k, n = ring.k, ring.n
+
+    def ntt_value(*rows):
+        return RqArray(rng.integers(0, ring.q, rows + (n,), dtype=np.int32), NTT)
+
+    # a batch of two k x k matrices is still a k x k matrix
+    assert ring.matvec(ntt_value(2, k, k), ntt_value(k)).data.shape == (2, k, n)
+    for mat, vec_rows in [((k + 1, k), k), ((k, k + 1), k), ((k + 1, k + 1), k + 1), ((k, k), k + 1)]:
+        with pytest.raises(DomainError, match="^matvec "):
+            ring.matvec(ntt_value(*mat), ntt_value(vec_rows))
 
 
 def test_poly_validation(ring):

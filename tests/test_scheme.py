@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -143,8 +145,18 @@ def test_verify_reports_the_decode_noise(params, rng):
 
 def test_a_parse_verdict_has_no_noise(keypair, z2_sig):
     pk, sk = keypair
-    assert verify(sk, MSG, z2_sig) == VerifyResult(False, "parse", None)
-    assert verify(pk, [MSG, MSG], z2_sig) == (VerifyResult(False, "parse", None),) * 2
+    assert verify(sk, MSG, z2_sig) == VerifyResult("parse", None)
+    assert verify(pk, [MSG, MSG], z2_sig) == (VerifyResult("parse", None),) * 2
+
+
+def test_a_verdict_is_ok_exactly_when_it_has_no_reason():
+    # ok is read from the reason, not stored beside it, so the two cannot disagree
+    assert [f.name for f in dataclasses.fields(VerifyResult)] == ["reason", "noise"]
+    assert VerifyResult(None, 3).ok and bool(VerifyResult(None))
+    for reason in ("parse", "mu-mismatch", "h-mismatch"):
+        assert not VerifyResult(reason, 3).ok and not VerifyResult(reason)
+    with pytest.raises(AttributeError):
+        VerifyResult("parse").ok = True
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -560,7 +572,7 @@ def test_batch_arguments_of_other_lengths_are_refused(keypair):
             sign(*args)
     sigs = sign(sks, pks, [MSG, b"b", b"c"], [COIN, COIN, COIN])
     assert [v.ok for v in verify(pks, [MSG, b"b", b"c"], sigs)] == [True] * 3
-    parse = VerifyResult(False, "parse")
+    parse = VerifyResult("parse")
     assert verify(pks, [MSG, b"b"], sigs) == (parse, parse)
     assert verify(pk, [MSG, b"b"], sigs) == (parse, parse)
     assert verify(pks, MSG, sigs) == parse
