@@ -52,16 +52,17 @@ holds the cost over several m, thus reports its smallest m, not the screen's.
 Every cost block the search computes, the screen included, goes through
 ``_pick`` once.
 
-ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen, the
-whole rows and the dual's reported repetition count read them, and b itself,
-from one cached, read-only table per search bound b_max = n + max_samples + 1.
+ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen and
+the whole rows read them, and b itself, from one cached, read-only table per
+search bound b_max = n + max_samples + 1.
 
 The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite. A
 clamped cell costs at most its model cost, so an optimum whose tau is below
 the clamp is the model's optimum; one whose tau sits at the clamp would be
 priced by the clamp, so ``dual_cost`` rejects it with EstimatorError.
-Reported bit counts are floored to integers. BKW-type and linearization
-attacks are out of scope.
+Reported bit counts are floored to integers. The dual's are floor(cost) and
+floor(0.265 b + cost - 0.292 b) at the optimum cell its search priced, so no
+cell is priced twice. BKW-type and linearization attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
 a full lattice estimator.
@@ -223,8 +224,8 @@ def primal_cost(inst: LweInstance) -> AttackEstimate:
                           math.floor(QUANTUM_EXP * b_opt))
 
 
-def _dual_log2_tau(inst: LweInstance, m: np.ndarray, log_delta: np.ndarray) -> np.ndarray:
-    """log2 tau = log2(ell sigma / q), unclamped, elementwise over the broadcast arrays."""
+def _dual_log2_tau(inst: LweInstance, m, log_delta):
+    """log2 tau = log2(ell sigma / q), unclamped: plain arithmetic, on broadcast arrays or floats."""
     d = inst.n_lwe + m
     log2_tau = d * (log_delta / math.log(2))
     log2_tau += (inst.n_lwe / d) * math.log2(inst.q)
@@ -252,7 +253,7 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     The distinguisher model needs noise that is not already close to uniform
     mod q; an instance with sigma * sqrt(2 pi) >= q is outside it. An optimum
     whose tau sits at the 2^30 clamp is priced by the clamp, not the model, so
-    it is rejected too.
+    it is rejected too; the bit counts are read from the optimum cell the search priced.
     """
     if inst.sigma * math.sqrt(2 * math.pi) >= inst.q:
         raise EstimatorError(
@@ -269,15 +270,13 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
     best = _search(inst, block_cost, 0)
     if best is None:
         raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
-    _, b_opt, m_opt = best
-    m, b = np.array([m_opt]), np.array([b_opt])
-    # the search's cache entry: one entry per b_opt would evict the ones in use
-    log_delta = _b_table(inst.n_lwe + inst.max_samples + 1)[1][b - MIN_BLOCK]
-    if _dual_log2_tau(inst, m, log_delta)[0] >= TAU_CLAMP_LOG2:
+    cost, b_opt, m_opt = best
+    log_delta = float(_b_table(inst.n_lwe + inst.max_samples + 1)[1][b_opt - MIN_BLOCK])
+    if _dual_log2_tau(inst, m_opt, log_delta) >= TAU_CLAMP_LOG2:
         raise EstimatorError(
             f"dual optimum (m={m_opt}, b={b_opt}) has log2 tau at the clamp {TAU_CLAMP_LOG2:g}: "
             "its cost is the clamp's, not the model's"
         )
-    rep = float(_dual_log2_rep(inst, m, b, log_delta)[0])
-    return AttackEstimate("dual", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt + rep),
+    rep = cost - CLASSICAL_EXP * b_opt  # log2 R within an ulp of cost (Sterbenz); 0 at R = 1
+    return AttackEstimate("dual", m_opt, b_opt, math.floor(cost),
                           math.floor(QUANTUM_EXP * b_opt + rep))

@@ -6,7 +6,8 @@ One rule, ``Ring._operand``, checks every operand of every operation: an
 ``RqArray`` in the operation's domain holding an int32 (..., *rows, n) ndarray,
 rows (1,) for ``ntt``/``intt``, (k, k) and (k,) for ``matvec``, any for the
 vector transforms, and for add/sub, ``pointwise_mul`` and ``inner_product``
-the first operand's. Anything else raises ``DomainError`` naming the operation.
+the first operand's; a second operand's leading batch axes must broadcast
+against the first's. Anything else raises ``DomainError`` naming the operation.
 Entries are stored canonically in [0, q), for any q that ``validate_params``
 admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
 representatives exist only inside the codec's decoder and verify's noise.
@@ -258,16 +259,23 @@ class Ring:
             out[..., i : i + 1, :] = transform(RqArray(data[..., i : i + 1, :], source)).data
         return RqArray(out, target)
 
-    def _operand(self, verb: str, value, domain: str | None, tail: tuple | None = None) -> np.ndarray:
+    def _operand(self, verb: str, value, domain: str | None, tail: tuple | None = None,
+                 batch: tuple | None = None) -> np.ndarray:
         """The data of ``value``: an RqArray in ``domain`` (either, for None) whose data is an int32
-        ndarray of shape (..., *tail), tail = (*rows, n); with no tail, (..., rows, n), any rows."""
+        ndarray of shape (..., *tail), tail = (*rows, n); with no tail, (..., rows, n), any rows.
+        With ``batch``, the other operand's batch shape, the leading axes must broadcast with it."""
         if (type(value) is RqArray and value.domain in ((domain,) if domain else (COEFF, NTT))
                 and type(data := value.data) is np.ndarray and data.dtype == np.int32
                 and (data.shape[-len(tail):] == tail if tail
-                     else data.ndim >= 2 and data.shape[-1] == self.n)):
+                     else data.ndim >= 2 and data.shape[-1] == self.n)
+                # equal shapes first: 0.02 us, against 1.6-2.2 us for np.broadcast_shapes (2-vCPU Xeon)
+                and (batch is None or (lead := data.shape[:-len(tail)]) == batch
+                     or _broadcasts(lead, batch))):
             return data
         shape = ", ".join(map(str, tail or ("rows", self.n)))
-        raise DomainError(f"{verb} takes {domain or 'same-domain'} values: int32 (..., {shape}) arrays")
+        axes = "" if batch is None else f" whose batch axes broadcast with {batch}"
+        raise DomainError(f"{verb} takes {domain or 'same-domain'} values: int32 (..., {shape}) "
+                          f"arrays{axes}")
 
     # -- additive arithmetic (either domain, never mixed) -------------------
 
@@ -285,7 +293,7 @@ class Ring:
         (see the module docstring).
         """
         x = self._operand(verb, a, None)
-        d = op(x, self._operand(verb, b, a.domain, x.shape[-2:]))
+        d = op(x, self._operand(verb, b, a.domain, x.shape[-2:], x.shape[:-2]))
         u = d.view(np.uint32)  # int32 operands keep d int32, so each entry is one uint32
         # min(d, d - q) after an add, min(d, d + q) after a sub: the wrong
         # candidate wraps around to 2^32 - q or above
@@ -297,19 +305,28 @@ class Ring:
     def pointwise_mul(self, a: RqArray, b: RqArray) -> RqArray:
         """a o b, entry by entry, on two NTT-domain values of one row count."""
         x = self._operand("pointwise_mul", a, NTT)
-        return RqArray(x * self._operand("pointwise_mul", b, NTT, x.shape[-2:]) % self.q, NTT)
+        y = self._operand("pointwise_mul", b, NTT, x.shape[-2:], x.shape[:-2])
+        return RqArray(x * y % self.q, NTT)
 
     def matvec(self, mat: RqArray, v: RqArray) -> RqArray:
         """M^T o v: out_j = sum_i M_ij o v_i for a (..., k, k, n) M; batch axes broadcast."""
         m = self._operand("matvec", mat, NTT, (self.k, self.k, self.n))
-        x = self._operand("matvec", v, NTT, (self.k, self.n))
+        x = self._operand("matvec", v, NTT, (self.k, self.n), m.shape[:-3])
         return RqArray((m * x[..., :, None, :]).sum(axis=-3, dtype=np.int32) % self.q, NTT)
 
     def inner_product(self, a: RqArray, b: RqArray) -> RqArray:
         """sum_i a_i o b_i: one NTT-domain row, (..., 1, n), per trial of a batch."""
         x = self._operand("inner_product", a, NTT)
-        y = self._operand("inner_product", b, NTT, x.shape[-2:])
+        y = self._operand("inner_product", b, NTT, x.shape[-2:], x.shape[:-2])
         return RqArray((x * y).sum(axis=-2, dtype=np.int32, keepdims=True) % self.q, NTT)
+
+
+def _broadcasts(a: tuple, b: tuple) -> bool:
+    try:
+        np.broadcast_shapes(a, b)
+    except ValueError:
+        return False
+    return True
 
 
 @lru_cache(maxsize=8)

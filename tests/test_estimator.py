@@ -305,6 +305,9 @@ def _assert_matches_reference(inst: LweInstance) -> None:
 @example(n_lwe=254, max_samples=461, q=65537, sigma=39.2)
 # both optima lie on the last row that b <= d leaves non-empty; the dual's next row is empty
 @example(n_lwe=97, max_samples=38, q=12289, sigma=3.4355)
+# the closest call to a reported floor in a scan of 10^6 instances drawn from this space:
+# the dual's 0.265 b + log2 R is 419 + 3.2e-7 (b = 430, m = 346)
+@example(n_lwe=84, max_samples=346, q=257, sigma=45.03076450873125)
 def test_search_matches_full_grid(n_lwe, max_samples, q, sigma):
     _assert_matches_reference(LweInstance(n_lwe=n_lwe, q=q, sigma=sigma, max_samples=max_samples))
 

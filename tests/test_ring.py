@@ -333,18 +333,24 @@ MALFORMED = {"n=100": lambda x: x[..., :100], "int64": lambda x: x.astype(np.int
              "list": lambda x: x.tolist(), "row dropped": lambda x: x[..., 0, :]}
 
 
-@pytest.mark.parametrize("malformed", MALFORMED)
-@pytest.mark.parametrize("name", operand_specs(get_ring(ParamSet())))
+@pytest.mark.parametrize("name, malformed", [
+    (name, bad) for name, specs in operand_specs(get_ring(ParamSet())).items()
+    for bad in [*MALFORMED, *(["batch"] if len(specs) == 2 else [])]])
 def test_every_operation_refuses_malformed_data(name, malformed, ring, rng):
     # one operand rule for every operation: each operand, and all of them at once, with
-    # data of another length, dtype or type is a DomainError that names the operation
+    # data of another length, dtype or type is a DomainError that names the operation;
+    # so are two operands whose batch axes do not broadcast, (3,) against (4,)
     specs = operand_specs(ring)[name]
     valid = [RqArray(rng.integers(0, ring.q, rows + (ring.n,), dtype=np.int32), domain)
              for domain, rows in specs]
     out = getattr(ring, name)(*valid)
     assert type(out) is RqArray and out.data.dtype == np.int32
-    bad = [RqArray(MALFORMED[malformed](v.data), v.domain) for v in valid]
-    for args in [valid[:i] + bad[i : i + 1] + valid[i + 1 :] for i in range(len(valid))] + [bad]:
+    if malformed == "batch":
+        cases = [[RqArray(np.stack([v.data] * (3 + i)), v.domain) for i, v in enumerate(valid)]]
+    else:
+        bad = [RqArray(MALFORMED[malformed](v.data), v.domain) for v in valid]
+        cases = [valid[:i] + bad[i : i + 1] + valid[i + 1 :] for i in range(len(valid))] + [bad]
+    for args in cases:
         with pytest.raises(DomainError, match=f"^{name} "):
             getattr(ring, name)(*args)
 
