@@ -20,6 +20,11 @@ parent's, and a verdict:
                 parent run
     ok          none of these
 
+Below that it prints both sides' medians and quartiles of the runs' raw times
+(``raw.op_a_us.p50``, ``raw.op_b_us.p50`` and the calibration ``raw.kernel_us``,
+uncalibrated us), marked informational, with no wins and no verdict: a ref_us move
+that the raw op times do not share came from the calibration kernel.
+
 Failed and attempted counts are summed per side. Uses the standard library only
 and reads nothing under perfbench/ but the runner's output.
 """
@@ -34,6 +39,7 @@ import sys
 from pathlib import Path
 
 WIN_SHARE = 0.9  # the gain rule's share of pairs the change must win
+RAW_KEYS = ("op_a_us.p50", "op_b_us.p50", "kernel_us")  # the details' uncalibrated times
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
@@ -87,6 +93,21 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> list[di
     return rows
 
 
+def summarize_raw(pairs: list[tuple[dict, dict]]) -> list[dict]:
+    """One informational row per raw time over (parent, change) details pairs: both sides'
+    quartiles and the change's median relative to the parent's, no wins and no verdict.
+
+    A details line is a runner's second-to-last stdout line, ``{"raw": {name: value}}``.
+    """
+    rows = []
+    for key in RAW_KEYS:
+        p_q = quartiles([p["raw"][key] for p, _ in pairs])
+        c_q = quartiles([c["raw"][key] for _, c in pairs])
+        rows.append({"metric": f"raw.{key}", "parent": p_q, "change": c_q,
+                     "rel_change": (c_q[1] - p_q[1]) / p_q[1] if p_q[1] else 0.0})
+    return rows
+
+
 def failures(records: list[dict]) -> tuple[int, int]:
     """(failed, attempted), summed over runs."""
     return sum(r["failed"] for r in records), sum(r["attempted"] for r in records)
@@ -95,11 +116,12 @@ def failures(records: list[dict]) -> tuple[int, int]:
 def format_rows(rows: list[dict]) -> str:
     def q(t):
         return f"{t[1]:.4g} [{t[0]:.4g}, {t[2]:.4g}]"
-    lines = [f"{'metric':<12} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
+    lines = [f"{'metric':<16} {'parent median [q1, q3]':<30} {'change median [q1, q3]':<30} "
              f"{'wins':>6} {'change':>8}  verdict"]
     for r in rows:
-        lines.append(f"{r['metric']:<12} {q(r['parent']):<30} {q(r['change']):<30} "
-                     f"{r['wins']:>3}/{r['pairs']:<2} {r['rel_change']:>+8.1%}  {r['verdict']}")
+        wins = f"{r['wins']:>3}/{r['pairs']:<2}" if "wins" in r else f"{'-':>6}"
+        lines.append(f"{r['metric']:<16} {q(r['parent']):<30} {q(r['change']):<30} "
+                     f"{wins} {r['rel_change']:>+8.1%}  {r.get('verdict', 'informational')}")
     return "\n".join(lines)
 
 
@@ -117,7 +139,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
     names = [spec["name"] for spec in bench["end_to_end"]]
-    pairs = []
+    pairs, details_pairs = [], []
     for i in range(args.pairs):
         seed = args.seed + i
         order = [("parent", args.parent), ("change", args.change)]
@@ -125,6 +147,7 @@ def main(argv=None) -> int:
             order.reverse()
         runs = {side: run_once(path, args.workload, seed, seconds) for side, path in order}
         pairs.append((runs["parent"][1], runs["change"][1]))
+        details_pairs.append((runs["parent"][0], runs["change"][0]))
         for side, _ in order:
             details, r = runs[side]
             values = " ".join(f"{n}={r['metrics'][n]['value']:.4g}" for n in names)
@@ -135,6 +158,8 @@ def main(argv=None) -> int:
     print(f"\n{args.workload}: {args.pairs} pairs of {seconds:g} s runs, seeds {args.seed}.."
           f"{args.seed + args.pairs - 1}")
     print(format_rows(summarize(pairs, bench["end_to_end"])))
+    print("\nraw times, uncalibrated us (informational, no verdict)")
+    print(format_rows(summarize_raw(details_pairs)))
     for side, records in (("parent", [p for p, _ in pairs]), ("change", [c for _, c in pairs])):
         failed, attempted = failures(records)
         print(f"{side} failed {failed} of {attempted}")

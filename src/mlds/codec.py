@@ -208,11 +208,10 @@ def encode_bits(bits: np.ndarray, ring: Ring) -> RqArray:
 
 
 def decode_bits(v: RqArray, ring: Ring) -> np.ndarray:
-    """Threshold-decode one coefficient-domain row (..., 1, n) back to (..., mu_bits) payload bits."""
+    """Threshold-decode one coefficient-domain row (..., 1, n) back to (..., mu_bits) payload bits;
+    ``Ring._operand`` checks the row and raises ``DomainError`` for anything else."""
     p = ring.params
-    c = v.data
-    if v.domain != COEFF or c.shape[-2:] != (1, p.n):
-        raise CodecError(f"decode_bits reads one coefficient-domain row of {p.n}")
+    c = ring._operand("decode_bits", v, COEFF, (1, p.n))
     # For coefficients in [0, q), |v - floor(q/2)| <= floor(q/2) <= q - |v - floor(q/2)|,
     # so the plain distance is already the circular one.
     dist = np.abs(c[..., 0, :] - p.half_q)

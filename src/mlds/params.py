@@ -81,28 +81,19 @@ class ParamSet:
 SEED_BYTES = 32
 
 
-def _is_prime(x: int) -> bool:
-    """Deterministic Miller-Rabin, exact for x < 3.3e24."""
-    if x < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        if x % p == 0:
-            return x == p
-    d, r = x - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
-        y = pow(a, d, x)
-        if y in (1, x - 1):
-            continue
-        for _ in range(r - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
+def _prime_factors(x: int) -> list[int]:
+    """The distinct prime factors of x, ascending, by trial division; [] for x < 2."""
+    out = []
+    d = 2
+    while d * d <= x:
+        if x % d == 0:
+            out.append(d)
+            while x % d == 0:
+                x //= d
+        d += 1
+    if x > 1:
+        out.append(x)
+    return out
 
 
 def validate_params(p: ParamSet) -> list[str]:
@@ -113,6 +104,12 @@ def validate_params(p: ParamSet) -> list[str]:
     polynomial on a byte, and k(q-1)^2 < 2^31 gives q <= 46341 (46337 at n = 4 is the largest
     admitted), so bits_per_coeff <= 16 fits a 2-byte ``gen_a`` candidate and a 4-byte window
     read at a bit shift of at most 7.
+
+    q is prime when ``_prime_factors(q) == [q]``, the trial division that the NTT's root rule
+    also runs on q - 1. It costs O(sqrt(q)) steps, so it runs only for q < 2^31: ring values
+    are int32 in [0, q), so no larger q is admissible under any transform, and the checks
+    below (2n | q - 1, then the float64 and int32 bounds) refuse every such q whatever its
+    factors.
     """
     errors = [f"{f.name}={getattr(p, f.name)!r} is not an int"
               for f in fields(p) if type(getattr(p, f.name)) is not int]
@@ -120,7 +117,7 @@ def validate_params(p: ParamSet) -> list[str]:
         return errors
     if p.n < 2 or p.n & (p.n - 1) != 0:
         errors.append(f"n={p.n} is not a power of two >= 2")
-    if not _is_prime(p.q):
+    if p.q < 2**31 and _prime_factors(p.q) != [p.q]:
         errors.append(f"q={p.q} is not prime")
     elif (p.q - 1) % (2 * p.n) != 0:
         errors.append(f"q={p.q} is not congruent to 1 mod 2n={2 * p.n}")

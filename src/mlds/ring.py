@@ -8,6 +8,7 @@ rows (1,) for ``ntt``/``intt``, (k, k) and (k,) for ``matvec``, any for the
 vector transforms, and for add/sub, ``pointwise_mul`` and ``inner_product``
 the first operand's; a second operand's leading batch axes must broadcast
 against the first's. Anything else raises ``DomainError`` naming the operation.
+``codec.decode_bits`` reads its (..., 1, n) coefficient row through the same rule.
 Entries are stored canonically in [0, q), for any q that ``validate_params``
 admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
 representatives exist only inside the codec's decoder and verify's noise.
@@ -61,7 +62,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .params import ParamSet
+from .params import ParamSet, _prime_factors
 
 
 class DomainError(TypeError):
@@ -135,20 +136,6 @@ class NttConstants:
         """The (R1, R1) stage-1 and (R1, R2, R2) stage-2 views of ``forward`` or ``inverse``."""
         r1, r2 = self.split
         return table[: r1 * r1].reshape(r1, r1), table[r1 * r1 :].reshape(r1, r2, r2)
-
-
-def _prime_factors(x: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= x:
-        if x % d == 0:
-            out.append(d)
-            while x % d == 0:
-                x //= d
-        d += 1
-    if x > 1:
-        out.append(x)
-    return out
 
 
 def _smallest_generator(q: int) -> int:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlds import (
-    COEFF, DEFAULT_PARAMS, NTT, ParamSet, RqArray, get_ring, keygen, sign, verify,
+    COEFF, DEFAULT_PARAMS, NTT, DomainError, ParamSet, RqArray, get_ring, keygen, sign, verify,
     Z2_DERIVED,
     encode_bits, decode_bits, pack_poly, unpack_poly,
     serialize_pk, parse_pk, serialize_sk, parse_sk, serialize_sig, parse_sig,
@@ -115,8 +115,28 @@ def test_decode_reads_one_coefficient_row(ring):
     v = encode_bits(np.ones(ring.params.mu_bits, dtype=np.uint8), ring)
     assert decode_bits(v, ring).all()
     for bad in (RqArray(np.concatenate([v.data] * ring.k), COEFF), RqArray(v.data, NTT)):
-        with pytest.raises(CodecError):
-            decode_bits(bad, ring)
+        for decode in (decode_bits, decode_payload):
+            with pytest.raises(DomainError):
+                decode(bad, ring)
+
+
+SIXES = np.full((1, DEFAULT_PARAMS.n), 6000, np.int32)  # |6000 - 6144| < 3072: all ones
+
+
+@pytest.mark.parametrize("bad", [
+    RqArray(SIXES.astype(np.uint32), COEFF),
+    RqArray(SIXES.astype(np.int64), COEFF),
+    RqArray(SIXES.astype(np.float64), COEFF),
+    RqArray(SIXES.tolist(), COEFF),
+    SIXES,
+], ids=["uint32", "int64", "float64", "list", "bare-ndarray"])
+def test_decoder_takes_only_int32_ring_values(ring, bad):
+    # Ring._operand refuses the row before any arithmetic; a uint32 row would wrap
+    # |v - floor(q/2)| and decode to all zeros
+    assert decode_bits(RqArray(SIXES, COEFF), ring).all()
+    for decode in (decode_bits, decode_payload):
+        with pytest.raises(DomainError, match="decode_bits takes coeff values"):
+            decode(bad, ring)
 
 
 def test_encode_validates_payload(ring):

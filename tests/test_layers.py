@@ -280,6 +280,35 @@ def test_one_rule_for_which_sets_exist():
             if path != tests and "PACK_BITS" in path.read_text()] == []
 
 
+def definitions(tree: ast.AST, wanted: set):
+    """(line, name) for every function defined, or name assigned, in ``wanted``, at any depth."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in wanted:
+            yield node.lineno, node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets
+                        if isinstance(t, ast.Name) and t.id in wanted)
+
+
+def test_one_prime_test():
+    # params decides q's primality by _prime_factors(q) == [q], the trial division that the
+    # NTT's root rule runs on q - 1; no module keeps a second factoriser or a primality test
+    found = [(path.name, name)
+             for path in sorted(SRC.glob("*.py"))
+             for _, name in definitions(ast.parse(path.read_text(), str(path)),
+                                        {"_prime_factors", "_is_prime"})]
+    assert found == [("params.py", "_prime_factors")]
+
+
+def test_the_check_sees_defs_and_assignments():
+    source = ("def _is_prime(x):\n    return True\nclass R:\n    async def _prime_factors(self):\n"
+              "        pass\n_is_prime: object = None\n_prime_factors = lambda x: [x]\n"
+              "y = _prime_factors(3)\n")
+    assert sorted(definitions(ast.parse(source), {"_prime_factors", "_is_prime"})) == [
+        (1, "_is_prime"), (4, "_prime_factors"), (6, "_is_prime"), (7, "_prime_factors")]
+
+
 def raise_sites(tree: ast.AST, exc: str):
     """(line, enclosing Class.function, or "<module>") for every ``raise exc`` or
     ``raise exc(...)``, at any depth."""

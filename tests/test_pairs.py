@@ -65,3 +65,24 @@ def test_a_spread_wider_than_the_bound_is_unresolved():
 
 def test_failures_are_summed_per_side():
     assert pairs.failures([record(failed=2, op_b__p50=1.0), record(op_b__p50=1.0)]) == (2, 200)
+
+
+def details(op_a, op_b, kernel):
+    return {"context": {}, "samples": {}, "raw": {"op_a_us.p50": op_a, "op_b_us.p50": op_b,
+                                                  "ops_per_s": 5000.0, "kernel_us": kernel,
+                                                  "setup": {"setup_s": 0.1}}}
+
+
+def test_raw_times_are_summarized_per_side_without_a_verdict():
+    # the change's ref_us would read ~12% faster, but its raw op times match the parent's:
+    # the calibration kernel read slower on its side, which the raw rows show
+    parent = [details(480 + i, 200 + i, 75.0 + i) for i in range(5)]
+    change = [details(481 + i, 201 + i, 85.0 + i) for i in range(5)]
+    rows = pairs.summarize_raw(list(zip(parent, change)))
+    assert [r["metric"] for r in rows] == ["raw.op_a_us.p50", "raw.op_b_us.p50", "raw.kernel_us"]
+    assert all("verdict" not in r and "wins" not in r for r in rows)
+    assert rows[0]["parent"] == (481, 482, 483) and rows[0]["change"] == (482, 483, 484)
+    assert rows[2]["rel_change"] == pytest.approx(87 / 77 - 1)
+    table = pairs.format_rows(rows).splitlines()
+    assert len(table) == 4 and all(line.endswith("informational") for line in table[1:])
+

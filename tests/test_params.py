@@ -168,6 +168,25 @@ def test_validate_reports_each_violation():
     ]
 
 
+def test_q_is_prime_exactly_when_trial_division_says_so():
+    # validate_params decides primality by the NTT's own factoriser, _prime_factors(q) == [q];
+    # an independent oracle agrees on every q up to the largest the int32 bound lets through
+    def oracle(x):
+        return x > 1 and all(x % d for d in range(2, int(x**0.5) + 1))
+    reported = {q for q in range(-2, 46342) if any("not prime" in e for e in violations(q=q))}
+    assert reported == {q for q in range(-2, 46342) if not oracle(q)}
+
+
+@pytest.mark.parametrize("q", [2**31 - 1, 2**61 - 1, 2**127 - 1, 10**40])
+def test_a_q_past_int32_is_refused_without_a_prime_test(q):
+    # int32 ring values cannot hold [0, q) for q > 2^31, so the O(sqrt(q)) trial division
+    # runs only below 2^31 (2^31 - 1 is a Mersenne prime, the last q it divides); the
+    # congruence and the exactness and int32 bounds refuse every larger q on their own
+    errors = violations(q=q)
+    assert errors and not any("not prime" in e for e in errors)
+    assert any("2^31" in e for e in errors)
+
+
 @pytest.mark.parametrize("fields, errors", [
     ({"k": True}, ["k=True is not an int"]),  # would equal ParamSet(k=1), named ML-SD-256xTrue
     ({"redundancy": 4.0}, ["redundancy=4.0 is not an int"]),
