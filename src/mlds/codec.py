@@ -24,7 +24,8 @@ polynomials. ``mu_payload_bits`` expands digests through ``bytes_to_bits``.
 
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
 layouts. Each carries its ``ParamSet`` and is checked once, when it is
-built: a malformed value raises ``CodecError`` and never exists, so the
+built, its ring values by ``Ring._operand``, the ring's one operand rule:
+a malformed value raises ``CodecError`` and never exists, so the
 serializers refuse only a value of another type or set, and verification
 never meets a malformed signature. The parsers take any bytes-like wire.
 
@@ -45,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .params import ParamSet
-from .ring import COEFF, NTT, Ring, RqArray
+from .ring import COEFF, NTT, DomainError, Ring, RqArray, get_ring
 from .sampling import SEED_BYTES, _as_bytes, _batch, _each, gen_a
 
 MAGIC = b"MLDS"
@@ -90,8 +91,8 @@ class PublicKey:
     def __post_init__(self):
         p, trials = self.params, _trials(self.rho)
         if not (isinstance(p, ParamSet) and trials is not None
-                and _in_range(p, _array(self.p_vec, COEFF, trials + (p.k, p.n)),
-                              _array(self.a_hat, NTT, trials + (p.k, p.k, p.n)))):
+                and _in_range(p, _ring_data(p, self.p_vec, COEFF, trials + (p.k, p.n)),
+                              _ring_data(p, self.a_hat, NTT, trials + (p.k, p.k, p.n)))):
             raise CodecError("a public key is a 32-byte rho (a tuple of them for a batch), a "
                              "coefficient-domain (*trials, k, n) P and a (*trials, k, k, n) "
                              "A_hat, int32 in [0, q)")
@@ -105,9 +106,8 @@ class SecretKey:
     params: ParamSet = field(repr=False)
 
     def __post_init__(self):
-        p = self.params
-        trials = self.s.data.shape[-3:-2] if type(self.s) is RqArray else ()
-        if not (isinstance(p, ParamSet) and _in_range(p, _array(self.s, COEFF, trials + (p.k, p.n)))):
+        p = self.params  # one key, (k, n), or a batch of them, (B, k, n)
+        if not (isinstance(p, ParamSet) and _in_range(p, _ring_data(p, self.s, COEFF, (p.k, p.n), 1))):
             raise CodecError("a secret key is a coefficient-domain (*trials, k, n) int32 s in [0, q)")
 
 
@@ -125,7 +125,7 @@ class Signature:
     def __post_init__(self):
         p, trials = self.params, _trials(self.h)
         if not (isinstance(p, ParamSet) and trials is not None
-                and _in_range(p, _array(self.z, COEFF, trials + (p.k + 2, p.n)))):
+                and _in_range(p, _ring_data(p, self.z, COEFF, trials + (p.k + 2, p.n)))):
             raise CodecError("a signature is a 32-byte h (a tuple of them for a batch) and a "
                              "coefficient-domain (*trials, k + 2, n) z, int32 in [0, q)")
 
@@ -145,12 +145,14 @@ class Signature:
         return RqArray(self.z.data[..., -1:, :], COEFF)
 
 
-def _array(value, domain: str, shape: tuple) -> np.ndarray | None:
-    """The array of an RqArray in ``domain``, if it is int32 of ``shape``."""
-    if type(value) is not RqArray or value.domain != domain:
+def _ring_data(p: ParamSet, value, domain: str, tail: tuple, lead: int = 0) -> np.ndarray | None:
+    """The data of ``value`` as ``Ring._operand`` reads it, an int32 (..., *tail) array in
+    ``domain``, if at most ``lead`` axes precede ``tail``; None for anything else."""
+    try:
+        c = get_ring(p)._operand("a key or signature", value, domain, tail)
+    except DomainError:
         return None
-    c = value.data
-    return c if c.shape == shape and c.dtype == np.int32 else None
+    return c if c.ndim <= len(tail) + lead else None
 
 
 def _in_range(p: ParamSet, *values) -> bool:

@@ -30,27 +30,26 @@ primal attack, n for the dual), by a term d ln delta(b) weighed against a term
   and the cost is non-decreasing in it (tau = 2^log2 ell, its clamp at 2^30,
   tau^2 and the max(0, .) are all monotone).
 
-So over real d a row is best at d* = sqrt(n' ln q / ln delta(b)), and over
-the integers at floor(d*) or ceil(d*), clipped to the row's admissible m,
-[max(1, b - n'), max_samples]. A row left empty by b <= d clips to
-max_samples, where its cells stay infinite. The search evaluates the cells
-floor(d*) and floor(d*) + 1 of every b as one (2, #b) screen block, once. The
-same intermediate arrays give each cell's cost and its slack bound, with
-SCREEN_SLACK = 1e-6: the primal compares rhs + SCREEN_SLACK with the same
-lhs, and the dual multiplies the same cost by 1 - SCREEN_SLACK. Float error
-is far below that slack: about 1e-12, absolute on the primal rhs and relative
-on the dual cost, which is at least 0.292 * 50; and an error in d* that moves
-floor(d*) keeps in the pair the integer nearest to d*, which is then the
-row's optimum. So a row's slack bound is at most the float cost of each of
-its cells, and a row whose slack bound lies above the screen's best, an
-attained cell cost, can neither beat nor tie the optimum: it is skipped.
+So over real d a row is best at d* = sqrt(n' ln q / ln delta(b)), clipped to
+the row's admissible m, [max(1, b - n'), max_samples] (an empty row clips to
+max_samples, where it stays infinite), and its value there bounds every cell
+of the row. The search evaluates each b once, at that real m, as one (1, #b)
+screen block lowered by SCREEN_SLACK = 1e-6: the primal tests rhs +
+SCREEN_SLACK >= lhs, the dual multiplies its cost by 1 - SCREEN_SLACK. Float
+error is far below that slack (about 1e-12, absolute on the primal rhs,
+relative on the dual cost, at least 0.292 * 50), and an error in d* moves
+the value only to second order, so a screen value is at most the float cost
+of each cell of its row.
 
-The rows left, one to a few, are evaluated whole, over every m, as one
-block, and the answer comes from them alone, so ties still go to the smaller
-b, then the smaller m. A flat row, where the dual max(0, .) or the tau clamp
-holds the cost over several m, thus reports its smallest m, not the screen's.
-Every cost block the search computes, the screen included, goes through
-``_pick`` once.
+The row with the smallest screen value (the smaller b of a tie) is then
+evaluated whole, over every m; if it has no finite cell, as the primal's
+slack allows, the search goes on in screen order until one has. That
+attained cost rules out every row whose screen value lies above it; the
+rest, none to a few, are evaluated whole as one block, and the answer is
+the (cost, b, m) minimum over the whole rows: ties go to the smaller b, then
+the smaller m, and a flat row, where the dual max(0, .) or the tau clamp
+holds the cost over several m, reports its smallest m. Every cost block,
+the screen included, goes through ``_pick`` once.
 
 ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen and
 the whole rows read them, and b itself, from one cached, read-only table per
@@ -162,11 +161,11 @@ def _pick(cost: np.ndarray, m: np.ndarray, b: np.ndarray) -> tuple | None:
 def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
     """(cost, b, m) minimum over every cell, None if no cell is finite; see the module doc.
 
-    ``block_cost(m, b, log_delta, half_log_b)`` returns the cost of each cell of the
-    broadcast block and a function, called at most once, that returns their slack bounds
-    from the same intermediate arrays; ``log_delta`` is ln delta(b) and ``half_log_b``
-    0.5 ln b, both shaped like ``b``. A cell's lattice dimension is d = n_lwe + offset + m,
-    and b <= d. An instance whose every d lies below MIN_BLOCK raises EstimatorError.
+    ``block_cost(m, b, log_delta, half_log_b, slack)`` returns the cost of each cell of the
+    broadcast block, lowered by ``slack`` as the module doc says (0: the cost itself);
+    ``log_delta`` is ln delta(b) and ``half_log_b`` 0.5 ln b, both shaped like ``b``. A
+    cell's lattice dimension is d = n_lwe + offset + m, and b <= d. An instance whose every d
+    lies below MIN_BLOCK raises EstimatorError.
     """
     n = inst.n_lwe + offset
     if n + inst.max_samples < MIN_BLOCK:  # b <= d then leaves no cell
@@ -174,47 +173,48 @@ def _search(inst: LweInstance, block_cost, offset: int) -> tuple | None:
             f"the largest lattice dimension, {n + inst.max_samples} at m = max_samples, is below "
             f"MIN_BLOCK = {MIN_BLOCK}, the smallest block size the delta(b) model holds for")
     b, log_delta, half_log_b = _b_table(inst.n_lwe + inst.max_samples + 1)
-    # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n
-    m_star = n * math.log(inst.q) / log_delta
-    np.sqrt(m_star, out=m_star)
-    m_star -= n
-    m = np.floor(m_star, out=m_star) + np.arange(2.0)[:, None]  # (2, #b) screen: floor, floor + 1
-    # clip to the row's [max(1, b - n), max_samples]; an empty row clips to max_samples
+    # each row's optimum over real d, d* = sqrt(n ln q / ln delta(b)), as m = d* - n, clipped
+    # to the row's [max(1, b - n), max_samples]; an empty row clips to max_samples
+    m = n * math.log(inst.q) / log_delta
+    np.sqrt(m, out=m)
+    m -= n
     low = b - n
     np.maximum(m, np.maximum(low, 1.0, out=low), out=m)
-    np.minimum(m, inst.max_samples, out=m)
-    cost, bound = block_cost(m, b, log_delta, half_log_b)
-    best = _pick(cost, m, b)
-    bound = bound().min(axis=0)  # the whole rows below need no slack bound
-    # a row whose slack bound lies above an attained cost (so any inf) cannot beat or tie it
-    keep = np.flatnonzero(bound <= best[0] if best else np.isfinite(bound))
-    rows, log_delta, half_log_b = b[keep], log_delta[keep], half_log_b[keep]
-
-    if not rows.size:
+    m = np.minimum(m, inst.max_samples, out=m)[None, :]
+    screen = block_cost(m, b, log_delta, half_log_b, SCREEN_SLACK)
+    first = _pick(screen, m, b)
+    if first is None:  # each screen value bounds its row's cells from below
         return None
-    m = np.arange(1.0, inst.max_samples + 1)
-    # built b-major, so that _pick reduces over m along contiguous memory
-    cost, _ = block_cost(m[None, :], rows[:, None], log_delta[:, None], half_log_b[:, None])
-    return _pick(cost.T, m[:, None], rows)
+    screen, m = screen[0], np.arange(1.0, inst.max_samples + 1)[:, None]
+
+    def whole(i):  # every m of the rows b[i], i ascending; None if no cell is finite
+        # built b-major, so that _pick reduces over m along contiguous memory
+        cost = block_cost(m.T, b[i, None], log_delta[i, None], half_log_b[i, None], 0.0)
+        return _pick(cost.T, m, b[i])
+
+    i = first[1] - MIN_BLOCK
+    while (best := whole([i])) is None:  # the slack can pass a row with no finite cell
+        screen[i] = np.inf
+        i = screen.argmin()  # the next row in screen order
+        if screen[i] == np.inf:
+            return None
+    screen[i] = np.inf  # evaluated
+    # a row whose screen value lies above an attained cost (so any inf) cannot beat or tie it
+    rest = np.flatnonzero(screen <= best[0])
+    return min(best, whole(rest) or best) if rest.size else best
 
 
 def primal_cost(inst: LweInstance) -> AttackEstimate:
     """Cheapest uSVP embedding: the smallest feasible b, then the smallest m."""
-    def block_cost(m, b, log_delta, half_log_b):
+    def block_cost(m, b, log_delta, half_log_b, slack):
         d = m + (inst.n_lwe + 1.0)  # n_lwe + m + 1, exact in float64
         rhs = (2 * b - 1.0) - d  # 2b - d - 1, exact in float64
         rhs *= log_delta
         q_term = m / d
         rhs += np.multiply(q_term, math.log(inst.q), out=q_term)
-        lhs = math.log(inst.sigma) + half_log_b
-        price, in_range = CLASSICAL_EXP * b, b <= d
-        ok = rhs >= lhs
-        cost = np.where(np.logical_and(ok, in_range, out=ok), price, np.inf)
-
-        def bound():  # the same test against a looser rhs, which it spends
-            np.greater_equal(np.add(rhs, SCREEN_SLACK, out=rhs), lhs, out=ok)
-            return np.where(np.logical_and(ok, in_range, out=ok), price, np.inf)
-        return cost, bound
+        rhs += slack
+        ok = rhs >= math.log(inst.sigma) + half_log_b
+        return np.where(np.logical_and(ok, b <= d, out=ok), CLASSICAL_EXP * b, np.inf)
 
     best = _search(inst, block_cost, 1)
     if best is None:
@@ -261,11 +261,11 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             "gives noise statistically close to uniform mod q"
         )
 
-    def block_cost(m, b, log_delta, _):
+    def block_cost(m, b, log_delta, _, slack):
         cost = _dual_log2_rep(inst, m, b, log_delta)
         cost += CLASSICAL_EXP * b
         cost[m < b - inst.n_lwe] = np.inf  # b > d, exact in float64
-        return cost, lambda: cost * (1.0 - SCREEN_SLACK)
+        return np.multiply(cost, 1.0 - slack, out=cost)
 
     best = _search(inst, block_cost, 0)
     if best is None:

@@ -408,7 +408,7 @@ def test_serializers_refuse_batches_and_ntt_values(kind, ring, unserializable):
 
 @pytest.mark.parametrize("kind", ["p-ntt", "p-plus-20000", "p-int64", "p-negative", "p-batch-of-one",
                                   "rho-tuple-for-one", "rho-tuple-short", "rho-empty-tuple",
-                                  "a-none", "a-3x3", "a-int64", "a-q"])
+                                  "a-none", "a-3x3", "a-int64", "a-q", "p-list", "a-list"])
 def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
     # the first three once reached verify: an NTT-domain P raised DomainError there,
     # P + 20000 was rejected as "mu-mismatch" and an int64 P verified a signature;
@@ -431,6 +431,8 @@ def test_malformed_public_key_is_refused_when_built(kind, ring, keypair_sig):
         "a-3x3": {"a_hat": RqArray(np.zeros((3, 3, ring.n), np.int32), NTT)},
         "a-int64": {"a_hat": RqArray(a.astype(np.int64), NTT)},
         "a-q": {"a_hat": RqArray(a_q, NTT)},
+        "p-list": {"p_vec": RqArray(p.tolist(), COEFF)},
+        "a-list": {"a_hat": RqArray(a.tolist(), NTT)},
     }[kind]
     assert p.dtype == np.int32 and (p + 20000).dtype == np.int32
     with pytest.raises(CodecError, match="public key"):
@@ -465,12 +467,13 @@ def _malformed(sig, kind, ring):
         "h-str": {"h": "h" * SEED_BYTES},
         "h-bytearray": {"h": bytearray(sig.h)},
         "h-short": {"h": sig.h[:-1]},
+        "z-list": {"z": RqArray(z.tolist(), COEFF)},
     }[kind]
     return dataclasses.replace(sig, **fields)
 
 
 MALFORMED = ["z1-poly", "z1-ndarray", "z1-ntt", "z1-int64", "z2-ntt", "z2-out-of-range",
-             "z3-short", "h-str", "h-bytearray", "h-short"]
+             "z3-short", "h-str", "h-bytearray", "h-short", "z-list"]
 
 
 @pytest.mark.parametrize("kind", MALFORMED)
@@ -499,7 +502,7 @@ def test_batch_with_one_malformed_trial_cannot_be_built(kind, ring):
 
 
 @pytest.mark.parametrize("kind", ["s-ntt", "s-int64", "s-q", "s-negative", "s-short-axis",
-                                  "s-empty-batch", "s-two-batch-axes", "params-none"])
+                                  "s-empty-batch", "s-two-batch-axes", "params-none", "s-list"])
 def test_malformed_secret_key_is_refused_when_built(kind, ring, keypair_sig):
     sk = keypair_sig[1]
     s = sk.s.data
@@ -512,6 +515,7 @@ def test_malformed_secret_key_is_refused_when_built(kind, ring, keypair_sig):
         "s-empty-batch": {"s": RqArray(s[None][:0], COEFF)},
         "s-two-batch-axes": {"s": RqArray(s[None, None], COEFF)},
         "params-none": {"params": None},
+        "s-list": {"s": RqArray(s.tolist(), COEFF)},
     }[kind]
     with pytest.raises(CodecError, match="secret key"):
         dataclasses.replace(sk, **fields)

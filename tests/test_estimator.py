@@ -291,9 +291,12 @@ def _assert_matches_reference(inst: LweInstance) -> None:
         assert _outcome(attack, inst) == _outcome(lambda i: reference_search(i, kind), inst)
 
 
+SMALL_INSTANCES = dict(n_lwe=st.integers(1, 300), max_samples=st.integers(1, 600),
+                       q=st.sampled_from([257, 3329, 12289, 65537]), sigma=st.floats(0.3, 60))
+
+
 @settings(max_examples=200, deadline=None)
-@given(n_lwe=st.integers(1, 300), max_samples=st.integers(1, 600),
-       q=st.sampled_from([257, 3329, 12289, 65537]), sigma=st.floats(0.3, 60))
+@given(**SMALL_INSTANCES)
 # a dual optimum at b = 114 whose 0.292 b is within one bit of b = 50..113's best cost
 @example(n_lwe=89, max_samples=239, q=12289, sigma=36.5)
 # the tau clamp binds on every screen cell of 357 dual rows, so their flat rows are bounded
@@ -309,7 +312,13 @@ def _assert_matches_reference(inst: LweInstance) -> None:
 # the dual's 0.265 b + log2 R is 419 + 3.2e-7 (b = 430, m = 346)
 @example(n_lwe=84, max_samples=346, q=257, sigma=45.03076450873125)
 def test_search_matches_full_grid(n_lwe, max_samples, q, sigma):
-    _assert_matches_reference(LweInstance(n_lwe=n_lwe, q=q, sigma=sigma, max_samples=max_samples))
+    inst = LweInstance(n_lwe=n_lwe, q=q, sigma=sigma, max_samples=max_samples)
+    _assert_matches_reference(inst)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for attack, kind in ((primal_cost, "primal"), (dual_cost, "dual")):
+            _, blocks = _traced_search(attack, inst, monkeypatch)
+            if blocks:  # refused before the search: nothing screened
+                _assert_screen_bounds_every_row(inst, kind, blocks[0][0])
 
 
 def test_empty_block_range_raises_estimator_error():
@@ -331,16 +340,31 @@ def test_empty_block_range_raises_estimator_error():
 
 
 def _traced_search(attack, inst: LweInstance, monkeypatch):
-    """The outcome (see ``_outcome``) and the (m per cell, b) of every block handed to ``_pick``."""
+    """The outcome (see ``_outcome``) and the (cost, m per cell, b) of every block handed to
+    ``_pick``."""
     blocks = []
     pick = mlds.estimator._pick
 
     def traced(cost, m, b):
-        blocks.append((np.broadcast_to(m, cost.shape).copy(), b.copy()))
+        blocks.append((cost.copy(), np.broadcast_to(m, cost.shape).copy(), b.copy()))
         return pick(cost, m, b)
 
     monkeypatch.setattr(mlds.estimator, "_pick", traced)
     return _outcome(attack, inst), blocks
+
+
+def clipped_optimum(inst: LweInstance, offset: int) -> np.ndarray:
+    """Each b row's optimum over real m, sqrt(n' ln q / ln delta(b)) - n', n' = n_lwe + offset,
+    clipped to [max(1, b - n'), max_samples] and not floored."""
+    n, b = inst.n_lwe + offset, np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
+    m = np.sqrt(n * math.log(inst.q) / _log_delta(b)) - n
+    return np.minimum(np.maximum(m, np.maximum(b - n, 1)), inst.max_samples)
+
+
+def _assert_screen_bounds_every_row(inst: LweInstance, kind: str, screen: np.ndarray) -> None:
+    # the exactness argument: each row's screen value is at most its full-sweep minimum
+    assert screen.shape == (1, inst.n_lwe + inst.max_samples + 2 - MIN_BLOCK)
+    assert np.all(screen[0] <= reference_row_minima(inst, kind))
 
 
 @pytest.mark.parametrize("attack, kind", [(primal_cost, "primal"), (dual_cost, "dual")],
@@ -351,21 +375,20 @@ def test_search_screens_every_row_and_skips_only_dominated_ones(reference_instan
     est, blocks = _traced_search(attack, inst, monkeypatch)
     every_b = np.arange(MIN_BLOCK, inst.n_lwe + inst.max_samples + 2)
     every_m = np.arange(1, inst.max_samples + 1)[:, None]
-    screens, whole = [], []
-    for m, b in blocks:
-        if m.shape == (2, every_b.size):  # the screen: two cells per b, in every row's range
-            assert np.array_equal(b, every_b)
-            assert m.min() >= 1 and m.max() <= inst.max_samples and np.all(m[0] <= m[1])
-            screens.append(m)
-        else:  # whole rows: every m of each of its b
-            assert np.array_equal(m, np.broadcast_to(every_m, (inst.max_samples, b.size)))
-            whole.append(b)
-    assert len(screens) == 1  # one evaluation gives both the costs and the slack bounds
-    rows = np.concatenate(whole)
-    assert 1 <= rows.size <= 4 and np.all(np.diff(rows) > 0) and est.b in rows
-    cells = sum(m.size for m, _ in blocks)
-    assert cells == screens[0].size + inst.max_samples * rows.size
+    (screen, screen_m, screen_b), *whole = blocks
+    # one (1, #b) screen, each row at its clipped real optimum over m
+    assert screen.shape == (1, every_b.size) and np.array_equal(screen_b, every_b)
+    np.testing.assert_allclose(screen_m[0], clipped_optimum(inst, kind == "primal"), rtol=1e-12)
+    assert np.any(screen_m != np.floor(screen_m))  # not floored
+    for _, m, b in whole:  # whole rows: every m of each of its b, b ascending within a block
+        assert np.array_equal(m, np.broadcast_to(every_m, (inst.max_samples, b.size)))
+        assert np.all(np.diff(b) > 0)
+    rows = np.concatenate([b for _, _, b in whole])
+    assert 1 <= rows.size <= 4 and np.unique(rows).size == rows.size and est.b in rows
+    cells = sum(m.size for _, m, _ in blocks)
+    assert cells == every_b.size + inst.max_samples * rows.size
     assert 50 * cells < inst.max_samples * every_b.size
+    _assert_screen_bounds_every_row(inst, kind, screen)
     # every row the search skipped has its full-sweep minimum strictly above the optimum
     minima = reference_row_minima(inst, kind)
     optimum = minima.min()
@@ -373,6 +396,36 @@ def test_search_screens_every_row_and_skips_only_dominated_ones(reference_instan
     assert np.all(minima[~np.isin(every_b, rows)] > optimum)
     if kind == "primal":  # no feasible cell below b_opt
         assert np.all(np.isinf(minima[every_b < est.b]))
+
+
+def test_a_looser_slack_keeps_every_estimate(monkeypatch):
+    # SCREEN_SLACK = 1e-2 still bounds every row from below, but lets through primal rows with
+    # no feasible cell, so the search must go on in screen order past its first whole row
+    monkeypatch.setattr(mlds.estimator, "SCREEN_SLACK", 1e-2)
+    search, pick, searches = mlds.estimator._search, mlds.estimator._pick, []
+
+    def traced_search(inst, block_cost, offset):
+        searches.append((offset, []))
+        return search(inst, block_cost, offset)
+
+    def traced_pick(cost, m, b):
+        searches[-1][1].append(pick(cost, m, b))
+        return searches[-1][1][-1]
+
+    monkeypatch.setattr(mlds.estimator, "_search", traced_search)
+    monkeypatch.setattr(mlds.estimator, "_pick", traced_pick)
+
+    @settings(max_examples=100, deadline=None)
+    @given(**SMALL_INSTANCES)
+    def matches_reference(n_lwe, max_samples, q, sigma):
+        _assert_matches_reference(LweInstance(n_lwe=n_lwe, q=q, sigma=sigma,
+                                              max_samples=max_samples))
+
+    matches_reference()
+    # a primal search whose screen found a row, and whose first whole row had no finite cell
+    fallbacks = [picks for offset, picks in searches
+                 if offset == 1 and len(picks) > 1 and picks[0] and picks[1] is None]
+    assert len(fallbacks) >= 1
 
 
 @pytest.mark.parametrize("inst, m_b", [
@@ -392,7 +445,7 @@ def test_flat_dual_row_reports_its_smallest_m(inst, m_b, monkeypatch):
     monkeypatch.setattr(mlds.estimator, "_search", traced)
     est, blocks = _traced_search(dual_cost, inst, monkeypatch)
     _, b, m = found[0]
-    screen_m, screen_b = blocks[0]
+    _, screen_m, screen_b = blocks[0]
     assert screen_m[:, screen_b == b].min() > m  # the search reports the flat row's smallest m
     if m_b is None:
         assert (m, b) == (1, 50) and est is EstimatorError
@@ -442,10 +495,13 @@ def test_estimates_digest_pinned():
 
 def test_evaluated_cells_digest_pinned(monkeypatch):
     # every cell the search evaluates, not only the chosen one: a change that moved a losing
-    # cell by one ulp changes this hash. The instances are the benchmark's estimate grid.
-    digest, pick = hashlib.sha256(), mlds.estimator._pick
+    # cell by one ulp changes a hash. The whole rows, over every m, and the screen blocks are
+    # hashed apart, so a new screen leaves the whole-row hash as it was. The instances are
+    # the benchmark's estimate grid.
+    digests, pick = {"screen": hashlib.sha256(), "whole": hashlib.sha256()}, mlds.estimator._pick
 
     def traced(cost, m, b):
+        digest = digests["whole" if cost.shape[0] == inst.max_samples else "screen"]
         for values in (cost, np.broadcast_to(m, cost.shape), b):
             digest.update(np.ascontiguousarray(values, dtype=np.float64).tobytes())
         return pick(cost, m, b)
@@ -456,7 +512,10 @@ def test_evaluated_cells_digest_pinned(monkeypatch):
             inst = LweInstance.from_binomial(n_lwe, 12289, eta)
             primal_cost(inst)
             dual_cost(inst)
-    assert digest.hexdigest() == "c917ba1d25c8fed856b72c006e8ee18cfc16302394132823d8e3d97a4ac9b103"
+    assert {k: d.hexdigest() for k, d in digests.items()} == {
+        "screen": "e28b744604e7e865d4b356c327fae24ec9af0f158210eb6c142911e484bd32fc",
+        "whole": "e5ca1c1fec94bd18e82ecde8bcd8d003508e42d0446c4f27901f47056d51e5e2",
+    }
 
 
 def test_primal_infeasible_raises():
