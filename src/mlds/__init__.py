@@ -2,7 +2,7 @@
 deterministic samplers, packed wire formats, and a core-SVP attack-cost
 estimator."""
 
-from .params import ParamSet, ParamError, DEFAULT_PARAMS, validate_params
+from .params import ParamSet, ParamError, DEFAULT_PARAMS
 from .ring import (
     Ring,
     RqArray,
@@ -24,7 +24,6 @@ from .codec import (
     Signature,
     encode_bits,
     decode_bits,
-    pack_poly,
     unpack_poly,
     serialize_pk,
     parse_pk,
@@ -57,12 +56,12 @@ from .estimator import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ParamSet", "ParamError", "DEFAULT_PARAMS", "validate_params",
+    "ParamSet", "ParamError", "DEFAULT_PARAMS",
     "Ring", "RqArray", "COEFF", "NTT", "DomainError",
     "NttConstants", "derive_ntt_constants", "get_ring",
     "SEED_BYTES", "hash_h", "crh", "gen_a", "gen_se",
     "CodecError", "HeaderError", "LengthError", "CoefficientRangeError",
-    "encode_bits", "decode_bits", "pack_poly", "unpack_poly",
+    "encode_bits", "decode_bits", "unpack_poly",
     "serialize_pk", "parse_pk", "serialize_sk", "parse_sk",
     "serialize_sig", "parse_sig", "SizeReport", "key_sizes",
     "PublicKey", "SecretKey", "Signature", "VerifyResult",

@@ -28,17 +28,13 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_seed(text: str) -> bytes:
     try:
         seed = bytes.fromhex(text)
     except ValueError:
-        raise UsageError(f"seed is not valid hex: {text!r}")
+        raise ValueError(f"seed is not valid hex: {text!r}")
     if len(seed) != SEED_BYTES:
-        raise UsageError(f"seed must be {SEED_BYTES} bytes ({2 * SEED_BYTES} hex chars), got {len(seed)}")
+        raise ValueError(f"seed must be {SEED_BYTES} bytes ({2 * SEED_BYTES} hex chars), got {len(seed)}")
     return seed
 
 
@@ -259,7 +255,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, ValueError) as exc:  # CodecError, ParamError, EstimatorError too
+    except ValueError as exc:  # CodecError, ParamError, EstimatorError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

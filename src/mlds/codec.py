@@ -249,7 +249,9 @@ def _layout(b: int) -> tuple:
 def _pack_rows(c: np.ndarray, p: ParamSet) -> bytes:
     """Pack an int32 stack whose values are known to lie in [0, q)."""
     _, starts, shifts, place = _layout(p.bits_per_coeff)
-    windows = (c.reshape(-1, len(starts)) << shifts).astype("<i4", copy=False)
+    # C order: where one group is a whole row, reshape keeps a parsed or Fortran-ordered
+    # stack's strides, and the byte view below needs a contiguous last axis
+    windows = (c.reshape(-1, len(starts)) << shifts).astype("<i4", order="C", copy=False)
     # the fields hold disjoint bits, so each float32 sum of window bytes is an exact OR below 256
     return (windows.view(np.uint8) @ place).astype(np.uint8).tobytes()
 

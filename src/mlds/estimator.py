@@ -55,13 +55,18 @@ ln delta(b) and the primal's 0.5 ln b depend on b alone, so the screen and
 the whole rows read them, and b itself, from one cached, read-only table per
 search bound b_max = n + max_samples + 1.
 
-The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite. A
-clamped cell costs at most its model cost, so an optimum whose tau is below
-the clamp is the model's optimum; one whose tau sits at the clamp would be
-priced by the clamp, so ``dual_cost`` rejects it with EstimatorError.
-Reported bit counts are floored to integers. The dual's are floor(cost) and
-floor(0.265 b + cost - 0.292 b) at the optimum cell its search priced, so no
-cell is priced twice. BKW-type and linearization attacks are out of scope.
+The dual grid clamps log2 tau at TAU_CLAMP_LOG2 = 30 to stay finite, so every
+dual cell with b <= d is finite, and the dual search always finds one: the
+MIN_BLOCK guard leaves n + max_samples >= 50, so the cell (b = 50,
+m = max_samples) has b <= d, and the screen, finite at a row exactly when
+that row's m = max_samples cell is, leads the search to a row with a finite
+cell first. A clamped cell costs at most its model cost, so an optimum whose
+tau is below the clamp is the model's optimum; one whose tau sits at the
+clamp would be priced by the clamp, so ``dual_cost`` rejects it with
+EstimatorError. Reported bit counts are floored to integers. The dual's are
+floor(cost) and floor(0.265 b + cost - 0.292 b) at the optimum cell its
+search priced, so no cell is priced twice. BKW-type and linearization
+attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
 a full lattice estimator.
@@ -70,6 +75,8 @@ a full lattice estimator.
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -98,9 +105,11 @@ class LweInstance:
         # whole numbers only, as in ParamSet: a fractional sample cap admits an m beyond it
         if not all(type(v) is int for v in (self.n_lwe, self.q, self.max_samples)):
             raise EstimatorError(f"n_lwe, q and max_samples must be ints (not bool): {self}")
-        # isfinite also rejects NaN, for which sigma <= 0 is False, and inf
-        if (self.n_lwe < 1 or self.q < 2 or not math.isfinite(self.sigma) or self.sigma <= 0
-                or self.max_samples < 1):
+        # sigma is a real number, not a bool, in (0, largest float]: the chained comparison is
+        # False for NaN and inf, and exact for an int too large for a float
+        sigma_ok = (isinstance(self.sigma, numbers.Real) and not isinstance(self.sigma, bool)
+                    and 0 < self.sigma <= sys.float_info.max)
+        if self.n_lwe < 1 or self.q < 2 or not sigma_ok or self.max_samples < 1:
             raise EstimatorError(f"invalid LWE instance {self}")
 
     @classmethod
@@ -267,10 +276,8 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
         cost[m < b - inst.n_lwe] = np.inf  # b > d, exact in float64
         return np.multiply(cost, 1.0 - slack, out=cost)
 
-    best = _search(inst, block_cost, 0)
-    if best is None:
-        raise EstimatorError("no (m, b) yields a finite dual cost in bounds")
-    cost, b_opt, m_opt = best
+    # never None: the cell (b = MIN_BLOCK, m = max_samples) has b <= d, and the clamp keeps it finite
+    cost, b_opt, m_opt = _search(inst, block_cost, 0)
     log_delta = float(_b_table(inst.n_lwe + inst.max_samples + 1)[1][b_opt - MIN_BLOCK])
     if _dual_log2_tau(inst, m_opt, log_delta) >= TAU_CLAMP_LOG2:
         raise EstimatorError(

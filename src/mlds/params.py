@@ -2,9 +2,8 @@
 
 Everything downstream (ring arithmetic, samplers, codec, scheme) consumes a
 single frozen ``ParamSet``, named "ML-SD-<n>x<k>" and checked once, when it
-is built: an invalid set raises ``ParamError`` with every invariant
-``validate_params`` reports, so none exists to reach a ``Ring``. The default
-set "ML-SD-256x2" is
+is built: an invalid set raises ``ParamError`` with every invariant it
+violates, so none exists to reach a ``Ring``. The default set "ML-SD-256x2" is
 
     n = 256, q = 12289, k = 2, eta = 16
 
@@ -67,12 +66,12 @@ class ParamSet:
 
     @property
     def max_eta(self) -> int:
-        """Largest eta that ``validate_params`` admits at this q: a multiple of 8 with
+        """Largest eta that ``ParamSet`` admits at this q: a multiple of 8 with
         2*eta < floor(q/4), so the decode noise ||e3 + e4||_inf <= 2*eta cannot flip a bit."""
         return (self.quarter_q - 1) // 2 // 8 * 8
 
     def __post_init__(self):
-        errors = validate_params(self)
+        errors = _violations(self)
         if errors:
             raise ParamError("; ".join(errors))
 
@@ -96,8 +95,8 @@ def _prime_factors(x: int) -> list[int]:
     return out
 
 
-def validate_params(p: ParamSet) -> list[str]:
-    """Return every violated invariant (empty list means the set is valid).
+def _violations(p: ParamSet) -> list[str]:
+    """Every invariant ``p`` violates, for ``ParamSet.__post_init__`` to raise.
 
     A field that is not exactly an ``int`` (a bool, a float) is reported alone,
     before any arithmetic reads it. Every admitted set packs: 8 | n*bits_per_coeff ends each
@@ -145,7 +144,7 @@ def validate_params(p: ParamSet) -> list[str]:
     if p.redundancy not in (1, 4):
         errors.append(f"redundancy={p.redundancy} not in {{1, 4}}")
     elif p.n % (4 * p.redundancy) != 0:
-        errors.append(f"redundancy={p.redundancy} does not divide n={p.n} cleanly")
+        errors.append(f"n={p.n} is not a multiple of 4*redundancy = {4 * p.redundancy}")
     elif p.mu_bits > 8 * SEED_BYTES:
         errors.append(f"mu_bits = n/redundancy = {p.mu_bits} is more than the "
                       f"{8 * SEED_BYTES} bits of the message digest")

@@ -9,7 +9,7 @@ vector transforms, and for add/sub, ``pointwise_mul`` and ``inner_product``
 the first operand's; a second operand's leading batch axes must broadcast
 against the first's. Anything else raises ``DomainError`` naming the operation.
 ``codec.decode_bits`` reads its (..., 1, n) coefficient row through the same rule.
-Entries are stored canonically in [0, q), for any q that ``validate_params``
+Entries are stored canonically in [0, q), for any q that ``ParamSet``
 admits (below 2^15 at n = 256, k = 2; see the exactness bounds below); centered
 representatives exist only inside the codec's decoder and verify's noise.
 
@@ -26,7 +26,7 @@ conditional correction reduces it, written as one ``np.minimum`` over the
 uint32 view: min(d, d - q) after an add, min(d, d + q) after a sub; the
 wrong candidate wraps around to 2^32 - q or above and loses. Products need a
 true ``% q``: ``matvec`` and ``inner_product`` sum k products below (q-1)^2
-in int32 and reduce once, exact because ``validate_params`` keeps
+in int32 and reduce once, exact because ``ParamSet`` keeps
 k*(q-1)^2 below 2^31 (3.0e8 at k = 2, q = 12289).
 
 ``ntt``/``intt`` transform one row, over its (..., 1, n) stack in every
@@ -40,7 +40,7 @@ The transforms (defined, with their two-stage layout, in ``NttConstants``)
 multiply float64 tables by int32 inputs and reduce mod q once, in float64,
 before the int32 cast. They are exact. Tables and inputs lie in [0, q), so
 stage 1 gives integers below R1*(q-1)^2 and stage 2 integers y below
-n*(q-1)^3, which ``validate_params`` keeps below 2^53 (about 4.7e14 at
+n*(q-1)^3, which ``ParamSet`` keeps below 2^53 (about 4.7e14 at
 n = 256, q = 12289); below 2^53 float64 holds integers exactly in any
 summation order, so neither stage loses anything.
 

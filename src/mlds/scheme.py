@@ -124,9 +124,9 @@ def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PA
     """Sign ``message`` (bytes-like) with the bytes-like 32-byte coin ``r`` (never reuse r).
 
     A batch is equal-length lists or tuples of messages and coins, under one key
-    pair or one per message. ``policy`` is one of ``POLICIES``, ``sk`` is a
-    ``SecretKey`` and ``pk`` a ``PublicKey``, both of ``params``; anything else
-    raises ValueError.
+    pair or one per message: ``sk`` and ``pk`` have the same trial axis, none or
+    the messages'. ``policy`` is one of ``POLICIES``, ``sk`` is a ``SecretKey``
+    and ``pk`` a ``PublicKey``, both of ``params``; anything else raises ValueError.
     """
     ring = get_ring(params)
     if policy not in POLICIES:
@@ -139,10 +139,10 @@ def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PA
     if _batch(r) != trials:
         raise ValueError("r must be one coin for one message, or a list or tuple of one per message")
     _seed_batch(r, "r")
-    for name, keys in (("sk", sk.s), ("pk", pk.p_vec)):
-        if keys.data.shape[:-2] not in ((), trials):
-            raise ValueError(f"{name} must be one key, or a batch of one per message")
-    mu = _each(crh, message)
+    pairs = sk.s.data.shape[:-2]
+    if pairs != pk.p_vec.data.shape[:-2] or pairs not in ((), trials):
+        raise ValueError("sk and pk must be one key pair, or a batch of one pair per message")
+    mu = _each(_mu, message)
     # On a chunk of trials every array is (B, ...), so each is dropped after
     # its last use: that keeps the literal policy's transforms from stacking
     # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials). e1..e4
@@ -168,6 +168,14 @@ def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PA
     return Signature(z, _each(_h_digest, mu, decode_payload(h_src, ring)), ring.params)
 
 
+def _mu(message) -> bytes:
+    """mu = crh(M) of one bytes-like message M; anything else (a str, None) raises ValueError."""
+    body = _as_bytes(message)
+    if body is None:
+        raise ValueError(f"message must be bytes-like, not {type(message).__name__}")
+    return crh(body)
+
+
 def _h_digest(mu: bytes, payload: np.ndarray) -> bytes:
     """crh(mu || crh(payload)), payload one trial's decoded bytes."""
     return crh(mu + crh(payload))
@@ -190,14 +198,14 @@ def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PA
     A list or tuple of messages gets a tuple of ``VerifyResult``, one each. The
     reason is "parse" unless ``sig`` is a ``Signature`` of one trial per message
     under one ``PublicKey`` or one per message, ``sig.params == pk.params == params``.
+    A message that is not bytes-like raises ValueError, as in ``sign``.
     """
-    trials = _batch(message)
+    trials, mu = _batch(message), _each(_mu, message)
     if not (isinstance(sig, Signature) and isinstance(pk, PublicKey)
             and sig.params == pk.params == params and sig.z.data.shape[:-2] == trials
             and pk.p_vec.data.shape[:-2] in ((), trials)):
         return _each(lambda _: VerifyResult("parse"), message)
     ring = get_ring(params)
-    mu = _each(crh, message)
     z2 = sig.z2  # a view of z's row, built once for its two reads
     w = ring.sub(ring.add(z2, sig.z3),
                  ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(sig.z1))))

@@ -15,7 +15,8 @@ from ring_oracle import poly
 @pytest.fixture(scope="session", autouse=True)
 def child_pythonpath():
     """The CLI tests run ``python -m mlds.cli`` in a child process: point it at the
-    package this session imports (from ``src``, by the pytest ``pythonpath`` setting)."""
+    package this session imports, the one an explicit ``PYTHONPATH`` (``src`` in the
+    test command) or an installed ``mlds`` provides."""
     src = str(Path(mlds.__file__).resolve().parents[1])
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))

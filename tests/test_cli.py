@@ -10,7 +10,7 @@ import pytest
 
 import mlds.cli
 from mlds import (DEFAULT_PARAMS, ParamError, ParamSet, get_ring, keygen, serialize_pk,
-                  serialize_sig, serialize_sk, sign, validate_params, verify)
+                  serialize_sig, serialize_sk, sign, verify)
 from mlds.sampling import derive_case_seeds
 from mlds.scheme import AGREEMENT_CHUNK
 from mlds.cli import main, EXIT_OK, EXIT_REJECT, EXIT_USAGE, EXIT_IO
@@ -414,8 +414,8 @@ def test_info_prints_the_decode_margin(capsys):
     line = next(x for x in capsys.readouterr().out.splitlines() if "decode margin" in x)
     assert "2*eta = 32 < floor(q/4) = 3072" in line
     assert line.endswith("(largest admissible eta: 1528)")
-    # the same rule as validate_params: 1528 validates, the next multiple of 8 cannot be built
-    assert not validate_params(ParamSet(eta=1528))
+    # the same rule as ParamSet: 1528 builds, the next multiple of 8 cannot be built
+    assert ParamSet(eta=1528).max_eta == 1528
     with pytest.raises(ParamError, match=r"floor\(q/4\) = 3072"):
         ParamSet(eta=1536)
 

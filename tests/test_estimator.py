@@ -121,7 +121,9 @@ def test_instance_construction():
             LweInstance.from_binomial(512, 12289, eta)
 
 
-@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+# a str or None is no number, 10**400 overflows a float, and True is not 1
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0, "2", None,
+                                   pytest.param(10**400, id="10**400"), True])
 def test_instance_rejects_non_finite_or_negative_sigma(sigma):
     with pytest.raises(EstimatorError, match="invalid LWE instance"):
         LweInstance(n_lwe=64, q=12289, sigma=sigma, max_samples=128)

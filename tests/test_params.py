@@ -5,7 +5,7 @@ import pytest
 
 from mlds import (DEFAULT_PARAMS, ParamSet, ParamError, derive_ntt_constants, get_ring, keygen,
                   measure_agreement, parse_pk, parse_sig, parse_sk, serialize_pk, serialize_sig,
-                  serialize_sk, sign, validate_params, verify)
+                  serialize_sk, sign, verify)
 from mlds.codec import poly_bytes
 from mlds.ring import _smallest_generator
 
@@ -127,15 +127,16 @@ def test_derivation_deterministic_and_idempotent(params):
         assert table.size == 16 * 16 + 16**3 and not table.flags.writeable
 
 
-def test_validate_default_is_clean(params):
-    assert validate_params(params) == []
-
-
 def test_validate_reports_each_violation():
     assert any("power of two" in e for e in violations(n=100))
     assert any("not prime" in e for e in violations(q=12))
     assert any("mod 2n" in e for e in violations(n=4096))  # 8192 does not divide 12288
     assert any("redundancy" in e for e in violations(redundancy=3))
+    # redundancy r spreads a bit over coefficients i + c*n/4, so n must be a multiple of 4r
+    assert violations(n=2, q=137, k=1, eta=8) == ["n=2 is not a multiple of 4*redundancy = 4"]
+    assert violations(n=8, q=97, k=1, eta=8, redundancy=4) == [
+        "n=8 is not a multiple of 4*redundancy = 16"
+    ]
     assert any("k=" in e for e in violations(k=0))
     assert any("eta" in e for e in violations(eta=0))
     assert any("multiple of 8" in e for e in violations(eta=3))
@@ -169,7 +170,7 @@ def test_validate_reports_each_violation():
 
 
 def test_q_is_prime_exactly_when_trial_division_says_so():
-    # validate_params decides primality by the NTT's own factoriser, _prime_factors(q) == [q];
+    # ParamSet decides primality by the NTT's own factoriser, _prime_factors(q) == [q];
     # an independent oracle agrees on every q up to the largest the int32 bound lets through
     def oracle(x):
         return x > 1 and all(x % d for d in range(2, int(x**0.5) + 1))
@@ -202,7 +203,6 @@ def test_every_field_is_an_int_and_param_id_one_byte(fields, errors):
 def test_largest_admitted_eta_decodes_every_honest_signature(redundancy):
     # eta = 24 is the largest multiple of 8 with 2*eta < floor(257/4) = 64
     params = ParamSet(n=128, q=257, eta=24, redundancy=redundancy)
-    assert validate_params(params) == []
     report = measure_agreement(256, params, "z2", bytes(32))
     assert report.mu_failures == 0 and report.h_failures == 0
     assert report.max_noise <= 2 * params.eta < params.quarter_q
@@ -213,7 +213,7 @@ def test_a_q_above_2_to_the_14_is_admitted_and_signs():
     # whose largest admitted q is below 2^15; keygen, sign and verify take it, and its
     # wires pack 15 bits per coefficient, 480 bytes per polynomial
     params = ParamSet(q=18433)
-    assert validate_params(params) == [] and params.bits_per_coeff == 15
+    assert params.bits_per_coeff == 15
     assert poly_bytes(params) == 480
     report = measure_agreement(8, params, "z2", bytes(32))
     assert (report.mu_failures, report.h_failures) == (0, 0)
@@ -254,7 +254,7 @@ def test_a_polynomial_must_pack_into_whole_bytes():
 def test_ntt_congruence_holds_for_n_512():
     # 12288 = 12 * 1024, so the stricter 2n | q-1 condition still holds at n=512;
     # redundancy 4 keeps its n/4 = 128 payload bits within the 256-bit digest
-    assert validate_params(ParamSet(n=512, redundancy=4)) == []
+    assert violations(n=512, redundancy=4) == []
 
 
 def test_payload_must_fit_the_message_digest():
@@ -262,7 +262,7 @@ def test_payload_must_fit_the_message_digest():
     assert violations(n=512, k=1) == [
         "mu_bits = n/redundancy = 512 is more than the 256 bits of the message digest"
     ]
-    assert validate_params(ParamSet(n=1024, redundancy=4)) == []
+    assert violations(n=1024, redundancy=4) == []
     with pytest.raises(ParamError, match="message digest"):
         ParamSet(n=512)
 
@@ -278,4 +278,3 @@ def test_redundancy_four_payload():
     p = ParamSet(redundancy=4)
     assert p.mu_bits == 64
     assert p.mu_bits * p.redundancy == p.n
-    assert validate_params(p) == []

@@ -254,7 +254,7 @@ def test_inner_product_matches_schoolbook(ring, rng):
 
 def test_module_products_at_the_int32_bound(ring):
     # all entries q-1: each slot sums k = 2 products of (q-1)^2, the largest
-    # int32 accumulation validate_params allows; compare with int64 arithmetic
+    # int32 accumulation ParamSet allows; compare with int64 arithmetic
     assert ring.k == 2 and ring.k * (ring.q - 1) ** 2 < 2**31
     top = np.full((ring.k, ring.k, ring.n), ring.q - 1, dtype=np.int32)
     mat, v = RqArray(top, NTT), RqArray(top[0], NTT)

@@ -565,9 +565,15 @@ def test_batch_verify_matches_single_calls(ring, keys):
 def test_batch_arguments_of_other_lengths_are_refused(keypair):
     pk, sk = keypair
     pks, sks = keygen([ZETA, COIN, bytes(32)])
+    two_pks, two_sks = keygen([ZETA, COIN])
     for args, name in (((sk, pk, [MSG, MSG], [COIN]), "r"), ((sk, pk, [MSG], COIN), "r"),
-                       ((sk, pk, MSG, [COIN]), "r"), ((sks, pk, [MSG, MSG], [COIN, COIN]), "sk"),
-                       ((sk, pks, [MSG, MSG], [COIN, COIN]), "pk"), ((sks, pks, MSG, COIN), "sk")):
+                       ((sk, pk, MSG, [COIN]), "r"), ((sks, pk, [MSG, MSG], [COIN, COIN]), "sk and pk"),
+                       ((sk, pks, [MSG, MSG], [COIN, COIN]), "sk and pk"),
+                       ((sks, pks, MSG, COIN), "sk and pk"),
+                       # a batch of keys on one side and one key on the other is no key pair,
+                       # even where the batch has one key per message
+                       ((two_sks, pk, [MSG, MSG], [COIN, COIN]), "sk and pk"),
+                       ((sk, two_pks, [MSG, MSG], [COIN, COIN]), "sk and pk")):
         with pytest.raises(ValueError, match=f"^{name} must be one"):
             sign(*args)
     sigs = sign(sks, pks, [MSG, b"b", b"c"], [COIN, COIN, COIN])
@@ -592,6 +598,18 @@ def test_a_memoryview_message_signs_and_verifies(ring, keypair, z2_sig):
     batch = sign(sk, pk, [view, bytearray(MSG)], [COIN, bytes(32)])
     assert batch.h[0] == z2_sig.h
     assert [v.ok for v in verify(pk, (view, MSG), batch)] == [True, True]
+
+
+@pytest.mark.parametrize("message", ["sign me, please", None, 7, [MSG, "sign me, please"]])
+def test_a_message_that_is_not_bytes_like_is_refused(keypair, z2_sig, message):
+    # the one bytes-like rule of seeds, coins and wires: a str is not hashed as its encoding
+    pk, sk = keypair
+    coin = [COIN] * len(message) if isinstance(message, list) else COIN
+    with pytest.raises(ValueError, match="^message must be bytes-like"):
+        sign(sk, pk, message, coin)
+    sigs = sign(sk, pk, [MSG] * len(message), coin) if isinstance(message, list) else z2_sig
+    with pytest.raises(ValueError, match="^message must be bytes-like"):
+        verify(pk, message, sigs)
 
 
 def test_derive_case_seeds_stable():
