@@ -20,7 +20,7 @@ each, n*b/8 bytes per polynomial (448 at n = 256, q = 12289). All formats:
 
 ``pk_bytes``, ``sk_bytes``, ``sig_bytes`` and ``key_sizes`` (wire and
 information-theoretic sizes) read one count of each format's seeds and
-polynomials. ``mu_payload_bits`` expands digests through ``bytes_to_bits``.
+polynomials. ``mu_payload_bits`` expands digests into the bits that ``_codeword`` lays out.
 
 ``PublicKey``, ``SecretKey`` and ``Signature`` live here, next to their
 layouts. Each carries its ``ParamSet`` and is checked once, when it is
@@ -156,13 +156,9 @@ def _ring_data(p: ParamSet, value, domain: str, tail: tuple, lead: int = 0) -> n
 
 
 def _in_range(p: ParamSet, *values) -> bool:
-    """Whether every array is there (not None) and their entries, at least one, lie in [0, q)."""
-    if any(c is None for c in values):
-        return False
-    # one maximum costs less than one per array
-    c = values[0] if len(values) == 1 else np.concatenate([c.ravel() for c in values])
-    # a negative int32 read as uint32 is >= q, so one maximum checks [0, q)
-    return c.size > 0 and c.view(np.uint32).max() < p.q
+    """Whether every array is there (not None) and has entries, all in [0, q)."""
+    # a negative int32 read as uint32 is >= q, so one maximum per array checks [0, q)
+    return all(c is not None and c.size > 0 and c.view(np.uint32).max() < p.q for c in values)
 
 
 def _trials(seeds) -> tuple | None:
@@ -175,19 +171,15 @@ def _trials(seeds) -> tuple | None:
 
 # -- bit helpers -------------------------------------------------------------
 
-def bytes_to_bits(data: bytes) -> np.ndarray:
-    """Little-endian bit expansion: bit j of byte i lands at index 8*i + j."""
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
-
-
 def mu_payload_bits(mu, params: ParamSet) -> np.ndarray:
-    """The digest bits carried by z3: all of mu, or its first n/4 bits.
+    """The digest bits carried by z3, bit j of byte i at 8*i + j: all of mu, or its first n/4.
 
     One digest gives (mu_bits,) bits; a list or tuple of digests (mu_bits,) per
     trial along a leading axis.
     """
     digests = b"".join(mu) if _batch(mu) else mu
-    return bytes_to_bits(digests).reshape(_batch(mu) + (-1,))[..., : params.mu_bits]
+    bits = np.unpackbits(np.frombuffer(digests, dtype=np.uint8), bitorder="little")
+    return bits.reshape(_batch(mu) + (-1,))[..., : params.mu_bits]
 
 
 # -- message encode / decode --------------------------------------------------
@@ -204,9 +196,13 @@ def encode_bits(bits: np.ndarray, ring: Ring) -> RqArray:
     # 0.5 is in range but would encode as 0; the range is checked before the int32 cast, which could wrap
     if bits.dtype.kind not in "biu" or bits.min() < 0 or bits.max() > 1:
         raise CodecError("payload entries must be 0 or 1, of an integer or bool dtype")
-    # n = redundancy * mu_bits, so copy r of bit i is coefficient r * mu_bits + i
-    row = np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1)
-    return RqArray(row[..., None, :], COEFF)
+    return RqArray(_codeword(bits, p)[..., None, :], COEFF)
+
+
+def _codeword(bits: np.ndarray, p: ParamSet) -> np.ndarray:
+    """The int32 (..., n) payload layout of checked (..., mu_bits) bits, read by ``encode_bits`` and
+    ``scheme.verify``: copy r of bit i at coefficient r * mu_bits + i, amplitude floor(q/2)."""
+    return np.concatenate([bits.astype(np.int32) * p.half_q] * p.redundancy, axis=-1)
 
 
 def decode_bits(v: RqArray, ring: Ring) -> np.ndarray:

@@ -63,10 +63,10 @@ that row's m = max_samples cell is, leads the search to a row with a finite
 cell first. A clamped cell costs at most its model cost, so an optimum whose
 tau is below the clamp is the model's optimum; one whose tau sits at the
 clamp would be priced by the clamp, so ``dual_cost`` rejects it with
-EstimatorError. Reported bit counts are floored to integers. The dual's are
-floor(cost) and floor(0.265 b + cost - 0.292 b) at the optimum cell its
-search priced, so no cell is priced twice. BKW-type and linearization
-attacks are out of scope.
+EstimatorError. Both attacks report floor(cost) and floor(0.265 b + rep),
+rep = cost - 0.292 b, at the optimum cell their search priced, so no cell is
+priced twice: rep is the dual's log2 R and 0.0 for the primal, whose cost is
+0.292 b. BKW-type and linearization attacks are out of scope.
 
 This is a transparent reproduction of one cost model, not a replacement for
 a full lattice estimator.
@@ -135,6 +135,12 @@ class AttackEstimate:
     b: int
     classical_bits: int
     quantum_bits: int
+
+
+def _estimate(kind: str, cost: float, b: int, m: int) -> AttackEstimate:
+    """floor(cost) classical and floor(0.265 b + rep) quantum bits at the cell a search priced."""
+    rep = cost - CLASSICAL_EXP * b  # log2 R within an ulp of cost (Sterbenz); 0.0 at R = 1 or primal
+    return AttackEstimate(kind, m, b, math.floor(cost), math.floor(QUANTUM_EXP * b + rep))
 
 
 def _log_delta(b: np.ndarray) -> np.ndarray:
@@ -228,9 +234,7 @@ def primal_cost(inst: LweInstance) -> AttackEstimate:
     best = _search(inst, block_cost, 1)
     if best is None:
         raise EstimatorError("no (m, b) satisfies the primal embedding condition in bounds")
-    _, b_opt, m_opt = best
-    return AttackEstimate("primal", m_opt, b_opt, math.floor(CLASSICAL_EXP * b_opt),
-                          math.floor(QUANTUM_EXP * b_opt))
+    return _estimate("primal", *best)
 
 
 def _dual_log2_tau(inst: LweInstance, m, log_delta):
@@ -284,6 +288,4 @@ def dual_cost(inst: LweInstance) -> AttackEstimate:
             f"dual optimum (m={m_opt}, b={b_opt}) has log2 tau at the clamp {TAU_CLAMP_LOG2:g}: "
             "its cost is the clamp's, not the model's"
         )
-    rep = cost - CLASSICAL_EXP * b_opt  # log2 R within an ulp of cost (Sterbenz); 0 at R = 1
-    return AttackEstimate("dual", m_opt, b_opt, math.floor(cost),
-                          math.floor(QUANTUM_EXP * b_opt + rep))
+    return _estimate("dual", cost, b_opt, m_opt)

@@ -33,8 +33,9 @@ only public values, pk, M and (z1, z2, z3, h): it recomputes mu = crh(M) and
 always checks decode(z2 + z3 - <P, z1>) against the mu payload and h against
 crh(mu || crh(decode-payload of z2)).
 
-z3 is computed as intt(<P_hat, A_hat^T o ntt(e1)>), reusing z1's product; in
-the commutative ring sum_i (sum_j A_ij P_j) e1_i = sum_j P_j (sum_i A_ij e1_i).
+z is one inverse call over its k + 2 NTT-domain rows in wire order, plus the rows
+e2, e4 and e3 + encode(mu payload). z3's row reuses z1's product A_hat^T o ntt(e1):
+in the commutative ring sum_i (sum_j A_ij P_j) e1_i = sum_j P_j (sum_i A_ij e1_i).
 
 A policy is one of the strings in ``POLICIES``. Under "z2" both checks pass
 deterministically for honest signatures, so ``Z2_DERIVED`` is the default;
@@ -72,10 +73,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import (PublicKey, SecretKey, Signature, encode_bits, decode_bits, decode_payload,
-                    mu_payload_bits)
+from .codec import (PublicKey, SecretKey, Signature, _codeword, encode_bits, decode_bits,
+                    decode_payload, mu_payload_bits)
 from .params import ParamSet, DEFAULT_PARAMS
-from .ring import COEFF, RqArray, get_ring
+from .ring import COEFF, NTT, RqArray, get_ring
 from .sampling import (SEED_BYTES, _as_bytes, _batch, _each, _seed_batch, hash_h, crh,
                        derive_case_seeds, gen_a, expand_key_noise, expand_signing_noise)
 
@@ -143,24 +144,23 @@ def sign(sk: SecretKey, pk: PublicKey, message, r, params: ParamSet = DEFAULT_PA
     if pairs != pk.p_vec.data.shape[:-2] or pairs not in ((), trials):
         raise ValueError("sk and pk must be one key pair, or a batch of one pair per message")
     mu = _each(_mu, message)
-    # On a chunk of trials every array is (B, ...), so each is dropped after
-    # its last use: that keeps the literal policy's transforms from stacking
-    # on all of them (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials). e1..e4
-    # are views of one noise draw, which is freed once the last of them goes.
+    # On a chunk of trials every array is (B, ...), so the noise draw (e1..e4 are
+    # views of it) and the products are dropped once z's two stacks hold them: that
+    # keeps z's add and the literal policy's transforms from stacking on all of them
+    # (cold-keys peak RSS 41.1 -> 40.5 MB at 64 trials).
     e1, e2, e3, e4 = expand_signing_noise(r, ring)
     ate1_hat = ring.matvec(pk.a_hat, ring.vec_ntt(e1))
     e2_hat = ring.vec_ntt(e2)
     p_hat = ring.vec_ntt(pk.p_vec)
-
-    z1 = ring.add(ring.vec_intt(ate1_hat), e2)
-    z2 = ring.add(ring.intt(ring.inner_product(p_hat, e2_hat)), e4)
-    payload = encode_bits(mu_payload_bits(mu, ring.params), ring)
-    z3 = ring.add(ring.add(ring.intt(ring.inner_product(p_hat, ate1_hat)), e3), payload)
-    z = RqArray(np.concatenate((z1.data, z2.data, z3.data), axis=-2), COEFF)  # wire order
-    del e1, e2, e3, e4, payload, p_hat, ate1_hat, z1, z3
+    payload = ring.add(e3, encode_bits(mu_payload_bits(mu, ring.params), ring))
+    noise = RqArray(np.concatenate((e2.data, e4.data, payload.data), axis=-2), COEFF)
+    z = RqArray(np.concatenate((ate1_hat.data, ring.inner_product(p_hat, e2_hat).data,
+                                ring.inner_product(p_hat, ate1_hat).data), axis=-2), NTT)
+    del e1, e2, e3, e4, payload, p_hat, ate1_hat
+    z = ring.add(ring.vec_intt(z), noise)  # wire order, from one inverse call and one add
 
     if policy == Z2_DERIVED:
-        h_src = z2
+        h_src = RqArray(z.data[..., -2:-1, :], COEFF)  # z2, row k of z
     else:
         # the signer's own A_hat^T o ntt(s), never a value kept from keygen
         ats_hat = ring.matvec(pk.a_hat, ring.vec_ntt(sk.s))
@@ -198,9 +198,11 @@ def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PA
     A list or tuple of messages gets a tuple of ``VerifyResult``, one each. The
     reason is "parse" unless ``sig`` is a ``Signature`` of one trial per message
     under one ``PublicKey`` or one per message, ``sig.params == pk.params == params``.
-    A message that is not bytes-like raises ValueError, as in ``sign``.
+    A message that is not bytes-like, or an empty batch of them, raises ValueError, as in ``sign``.
     """
     trials, mu = _batch(message), _each(_mu, message)
+    if trials == (0,):  # no verdict to give: all(()) would read as accepted
+        raise ValueError("message must be bytes-like, or a non-empty list or tuple of them")
     if not (isinstance(sig, Signature) and isinstance(pk, PublicKey)
             and sig.params == pk.params == params and sig.z.data.shape[:-2] == trials
             and pk.p_vec.data.shape[:-2] in ((), trials)):
@@ -210,11 +212,9 @@ def verify(pk: PublicKey, message, sig: Signature, params: ParamSet = DEFAULT_PA
     w = ring.sub(ring.add(z2, sig.z3),
                  ring.intt(ring.inner_product(ring.vec_ntt(pk.p_vec), ring.vec_ntt(sig.z1))))
     bits = mu_payload_bits(mu, params)
-    # ||w - encode(bits)||_inf per trial, copy c of bit i at coefficient c * mu_bits + i; a
-    # difference d lies in (-q, q), so min(|d|, q - |d|) is its centered norm mod q
-    d = np.abs(w.data.reshape(trials + (params.redundancy, params.mu_bits))
-               - bits[..., None, :] * np.int32(params.half_q))
-    noise = np.minimum(d, params.q - d, out=d).max(axis=(-2, -1)).tolist()
+    # ||w - encode(bits)||_inf per trial: d lies in (-q, q), so min(|d|, q - |d|) is its norm mod q
+    d = np.abs(w.data[..., 0, :] - _codeword(bits, params))
+    noise = np.minimum(d, params.q - d, out=d).max(axis=-1).tolist()
     mu_ok = (decode_bits(w, ring) == bits).all(axis=-1)
     return _each(_verdict, mu, sig.h, mu_ok, decode_payload(z2, ring), noise)
 

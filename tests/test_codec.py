@@ -15,7 +15,7 @@ from mlds import (
 )
 from mlds.codec import (
     HEADER_BYTES, SEED_BYTES, PublicKey, SecretKey, Signature,
-    bytes_to_bits, decode_payload, pack_poly, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
+    decode_payload, mu_payload_bits, pack_poly, pk_bytes, poly_bytes, sk_bytes, sig_bytes,
 )
 
 from conftest import random_poly
@@ -32,8 +32,8 @@ def keypair_sig(ring):
 # -- bit helpers -------------------------------------------------------------------
 
 def test_bit_helpers_little_endian(ring):
-    assert bytes_to_bits(b"\x01")[:8].tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
-    assert bytes_to_bits(b"\x80")[:8].tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert mu_payload_bits(b"\x01", ring.params).tolist() == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert mu_payload_bits(b"\x80", ring.params).tolist() == [0, 0, 0, 0, 0, 0, 0, 1]
     bits = np.zeros(ring.params.mu_bits, dtype=np.uint8)
     bits[[0, 2]] = 1
     payload = decode_payload(encode_bits(bits, ring), ring)
@@ -77,7 +77,7 @@ def test_roundtrip_exhaustive_byte_prefix(ring, rng):
     # all 2^8 patterns in the first byte, random tail
     for prefix in range(256):
         bits = rng.integers(0, 2, 256).astype(np.uint8)
-        bits[:8] = bytes_to_bits(bytes([prefix]))
+        bits[:8] = mu_payload_bits(bytes([prefix]), ring.params)
         assert np.array_equal(decode_bits(encode_bits(bits, ring), ring), bits)
 
 

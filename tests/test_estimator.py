@@ -430,6 +430,22 @@ def test_a_looser_slack_keeps_every_estimate(monkeypatch):
     assert len(fallbacks) >= 1
 
 
+def test_a_search_whose_rows_are_finite_only_on_the_screen_finds_nothing():
+    # a block cost finite only under the screen's slack: the screen leads the search to a
+    # row, every whole row is infinite, so it visits each row once in screen order and
+    # returns None, which primal_cost reports as EstimatorError
+    inst, rows = LweInstance(n_lwe=40, q=12289, sigma=3.0, max_samples=20), []
+
+    def block_cost(m, b, log_delta, half_log_b, slack):
+        cost = CLASSICAL_EXP * b + 0.0 * m
+        if not slack:
+            rows.extend(int(v) for v in np.ravel(b))
+        return cost if slack else np.full_like(cost, np.inf)
+
+    assert mlds.estimator._search(inst, block_cost, 0) is None
+    assert sorted(rows) == list(range(MIN_BLOCK, 40 + 20 + 2))
+
+
 @pytest.mark.parametrize("inst, m_b", [
     # R = 1 from m = 452 up to the screen's cell, the clipped m = 461
     (LweInstance(n_lwe=254, q=65537, sigma=39.2, max_samples=461), (452, 293)),

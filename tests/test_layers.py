@@ -199,6 +199,16 @@ def test_the_check_sees_names_attributes_and_imports():
         (1, "gen_se"), (2, "_binomial"), (2, "gen_se")]
 
 
+def test_the_codec_owns_the_payload_layout():
+    # encode_bits and verify's noise read one codeword, codec._codeword; the scheme names
+    # none of the fields that lay it out or threshold it
+    path = SRC / "scheme.py"
+    found = [f"scheme.py:{line} names {what}"
+             for line, what in names_used(ast.parse(path.read_text(), str(path)),
+                                          {"half_q", "quarter_q", "mu_bits", "redundancy"})]
+    assert found == []
+
+
 def test_one_ring_value_type():
     # every ring value is one RqArray, a (..., rows, n) array tagged with its
     # domain; no module defines or names a per-shape or per-domain value class

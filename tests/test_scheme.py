@@ -612,6 +612,15 @@ def test_a_message_that_is_not_bytes_like_is_refused(keypair, z2_sig, message):
         verify(pk, message, sigs)
 
 
+def test_an_empty_message_batch_is_refused_by_verify(keypair, z2_sig):
+    # an empty batch has no verdict: all() of an empty tuple would read as accepted
+    pk, sk = keypair
+    batch = sign(sk, pk, [MSG, b"b"], [COIN, COIN])
+    for message, sig in (([], z2_sig), ((), batch)):
+        with pytest.raises(ValueError, match="^message must be bytes-like, or a non-empty"):
+            verify(pk, message, sig)
+
+
 def test_derive_case_seeds_stable():
     z1, r1, m1 = derive_case_seeds(bytes(32), 0)
     z2_, r2, m2 = derive_case_seeds(bytes(32), 1)
@@ -627,3 +636,4 @@ def test_wilson_interval_sane():
     assert 0.95 < lo < 1.0 and hi > 0.999
     lo, hi = wilson_interval(50, 100)
     assert lo < 0.5 < hi
+    assert wilson_interval(0, 0) == (0.0, 1.0)  # no trials: any rate
